@@ -94,13 +94,15 @@ def grad_alf(P, w, beta):
     )
 
 
-def eval_merit_hat(P, what, params, eta2_y):
+def eval_merit_hat(P, what, params, eta2_y, L_beta=None):
     """Merit value at the augmented iterate ``what = (w, d_y_prev)``.
 
     ``L_beta(w)`` plus ``6 / (|r + s| beta) * (L_g^2 + beta^2 + (eta2_y / (1 + alpha))^2)``
     times ``||d_y_prev||^2``, where ``L_g`` is the gradient Lipschitz constant of
     ``g`` and ``eta2_y`` the uniform upper curvature bound of the y-subproblem
     metric. Requires ``lipschitz_g`` on the problem and ``r + s != 0``.
+    ``L_beta`` is the value of ``L_beta(w)`` when the caller already has it;
+    it is evaluated otherwise.
     """
     if P.lipschitz_g is None:
         raise UnknownLipschitz("eval_merit_hat needs lipschitz_g on the problem")
@@ -112,5 +114,7 @@ def eval_merit_hat(P, what, params, eta2_y):
     weight = (6.0 / (abs(rs) * beta)) * (
         L_g * L_g + beta * beta + (eta2_y / (1.0 + params.alpha)) ** 2
     )
+    if L_beta is None:
+        L_beta = eval_alf(P, what.w, beta)
     d = what.d_y_prev
-    return eval_alf(P, what.w, beta) + weight * float(d @ d)
+    return L_beta + weight * float(d @ d)

@@ -52,16 +52,19 @@ def as_matrix(M, shape=None, name="matrix"):
 def cholesky_spd(M):
     """Lower Cholesky factor of a symmetric matrix, or raise :class:`NotPositiveDefinite`.
 
-    The returned object is the ``(factor, lower)`` pair accepted by
-    :func:`scipy.linalg.cho_solve`.
+    ``M`` must be symmetric to ``max|M - M^T| <= 1e-10 * max(1, max|M|)``,
+    else :class:`ValueError`. The returned object is the ``(factor, lower)``
+    pair accepted by :func:`scipy.linalg.cho_solve`.
     """
     M = as_matrix(M, name="M")
     n = M.shape[0]
     if M.shape[1] != n:
         raise DimensionMismatch(f"M must be square, got shape {M.shape}")
-    scale = max(1.0, float(np.abs(M).max())) if M.size else 1.0
-    if M.size and float(np.abs(M - M.T).max()) > 1e-10 * scale:
-        raise ValueError("M must be symmetric (relative tolerance 1e-10)")
+    # an exactly symmetric M (the common case) skips the tolerance scan's temporaries
+    if M.size and not np.array_equal(M, M.T):
+        scale = max(1.0, float(np.abs(M).max()))
+        if float(np.abs(M - M.T).max()) > 1e-10 * scale:
+            raise ValueError("M must be symmetric (relative tolerance 1e-10)")
     try:
         return scipy.linalg.cho_factor(M, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:

@@ -47,10 +47,11 @@ class KktResidual:
 def kkt_residual(P, w):
     """First-order residuals of the split problem at the iterate ``w``."""
     Ax = P.apply_A(w.x)
-    stat_x = float(np.max(np.abs(P.grad_f(w.x) - P.apply_At(w.lam))))
+    gf = P.grad_f(w.x)
+    stat_x = float(np.max(np.abs(gf - P.apply_At(w.lam))))
     stat_y = float(np.max(np.abs(P.grad_g(w.y) + w.lam)))
     feas = float(np.max(np.abs(Ax - w.y)))
-    composite = float(np.max(np.abs(P.grad_f(w.x) + P.apply_At(P.grad_g(Ax)))))
+    composite = float(np.max(np.abs(gf + P.apply_At(P.grad_g(Ax)))))
     return KktResidual(
         stat_x=stat_x,
         stat_y=stat_y,

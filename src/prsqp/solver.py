@@ -15,7 +15,10 @@ models ``H_x, H_y``:
    residual and the composite residual ``||grad f(x) + A^T grad g(A x)||``)
    is at most ``tol_kkt``.
 6. Refresh ``(H_x, H_y)`` at the new point, doubling ``ell`` / ``sigma`` until
-   both metrics admit a Cholesky factorization.
+   both metrics admit a Cholesky factorization. These factors are carried
+   into the next iteration's block steps, and a block's factor is reused,
+   not rebuilt, for as long as its Hessian model stays exactly equal to the
+   one it was built from and its ``ell`` / ``sigma`` has not been doubled.
 
 The dual steps ``r, s`` may take either sign (ascent or descent flavors) as
 long as ``r + s != 0``; the diagnostics module computes the decrease margins
@@ -179,52 +182,118 @@ class SolveResult:
     theory_supported: bool = True
 
 
+class BlockMetric(NamedTuple):
+    """One block's metric ``Hcal`` with its Cholesky factor, and what it was built from."""
+
+    model: np.ndarray  # the Hessian model, as returned by _own
+    weight: float  # ell (x block) or sigma (y block)
+    Hcal: np.ndarray
+    factor: tuple  # (c, lower) pair for scipy.linalg.cho_solve
+
+
+class Carry(NamedTuple):
+    """What one :func:`iterate_once` call hands to the next on the same problem.
+
+    Both blocks' factored metrics at the refreshed Hessian models, and
+    ``L_beta`` at the new iterate (``point`` is a private copy of its
+    ``concat()``). Each part is used only while it still matches its inputs.
+    """
+
+    problem: object
+    beta: float
+    point: np.ndarray
+    L_beta: float
+    metric_x: BlockMetric
+    metric_y: BlockMetric
+
+
 class IterationOutcome(NamedTuple):
+    """What :func:`iterate_once` returns.
+
+    ``hess_x`` / ``hess_y`` are the refreshed Hessian models as read-only
+    arrays: while a refreshed model stays equal to the previous one, the same
+    array is returned again.
+    """
+
     state: AugmentedIterate
     record: StepRecord
     hess_x: np.ndarray
     hess_y: np.ndarray
     internals: Optional[dict]
     kkt: KktResidual  # residuals at the new iterate; ``record.kkt_inf`` is its total
+    carry: Carry  # pass to the next iterate_once call to reuse its factors
 
 
 _MAX_METRIC_REPAIR = 60  # doublings of ell / sigma before giving up
 
 
-def _metric_x(P, H_x, params):
-    return H_x + params.beta * P.AtA + params.ell * np.eye(P.n1)
+def _own(H, metric):
+    # the model the solver works with in place of the caller's H: metric.model
+    # when H equals it exactly, else a read-only private copy of H. So no later
+    # write to the caller's array reaches a carried factor, and equal models
+    # are one array, which a factor then fits by identity.
+    if metric is not None and (H is metric.model or np.array_equal(metric.model, H)):
+        return metric.model
+    H = np.array(H, dtype=float)
+    H.flags.writeable = False
+    return H
 
 
-def _metric_y(P, H_y, params):
-    return H_y + (params.beta + params.sigma) * np.eye(P.n2)
+def _scaled_eye(n, c):
+    out = np.eye(n)
+    out *= c
+    return out
 
 
-def _x_step(P, w, H_x, params):
-    # quadratic-model minimizer, its metric and the gradient it used
-    Hcal = _metric_x(P, H_x, params)
-    g = grad_alf(P, w, params.beta).gx
-    if not np.all(np.isfinite(g)):
-        raise NumericalError("non-finite x-gradient")
+def _factor(model, weight, Hcal, failure):
     try:
         factor = cholesky_spd(Hcal)
     except NotPositiveDefinite as exc:
-        raise ProximalNotPD(f"x-metric not positive definite at ell = {params.ell}: {exc}") from None
-    x_tilde = w.x - scipy.linalg.cho_solve(factor, g, check_finite=False)
-    return x_tilde, Hcal, g
+        raise ProximalNotPD(f"{failure}: {exc}") from None
+    return BlockMetric(model, weight, Hcal, factor)
 
 
-def _y_step(P, x_next, y, lam_half, H_y, params):
-    Hcal = _metric_y(P, H_y, params)
+def _metric_x(P, model, params, cached=None):
+    # factored Hcal_x = H_x + beta A^T A + ell I for a model from _own; ``cached`` when it fits
+    if cached is not None and cached.model is model and cached.weight == params.ell:
+        return cached
+    # (model + beta AtA) + ell I summed in place, so that fewer n1 x n1 arrays
+    # are live while the previous iteration's metric is still held
+    Hcal = params.beta * P.AtA
+    Hcal += model
+    Hcal += _scaled_eye(P.n1, params.ell)
+    failure = f"x-metric not positive definite at ell = {params.ell}"
+    return _factor(model, params.ell, Hcal, failure)
+
+
+def _metric_y(P, model, params, cached=None):
+    # factored Hcal_y = H_y + (beta + sigma) I for a model from _own; ``cached`` when it fits
+    if cached is not None and cached.model is model and cached.weight == params.sigma:
+        return cached
+    Hcal = _scaled_eye(P.n2, params.beta + params.sigma)
+    Hcal += model
+    failure = f"y-metric not positive definite at sigma = {params.sigma}"
+    return _factor(model, params.sigma, Hcal, failure)
+
+
+def _x_step(P, w, H_x, params, cached=None):
+    # quadratic-model minimizer, its factored metric and the gradient it used
+    g = grad_alf(P, w, params.beta).gx
+    if not np.all(np.isfinite(g)):
+        raise NumericalError("non-finite x-gradient")
+    metric = _metric_x(P, _own(H_x, cached), params, cached)
+    x_tilde = w.x - scipy.linalg.cho_solve(metric.factor, g, check_finite=False)
+    return x_tilde, metric, g
+
+
+def _y_step(P, x_next, y, lam_half, H_y, params, cached=None):
     residual = P.apply_A(x_next) - y
     g = P.grad_g(y) + lam_half - params.beta * residual
     if not np.all(np.isfinite(g)):
         raise NumericalError("non-finite y-gradient")
-    try:
-        factor = cholesky_spd(Hcal)
-    except NotPositiveDefinite as exc:
-        raise ProximalNotPD(f"y-metric not positive definite at sigma = {params.sigma}: {exc}") from None
-    y_tilde = y - scipy.linalg.cho_solve(factor, g, check_finite=False)
-    return y_tilde, Hcal, g
+    metric = _metric_y(P, _own(H_y, cached), params, cached)
+    y_tilde = y - scipy.linalg.cho_solve(metric.factor, g, check_finite=False)
+    return y_tilde, metric, g
 
 
 def solve_x_subproblem(P, w, H_x, params):
@@ -264,7 +333,7 @@ def hybrid_accelerate(tilde, current, alpha):
     return current + d, d
 
 
-def line_search(P, point, d, Hcal, params, block):
+def line_search(P, point, d, Hcal, params, block, L0=None):
     """Armijo backtracking for one block of ``L_beta`` at fixed other blocks.
 
     Accepts the largest ``t = nu^i`` (``i = 0, 1, ...``) with
@@ -274,7 +343,9 @@ def line_search(P, point, d, Hcal, params, block):
     where ``moved`` shifts the ``block`` coordinate ("x" or "y") of ``point``
     by ``t d``. The comparison carries a ``1e-12 (1 + |L|)`` float slack so a
     vanishing direction near a stationary point is not rejected on rounding
-    noise. Returns ``(t, i)``; ``d = 0`` returns ``(1.0, 0)`` immediately.
+    noise. ``L0`` is ``L_beta(point)`` when the caller already has it; it is
+    evaluated otherwise. Returns ``(t, i)``; ``d = 0`` returns ``(1.0, 0)``
+    immediately.
 
     Raises :class:`LineSearchFailed` after ``params.max_backtracks`` shrinks.
     """
@@ -284,7 +355,8 @@ def line_search(P, point, d, Hcal, params, block):
     if not np.any(d):
         return 1.0, 0
     quad = float(d @ (Hcal @ d))
-    L0 = eval_alf(P, point, params.beta)
+    if L0 is None:
+        L0 = eval_alf(P, point, params.beta)
     if not np.isfinite(L0) or not np.isfinite(quad):
         raise NumericalError(f"non-finite quantities entering the {block} line search")
     slack = 1e-12 * (1.0 + abs(L0))
@@ -335,7 +407,7 @@ def _repair_metric(build, bump, limit=_MAX_METRIC_REPAIR):
 
 
 @_quiet_numerics
-def iterate_once(P, state, H_x, H_y, params, k=0, eta2_y=None, keep_internals=False):
+def iterate_once(P, state, H_x, H_y, params, k=0, eta2_y=None, keep_internals=False, carry=None):
     """One full iteration from ``state``; returns an :class:`IterationOutcome`.
 
     ``params`` is mutated in place when a metric needs repair (``ell`` or
@@ -345,21 +417,35 @@ def iterate_once(P, state, H_x, H_y, params, k=0, eta2_y=None, keep_internals=Fa
     per-block gradients, directions and metric quadratic forms to the outcome
     for invariant checks.
 
+    ``carry`` is the ``carry`` of the previous outcome on the same problem.
+    A block then reuses the factor built at the previous refresh when its
+    model (``H_x`` / ``H_y``) is exactly equal to the one the factor was built
+    from and its ``ell`` / ``sigma`` is unchanged, and the x line search reuses
+    the previous ``L_beta`` when ``state.w`` is that outcome's iterate;
+    anything else is computed afresh, as without ``carry``. The result is the
+    same either way.
+
     Raises :class:`LineSearchFailed` or :class:`NumericalError` upward.
     """
     t_start = time.perf_counter()
     w = state.w
     beta = params.beta
+    if carry is not None and (carry.problem is not P or carry.beta != beta):
+        carry = None
+    L0 = None
+    if carry is not None and np.array_equal(carry.point, w.concat()):
+        L0 = carry.L_beta
 
     # ----- x block: model step, extrapolation, Armijo
     def bump_ell():
         params.ell *= 2.0
 
-    x_tilde, Hcal_x, gx = _repair_metric(lambda: _x_step(P, w, H_x, params), bump_ell)
+    metric_x = carry.metric_x if carry is not None else None
+    x_tilde, metric_x, gx = _repair_metric(lambda: _x_step(P, w, H_x, params, metric_x), bump_ell)
     if not np.all(np.isfinite(x_tilde)):
         raise NumericalError("x-subproblem produced non-finite values")
     _, d_x = hybrid_accelerate(x_tilde, w.x, params.alpha)
-    t_x, bt_x = line_search(P, w, d_x, Hcal_x, params, "x")
+    t_x, bt_x = line_search(P, w, d_x, metric_x.Hcal, params, "x", L0=L0)
     x_next = w.x + t_x * d_x
 
     # ----- first dual update on the mixed residual A x_{k+1} - y_k
@@ -369,14 +455,15 @@ def iterate_once(P, state, H_x, H_y, params, k=0, eta2_y=None, keep_internals=Fa
     def bump_sigma():
         params.sigma *= 2.0
 
-    y_tilde, Hcal_y, gy = _repair_metric(
-        lambda: _y_step(P, x_next, w.y, lam_half, H_y, params), bump_sigma
+    metric_y = carry.metric_y if carry is not None else None
+    y_tilde, metric_y, gy = _repair_metric(
+        lambda: _y_step(P, x_next, w.y, lam_half, H_y, params, metric_y), bump_sigma
     )
     if not np.all(np.isfinite(y_tilde)):
         raise NumericalError("y-subproblem produced non-finite values")
     _, d_y = hybrid_accelerate(y_tilde, w.y, params.alpha)
     mid = Iterate(x_next, w.y, lam_half)
-    t_y, bt_y = line_search(P, mid, d_y, Hcal_y, params, "y")
+    t_y, bt_y = line_search(P, mid, d_y, metric_y.Hcal, params, "y")
     y_next = w.y + t_y * d_y
 
     # ----- second dual update on the full new residual
@@ -386,17 +473,20 @@ def iterate_once(P, state, H_x, H_y, params, k=0, eta2_y=None, keep_internals=Fa
     if not np.all(np.isfinite(w_next.concat())):
         raise NumericalError("iteration produced non-finite iterate")
 
-    # ----- refresh the second-order model, keeping both metrics factorable
+    # ----- refresh the second-order model, keeping both metrics factorable;
+    # these factors are the next iteration's, unless its models differ
     H_x_next, H_y_next = hessian_pair(P, x_next, y_next)
-    _repair_metric(lambda: cholesky_spd(_metric_x(P, H_x_next, params)), bump_ell)
-    _repair_metric(lambda: cholesky_spd(_metric_y(P, H_y_next, params)), bump_sigma)
+    H_x_next, H_y_next = _own(H_x_next, metric_x), _own(H_y_next, metric_y)
+    metric_x_next = _repair_metric(lambda: _metric_x(P, H_x_next, params, metric_x), bump_ell)
+    metric_y_next = _repair_metric(lambda: _metric_y(P, H_y_next, params, metric_y), bump_sigma)
 
     state_next = AugmentedIterate(w=w_next, d_y_prev=d_y)
 
     from .diagnostics import kkt_residual  # local import: diagnostics uses SolverParams
 
+    L_beta = eval_alf(P, w_next, beta)
     if eta2_y is not None and P.lipschitz_g is not None:
-        L_hat = eval_merit_hat(P, state_next, params, eta2_y)
+        L_hat = eval_merit_hat(P, state_next, params, eta2_y, L_beta=L_beta)
     else:
         L_hat = float("nan")
     kkt = kkt_residual(P, w_next)
@@ -406,7 +496,7 @@ def iterate_once(P, state, H_x, H_y, params, k=0, eta2_y=None, keep_internals=Fa
         t_y=t_y,
         norm_dx=float(np.linalg.norm(d_x)),
         norm_dy=float(np.linalg.norm(d_y)),
-        L_beta=eval_alf(P, w_next, beta),
+        L_beta=L_beta,
         L_hat=L_hat,
         feas_inf=float(np.max(np.abs(residual_new))) if residual_new.size else 0.0,
         kkt_inf=kkt.total,
@@ -418,6 +508,7 @@ def iterate_once(P, state, H_x, H_y, params, k=0, eta2_y=None, keep_internals=Fa
 
     internals = None
     if keep_internals:
+        Hcal_x, Hcal_y = metric_x.Hcal, metric_y.Hcal
         internals = dict(
             gx=gx,
             d_x=d_x,
@@ -433,7 +524,8 @@ def iterate_once(P, state, H_x, H_y, params, k=0, eta2_y=None, keep_internals=Fa
             y_tilde=y_tilde,
             lam_half=lam_half,
         )
-    return IterationOutcome(state_next, record, H_x_next, H_y_next, internals, kkt)
+    carry_next = Carry(P, beta, w_next.concat(), L_beta, metric_x_next, metric_y_next)
+    return IterationOutcome(state_next, record, H_x_next, H_y_next, internals, kkt, carry_next)
 
 
 @_quiet_numerics
@@ -450,8 +542,13 @@ def run(P, w0, params, callback: Optional[Callable[[IterationOutcome], None]] = 
     an iteration raises (captured, not propagated). The
     caller's ``params`` are never mutated; positive-definiteness repair acts on
     a private copy. The merit column of the trace uses the running maximum of
-    ``||H_y||`` for the uniform curvature bound. ``callback``, when given,
-    receives each :class:`IterationOutcome` (with internals attached).
+    ``||H_y||`` for the uniform curvature bound, which is estimated again only
+    when :func:`iterate_once` hands back a new ``hess_y`` array (after the
+    first iteration, and then when the model changes). Each iteration gets
+    the previous outcome's ``carry``, so a block's metric is factored only
+    when its Hessian model or its ``ell`` / ``sigma`` changed (see
+    :func:`iterate_once`). ``callback``, when given, receives each
+    :class:`IterationOutcome` (with internals attached).
     """
     violations = validate_params(params)
     if violations:
@@ -468,6 +565,7 @@ def run(P, w0, params, callback: Optional[Callable[[IterationOutcome], None]] = 
     state = AugmentedIterate(w=w0, d_y_prev=np.zeros(P.n2))
     H_x, H_y = hessian_pair(P, w0.x, w0.y)
     eta_y = spectral_norm(H_y)
+    carry = None
     trace: List[StepRecord] = []
     status = SolveStatus.ITER_LIMIT
     for k in range(params.max_iter):
@@ -482,6 +580,7 @@ def run(P, w0, params, callback: Optional[Callable[[IterationOutcome], None]] = 
                 k=k,
                 eta2_y=eta_y + params.beta + params.sigma,
                 keep_internals=callback is not None,
+                carry=carry,
             )
         except LineSearchFailed:
             status = SolveStatus.LINE_SEARCH_FAILED
@@ -489,8 +588,9 @@ def run(P, w0, params, callback: Optional[Callable[[IterationOutcome], None]] = 
         except (NumericalError, NotPositiveDefinite):
             status = SolveStatus.NUMERICAL_ERROR
             break
-        state, H_x, H_y = out.state, out.hess_x, out.hess_y
-        eta_y = max(eta_y, spectral_norm(H_y))
+        if out.hess_y is not H_y:  # an unchanged model comes back as the same array
+            eta_y = max(eta_y, spectral_norm(out.hess_y))
+        state, H_x, H_y, carry = out.state, out.hess_x, out.hess_y, out.carry
         trace.append(out.record)
         if callback is not None:
             callback(out)

@@ -59,6 +59,18 @@ def test_cholesky_requires_symmetry():
         cholesky_spd(M)
 
 
+def test_cholesky_symmetry_tolerance_is_relative_to_the_largest_entry():
+    # the tolerance is 1e-10 * max(1, max|M|): 2e-10 here, and 2e-4 at 1e6 times the scale
+    for scale in (1.0, 1e6):
+        M = scale * np.array([[2.0, 1.0], [1.0, 2.0]])
+        within, beyond = M.copy(), M.copy()
+        within[1, 0] += 1.5e-10 * scale
+        beyond[1, 0] += 2.5e-10 * scale
+        cholesky_spd(within)
+        with pytest.raises(ValueError):
+            cholesky_spd(beyond)
+
+
 # ----- seeded sampling -------------------------------------------------------
 
 

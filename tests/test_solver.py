@@ -1,11 +1,17 @@
+from dataclasses import astuple, replace
+
 import numpy as np
 import pytest
 
+import prsqp.solver
 from prsqp import (
     AugmentedIterate,
     DimensionMismatch,
     Iterate,
     LineSearchFailed,
+    NotPositiveDefinite,
+    NumericalError,
+    SolveResult,
     SolveStatus,
     SolverParams,
     diagnostics_report,
@@ -28,6 +34,7 @@ from prsqp import (
     solve_x_subproblem,
     solve_y_subproblem,
     spectral_bounds,
+    spectral_norm,
     suggest_params,
     validate_params,
 )
@@ -453,3 +460,176 @@ def test_run_reports_line_search_breakdown_in_status():
     params = SolverParams(alpha=10.0, relaxed_alpha=True, rho=0.4, max_iter=50, max_backtracks=40)
     result = run(P, w0, params)
     assert result.status is SolveStatus.LINE_SEARCH_FAILED
+
+
+
+# ----- factorizations carried across iterations ------------------------------------------
+
+
+def _run_refactoring_every_step(P, w0, params):
+    # reference for run(): the same loop over iterate_once, but passing no carry,
+    # so every metric is built and factored afresh, and ||H_y|| is estimated
+    # at every iteration
+    params = replace(params)
+    state = AugmentedIterate(w=w0, d_y_prev=np.zeros(P.n2))
+    H_x, H_y = hessian_pair(P, w0.x, w0.y)
+    eta_y = spectral_norm(H_y)
+    trace = []
+    status = SolveStatus.ITER_LIMIT
+    for k in range(params.max_iter):
+        prev = state.w.concat()
+        try:
+            eta2_y = eta_y + params.beta + params.sigma
+            out = iterate_once(P, state, H_x, H_y, params, k=k, eta2_y=eta2_y)
+        except LineSearchFailed:
+            status = SolveStatus.LINE_SEARCH_FAILED
+            break
+        except (NumericalError, NotPositiveDefinite):
+            status = SolveStatus.NUMERICAL_ERROR
+            break
+        state, H_x, H_y = out.state, out.hess_x, out.hess_y
+        eta_y = max(eta_y, spectral_norm(H_y))
+        trace.append(out.record)
+        step = float(np.max(np.abs(state.w.concat() - prev)))
+        stationary = max(out.kkt.total, out.kkt.composite) <= params.tol_kkt
+        if stationary and step / max(1.0, float(np.max(np.abs(prev)))) <= params.tol_step:
+            status = SolveStatus.CONVERGED
+            break
+    return SolveResult(final=state.w, status=status, trace=trace, iterations=len(trace))
+
+
+def _assert_bit_identical(result, reference):
+    rows = lambda res: [repr(astuple(rec)[:-1]) for rec in res.trace]  # all but elapsed
+    assert rows(result) == rows(reference)
+    assert result.status is reference.status
+    assert result.final.concat().tobytes() == reference.final.concat().tobytes()
+
+
+def _zero_start(P):
+    return Iterate(np.zeros(P.n1), np.zeros(P.n2), np.zeros(P.n2))
+
+
+def _double_well(c):
+    # value, derivative and curvature of t^4 / 4 - c t^2 / 2 (concave for t^2 < c / 3)
+    return (lambda t: t**4 / 4 - c * t * t / 2, lambda t: t**3 - c * t, lambda t: 3 * t * t - c)
+
+
+def _wells(c_f, c_g):
+    return scalar_problem(*_double_well(c_f), *_double_well(c_g), a=1.0, lipschitz_g=10.0)
+
+
+def _repair_steps(P, w0, params):
+    # iterations of the reference loop after which ell / sigma had doubled
+    ref = replace(params)
+    state = AugmentedIterate(w=w0, d_y_prev=np.zeros(P.n2))
+    H_x, H_y = hessian_pair(P, w0.x, w0.y)
+    ell_k, sigma_k = [], []
+    for k in range(params.max_iter):
+        ell, sigma = ref.ell, ref.sigma
+        out = iterate_once(P, state, H_x, H_y, ref, k=k)
+        state, H_x, H_y = out.state, out.hess_x, out.hess_y
+        ell_k += [k] if ref.ell != ell else []
+        sigma_k += [k] if ref.sigma != sigma else []
+    return ell_k, sigma_k
+
+
+def _mutating_hessians(P):
+    # the same problem, but hess_f_at / hess_g_at overwrite and return one buffer each
+    buf_x, buf_y = np.empty((P.n1, P.n1)), np.empty((P.n2, P.n2))
+
+    def hess_f_at(x):
+        buf_x[...] = P.hess_f_at(x)
+        return buf_x
+
+    def hess_g_at(y):
+        buf_y[...] = P.hess_g_at(y)
+        return buf_y
+
+    return replace(P, hess_f_at=hess_f_at, hess_g_at=hess_g_at)
+
+
+def test_run_with_carried_factors_matches_refactoring_every_step():
+    lasso = make_huber_lasso(16, 64, rng=make_rng(40))
+    classification = make_classification(20, 20, rng=make_rng(31))
+    for P, params in (
+        (lasso, SolverParams(beta=10.0, alpha=0.5, relaxed_alpha=True, max_iter=300)),
+        (classification, SolverParams(r=0.1, s=1.0, tol_step=0.0, max_iter=300)),
+    ):
+        w0 = _zero_start(P)
+        _assert_bit_identical(run(P, w0, params), _run_refactoring_every_step(P, w0, params))
+
+
+def test_run_with_carried_factors_matches_reference_through_metric_repairs():
+    # a concave region of f (first case) or g (second case) is entered
+    # mid-run, so ell or sigma doubles after iterations that reused a factor
+    for P, w0, params, doubled in (
+        (_wells(3.0, -1.0), _w(3.0, 0.0, 0.0), SolverParams(ell=0.01), 0),
+        (_wells(-1.0, 3.0), _w(0.5, 3.0, 0.0), SolverParams(sigma=0.5), 1),
+    ):
+        params = replace(params, tol_step=0.0, tol_kkt=0.0, max_iter=60)
+        repairs = _repair_steps(P, w0, params)
+        assert repairs[doubled] and min(repairs[doubled]) > 0
+        _assert_bit_identical(run(P, w0, params), _run_refactoring_every_step(P, w0, params))
+
+
+def test_carried_factors_follow_hessians_that_reuse_their_buffer():
+    classification = make_classification(20, 20, rng=make_rng(31))
+    for P, w0, params in (
+        (classification, _zero_start(classification), SolverParams(r=0.1, s=1.0, max_iter=100)),
+        (_wells(3.0, -1.0), _w(3.0, 0.0, 0.0), SolverParams(ell=0.01, max_iter=60)),
+        (_wells(-1.0, 3.0), _w(0.5, 3.0, 0.0), SolverParams(sigma=0.5, max_iter=60)),
+    ):
+        params = replace(params, tol_step=0.0, tol_kkt=0.0)
+        reference = _run_refactoring_every_step(P, w0, params)
+        _assert_bit_identical(run(_mutating_hessians(P), w0, params), reference)
+
+
+def test_carry_is_used_only_with_the_inputs_it_was_built_from():
+    P = make_classification(20, 20, rng=make_rng(31))
+    other = make_classification(20, 20, rng=make_rng(32))  # same A, H_y and sizes
+    params = SolverParams(r=0.1, s=1.0)
+    w0 = _zero_start(P)
+    first = iterate_once(P, _aug(w0), *hessian_pair(P, w0.x, w0.y), params)
+    w1 = first.state.w
+    # L_beta at w1 is far below its value here, so reusing it would change the x line search
+    zigzag = 0.5 * (-1.0) ** np.arange(P.n1)
+    moved = AugmentedIterate(Iterate(w1.x + zigzag, w1.y, w1.lam), first.state.d_y_prev)
+    for Q, state, changed in (
+        (P, first.state, replace(params, ell=2.0 * params.ell)),
+        (P, first.state, replace(params, sigma=2.0 * params.sigma)),
+        (P, first.state, replace(params, beta=2.0 * params.beta)),
+        (other, first.state, params),
+        (P, moved, params),
+    ):
+        H_x, H_y = hessian_pair(Q, state.w.x, state.w.y)
+        fresh = iterate_once(Q, state, H_x, H_y, replace(changed))
+        carried = iterate_once(Q, state, H_x, H_y, replace(changed), carry=first.carry)
+        assert repr(astuple(carried.record)[:-1]) == repr(astuple(fresh.record)[:-1])
+        assert carried.state.w.concat().tobytes() == fresh.state.w.concat().tobytes()
+
+
+def test_carried_factors_bound_factorizations_per_iteration(monkeypatch):
+    calls = []
+    factor = prsqp.solver.cholesky_spd
+    monkeypatch.setattr(prsqp.solver, "cholesky_spd", lambda M: calls.append(1) or factor(M))
+    per_iteration, models_y = [], []
+
+    def record(out):
+        per_iteration.append(len(calls) - sum(per_iteration))
+        models_y.append(out.hess_y)
+
+    # classification: H_y is constant and H_x changes every iteration
+    P = make_classification(20, 20, rng=make_rng(31))
+    params = SolverParams(r=0.1, s=1.0, tol_step=0.0, max_iter=200)
+    result = run(P, _zero_start(P), params, callback=record)
+    assert result.iterations == 200
+    assert max(per_iteration[1:]) <= 1
+    # the unchanged y-model comes back as one read-only array
+    assert all(H is models_y[0] for H in models_y) and not models_y[0].flags.writeable
+
+    # Huber-LASSO: H_x = diag(|x| < mu) changes in a minority of iterations
+    calls.clear()
+    P = make_huber_lasso(16, 64, rng=make_rng(40))
+    result = run(P, _zero_start(P), SolverParams(tol_step=0.0, max_iter=200))
+    assert result.iterations == 200
+    assert len(calls) < result.iterations
