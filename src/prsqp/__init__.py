@@ -69,8 +69,6 @@ from .solver import (
     iterate_once,
     line_search,
     run,
-    solve_x_subproblem,
-    solve_y_subproblem,
     validate_params,
 )
 
@@ -133,8 +131,6 @@ __all__ = [
     "random_quadratic",
     "run",
     "solve_spd",
-    "solve_x_subproblem",
-    "solve_y_subproblem",
     "sparse_normal_sample",
     "spectral_bounds",
     "spectral_norm",

@@ -23,8 +23,6 @@ from .core import (
     DimensionMismatch,
     as_matrix,
     as_vector,
-    max_eigenvalue,
-    min_eigenvalue,
     normal_sample,
     sparse_normal_sample,
 )
@@ -41,6 +39,14 @@ class CompositeProblem:
     ``A`` maps x-space to y-space. ``lipschitz_f``/``lipschitz_g`` are
     gradient Lipschitz bounds (``None`` when unknown); the step-floor and
     merit diagnostics require them.
+
+    ``hess_f_diag``, when given, declares that ``hess_f_at(x)`` is diagonal:
+    it returns that diagonal as an ``(n1,)`` array. With ``n2 < n1`` the solver
+    then keeps the x-model as this vector and, while every entry of
+    ``hess_f_diag(x) + ell`` is positive, solves in the x-metric
+    ``diag(hess_f_diag(x)) + beta A^T A + ell I`` through an ``n2 x n2``
+    capacitance matrix instead of factoring the ``n1 x n1`` metric (see
+    :mod:`prsqp.solver`). ``None`` (the default) keeps the dense metric.
     """
 
     name: str
@@ -60,6 +66,7 @@ class CompositeProblem:
     min_eig_AtA: float = 0.0
     max_eig_AtA: float = 0.0
     data: object = None
+    hess_f_diag: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def apply_A(self, x):
         return self.A @ x
@@ -91,20 +98,16 @@ class LassoData:
 
 
 def _attach_spectra(P):
-    # Cache A^T A and its spectral range; A^T A is PSD so its norm equals its
-    # largest eigenvalue and the smallest is clamped at zero (power-iteration
-    # estimates that fail to converge fall back to the safe bounds 0 / ||AtA||).
+    # Cache A^T A and its spectral range. A^T A is PSD, so its norm is its
+    # largest eigenvalue. Its nonzero eigenvalues are those of A A^T, so the
+    # smaller of the two Gram matrices gives them; for m < n, A^T A is singular
+    # and its smallest eigenvalue is exactly zero.
+    m, n = P.A.shape
     AtA = P.A.T @ P.A
-    hi = max_eigenvalue(AtA)
-    if hi is None:
-        hi = float(np.linalg.norm(AtA, 2))
-    hi = max(hi, 0.0)
-    lo = min_eigenvalue(AtA)
-    lo = 0.0 if lo is None else max(lo, 0.0)
+    eigs = np.linalg.eigvalsh(P.A @ P.A.T if m < n else AtA)
     P.AtA = AtA
-    P.norm_AtA = hi
-    P.max_eig_AtA = hi
-    P.min_eig_AtA = lo
+    P.norm_AtA = P.max_eig_AtA = max(float(eigs[-1]), 0.0)
+    P.min_eig_AtA = 0.0 if m < n else max(float(eigs[0]), 0.0)
     return P
 
 
@@ -153,6 +156,7 @@ def make_quadratic(c_f, c_g, A):
     c_g = as_vector(c_g, name="c_g")
     n1, n2 = c_f.shape[0], c_g.shape[0]
     A = as_matrix(A, shape=(n2, n1), name="A")
+    ones1 = np.ones(n1)
     I1 = np.eye(n1)
     I2 = np.eye(n2)
     P = CompositeProblem(
@@ -169,6 +173,7 @@ def make_quadratic(c_f, c_g, A):
         lipschitz_f=1.0,
         lipschitz_g=1.0,
         data=QuadraticData(c_f=c_f, c_g=c_g),
+        hess_f_diag=lambda x: ones1,
     )
     return _attach_spectra(P)
 
@@ -287,8 +292,8 @@ def _lasso_problem(Amat, u, tau, mu, density):
         _, deriv = huber(x, mu)
         return tau * deriv
 
-    def hess_f_at(x):
-        return np.diag(np.where(np.abs(x) < mu, tau / mu, 0.0))
+    def hess_f_diag(x):
+        return np.where(np.abs(x) < mu, tau / mu, 0.0)
 
     P = CompositeProblem(
         name="huber_lasso",
@@ -297,13 +302,14 @@ def _lasso_problem(Amat, u, tau, mu, density):
         A=Amat,
         eval_f=eval_f,
         grad_f=grad_f,
-        hess_f_at=hess_f_at,
+        hess_f_at=lambda x: np.diag(hess_f_diag(x)),
         eval_g=lambda y: 0.5 * float((y - d) @ (y - d)),
         grad_g=lambda y: y - d,
         hess_g_at=lambda y: I2,
         lipschitz_f=tau / mu,
         lipschitz_g=1.0,
         data=LassoData(u=u, d=d, tau=tau, mu=mu, density=density),
+        hess_f_diag=hess_f_diag,
     )
     return _attach_spectra(P)
 
@@ -333,11 +339,18 @@ def composite_objective(P, x):
     return float(P.eval_f(x)) + float(P.eval_g(P.apply_A(x)))
 
 
-def hessian_pair(P, x, y):
-    """Current second-order model ``(hess f(x), hess g(y))`` with shape checks."""
+def hessian_pair(P, x, y, diagonal_x=False):
+    """Current second-order model ``(hess f(x), hess g(y))`` with shape checks.
+
+    With ``diagonal_x`` the x part is ``P.hess_f_diag(x)``, the diagonal of
+    ``hess f(x)`` as an ``(n1,)`` array.
+    """
     x = as_vector(x, n=P.n1, name="x")
     y = as_vector(y, n=P.n2, name="y")
-    H_x = as_matrix(P.hess_f_at(x), shape=(P.n1, P.n1), name="hess_f(x)")
+    if diagonal_x:
+        H_x = as_vector(P.hess_f_diag(x), n=P.n1, name="hess_f_diag(x)")
+    else:
+        H_x = as_matrix(P.hess_f_at(x), shape=(P.n1, P.n1), name="hess_f(x)")
     H_y = as_matrix(P.hess_g_at(y), shape=(P.n2, P.n2), name="hess_g(y)")
     return H_x, H_y
 

@@ -5,7 +5,16 @@ models ``H_x, H_y``:
 
 1. x block: solve the quadratic model of ``L_beta`` in the metric
    ``Hcal_x = H_x + beta A^T A + ell I``, extrapolate by ``alpha``, Armijo
-   backtrack along ``d_x = (1 + alpha)(x_tilde - x_k)``.
+   backtrack along ``d_x = (1 + alpha)(x_tilde - x_k)``. When the problem
+   declares ``hess_f_diag`` (the diagonal of a diagonal ``hess f(x)``, an
+   ``(n1,)`` array) and ``A`` is wide (``n2 < n1``), ``H_x`` is kept as that
+   diagonal ``h``. While ``D = h + ell > 0``, the metric is then the diagonal
+   ``D`` plus the rank-``n2`` term ``beta A^T A``: only the ``n2 x n2``
+   capacitance matrix ``I / beta + A D^-1 A^T`` is factored, and ``d^T Hcal_x d``
+   is ``d . (D d) + beta ||A d||^2``. Where ``D`` is not positive, the dense
+   ``Hcal_x`` is formed and factored as for any other model, so ``ell`` is
+   doubled exactly where the dense metric needs it (the structured one is
+   positive definite whenever it is used).
 2. First dual update ``lam_{k+1/2} = lam_k - r beta (A x_{k+1} - y_k)``.
 3. y block at ``(x_{k+1}, lam_{k+1/2})`` in the metric
    ``Hcal_y = H_y + (beta + sigma) I``; extrapolate, backtrack.
@@ -28,6 +37,7 @@ that certify monotonicity of the merit function for a given choice.
 from __future__ import annotations
 
 import functools
+import math
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -101,14 +111,17 @@ def validate_params(params, relaxed=None):
         out.append(f"rho must lie in (0, 1), got {rho}")
     if not 0.0 < nu < 1.0:
         out.append(f"nu must lie in (0, 1), got {nu}")
-    if not alpha > -1.0:
-        out.append(f"alpha must exceed -1, got {alpha}")
+    if not -1.0 < alpha < math.inf:
+        out.append(f"alpha must be finite and exceed -1, got {alpha}")
     relaxed_eff = bool(get("relaxed_alpha")) if relaxed is None else bool(relaxed)
     if not relaxed_eff and 0.0 < rho < 1.0 and not alpha < 1.0 / rho - 1.0:
         out.append(f"alpha = {alpha} is not below 1/rho - 1 = {1.0 / rho - 1.0} (set relaxed_alpha to override)")
     for name in ("beta", "ell", "sigma"):
-        if not get(name) > 0.0:
-            out.append(f"{name} must be positive, got {get(name)}")
+        if not 0.0 < get(name) < math.inf:
+            out.append(f"{name} must be positive and finite, got {get(name)}")
+    for name in ("r", "s"):
+        if not math.isfinite(get(name)):
+            out.append(f"{name} must be finite, got {get(name)}")
     if get("r") + get("s") == 0.0:
         out.append(f"r + s must be nonzero, got r = {get('r')}, s = {get('s')}")
     if get("max_iter") < 1:
@@ -183,12 +196,53 @@ class SolveResult:
 
 
 class BlockMetric(NamedTuple):
-    """One block's metric ``Hcal`` with its Cholesky factor, and what it was built from."""
+    """One block's metric held as the matrix ``Hcal`` with its Cholesky factor."""
 
     model: np.ndarray  # the Hessian model, as returned by _own
     weight: float  # ell (x block) or sigma (y block)
     Hcal: np.ndarray
     factor: tuple  # (c, lower) pair for scipy.linalg.cho_solve
+
+    def solve(self, g):
+        """``Hcal^{-1} g``."""
+        return scipy.linalg.cho_solve(self.factor, g, check_finite=False)
+
+    def matvec(self, d):
+        """``Hcal d``."""
+        return self.Hcal @ d
+
+    def quad(self, d):
+        """``d^T Hcal d``."""
+        return float(d @ (self.Hcal @ d))
+
+
+class LowRankMetric(NamedTuple):
+    """The x-metric ``Hcal_x = diag(D) + beta A^T A`` with ``D = h + ell > 0``,
+    for a diagonal model ``h`` and a wide ``A`` (m < n), never formed.
+
+    By the matrix inversion lemma ``Hcal_x^{-1} g = D^-1 g - D^-1 A^T C^-1 A D^-1 g``
+    with the m x m capacitance matrix ``C = I / beta + A D^-1 A^T``, the only
+    matrix factored. Same methods as :class:`BlockMetric`.
+    """
+
+    model: np.ndarray  # h, as returned by _own
+    weight: float  # ell
+    D: np.ndarray
+    A: np.ndarray
+    beta: float
+    factor: tuple  # Cholesky factor of C
+
+    def solve(self, g):
+        u = g / self.D
+        z = scipy.linalg.cho_solve(self.factor, self.A @ u, check_finite=False)
+        return u - (self.A.T @ z) / self.D
+
+    def matvec(self, d):
+        return self.D * d + self.beta * (self.A.T @ (self.A @ d))
+
+    def quad(self, d):
+        Ad = self.A @ d
+        return float(d @ (self.D * d) + self.beta * (Ad @ Ad))
 
 
 class Carry(NamedTuple):
@@ -203,7 +257,7 @@ class Carry(NamedTuple):
     beta: float
     point: np.ndarray
     L_beta: float
-    metric_x: BlockMetric
+    metric_x: BlockMetric | LowRankMetric
     metric_y: BlockMetric
 
 
@@ -212,7 +266,8 @@ class IterationOutcome(NamedTuple):
 
     ``hess_x`` / ``hess_y`` are the refreshed Hessian models as read-only
     arrays: while a refreshed model stays equal to the previous one, the same
-    array is returned again.
+    array is returned again. Where the x-model is diagonal (see
+    :func:`iterate_once`), ``hess_x`` is its diagonal, shape ``(n1,)``.
     """
 
     state: AugmentedIterate
@@ -227,14 +282,23 @@ class IterationOutcome(NamedTuple):
 _MAX_METRIC_REPAIR = 60  # doublings of ell / sigma before giving up
 
 
-def _own(H, metric):
+def _diagonal_x(P):
+    # whether the x-model is kept as its diagonal, so that _metric_x may solve
+    # through the capacitance matrix: P declares hess_f_diag and A is wide
+    return P.hess_f_diag is not None and P.n2 < P.n1
+
+
+def _own(H, metric, diagonal=False):
     # the model the solver works with in place of the caller's H: metric.model
-    # when H equals it exactly, else a read-only private copy of H. So no later
-    # write to the caller's array reaches a carried factor, and equal models
-    # are one array, which a factor then fits by identity.
+    # when H equals it exactly, else a read-only private copy of H (of its
+    # diagonal, for a diagonal matrix H when ``diagonal``). So no later write
+    # to the caller's array reaches a carried factor, and equal models are one
+    # array, which a factor then fits by identity.
     if metric is not None and (H is metric.model or np.array_equal(metric.model, H)):
         return metric.model
     H = np.array(H, dtype=float)
+    if diagonal and H.ndim == 2 and np.count_nonzero(H) == np.count_nonzero(H.diagonal()):
+        H = H.diagonal().copy()
     H.flags.writeable = False
     return H
 
@@ -245,25 +309,36 @@ def _scaled_eye(n, c):
     return out
 
 
-def _factor(model, weight, Hcal, failure):
+def _cholesky(M, failure):
     try:
-        factor = cholesky_spd(Hcal)
+        return cholesky_spd(M)
     except NotPositiveDefinite as exc:
         raise ProximalNotPD(f"{failure}: {exc}") from None
-    return BlockMetric(model, weight, Hcal, factor)
 
 
 def _metric_x(P, model, params, cached=None):
-    # factored Hcal_x = H_x + beta A^T A + ell I for a model from _own; ``cached`` when it fits
+    # factored Hcal_x = H_x + beta A^T A + ell I for a model from _own; ``cached`` when it fits.
+    # A diagonal model (1-D) with D = h + ell > 0 and a wide A gets a LowRankMetric.
     if cached is not None and cached.model is model and cached.weight == params.ell:
         return cached
+    if model.ndim == 1:
+        D = model + params.ell
+        if P.n2 < P.n1 and np.all(D > 0.0):
+            B = P.A / np.sqrt(D)
+            C = B @ B.T  # B B^T is computed exactly symmetric
+            C[np.diag_indices_from(C)] += 1.0 / params.beta
+            factor = _cholesky(C, f"x-metric capacitance matrix not positive definite at ell = {params.ell}")
+            return LowRankMetric(model, params.ell, D, P.A, params.beta, factor)
     # (model + beta AtA) + ell I summed in place, so that fewer n1 x n1 arrays
     # are live while the previous iteration's metric is still held
     Hcal = params.beta * P.AtA
-    Hcal += model
+    if model.ndim == 1:
+        Hcal[np.diag_indices_from(Hcal)] += model
+    else:
+        Hcal += model
     Hcal += _scaled_eye(P.n1, params.ell)
-    failure = f"x-metric not positive definite at ell = {params.ell}"
-    return _factor(model, params.ell, Hcal, failure)
+    factor = _cholesky(Hcal, f"x-metric not positive definite at ell = {params.ell}")
+    return BlockMetric(model, params.ell, Hcal, factor)
 
 
 def _metric_y(P, model, params, cached=None):
@@ -272,8 +347,8 @@ def _metric_y(P, model, params, cached=None):
         return cached
     Hcal = _scaled_eye(P.n2, params.beta + params.sigma)
     Hcal += model
-    failure = f"y-metric not positive definite at sigma = {params.sigma}"
-    return _factor(model, params.sigma, Hcal, failure)
+    factor = _cholesky(Hcal, f"y-metric not positive definite at sigma = {params.sigma}")
+    return BlockMetric(model, params.sigma, Hcal, factor)
 
 
 def _x_step(P, w, H_x, params, cached=None):
@@ -281,9 +356,8 @@ def _x_step(P, w, H_x, params, cached=None):
     g = grad_alf(P, w, params.beta).gx
     if not np.all(np.isfinite(g)):
         raise NumericalError("non-finite x-gradient")
-    metric = _metric_x(P, _own(H_x, cached), params, cached)
-    x_tilde = w.x - scipy.linalg.cho_solve(metric.factor, g, check_finite=False)
-    return x_tilde, metric, g
+    metric = _metric_x(P, _own(H_x, cached, _diagonal_x(P)), params, cached)
+    return w.x - metric.solve(g), metric, g
 
 
 def _y_step(P, x_next, y, lam_half, H_y, params, cached=None):
@@ -292,32 +366,7 @@ def _y_step(P, x_next, y, lam_half, H_y, params, cached=None):
     if not np.all(np.isfinite(g)):
         raise NumericalError("non-finite y-gradient")
     metric = _metric_y(P, _own(H_y, cached), params, cached)
-    y_tilde = y - scipy.linalg.cho_solve(metric.factor, g, check_finite=False)
-    return y_tilde, metric, g
-
-
-def solve_x_subproblem(P, w, H_x, params):
-    """Minimizer of the x quadratic model of ``L_beta`` at ``w``:
-    ``x_tilde = x - Hcal_x^{-1} grad_x L_beta`` with
-    ``Hcal_x = H_x + beta A^T A + ell I``.
-
-    Raises :class:`ProximalNotPD` when the metric does not factor; the caller
-    is expected to increase ``ell`` and retry (see :func:`iterate_once`).
-    """
-    x_tilde, _, _ = _x_step(P, w, H_x, params)
-    return x_tilde
-
-
-def solve_y_subproblem(P, x_next, y, lam_half, H_y, params):
-    """Minimizer of the y quadratic model at ``(x_next, y, lam_half)``:
-    ``y_tilde = y - Hcal_y^{-1} (grad g(y) + lam_half - beta (A x_next - y))``
-    with ``Hcal_y = H_y + (beta + sigma) I``.
-
-    Raises :class:`ProximalNotPD` when the metric does not factor (raise
-    ``sigma`` and retry).
-    """
-    y_tilde, _, _ = _y_step(P, x_next, y, lam_half, H_y, params)
-    return y_tilde
+    return y - metric.solve(g), metric, g
 
 
 def hybrid_accelerate(tilde, current, alpha):
@@ -340,7 +389,9 @@ def line_search(P, point, d, Hcal, params, block, L0=None):
 
         ``L_beta(moved) <= L_beta(point) - rho * t * d^T Hcal d``
 
-    where ``moved`` shifts the ``block`` coordinate ("x" or "y") of ``point``
+    where ``Hcal`` is the block's metric, as a matrix or as a metric built by
+    :func:`iterate_once` (which supplies ``d^T Hcal d`` through ``quad``), and
+    ``moved`` shifts the ``block`` coordinate ("x" or "y") of ``point``
     by ``t d``. The comparison carries a ``1e-12 (1 + |L|)`` float slack so a
     vanishing direction near a stationary point is not rejected on rounding
     noise. ``L0`` is ``L_beta(point)`` when the caller already has it; it is
@@ -354,7 +405,7 @@ def line_search(P, point, d, Hcal, params, block, L0=None):
     d = as_vector(d, name="d")
     if not np.any(d):
         return 1.0, 0
-    quad = float(d @ (Hcal @ d))
+    quad = float(d @ (Hcal @ d)) if isinstance(Hcal, np.ndarray) else Hcal.quad(d)
     if L0 is None:
         L0 = eval_alf(P, point, params.beta)
     if not np.isfinite(L0) or not np.isfinite(quad):
@@ -411,7 +462,11 @@ def iterate_once(P, state, H_x, H_y, params, k=0, eta2_y=None, keep_internals=Fa
     """One full iteration from ``state``; returns an :class:`IterationOutcome`.
 
     ``params`` is mutated in place when a metric needs repair (``ell`` or
-    ``sigma`` doubles) -- :func:`run` passes a private copy. ``eta2_y`` is the
+    ``sigma`` doubles) -- :func:`run` passes a private copy. ``H_x`` / ``H_y``
+    are the Hessian models at ``state.w``. On a problem that declares
+    ``hess_f_diag`` and has ``n2 < n1`` the x-model is kept as its diagonal: a
+    diagonal ``H_x`` may be given as a matrix or as its ``(n1,)`` diagonal, and
+    ``hess_x`` comes back as the diagonal. ``eta2_y`` is the
     uniform y-curvature bound used for the merit column of the trace record
     (``L_hat`` is NaN when it is not supplied). ``keep_internals`` attaches the
     per-block gradients, directions and metric quadratic forms to the outcome
@@ -445,7 +500,7 @@ def iterate_once(P, state, H_x, H_y, params, k=0, eta2_y=None, keep_internals=Fa
     if not np.all(np.isfinite(x_tilde)):
         raise NumericalError("x-subproblem produced non-finite values")
     _, d_x = hybrid_accelerate(x_tilde, w.x, params.alpha)
-    t_x, bt_x = line_search(P, w, d_x, metric_x.Hcal, params, "x", L0=L0)
+    t_x, bt_x = line_search(P, w, d_x, metric_x, params, "x", L0=L0)
     x_next = w.x + t_x * d_x
 
     # ----- first dual update on the mixed residual A x_{k+1} - y_k
@@ -463,7 +518,7 @@ def iterate_once(P, state, H_x, H_y, params, k=0, eta2_y=None, keep_internals=Fa
         raise NumericalError("y-subproblem produced non-finite values")
     _, d_y = hybrid_accelerate(y_tilde, w.y, params.alpha)
     mid = Iterate(x_next, w.y, lam_half)
-    t_y, bt_y = line_search(P, mid, d_y, metric_y.Hcal, params, "y")
+    t_y, bt_y = line_search(P, mid, d_y, metric_y, params, "y")
     y_next = w.y + t_y * d_y
 
     # ----- second dual update on the full new residual
@@ -475,7 +530,7 @@ def iterate_once(P, state, H_x, H_y, params, k=0, eta2_y=None, keep_internals=Fa
 
     # ----- refresh the second-order model, keeping both metrics factorable;
     # these factors are the next iteration's, unless its models differ
-    H_x_next, H_y_next = hessian_pair(P, x_next, y_next)
+    H_x_next, H_y_next = hessian_pair(P, x_next, y_next, _diagonal_x(P))
     H_x_next, H_y_next = _own(H_x_next, metric_x), _own(H_y_next, metric_y)
     metric_x_next = _repair_metric(lambda: _metric_x(P, H_x_next, params, metric_x), bump_ell)
     metric_y_next = _repair_metric(lambda: _metric_y(P, H_y_next, params, metric_y), bump_sigma)
@@ -508,19 +563,18 @@ def iterate_once(P, state, H_x, H_y, params, k=0, eta2_y=None, keep_internals=Fa
 
     internals = None
     if keep_internals:
-        Hcal_x, Hcal_y = metric_x.Hcal, metric_y.Hcal
         internals = dict(
             gx=gx,
             d_x=d_x,
-            quad_x=float(d_x @ (Hcal_x @ d_x)),
+            quad_x=metric_x.quad(d_x),
             gx_dot_dx=float(gx @ d_x),
-            model_residual_x=float(np.max(np.abs(gx + Hcal_x @ (x_tilde - w.x)))),
+            model_residual_x=float(np.max(np.abs(gx + metric_x.matvec(x_tilde - w.x)))),
             x_tilde=x_tilde,
             gy=gy,
             d_y=d_y,
-            quad_y=float(d_y @ (Hcal_y @ d_y)),
+            quad_y=metric_y.quad(d_y),
             gy_dot_dy=float(gy @ d_y),
-            model_residual_y=float(np.max(np.abs(gy + Hcal_y @ (y_tilde - w.y)))),
+            model_residual_y=float(np.max(np.abs(gy + metric_y.matvec(y_tilde - w.y)))),
             y_tilde=y_tilde,
             lam_half=lam_half,
         )
@@ -563,7 +617,7 @@ def run(P, w0, params, callback: Optional[Callable[[IterationOutcome], None]] = 
     theory_supported = not validate_params(params, relaxed=False)
 
     state = AugmentedIterate(w=w0, d_y_prev=np.zeros(P.n2))
-    H_x, H_y = hessian_pair(P, w0.x, w0.y)
+    H_x, H_y = hessian_pair(P, w0.x, w0.y, _diagonal_x(P))
     eta_y = spectral_norm(H_y)
     carry = None
     trace: List[StepRecord] = []

@@ -306,6 +306,17 @@ def test_cli_rejects_negative_kkt_tolerance(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_rejects_non_finite_weights(tmp_path, capsys):
+    problem_file, _ = _quadratic_file(tmp_path)
+    for name in ("beta", "ell", "sigma"):
+        for bad in (float("inf"), float("nan")):
+            cfg_path = _solve_config(tmp_path, problem_file, params={name: bad})
+            code = main(["solve", "--config", str(cfg_path)])
+            assert code == 1
+            assert name in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
+
 def test_cli_sweep_writes_csv(tmp_path, capsys):
     problem_file, _ = _quadratic_file(tmp_path)
     obj = _sweep_config(tmp_path, problem_file, [[0.1, 1.0], [1.0, -1.0]], [0.0])

@@ -31,8 +31,6 @@ from prsqp import (
     quadratic_kkt_point,
     random_quadratic,
     run,
-    solve_x_subproblem,
-    solve_y_subproblem,
     spectral_bounds,
     spectral_norm,
     suggest_params,
@@ -91,6 +89,21 @@ def test_validate_params_rejects_negative_or_nan_kkt_tolerance():
     assert validate_params(dict(tol_kkt=float("inf"))) == []
 
 
+def test_validate_params_rejects_non_finite_weights():
+    P = make_quadratic([1.0, 2.0], [0.0], [[1.0, 1.0]])
+    w0 = _w(np.zeros(2), 0.0, 0.0)
+    for name in ("beta", "ell", "sigma", "alpha", "r", "s"):
+        for bad in (float("inf"), float("nan")):
+            out = validate_params({name: bad}, relaxed=True)
+            assert len(out) == 1 and name in out[0]
+            with pytest.raises(ValueError, match=name):
+                SolverParams(**{name: bad})
+            params = SolverParams()
+            setattr(params, name, bad)
+            with pytest.raises(ValueError, match=name):
+                run(P, w0, params)
+
+
 # ----- model subproblems ----------------------------------------------------------
 
 
@@ -99,10 +112,17 @@ def _half_square_problem():
     return make_quadratic([0.0], [0.0], [[1.0]])
 
 
+def _internals(P, w, params, H_x=None, H_y=None):
+    # the per-block internals of one iteration from w, at the models given or at w's
+    if H_x is None:
+        H_x, H_y = hessian_pair(P, w.x, w.y)
+    return iterate_once(P, _aug(w), H_x, H_y, params, keep_internals=True).internals
+
+
 def test_solve_x_stationary_input_is_fixed():
     P = _half_square_problem()
     params = SolverParams(beta=1.0, ell=1.0)
-    x = solve_x_subproblem(P, _w(0.0, 0.0, 0.0), np.eye(1), params)
+    x = _internals(P, _w(0.0, 0.0, 0.0), params)["x_tilde"]
     assert np.allclose(x, [0.0], atol=1e-15)
 
 
@@ -110,27 +130,33 @@ def test_solve_x_frozen_scalar_cases():
     P = _half_square_problem()
     params = SolverParams(beta=1.0, ell=1.0)
     # metric 1 + 1 + 1 = 3; gradient 3 - (0 - 3) = 6 gives 3 - 2 = 1
-    x = solve_x_subproblem(P, _w(3.0, 0.0, 0.0), np.eye(1), params)
+    x = _internals(P, _w(3.0, 0.0, 0.0), params)["x_tilde"]
     assert np.allclose(x, [1.0], atol=1e-12)
     # gradient 0 - (1 + 2) = -3 gives 0 + 1 = 1
-    x = solve_x_subproblem(P, _w(0.0, 2.0, 1.0), np.eye(1), params)
+    x = _internals(P, _w(0.0, 2.0, 1.0), params)["x_tilde"]
     assert np.allclose(x, [1.0], atol=1e-12)
 
 
 def test_solve_y_frozen_scalar_case():
     P = _half_square_problem()
-    params = SolverParams(beta=1.0, sigma=1.0)
+    # from (1, 0, 2) the x-gradient 1 - (2 - 1) vanishes, so x stays at 1, and
+    # r = 2 gives lam_half = 2 - 2 (1 - 0) = 0: the y step runs at x_next = 1,
+    # y = 0, lam_half = 0
+    params = SolverParams(beta=1.0, sigma=1.0, r=2.0)
+    it = _internals(P, _w(1.0, 0.0, 2.0), params)
+    assert np.array_equal(it["d_x"], [0.0]) and np.array_equal(it["lam_half"], [0.0])
     # metric 1 + (1 + 1) = 3; gradient 0 + 0 - 1 = -1 moves y toward A x
-    y = solve_y_subproblem(P, np.array([1.0]), np.array([0.0]), np.array([0.0]), np.eye(1), params)
-    assert np.allclose(y, [1.0 / 3.0], atol=1e-12)
+    assert np.allclose(it["y_tilde"], [1.0 / 3.0], atol=1e-12)
 
 
 def test_solve_y_stationary_input_is_fixed():
     P = _half_square_problem()
     params = SolverParams(beta=1.0, sigma=1.0)
-    # x = y and matching multiplier: gy = y + 0 - 0 = 0 at y = 0
-    y = solve_y_subproblem(P, np.array([0.0]), np.array([0.0]), np.array([0.0]), np.eye(1), params)
-    assert np.allclose(y, [0.0], atol=1e-15)
+    # x = y and matching multiplier: the x step stays at 0, lam_half = 0 and
+    # gy = y + 0 - 0 = 0 at y = 0
+    it = _internals(P, _w(0.0, 0.0, 0.0), params)
+    assert np.array_equal(it["lam_half"], [0.0])
+    assert np.allclose(it["y_tilde"], [0.0], atol=1e-15)
 
 
 def test_subproblem_model_stationarity_random():
@@ -141,18 +167,23 @@ def test_subproblem_model_stationarity_random():
         w = Iterate(normal_sample(rng, 5), normal_sample(rng, 4), normal_sample(rng, 4))
         H_x = np.eye(5)
         H_y = np.eye(4)
-        x_tilde = solve_x_subproblem(P, w, H_x, params)
+        out = iterate_once(P, _aug(w), H_x, H_y, params, keep_internals=True)
+        it = out.internals
         Hcal_x = H_x + params.beta * P.AtA + params.ell * np.eye(5)
         resid = P.apply_A(w.x) - w.y
         gx = P.grad_f(w.x) - P.apply_At(w.lam - params.beta * resid)
-        assert np.max(np.abs(gx + Hcal_x @ (x_tilde - w.x))) <= 1e-12 * (1.0 + np.max(np.abs(gx)))
+        tol_x = 1e-12 * (1.0 + np.max(np.abs(gx)))
+        assert np.max(np.abs(gx + Hcal_x @ (it["x_tilde"] - w.x))) <= tol_x
+        assert it["model_residual_x"] <= tol_x
 
-        lam_half = normal_sample(rng, 4)
-        x_next = normal_sample(rng, 5)
-        y_tilde = solve_y_subproblem(P, x_next, w.y, lam_half, H_y, params)
+        # the y step runs at the accepted x and the half-step multiplier
+        lam_half = it["lam_half"]
+        x_next = out.state.w.x
         Hcal_y = H_y + (params.beta + params.sigma) * np.eye(4)
         gy = P.grad_g(w.y) + lam_half - params.beta * (P.apply_A(x_next) - w.y)
-        assert np.max(np.abs(gy + Hcal_y @ (y_tilde - w.y))) <= 1e-10 * (1.0 + np.max(np.abs(gy)))
+        tol_y = 1e-10 * (1.0 + np.max(np.abs(gy)))
+        assert np.max(np.abs(gy + Hcal_y @ (it["y_tilde"] - w.y))) <= tol_y
+        assert it["model_residual_y"] <= tol_y
 
 
 # ----- acceleration ----------------------------------------------------------------
@@ -191,7 +222,7 @@ def test_line_search_accepts_unit_step_on_quadratic():
     params = SolverParams(rho=0.4, nu=0.6, beta=1.0, ell=1.0)
     w = _w(2.0, 0.0, 0.0)
     Hcal = np.array([[2.0]])  # H + ell, no coupling
-    x_tilde = solve_x_subproblem(P, w, np.eye(1), params)
+    x_tilde = _internals(P, w, params)["x_tilde"]
     _, d = hybrid_accelerate(x_tilde, w.x, 0.0)
     assert np.allclose(d, [-1.0], atol=1e-14)
     t, i = line_search(P, w, d, Hcal, params, "x")
@@ -633,3 +664,138 @@ def test_carried_factors_bound_factorizations_per_iteration(monkeypatch):
     result = run(P, _zero_start(P), SolverParams(tol_step=0.0, max_iter=200))
     assert result.iterations == 200
     assert len(calls) < result.iterations
+
+
+# ----- structured x-metric (diagonal model, wide coupling) ----------------------------------
+
+
+def _dense_twin(P):
+    # the same problem without hess_f_diag, so the solver forms and factors Hcal_x
+    return replace(P, hess_f_diag=None)
+
+
+def _wide_wells(m, n, c, seed):
+    # f = sum_i x_i^4 / 4 - c x_i^2 / 2, concave for x_i^2 < c / 3, on a random
+    # m x n coupling with the quadratic g of random_quadratic
+    P = random_quadratic(n, m, make_rng(seed))
+    return replace(
+        P,
+        name="wells",
+        eval_f=lambda x: float(np.sum(x**4 / 4 - c * x * x / 2)),
+        grad_f=lambda x: x**3 - c * x,
+        hess_f_at=lambda x: np.diag(3 * x * x - c),
+        hess_f_diag=lambda x: 3 * x * x - c,
+        lipschitz_f=None,
+    )
+
+
+def _structured_cases():
+    rng = make_rng(50)
+    for i in range(3):
+        P = make_huber_lasso(12, 40, rng=make_rng(51 + i))
+        # iterates near the origin put some coordinates inside the Huber knee
+        w = Iterate(0.1 * normal_sample(rng, 40), normal_sample(rng, 12), normal_sample(rng, 12))
+        yield P, w, SolverParams(beta=10.0, alpha=0.5, relaxed_alpha=True)
+        P = random_quadratic(30, 10, make_rng(54 + i))
+        w = Iterate(normal_sample(rng, 30), normal_sample(rng, 10), normal_sample(rng, 10))
+        yield P, w, SolverParams(beta=0.5 + i, ell=0.1)
+
+
+def _close(a, b, tol=1e-10):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.max(np.abs(a - b), initial=0.0) <= tol * max(1.0, np.max(np.abs(b), initial=0.0))
+
+
+def _assert_traces_close(result, reference):
+    assert result.status is reference.status
+    assert result.iterations == reference.iterations
+    for rec, ref in zip(result.trace, reference.trace):
+        assert (rec.k, rec.backtracks_x, rec.backtracks_y) == (ref.k, ref.backtracks_x, ref.backtracks_y)
+        got, want = astuple(rec)[:-1], astuple(ref)[:-1]
+        assert _close(np.nan_to_num(got), np.nan_to_num(want)), (rec, ref)
+    assert _close(result.final.concat(), reference.final.concat())
+
+
+def test_structured_x_step_matches_dense_metric():
+    for P, w, params in _structured_cases():
+        H_x, H_y = hessian_pair(P, w.x, w.y)
+        out, dense = (
+            iterate_once(Q, _aug(w), H_x, H_y, replace(params), keep_internals=True)
+            for Q in (P, _dense_twin(P))
+        )
+        it, dense_it = out.internals, dense.internals
+        metric, dense_metric = out.carry.metric_x, dense.carry.metric_x
+        assert isinstance(metric, prsqp.solver.LowRankMetric)
+        assert isinstance(dense_metric, prsqp.solver.BlockMetric)
+        assert np.array_equal(np.diag(out.hess_x), dense.hess_x)  # the refreshed model, as its diagonal
+        assert _close(it["x_tilde"], dense_it["x_tilde"])
+        assert _close(it["quad_x"], dense_it["quad_x"])
+        assert it["model_residual_x"] <= 1e-10 * (1.0 + np.max(np.abs(it["gx"])))
+        # the carried metrics at the refreshed model agree as operators
+        for d in (it["d_x"], normal_sample(make_rng(55), P.n1)):
+            assert _close(metric.quad(d), dense_metric.quad(d))
+            assert _close(metric.matvec(d), dense_metric.matvec(d))
+            assert _close(metric.solve(d), dense_metric.solve(d))
+
+
+def test_structured_run_matches_dense_run():
+    for P, w, params in _structured_cases():
+        params = replace(params, tol_step=0.0, max_iter=150)
+        _assert_traces_close(run(P, w, params), run(_dense_twin(P), w, params))
+
+
+def test_structured_metric_doubles_ell_where_the_dense_metric_does():
+    # a concave well puts negative entries on the diagonal model; ell starts
+    # too small, so the dense metric is indefinite at the start or later in the
+    # run, and it doubles at the same iterations on both paths. (The wells'
+    # iteration can also amplify the rounding difference of the first steps:
+    # from 1e-15 to 1e-9 within 30 iterations for _wide_wells(4, 10, 1.0, 1) from
+    # x0 = 3, with dense metrics on both sides after k = 1. These cases do not.)
+    cases = (
+        (_wide_wells(4, 10, 1.0, 1), 2.0, [1, 31]),
+        (_wide_wells(4, 10, 1.0, 2), 3.0, [3]),
+        (_wide_wells(4, 10, 3.0, 0), 0.1, [0]),
+    )
+    for P, x0, doubled in cases:
+        w0 = _w(x0 * np.sign(np.arange(10) - 4.5), np.zeros(4), np.zeros(4))
+        params = SolverParams(ell=0.01, tol_step=0.0, tol_kkt=0.0, max_iter=80)
+        repairs = _repair_steps(P, w0, params)
+        assert repairs[0] == doubled and repairs == _repair_steps(_dense_twin(P), w0, params)
+        structured = []
+        record = lambda out: structured.append(isinstance(out.carry.metric_x, prsqp.solver.LowRankMetric))
+        result = run(P, w0, params, callback=record)
+        assert any(structured)
+        _assert_traces_close(result, run(_dense_twin(P), w0, params))
+
+
+def test_structured_metric_factors_only_capacitance_matrices(monkeypatch):
+    shapes = []
+    factor = prsqp.solver.cholesky_spd
+    monkeypatch.setattr(prsqp.solver, "cholesky_spd", lambda M: shapes.append(M.shape) or factor(M))
+    for P in (make_huber_lasso(16, 64, rng=make_rng(56)), random_quadratic(30, 10, make_rng(57))):
+        shapes.clear()
+        result = run(P, _zero_start(P), SolverParams(tol_step=0.0, max_iter=100))
+        assert result.iterations == 100
+        assert shapes and set(shapes) == {(P.n2, P.n2)}  # the y-metric is n2 x n2 too
+        shapes.clear()
+        run(_dense_twin(P), _zero_start(P), SolverParams(tol_step=0.0, max_iter=100))
+        assert (P.n1, P.n1) in shapes
+    # a diagonal H_x given as a matrix is taken as its diagonal
+    P = make_huber_lasso(16, 64, rng=make_rng(56))
+    rng = make_rng(58)
+    w = Iterate(0.1 * normal_sample(rng, 64), normal_sample(rng, 16), normal_sample(rng, 16))
+    outcomes = []
+    for diagonal_x in (False, True):
+        shapes.clear()
+        H_x, H_y = hessian_pair(P, w.x, w.y, diagonal_x)
+        outcomes.append(iterate_once(P, _aug(w), H_x, H_y, SolverParams()))
+        assert shapes and set(shapes) == {(16, 16)}
+    matrix, diagonal = outcomes
+    assert repr(astuple(matrix.record)[:-1]) == repr(astuple(diagonal.record)[:-1])
+    assert matrix.state.w.concat().tobytes() == diagonal.state.w.concat().tobytes()
+    assert matrix.hess_x.shape == diagonal.hess_x.shape == (64,)
+    # where D = h + ell is not positive the dense metric is factored instead
+    P = _wide_wells(4, 10, 3.0, 0)
+    shapes.clear()
+    run(P, _zero_start(P), SolverParams(ell=0.01, max_iter=5))
+    assert (10, 10) in shapes
