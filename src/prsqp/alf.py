@@ -10,11 +10,15 @@ stationary point satisfies ``grad f(x) = A^T lam``, ``grad g(y) = -lam`` and
 ``A x = y``. The merit function :func:`eval_merit_hat` augments ``L_beta`` with
 a weighted square of the previous y-direction; the solver drives it monotonically
 downward when the dual step sizes admit positive decrease margins.
+
+A :class:`PointEval` keeps ``A x``, ``f(x)`` and ``grad f(x)`` of one x-point
+once computed, so that every quantity derived at that point shares them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -51,6 +55,34 @@ class AugmentedIterate:
         )
 
 
+class PointEval:
+    """The point ``x`` of problem ``P`` with ``A x``, ``f(x)`` and ``grad f(x)``
+    evaluated on first use and kept.
+
+    The values are what ``P.apply_A(x)``, ``float(P.eval_f(x))`` and
+    ``P.grad_f(x)`` return; neither ``x`` nor the kept arrays may be written to
+    while the record is in use. :func:`eval_alf`, :func:`grad_alf`,
+    :func:`~prsqp.solver.line_search`, :func:`~prsqp.diagnostics.kkt_residual`
+    and :func:`~prsqp.problems.composite_objective` accept it.
+    """
+
+    def __init__(self, P, x):
+        self.P = P
+        self.x = x
+
+    @cached_property
+    def Ax(self):
+        return self.P.apply_A(self.x)
+
+    @cached_property
+    def f(self):
+        return float(self.P.eval_f(self.x))
+
+    @cached_property
+    def grad_f(self):
+        return self.P.grad_f(self.x)
+
+
 @dataclass(frozen=True)
 class AlfGradient:
     """Partial gradients of ``L_beta`` in ``x``, ``y`` and ``lam``."""
@@ -60,20 +92,27 @@ class AlfGradient:
     glam: np.ndarray
 
 
-def eval_alf(P, w, beta):
-    """Value of the augmented Lagrangian at ``w``."""
+def _alf_value(f, g, lam, residual, beta):
+    """``L_beta`` from its parts: ``f(x)``, ``g(y)``, ``lam`` and ``residual = A x - y``.
+
+    Every value of ``L_beta`` in the package is summed here, in one operand order.
+    """
+    return f + g - float(lam @ residual) + 0.5 * beta * float(residual @ residual)
+
+
+def eval_alf(P, w, beta, x_eval=None):
+    """Value of the augmented Lagrangian at ``w``.
+
+    ``x_eval`` is the :class:`PointEval` of ``w.x`` on ``P`` when the caller
+    keeps one; ``A x`` and ``f(x)`` are read from it.
+    """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    residual = P.apply_A(w.x) - w.y
-    return (
-        float(P.eval_f(w.x))
-        + float(P.eval_g(w.y))
-        - float(w.lam @ residual)
-        + 0.5 * beta * float(residual @ residual)
-    )
+    at = PointEval(P, w.x) if x_eval is None else x_eval
+    return _alf_value(at.f, float(P.eval_g(w.y)), w.lam, at.Ax - w.y, beta)
 
 
-def grad_alf(P, w, beta):
+def grad_alf(P, w, beta, x_eval=None):
     """All three partial gradients of ``L_beta`` at ``w``.
 
     With ``residual = A x - y`` and the shifted multiplier
@@ -82,13 +121,16 @@ def grad_alf(P, w, beta):
         ``gx =  grad f(x) - A^T lam_shift``
         ``gy =  grad g(y) + lam_shift``
         ``glam = -residual``
+
+    ``x_eval`` is the :class:`PointEval` of ``w.x``, as in :func:`eval_alf`.
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
-    residual = P.apply_A(w.x) - w.y
+    at = PointEval(P, w.x) if x_eval is None else x_eval
+    residual = at.Ax - w.y
     lam_shift = w.lam - beta * residual
     return AlfGradient(
-        gx=P.grad_f(w.x) - P.apply_At(lam_shift),
+        gx=at.grad_f - P.apply_At(lam_shift),
         gy=P.grad_g(w.y) + lam_shift,
         glam=-residual,
     )

@@ -18,9 +18,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .alf import PointEval
 from .core import UnknownLipschitz, min_eigenvalue, spectral_norm
 from .problems import hessian_pair
-from .solver import SolverParams, validate_params  # noqa: F401  (validate_params re-exported)
+from .solver import SolverParams
 
 
 class NonPositiveEta1(ValueError):
@@ -44,10 +45,15 @@ class KktResidual:
     total: float
 
 
-def kkt_residual(P, w):
-    """First-order residuals of the split problem at the iterate ``w``."""
-    Ax = P.apply_A(w.x)
-    gf = P.grad_f(w.x)
+def kkt_residual(P, w, x_eval=None):
+    """First-order residuals of the split problem at the iterate ``w``.
+
+    ``x_eval`` is the :class:`~prsqp.alf.PointEval` of ``w.x`` on ``P`` when
+    the caller keeps one; ``A x`` and ``grad f(x)`` are read from it.
+    """
+    at = PointEval(P, w.x) if x_eval is None else x_eval
+    Ax = at.Ax
+    gf = at.grad_f
     stat_x = float(np.max(np.abs(gf - P.apply_At(w.lam))))
     stat_y = float(np.max(np.abs(P.grad_g(w.y) + w.lam)))
     feas = float(np.max(np.abs(Ax - w.y)))

@@ -19,6 +19,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from .alf import PointEval
 from .core import (
     DimensionMismatch,
     as_matrix,
@@ -123,12 +124,18 @@ def huber(z, mu):
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
     z = np.asarray(z, dtype=float)
-    small = np.abs(z) < mu
-    value = np.where(small, z * z / (2.0 * mu), np.abs(z) - mu / 2.0)
-    deriv = np.where(small, z / mu, np.sign(z))
+    value, deriv = _huber_value(z, mu), _huber_deriv(z, mu)
     if value.ndim == 0:
         return float(value), float(deriv)
     return value, deriv
+
+
+def _huber_value(z, mu):
+    return np.where(np.abs(z) < mu, z * z / (2.0 * mu), np.abs(z) - mu / 2.0)
+
+
+def _huber_deriv(z, mu):
+    return np.where(np.abs(z) < mu, z / mu, np.sign(z))
 
 
 def forward_difference(n):
@@ -285,12 +292,10 @@ def _lasso_problem(Amat, u, tau, mu, density):
     I2 = np.eye(m)
 
     def eval_f(x):
-        value, _ = huber(x, mu)
-        return tau * float(np.sum(value))
+        return tau * float(np.sum(_huber_value(np.asarray(x, dtype=float), mu)))
 
     def grad_f(x):
-        _, deriv = huber(x, mu)
-        return tau * deriv
+        return tau * _huber_deriv(np.asarray(x, dtype=float), mu)
 
     def hess_f_diag(x):
         return np.where(np.abs(x) < mu, tau / mu, 0.0)
@@ -334,9 +339,13 @@ def make_huber_lasso(m, n, density=0.5, tau=1e-3, mu=0.1, rng=None):
 
 
 def composite_objective(P, x):
-    """Original objective ``f(x) + g(A x)`` (the OFV metric in traces/summaries)."""
-    x = as_vector(x, n=P.n1, name="x")
-    return float(P.eval_f(x)) + float(P.eval_g(P.apply_A(x)))
+    """Original objective ``f(x) + g(A x)`` (the OFV metric in traces/summaries).
+
+    ``x`` may be given as its :class:`~prsqp.alf.PointEval` on ``P``, whose
+    ``f(x)`` and ``A x`` are then used.
+    """
+    at = x if isinstance(x, PointEval) else PointEval(P, as_vector(x, n=P.n1, name="x"))
+    return at.f + float(P.eval_g(at.Ax))
 
 
 def hessian_pair(P, x, y, diagonal_x=False):

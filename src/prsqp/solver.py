@@ -32,6 +32,17 @@ models ``H_x, H_y``:
 The dual steps ``r, s`` may take either sign (ascent or descent flavors) as
 long as ``r + s != 0``; the diagnostics module computes the decrease margins
 that certify monotonicity of the merit function for a given choice.
+
+Each x-point is evaluated once, through its :class:`~prsqp.alf.PointEval`.
+An x trial evaluates ``A x`` and ``f`` at its own point (``g(y_k)`` once per
+x search). The accepted trial is ``x_{k+1}``, computed from the same
+operands, and its record serves both dual updates, the y step, the y search
+(whose trials evaluate only ``g`` and the residual), ``L_beta(w_{k+1})``,
+the first-order residuals and the objective, which evaluates
+``grad f(x_{k+1})``. The record is carried to the next iteration with
+``L_beta(w_{k+1})``; both are used only when the next iteration starts from
+exactly that iterate on the same problem with the same ``beta``, and then
+the x-gradient evaluates no ``A x`` and no ``grad f``.
 """
 
 from __future__ import annotations
@@ -46,7 +57,7 @@ from typing import TYPE_CHECKING, Callable, List, Mapping, NamedTuple, Optional
 import numpy as np
 import scipy.linalg
 
-from .alf import AugmentedIterate, Iterate, eval_alf, eval_merit_hat, grad_alf
+from .alf import AugmentedIterate, Iterate, PointEval, _alf_value, eval_alf, eval_merit_hat, grad_alf
 from .core import DimensionMismatch, NotPositiveDefinite, as_vector, cholesky_spd, spectral_norm
 from .problems import composite_objective, hessian_pair
 
@@ -249,14 +260,16 @@ class Carry(NamedTuple):
     """What one :func:`iterate_once` call hands to the next on the same problem.
 
     Both blocks' factored metrics at the refreshed Hessian models, and
-    ``L_beta`` at the new iterate (``point`` is a private copy of its
-    ``concat()``). Each part is used only while it still matches its inputs.
+    ``L_beta`` and the :class:`~prsqp.alf.PointEval` of x at the new iterate
+    (``point`` is a private copy of its ``concat()``). Each part is used only
+    while it still matches its inputs.
     """
 
     problem: object
     beta: float
     point: np.ndarray
     L_beta: float
+    x_eval: PointEval
     metric_x: BlockMetric | LowRankMetric
     metric_y: BlockMetric
 
@@ -351,17 +364,17 @@ def _metric_y(P, model, params, cached=None):
     return BlockMetric(model, params.sigma, Hcal, factor)
 
 
-def _x_step(P, w, H_x, params, cached=None):
+def _x_step(P, w, x_eval, H_x, params, cached=None):
     # quadratic-model minimizer, its factored metric and the gradient it used
-    g = grad_alf(P, w, params.beta).gx
+    g = grad_alf(P, w, params.beta, x_eval).gx
     if not np.all(np.isfinite(g)):
         raise NumericalError("non-finite x-gradient")
     metric = _metric_x(P, _own(H_x, cached, _diagonal_x(P)), params, cached)
     return w.x - metric.solve(g), metric, g
 
 
-def _y_step(P, x_next, y, lam_half, H_y, params, cached=None):
-    residual = P.apply_A(x_next) - y
+def _y_step(P, x_eval, y, lam_half, H_y, params, cached=None):
+    residual = x_eval.Ax - y
     g = P.grad_g(y) + lam_half - params.beta * residual
     if not np.all(np.isfinite(g)):
         raise NumericalError("non-finite y-gradient")
@@ -370,19 +383,32 @@ def _y_step(P, x_next, y, lam_half, H_y, params, cached=None):
 
 
 def hybrid_accelerate(tilde, current, alpha):
-    """Extrapolated target and search direction for one block.
+    """Search direction of one block after extrapolation by ``alpha``.
 
-    ``bar = tilde + alpha (tilde - current)`` and the direction from the
-    current point is ``d = bar - current = (1 + alpha)(tilde - current)``.
+    The extrapolated target is ``tilde + alpha (tilde - current)``, so the
+    direction from the current point is ``d = (1 + alpha)(tilde - current)``.
     Requires ``alpha > -1`` so ``d`` keeps the orientation of the model step.
     """
     if not alpha > -1.0:
         raise ValueError(f"alpha must exceed -1, got {alpha}")
-    d = (1.0 + alpha) * (np.asarray(tilde, dtype=float) - np.asarray(current, dtype=float))
-    return current + d, d
+    return (1.0 + alpha) * (np.asarray(tilde, dtype=float) - np.asarray(current, dtype=float))
 
 
-def line_search(P, point, d, Hcal, params, block, L0=None):
+class SearchStep(tuple):
+    """What :func:`line_search` returns: the pair ``(t, backtracks)``.
+
+    ``x_eval`` is the :class:`~prsqp.alf.PointEval` of the accepted point's x.
+    After an x search it is the record of the accepted trial, so its ``A x``
+    and ``f`` are those the search evaluated.
+    """
+
+    def __new__(cls, t, backtracks, x_eval):
+        step = super().__new__(cls, (t, backtracks))
+        step.x_eval = x_eval
+        return step
+
+
+def line_search(P, point, d, Hcal, params, block, L0=None, x_eval=None):
     """Armijo backtracking for one block of ``L_beta`` at fixed other blocks.
 
     Accepts the largest ``t = nu^i`` (``i = 0, 1, ...``) with
@@ -395,31 +421,40 @@ def line_search(P, point, d, Hcal, params, block, L0=None):
     by ``t d``. The comparison carries a ``1e-12 (1 + |L|)`` float slack so a
     vanishing direction near a stationary point is not rejected on rounding
     noise. ``L0`` is ``L_beta(point)`` when the caller already has it; it is
-    evaluated otherwise. Returns ``(t, i)``; ``d = 0`` returns ``(1.0, 0)``
-    immediately.
+    evaluated otherwise. ``x_eval`` is the :class:`~prsqp.alf.PointEval` of
+    ``point.x`` when the caller keeps one. An x trial evaluates ``A x`` and
+    ``f`` at its own point and ``g(point.y)`` is evaluated once per search; a
+    y trial evaluates only ``g`` and the residual.
+
+    Returns a :class:`SearchStep`, which unpacks as ``(t, i)``; ``d = 0``
+    returns ``(1.0, 0)`` immediately.
 
     Raises :class:`LineSearchFailed` after ``params.max_backtracks`` shrinks.
     """
     if block not in ("x", "y"):
         raise ValueError(f"block must be 'x' or 'y', got {block!r}")
     d = as_vector(d, name="d")
+    at = PointEval(P, point.x) if x_eval is None else x_eval
     if not np.any(d):
-        return 1.0, 0
+        return SearchStep(1.0, 0, PointEval(P, point.x + d) if block == "x" else at)
     quad = float(d @ (Hcal @ d)) if isinstance(Hcal, np.ndarray) else Hcal.quad(d)
+    beta, lam = params.beta, point.lam
+    g = float(P.eval_g(point.y)) if block == "x" or L0 is None else None
     if L0 is None:
-        L0 = eval_alf(P, point, params.beta)
+        L0 = _alf_value(at.f, g, lam, at.Ax - point.y, beta)
     if not np.isfinite(L0) or not np.isfinite(quad):
         raise NumericalError(f"non-finite quantities entering the {block} line search")
     slack = 1e-12 * (1.0 + abs(L0))
     t = 1.0
     for i in range(params.max_backtracks + 1):
         if block == "x":
-            cand = Iterate(point.x + t * d, point.y, point.lam)
+            trial = PointEval(P, point.x + t * d)
+            L_t = _alf_value(trial.f, g, lam, trial.Ax - point.y, beta)
         else:
-            cand = Iterate(point.x, point.y + t * d, point.lam)
-        L_t = eval_alf(P, cand, params.beta)
+            trial, y = at, point.y + t * d  # x, and so its record, is fixed
+            L_t = _alf_value(at.f, float(P.eval_g(y)), lam, at.Ax - y, beta)
         if L_t <= L0 - params.rho * t * quad + slack:
-            return t, i
+            return SearchStep(t, i, trial)
         t *= params.nu
     raise LineSearchFailed(
         f"{block} line search found no acceptable step within {params.max_backtracks} backtracks"
@@ -475,10 +510,10 @@ def iterate_once(P, state, H_x, H_y, params, k=0, eta2_y=None, keep_internals=Fa
     ``carry`` is the ``carry`` of the previous outcome on the same problem.
     A block then reuses the factor built at the previous refresh when its
     model (``H_x`` / ``H_y``) is exactly equal to the one the factor was built
-    from and its ``ell`` / ``sigma`` is unchanged, and the x line search reuses
-    the previous ``L_beta`` when ``state.w`` is that outcome's iterate;
-    anything else is computed afresh, as without ``carry``. The result is the
-    same either way.
+    from and its ``ell`` / ``sigma`` is unchanged. When ``state.w`` is that
+    outcome's iterate, the x block also reuses its ``L_beta`` and the record
+    of its x (``A x`` and ``grad f(x)``); anything else is computed afresh,
+    as without ``carry``. The result is the same either way.
 
     Raises :class:`LineSearchFailed` or :class:`NumericalError` upward.
     """
@@ -487,24 +522,29 @@ def iterate_once(P, state, H_x, H_y, params, k=0, eta2_y=None, keep_internals=Fa
     beta = params.beta
     if carry is not None and (carry.problem is not P or carry.beta != beta):
         carry = None
-    L0 = None
     if carry is not None and np.array_equal(carry.point, w.concat()):
-        L0 = carry.L_beta
+        L0, x_eval = carry.L_beta, carry.x_eval
+    else:
+        L0, x_eval = None, PointEval(P, w.x)
 
     # ----- x block: model step, extrapolation, Armijo
     def bump_ell():
         params.ell *= 2.0
 
     metric_x = carry.metric_x if carry is not None else None
-    x_tilde, metric_x, gx = _repair_metric(lambda: _x_step(P, w, H_x, params, metric_x), bump_ell)
+    x_tilde, metric_x, gx = _repair_metric(
+        lambda: _x_step(P, w, x_eval, H_x, params, metric_x), bump_ell
+    )
     if not np.all(np.isfinite(x_tilde)):
         raise NumericalError("x-subproblem produced non-finite values")
-    _, d_x = hybrid_accelerate(x_tilde, w.x, params.alpha)
-    t_x, bt_x = line_search(P, w, d_x, metric_x, params, "x", L0=L0)
-    x_next = w.x + t_x * d_x
+    d_x = hybrid_accelerate(x_tilde, w.x, params.alpha)
+    search_x = line_search(P, w, d_x, metric_x, params, "x", L0=L0, x_eval=x_eval)
+    t_x, bt_x = search_x
+    x_eval = search_x.x_eval  # the accepted trial: x_{k+1} with A x_{k+1} and f(x_{k+1})
+    x_next = x_eval.x
 
     # ----- first dual update on the mixed residual A x_{k+1} - y_k
-    lam_half = dual_update(w.lam, params.r, beta, P.apply_A(x_next) - w.y)
+    lam_half = dual_update(w.lam, params.r, beta, x_eval.Ax - w.y)
 
     # ----- y block at the updated x and half-step multiplier
     def bump_sigma():
@@ -512,17 +552,17 @@ def iterate_once(P, state, H_x, H_y, params, k=0, eta2_y=None, keep_internals=Fa
 
     metric_y = carry.metric_y if carry is not None else None
     y_tilde, metric_y, gy = _repair_metric(
-        lambda: _y_step(P, x_next, w.y, lam_half, H_y, params, metric_y), bump_sigma
+        lambda: _y_step(P, x_eval, w.y, lam_half, H_y, params, metric_y), bump_sigma
     )
     if not np.all(np.isfinite(y_tilde)):
         raise NumericalError("y-subproblem produced non-finite values")
-    _, d_y = hybrid_accelerate(y_tilde, w.y, params.alpha)
+    d_y = hybrid_accelerate(y_tilde, w.y, params.alpha)
     mid = Iterate(x_next, w.y, lam_half)
-    t_y, bt_y = line_search(P, mid, d_y, metric_y, params, "y")
+    t_y, bt_y = line_search(P, mid, d_y, metric_y, params, "y", x_eval=x_eval)
     y_next = w.y + t_y * d_y
 
     # ----- second dual update on the full new residual
-    residual_new = P.apply_A(x_next) - y_next
+    residual_new = x_eval.Ax - y_next
     lam_next = dual_update(lam_half, params.s, beta, residual_new)
     w_next = Iterate(x_next, y_next, lam_next)
     if not np.all(np.isfinite(w_next.concat())):
@@ -539,12 +579,12 @@ def iterate_once(P, state, H_x, H_y, params, k=0, eta2_y=None, keep_internals=Fa
 
     from .diagnostics import kkt_residual  # local import: diagnostics uses SolverParams
 
-    L_beta = eval_alf(P, w_next, beta)
+    L_beta = eval_alf(P, w_next, beta, x_eval)
     if eta2_y is not None and P.lipschitz_g is not None:
         L_hat = eval_merit_hat(P, state_next, params, eta2_y, L_beta=L_beta)
     else:
         L_hat = float("nan")
-    kkt = kkt_residual(P, w_next)
+    kkt = kkt_residual(P, w_next, x_eval)
     record = StepRecord(
         k=k,
         t_x=t_x,
@@ -555,7 +595,7 @@ def iterate_once(P, state, H_x, H_y, params, k=0, eta2_y=None, keep_internals=Fa
         L_hat=L_hat,
         feas_inf=float(np.max(np.abs(residual_new))) if residual_new.size else 0.0,
         kkt_inf=kkt.total,
-        ofv=composite_objective(P, x_next),
+        ofv=composite_objective(P, x_eval),
         backtracks_x=bt_x,
         backtracks_y=bt_y,
         elapsed=time.perf_counter() - t_start,
@@ -578,7 +618,7 @@ def iterate_once(P, state, H_x, H_y, params, k=0, eta2_y=None, keep_internals=Fa
             y_tilde=y_tilde,
             lam_half=lam_half,
         )
-    carry_next = Carry(P, beta, w_next.concat(), L_beta, metric_x_next, metric_y_next)
+    carry_next = Carry(P, beta, w_next.concat(), L_beta, x_eval, metric_x_next, metric_y_next)
     return IterationOutcome(state_next, record, H_x_next, H_y_next, internals, kkt, carry_next)
 
 

@@ -14,6 +14,7 @@ from prsqp import (
     SolveResult,
     SolveStatus,
     SolverParams,
+    composite_objective,
     diagnostics_report,
     dual_update,
     eval_alf,
@@ -190,16 +191,14 @@ def test_subproblem_model_stationarity_random():
 
 
 def test_hybrid_accelerate_identity_at_zero():
-    bar, d = hybrid_accelerate(np.array([2.0]), np.array([0.5]), 0.0)
-    assert np.array_equal(bar, [2.0])
+    d = hybrid_accelerate(np.array([2.0]), np.array([0.5]), 0.0)
     assert np.array_equal(d, [1.5])
 
 
 def test_hybrid_accelerate_frozen_cases():
-    bar, d = hybrid_accelerate(np.array([2.0]), np.array([0.0]), 1.0)
-    assert np.array_equal(bar, [4.0]) and np.array_equal(d, [4.0])
-    bar, d = hybrid_accelerate(np.array([2.0]), np.array([0.0]), -0.5)
-    assert np.array_equal(bar, [1.0]) and np.array_equal(d, [1.0])
+    assert np.array_equal(hybrid_accelerate(np.array([2.0]), np.array([0.0]), 1.0), [4.0])
+    assert np.array_equal(hybrid_accelerate(np.array([2.0]), np.array([0.5]), 1.0), [3.0])
+    assert np.array_equal(hybrid_accelerate(np.array([2.0]), np.array([0.0]), -0.5), [1.0])
 
 
 def test_hybrid_accelerate_rejects_alpha_at_minus_one():
@@ -223,7 +222,7 @@ def test_line_search_accepts_unit_step_on_quadratic():
     w = _w(2.0, 0.0, 0.0)
     Hcal = np.array([[2.0]])  # H + ell, no coupling
     x_tilde = _internals(P, w, params)["x_tilde"]
-    _, d = hybrid_accelerate(x_tilde, w.x, 0.0)
+    d = hybrid_accelerate(x_tilde, w.x, 0.0)
     assert np.allclose(d, [-1.0], atol=1e-14)
     t, i = line_search(P, w, d, Hcal, params, "x")
     assert (t, i) == (1.0, 0)
@@ -625,18 +624,78 @@ def test_carry_is_used_only_with_the_inputs_it_was_built_from():
     # L_beta at w1 is far below its value here, so reusing it would change the x line search
     zigzag = 0.5 * (-1.0) ** np.arange(P.n1)
     moved = AugmentedIterate(Iterate(w1.x + zigzag, w1.y, w1.lam), first.state.d_y_prev)
-    for Q, state, changed in (
-        (P, first.state, replace(params, ell=2.0 * params.ell)),
-        (P, first.state, replace(params, sigma=2.0 * params.sigma)),
-        (P, first.state, replace(params, beta=2.0 * params.beta)),
-        (other, first.state, params),
-        (P, moved, params),
+    # the carry's x record holds the outcome's own x array, here written in place
+    written = iterate_once(P, _aug(w0), *hessian_pair(P, w0.x, w0.y), params)
+    written.state.w.x[:] += zigzag
+    # f, A, g and the Hessians as on P: only grad f, so only the carried x record, differs
+    steeper = replace(P, grad_f=lambda x: 2.0 * P.grad_f(x))
+    for Q, state, changed, carry in (
+        (P, first.state, replace(params, ell=2.0 * params.ell), first.carry),
+        (P, first.state, replace(params, sigma=2.0 * params.sigma), first.carry),
+        (P, first.state, replace(params, beta=2.0 * params.beta), first.carry),
+        (other, first.state, params, first.carry),
+        (P, moved, params, first.carry),
+        (P, written.state, params, written.carry),
+        (steeper, first.state, params, first.carry),
     ):
         H_x, H_y = hessian_pair(Q, state.w.x, state.w.y)
         fresh = iterate_once(Q, state, H_x, H_y, replace(changed))
-        carried = iterate_once(Q, state, H_x, H_y, replace(changed), carry=first.carry)
+        carried = iterate_once(Q, state, H_x, H_y, replace(changed), carry=carry)
         assert repr(astuple(carried.record)[:-1]) == repr(astuple(fresh.record)[:-1])
         assert carried.state.w.concat().tobytes() == fresh.state.w.concat().tobytes()
+
+
+def _counting(P, monkeypatch):
+    # calls to the instance's apply_A, eval_f and grad_f from here on
+    calls = dict.fromkeys(("apply_A", "eval_f", "grad_f"), 0)
+    for name in calls:
+        fn = getattr(P, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(P, name, counted)
+    return calls
+
+
+def _evaluation_cases():
+    # the instances of the carried-factor tests, and the wells on which ell or sigma doubles mid-run
+    short = dict(tol_step=0.0, tol_kkt=0.0, max_iter=40)
+    lasso = make_huber_lasso(16, 64, rng=make_rng(40))
+    classification = make_classification(20, 20, rng=make_rng(31))
+    yield lasso, _zero_start(lasso), SolverParams(beta=10.0, alpha=0.5, relaxed_alpha=True, **short)
+    yield classification, _zero_start(classification), SolverParams(r=0.1, s=1.0, **short)
+    yield _wells(3.0, -1.0), _w(3.0, 0.0, 0.0), SolverParams(ell=0.01, **short)
+    yield _wells(-1.0, 3.0), _w(0.5, 3.0, 0.0), SolverParams(sigma=0.5, **short)
+
+
+def test_run_evaluates_each_x_point_once(monkeypatch):
+    # A x and f are evaluated at each x trial and at w0, grad f at w0 and at
+    # each new iterate: every other use reads the point's record. f(w0) enters
+    # only the first x search's L_beta(w0), which a zero direction skips (the
+    # LASSO from zero, whose x-gradient vanishes there).
+    for P, w0, params in list(_evaluation_cases())[:2]:
+        calls = _counting(P, monkeypatch)
+        result = run(P, w0, params)
+        assert result.iterations == params.max_iter
+        trials = sum(rec.backtracks_x + 1 for rec in result.trace)
+        f_w0 = int(result.trace[0].norm_dx > 0.0)
+        assert calls == dict(apply_A=trials + 1, eval_f=trials + f_w0, grad_f=result.iterations + 1)
+
+
+def test_trace_records_match_fresh_evaluations():
+    for P, w0, params in _evaluation_cases():
+        outcomes = []
+        result = run(P, w0, params, callback=outcomes.append)
+        assert len(outcomes) == result.iterations == params.max_iter
+        for out in outcomes:
+            w, rec = out.state.w, out.record
+            kkt = kkt_residual(P, w)
+            assert rec.L_beta == eval_alf(P, w, params.beta)
+            assert rec.feas_inf == kkt.feas
+            assert rec.kkt_inf == kkt.total and out.kkt == kkt
+            assert rec.ofv == composite_objective(P, w.x)
 
 
 def test_carried_factors_bound_factorizations_per_iteration(monkeypatch):
