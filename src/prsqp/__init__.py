@@ -22,7 +22,6 @@ from .core import (
     max_eigenvalue,
     min_eigenvalue,
     normal_sample,
-    solve_spd,
     sparse_normal_sample,
     spectral_norm,
 )
@@ -131,7 +130,6 @@ __all__ = [
     "quadratic_kkt_point",
     "random_quadratic",
     "run",
-    "solve_spd",
     "sparse_normal_sample",
     "spectral_bounds",
     "spectral_norm",

@@ -18,7 +18,9 @@ gen-data --problem quadratic|classification|huber_lasso --seed N --out f.json
     Persist a sampled instance to the JSON problem container understood by
     ``solve`` configs with ``{"type": "quadratic", "file": ...}``.
 
-Exit codes: 0 success, 1 config error, 2 solver failure. All numeric output
+Exit codes: 0 success; 1 config error (:class:`ConfigError`, raised while the
+configuration is read and its problem built); 2 solver failure (a breakdown
+status, or any other exception during the run). All numeric output
 uses '.' as the decimal separator regardless of locale (plain ``repr``/JSON).
 """
 
@@ -31,6 +33,7 @@ import json
 import math
 import sys
 import time
+import typing
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -52,10 +55,14 @@ from .solver import SolveStatus, SolverParams, StepRecord, run
 
 CONFIG_SCHEMA_VERSION = 1
 
+# The pinned CSV schemas. A row's cells are read from its record by column
+# name; ``elapsed_ms`` is the record's ``elapsed`` (seconds) times 1000.
 TRACE_HEADER = (
     "k,t_x,t_y,norm_dx,norm_dy,L_beta,L_hat,feas_inf,kkt_inf,ofv,"
     "backtracks_x,backtracks_y,elapsed_ms"
 )
+BASELINE_TRACE_HEADER = "k,objective,grad_inf,t,elapsed_ms"
+SWEEP_HEADER = "r,s,alpha,regime,iter,tcpu_s,ofv,fea,kkt,status"
 
 
 class ConfigError(ValueError):
@@ -158,33 +165,53 @@ def parse_experiment(obj, context="config"):
 
 
 def build_problem(problem_cfg, seed):
-    """Materialize the configured problem; sampled kinds consume a fresh seeded stream."""
+    """Materialize the configured problem; sampled kinds consume a fresh seeded stream.
+
+    A problem the configuration describes but that cannot be built (bad sizes,
+    a malformed or inconsistent problem file) raises :class:`ConfigError`.
+    """
     kind = problem_cfg["type"]
-    if kind == "quadratic":
-        return problem_from_json(_load_json(problem_cfg["file"]))
-    rng = make_rng(seed)
-    if kind == "classification":
-        return make_classification(
-            int(problem_cfg["n"]), int(problem_cfg["T"]), float(problem_cfg.get("mu", 0.001)), rng
+    try:
+        if kind == "quadratic":
+            return problem_from_json(_load_json(problem_cfg["file"]))
+        rng = make_rng(seed)
+        if kind == "classification":
+            return make_classification(
+                int(problem_cfg["n"]), int(problem_cfg["T"]), float(problem_cfg.get("mu", 0.001)), rng
+            )
+        return make_huber_lasso(
+            int(problem_cfg["m"]),
+            int(problem_cfg["n"]),
+            float(problem_cfg.get("density", 0.5)),
+            float(problem_cfg.get("tau", 1e-3)),
+            float(problem_cfg.get("mu", 0.1)),
+            rng,
         )
-    return make_huber_lasso(
-        int(problem_cfg["m"]),
-        int(problem_cfg["n"]),
-        float(problem_cfg.get("density", 0.5)),
-        float(problem_cfg.get("tau", 1e-3)),
-        float(problem_cfg.get("mu", 0.1)),
-        rng,
-    )
+    except (TypeError, ValueError) as exc:  # ValueError covers ConfigError and DimensionMismatch
+        raise ConfigError(f"cannot build the {kind} problem: {exc}") from None
 
 
-# ----- trace CSV --------------------------------------------------------------
+# ----- CSV files ----------------------------------------------------------------
 
 
 def _fmt(v):
-    # repr round-trips floats exactly; integers stay integers
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+    # repr round-trips floats exactly; integers and labels are written as they are
+    if isinstance(v, (int, np.integer, str)):
+        return str(v)
+    return repr(float(v))
+
+
+def _cell(row, column):
+    return row["elapsed"] * 1000.0 if column == "elapsed_ms" else row[column]
+
+
+def _write_csv(header, rows, path):
+    # rows are mappings from field name to value; the header picks and orders the cells
+    columns = header.split(",")
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(header + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(_cell(row, c)) for c in columns) + "\n")
 
 
 def write_trace(trace, path):
@@ -194,29 +221,12 @@ def write_trace(trace, path):
     parsing the file back reproduces every numeric field bit-for-bit; the
     elapsed column is converted to milliseconds.
     """
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        for rec in trace:
-            row = [
-                rec.k,
-                float(rec.t_x),
-                float(rec.t_y),
-                float(rec.norm_dx),
-                float(rec.norm_dy),
-                float(rec.L_beta),
-                float(rec.L_hat),
-                float(rec.feas_inf),
-                float(rec.kkt_inf),
-                float(rec.ofv),
-                rec.backtracks_x,
-                rec.backtracks_y,
-                float(rec.elapsed * 1000.0),
-            ]
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+    _write_csv(TRACE_HEADER, (vars(rec) for rec in trace), path)
 
 
 def read_trace(path):
     """Parse a :func:`write_trace` file back into StepRecord objects."""
+    types = typing.get_type_hints(StepRecord)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
@@ -224,23 +234,9 @@ def read_trace(path):
             raise ConfigError(f"unexpected trace header in {path}")
         out = []
         for row in reader:
-            out.append(
-                StepRecord(
-                    k=int(row[0]),
-                    t_x=float(row[1]),
-                    t_y=float(row[2]),
-                    norm_dx=float(row[3]),
-                    norm_dy=float(row[4]),
-                    L_beta=float(row[5]),
-                    L_hat=float(row[6]),
-                    feas_inf=float(row[7]),
-                    kkt_inf=float(row[8]),
-                    ofv=float(row[9]),
-                    backtracks_x=int(row[10]),
-                    backtracks_y=int(row[11]),
-                    elapsed=float(row[12]) / 1000.0,
-                )
-            )
+            values = dict(zip(header, row))
+            elapsed = float(values.pop("elapsed_ms")) / 1000.0
+            out.append(StepRecord(**{k: types[k](v) for k, v in values.items()}, elapsed=elapsed))
         return out
 
 
@@ -285,22 +281,7 @@ def run_experiment(cfg):
             "ofv": composite_objective(P, base.final_x),
             "status": base.status.value,
         }
-        with open(out_dir / "baseline_trace.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write("k,objective,grad_inf,t,elapsed_ms\n")
-            for rec in base.trace:
-                fh.write(
-                    ",".join(
-                        _fmt(v)
-                        for v in [
-                            rec.k,
-                            float(rec.objective),
-                            float(rec.grad_inf),
-                            float(rec.t),
-                            float(rec.elapsed * 1000.0),
-                        ]
-                    )
-                    + "\n"
-                )
+        _write_csv(BASELINE_TRACE_HEADER, (vars(rec) for rec in base.trace), out_dir / "baseline_trace.csv")
 
     with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
@@ -309,9 +290,6 @@ def run_experiment(cfg):
 
 
 # ----- sweep ------------------------------------------------------------------
-
-
-SWEEP_HEADER = "r,s,alpha,regime,iter,tcpu_s,ofv,fea,kkt,status"
 
 
 @dataclass
@@ -427,27 +405,7 @@ def run_sweep(cfg):
 
 
 def write_sweep(rows, path):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(SWEEP_HEADER + "\n")
-        for row in rows:
-            fh.write(
-                ",".join(
-                    _fmt(v)
-                    for v in [
-                        float(row["r"]),
-                        float(row["s"]),
-                        float(row["alpha"]),
-                        row["regime"],
-                        row["iter"],
-                        float(row["tcpu_s"]),
-                        float(row["ofv"]),
-                        float(row["fea"]),
-                        float(row["kkt"]),
-                        row["status"],
-                    ]
-                )
-                + "\n"
-            )
+    _write_csv(SWEEP_HEADER, rows, path)
 
 
 # ----- subcommand handlers ------------------------------------------------------
@@ -486,14 +444,15 @@ def _cmd_check_params(args):
 
 def _cmd_gen_data(args):
     rng = make_rng(args.seed)
-    if args.problem == "quadratic":
-        P = random_quadratic(args.n1, args.n2, rng)
-    elif args.problem == "classification":
-        P = make_classification(args.n, args.T, args.mu, rng)
-    elif args.problem == "huber_lasso":
-        P = make_huber_lasso(args.m, args.n, args.density, args.tau, args.mu_huber, rng)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown problem {args.problem!r}")
+    try:
+        if args.problem == "quadratic":
+            P = random_quadratic(args.n1, args.n2, rng)
+        elif args.problem == "classification":
+            P = make_classification(args.n, args.T, args.mu, rng)
+        else:  # argparse restricts the choices
+            P = make_huber_lasso(args.m, args.n, args.density, args.tau, args.mu_huber, rng)
+    except ValueError as exc:
+        raise ConfigError(f"cannot build the {args.problem} problem: {exc}") from None
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(problem_to_json(P), fh)
         fh.write("\n")
@@ -545,9 +504,9 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:  # anything else is a fault of the run, not of its configuration
+        print(f"solver error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

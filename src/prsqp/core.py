@@ -1,4 +1,4 @@
-"""Shared numerical kernels: validated linear algebra, seeded sampling, spectral estimates.
+"""Shared numerical kernels: validated linear algebra, seeded sampling, spectra.
 
 Everything downstream (problem builders, the splitting solver, the diagnostics)
 funnels its linear algebra and randomness through this module so that error
@@ -46,7 +46,7 @@ def as_matrix(M, shape=None, name="matrix"):
     return out
 
 
-# ----- symmetric positive definite solves ---------------------------------
+# ----- symmetric positive definite factorization ---------------------------
 
 
 def cholesky_spd(M):
@@ -69,24 +69,6 @@ def cholesky_spd(M):
         return scipy.linalg.cho_factor(M, lower=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(str(exc)) from None
-
-
-def solve_spd(M, b):
-    """Solve ``M x = b`` for symmetric positive definite ``M`` via Cholesky.
-
-    Raises
-    ------
-    NotPositiveDefinite
-        If the Cholesky factorization fails (``M`` indefinite or singular).
-    DimensionMismatch
-        If ``M`` is not square or ``b`` has the wrong length.
-    """
-    M = as_matrix(M, name="M")
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatch(f"M must be square, got shape {M.shape}")
-    b = as_vector(b, n=M.shape[0], name="b")
-    factor = cholesky_spd(M)
-    return scipy.linalg.cho_solve(factor, b, check_finite=False)
 
 
 # ----- seeded randomness ---------------------------------------------------
@@ -145,63 +127,19 @@ def sparse_normal_sample(rng, n, density):
     return out
 
 
-# ----- spectral estimates (power iteration) --------------------------------
-
-_START_SEED = 0x5EED  # fixed start vector => deterministic estimates
+# ----- spectra of symmetric matrices -----------------------------------------
 
 
-def _power_iteration(matvec, n, tol, max_iter):
-    # Dominant eigenvalue of a symmetric PSD-like operator given by matvec.
-    # Returns (rayleigh, converged).
-    v = make_rng(_START_SEED).random(n) - 0.5
-    nv = np.linalg.norm(v)
-    if nv == 0.0 or n == 0:
-        return 0.0, True
-    v /= nv
-    theta = 0.0
-    for _ in range(max_iter):
-        w = matvec(v)
-        theta = float(v @ w)
-        if np.linalg.norm(w - theta * v) <= tol * max(1.0, abs(theta)):
-            return theta, True
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0, True  # v lies in the null space and M v = 0 exactly
-        v = w / nw
-    return theta, False
+def spectral_norm(M):
+    """Largest singular value of symmetric ``M``: its largest ``|eigenvalue|``."""
+    return float(np.max(np.abs(np.linalg.eigvalsh(as_matrix(M, name="M")))))
 
 
-def spectral_norm(M, tol=1e-8, max_iter=10_000):
-    """Largest singular value of symmetric ``M`` by power iteration on ``M @ M``.
-
-    Squaring makes the dominant eigenvalue nonnegative, so the iteration cannot
-    oscillate between a +/- eigenvalue pair of equal modulus.
-    """
-    M = as_matrix(M, name="M")
-    theta, _ = _power_iteration(lambda v: M @ (M @ v), M.shape[0], tol, max_iter)
-    return float(np.sqrt(max(theta, 0.0)))
+def min_eigenvalue(M):
+    """Smallest eigenvalue of symmetric ``M``."""
+    return float(np.linalg.eigvalsh(as_matrix(M, name="M"))[0])
 
 
-def min_eigenvalue(M, tol=1e-8, max_iter=10_000):
-    """Smallest eigenvalue of symmetric ``M``, or ``None`` if the estimate did not converge.
-
-    Power iteration on the shifted matrix ``s I - M`` with ``s = ||M||_2``,
-    whose spectrum is nonnegative with dominant eigenvalue ``s - lambda_min``.
-    Callers should substitute a safe lower bound (e.g. ``-||M||_2``) on ``None``.
-    """
-    M = as_matrix(M, name="M")
-    s = spectral_norm(M, tol=tol, max_iter=max_iter)
-    theta, ok = _power_iteration(lambda v: s * v - M @ v, M.shape[0], tol, max_iter)
-    if not ok:
-        return None
-    return float(s - theta)
-
-
-def max_eigenvalue(M, tol=1e-8, max_iter=10_000):
-    """Largest eigenvalue of symmetric ``M``, or ``None`` if the estimate did not converge."""
-    M = as_matrix(M, name="M")
-    s = spectral_norm(M, tol=tol, max_iter=max_iter)
-    theta, ok = _power_iteration(lambda v: s * v + M @ v, M.shape[0], tol, max_iter)
-    if not ok:
-        return None
-    return float(theta - s)
+def max_eigenvalue(M):
+    """Largest eigenvalue of symmetric ``M``."""
+    return float(np.linalg.eigvalsh(as_matrix(M, name="M"))[-1])

@@ -3,7 +3,7 @@
 * :func:`kkt_residual` -- first-order residuals at an iterate, including the
   convention-independent composite certificate ``||grad f(x) + A^T grad g(A x)||``.
 * :func:`spectral_bounds` -- curvature bounds of the two subproblem metrics
-  (power-iteration estimates of the current Hessian models).
+  (from the eigenvalues of the current Hessian models).
 * :func:`compute_gamma` -- the uniform Armijo step floor.
 * :func:`compute_deltas` -- per-block merit decrease margins; both positive
   certifies monotone merit descent for the chosen dual steps.
@@ -91,16 +91,14 @@ def spectral_bounds(P, params, H_x, H_y):
 
     ``eta1_x = lambda_lo_x + beta lambda_min(A^T A) + ell`` and
     ``eta1_y = lambda_lo_y + beta + sigma`` must come out positive (else
-    :class:`NonPositiveEta1`); ``eta2_*`` add the norms instead. Power-iteration
-    estimates of ``lambda_min(H)`` that fail to converge fall back to the safe
-    bound ``-||H||``.
+    :class:`NonPositiveEta1`); ``eta2_*`` add the norms instead. ``eta_*`` and
+    ``lambda_lo_*`` are the largest ``|eigenvalue|`` and the smallest
+    eigenvalue of each model.
     """
     eta_x = spectral_norm(H_x)
     eta_y = spectral_norm(H_y)
     lo_x = min_eigenvalue(H_x)
     lo_y = min_eigenvalue(H_y)
-    lo_x = -eta_x if lo_x is None else lo_x
-    lo_y = -eta_y if lo_y is None else lo_y
     eta1_x = lo_x + params.beta * P.min_eig_AtA + params.ell
     eta1_y = lo_y + params.beta + params.sigma
     if eta1_x <= 0 or eta1_y <= 0:
@@ -250,8 +248,6 @@ def suggest_params(direction, P, base=None, H_x=None, H_y=None, s=None, margin=0
     eta_y = spectral_norm(H_y)
     lo_x = min_eigenvalue(H_x)
     lo_y = min_eigenvalue(H_y)
-    lo_x = -spectral_norm(H_x) if lo_x is None else lo_x
-    lo_y = -eta_y if lo_y is None else lo_y
     L_f, L_g = P.lipschitz_f, P.lipschitz_g
 
     factor = 1.0 + margin

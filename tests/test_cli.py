@@ -1,14 +1,17 @@
 import csv
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from prsqp import (
+    DimensionMismatch,
     Iterate,
     SolverParams,
     StepRecord,
+    gradient_descent,
     make_quadratic,
     make_rng,
     problem_to_json,
@@ -26,6 +29,7 @@ from prsqp.cli import (
     read_trace,
     run_experiment,
     run_sweep,
+    write_sweep,
     write_trace,
 )
 
@@ -140,24 +144,14 @@ def test_trace_round_trip_is_exact(tmp_path):
     back = read_trace(path)
     assert len(back) == len(result.trace)
     for a, b in zip(result.trace, back):
-        for field in (
-            "k",
-            "t_x",
-            "t_y",
-            "norm_dx",
-            "norm_dy",
-            "L_beta",
-            "feas_inf",
-            "kkt_inf",
-            "ofv",
-            "backtracks_x",
-            "backtracks_y",
-        ):
-            va, vb = getattr(a, field), getattr(b, field)
-            assert va == vb, field
-        assert math.isnan(b.L_hat) == math.isnan(a.L_hat)
-        # written as milliseconds, parsed back to seconds
-    assert b.elapsed == pytest.approx(a.elapsed, rel=1e-12)
+        assert math.isfinite(a.L_hat)
+        for field in fields(StepRecord):
+            va, vb = getattr(a, field.name), getattr(b, field.name)
+            if field.name == "elapsed":
+                # written as milliseconds, parsed back to seconds
+                assert vb == pytest.approx(va, rel=1e-12)
+            else:
+                assert vb == va, field.name
 
 
 def test_read_trace_rejects_foreign_header(tmp_path):
@@ -205,6 +199,36 @@ def test_run_experiment_with_baseline_matches_iteration_budget(tmp_path):
     assert (tmp_path / "out" / "baseline_trace.csv").exists()
 
 
+def test_baseline_trace_file_round_trips_the_run(tmp_path, monkeypatch):
+    runs = []
+
+    def recording(*args, **kwargs):
+        runs.append(gradient_descent(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr("prsqp.cli.gradient_descent", recording)
+    problem_file, _ = _quadratic_file(tmp_path)
+    cfg = parse_experiment(json.loads(_solve_config(tmp_path, problem_file, baseline=True).read_text()))
+    run_experiment(cfg)
+    (base,) = runs
+    with open(tmp_path / "out" / "baseline_trace.csv", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        body = list(reader)
+    assert ",".join(header) == "k,objective,grad_inf,t,elapsed_ms"
+    assert len(base.trace) >= 2
+    assert len(body) == len(base.trace)
+    for rec, (k, objective, grad_inf, t, elapsed_ms) in zip(base.trace, body):
+        assert (int(k), float(objective), float(grad_inf), float(t)) == (
+            rec.k,
+            rec.objective,
+            rec.grad_inf,
+            rec.t,
+        )
+        # written as milliseconds
+        assert float(elapsed_ms) / 1000.0 == pytest.approx(rec.elapsed, rel=1e-12)
+
+
 # ----- sweeps ---------------------------------------------------------------------------
 
 
@@ -249,6 +273,25 @@ def test_run_sweep_deterministic_across_invocations_and_workers(tmp_path):
     def strip(rows):
         return [{k: v for k, v in row.items() if k != "tcpu_s"} for row in rows]
     assert strip(rows_a) == strip(rows_b) == strip(rows_c)
+
+
+def test_sweep_csv_rows_round_trip_exactly(tmp_path):
+    problem_file, _ = _quadratic_file(tmp_path)
+    obj = _sweep_config(tmp_path, problem_file, [[0.1, 1.0], [1.0, -1.0]], [0.0, 0.5])
+    rows = run_sweep(parse_sweep(obj))
+    path = tmp_path / "sweep.csv"
+    write_sweep(rows, path)
+    with open(path, newline="") as fh:
+        back = list(csv.DictReader(fh))
+    assert len(back) == len(rows)
+    for row, text in zip(rows, back):
+        assert list(text) == SWEEP_HEADER.split(",") and set(row) == set(text)
+        for key, value in row.items():
+            if isinstance(value, (str, int)):
+                assert text[key] == str(value), key
+            else:
+                parsed = float(text[key])
+                assert parsed == value or (math.isnan(parsed) and math.isnan(value)), key
 
 
 # ----- command line entry point -----------------------------------------------------------
@@ -315,6 +358,38 @@ def test_cli_rejects_non_finite_weights(tmp_path, capsys):
             assert code == 1
             assert name in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
+
+
+def test_cli_solver_fault_exits_two_without_config_error(tmp_path, capsys, monkeypatch):
+    def broken_run(*args, **kwargs):
+        raise DimensionMismatch("custom problem returned a gradient of the wrong length")
+
+    monkeypatch.setattr("prsqp.cli.run", broken_run)
+    problem_file, _ = _quadratic_file(tmp_path)
+    code = main(["solve", "--config", str(_solve_config(tmp_path, problem_file))])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "solver error" in err and "wrong length" in err
+    assert "config error" not in err
+
+
+def test_cli_rejects_problem_file_with_misshapen_coupling(tmp_path, capsys):
+    problem_file, P = _quadratic_file(tmp_path)
+    obj = problem_to_json(P)
+    obj["A"] = {"rows": P.n2 + 1, "cols": P.n1, "data": [1.0] * ((P.n2 + 1) * P.n1)}
+    problem_file.write_text(json.dumps(obj))
+    code = main(["solve", "--config", str(_solve_config(tmp_path, problem_file))])
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_gen_data_rejects_invalid_size(tmp_path, capsys):
+    out = tmp_path / "cls.json"
+    code = main(["gen-data", "--problem", "classification", "--n", "1", "--seed", "1", "--out", str(out)])
+    assert code == 1
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_sweep_writes_csv(tmp_path, capsys):
