@@ -19,8 +19,9 @@ gen-data --problem quadratic|classification|huber_lasso --seed N --out f.json
     ``solve`` configs with ``{"type": "quadratic", "file": ...}``.
 
 Exit codes: 0 success; 1 config error (:class:`ConfigError`, raised while the
-configuration is read and its problem built); 2 solver failure (a breakdown
-status, or any other exception during the run). All numeric output
+configuration is read and its problem built, or when an output path cannot be
+written); 2 solver failure (a breakdown status, or any other exception during
+the run). All numeric output
 uses '.' as the decimal separator regardless of locale (plain ``repr``/JSON).
 """
 
@@ -205,10 +206,28 @@ def _cell(row, column):
     return row["elapsed"] * 1000.0 if column == "elapsed_ms" else row[column]
 
 
+def _open_output(path):
+    # an output file that cannot be written is a configuration error, not a solver fault
+    try:
+        return open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+
+
+def _output_dir(path):
+    # the output directory, created before any work is done
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from None
+    return out
+
+
 def _write_csv(header, rows, path):
     # rows are mappings from field name to value; the header picks and orders the cells
     columns = header.split(",")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _open_output(path) as fh:
         fh.write(header + "\n")
         for row in rows:
             fh.write(",".join(_fmt(_cell(row, c)) for c in columns) + "\n")
@@ -229,7 +248,9 @@ def read_trace(path):
     types = typing.get_type_hints(StepRecord)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ConfigError(f"empty trace file {path}")
         if ",".join(header) != TRACE_HEADER:
             raise ConfigError(f"unexpected trace header in {path}")
         out = []
@@ -261,13 +282,12 @@ def _summarize(P, result, tcpu_s, params):
 def run_experiment(cfg):
     """Execute one configured solve; returns (summary dict, SolveResult)."""
     P = build_problem(cfg.problem, cfg.seed)
+    out_dir = _output_dir(cfg.output_dir)
     w0 = Iterate(np.zeros(P.n1), np.zeros(P.n2), np.zeros(P.n2))
     t0 = time.perf_counter()
     result = run(P, w0, cfg.params)
     summary = _summarize(P, result, time.perf_counter() - t0, cfg.params)
 
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     write_trace(result.trace, out_dir / "trace.csv")
 
     if cfg.baseline:
@@ -283,7 +303,7 @@ def run_experiment(cfg):
         }
         _write_csv(BASELINE_TRACE_HEADER, (vars(rec) for rec in base.trace), out_dir / "baseline_trace.csv")
 
-    with open(out_dir / "summary.json", "w", encoding="utf-8") as fh:
+    with _open_output(out_dir / "summary.json") as fh:
         json.dump(summary, fh, indent=2)
         fh.write("\n")
     return summary, result
@@ -422,9 +442,8 @@ def _cmd_solve(args):
 
 def _cmd_sweep(args):
     cfg = parse_sweep(_load_json(args.config))
+    out_dir = _output_dir(cfg.base.output_dir)
     rows = run_sweep(cfg)
-    out_dir = Path(cfg.base.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "sweep.csv"
     write_sweep(rows, out_path)
     print(str(out_path))
@@ -453,7 +472,7 @@ def _cmd_gen_data(args):
             P = make_huber_lasso(args.m, args.n, args.density, args.tau, args.mu_huber, rng)
     except ValueError as exc:
         raise ConfigError(f"cannot build the {args.problem} problem: {exc}") from None
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with _open_output(args.out) as fh:
         json.dump(problem_to_json(P), fh)
         fh.write("\n")
     print(args.out)

@@ -8,7 +8,7 @@ handling and reproducibility live in one place.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 
 class DimensionMismatch(ValueError):
@@ -54,7 +54,9 @@ def cholesky_spd(M):
 
     ``M`` must be symmetric to ``max|M - M^T| <= 1e-10 * max(1, max|M|)``,
     else :class:`ValueError`. The returned object is the ``(factor, lower)``
-    pair accepted by :func:`scipy.linalg.cho_solve`.
+    pair accepted by :func:`scipy.linalg.cho_solve`; the factor is LAPACK
+    ``dpotrf``'s output as it stands (the upper triangle is not cleared), for
+    solves through ``dpotrs``.
     """
     M = as_matrix(M, name="M")
     n = M.shape[0]
@@ -65,10 +67,12 @@ def cholesky_spd(M):
         scale = max(1.0, float(np.abs(M).max()))
         if float(np.abs(M - M.T).max()) > 1e-10 * scale:
             raise ValueError("M must be symmetric (relative tolerance 1e-10)")
-    try:
-        return scipy.linalg.cho_factor(M, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite(str(exc)) from None
+    c, info = lapack.dpotrf(M, lower=1, clean=0)
+    if info > 0:
+        raise NotPositiveDefinite(f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    return c, True
 
 
 # ----- seeded randomness ---------------------------------------------------
@@ -131,7 +135,14 @@ def sparse_normal_sample(rng, n, density):
 
 
 def spectral_norm(M):
-    """Largest singular value of symmetric ``M``: its largest ``|eigenvalue|``."""
+    """Largest singular value of symmetric ``M``: its largest ``|eigenvalue|``.
+
+    A 1-D ``M`` stands for the diagonal matrix with that diagonal, whose norm
+    is ``max |M_i|``.
+    """
+    M = np.asarray(M, dtype=float)
+    if M.ndim == 1:
+        return float(np.max(np.abs(M)))
     return float(np.max(np.abs(np.linalg.eigvalsh(as_matrix(M, name="M")))))
 
 

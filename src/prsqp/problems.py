@@ -48,6 +48,10 @@ class CompositeProblem:
     ``diag(hess_f_diag(x)) + beta A^T A + ell I`` through an ``n2 x n2``
     capacitance matrix instead of factoring the ``n1 x n1`` metric (see
     :mod:`prsqp.solver`). ``None`` (the default) keeps the dense metric.
+
+    ``AtA`` is ``A^T A``: when it is not given, it is formed from ``A`` on
+    first read (a dense x-metric reads it), so a problem solved through the
+    capacitance matrix never holds the ``n1 x n1`` array.
     """
 
     name: str
@@ -76,6 +80,21 @@ class CompositeProblem:
         return self.A.T @ v
 
 
+def _get_AtA(P):
+    if P._AtA is None:
+        P._AtA = P.A.T @ P.A
+    return P._AtA
+
+
+def _set_AtA(P, AtA):
+    P._AtA = AtA
+
+
+# installed after the dataclass is made, so that its __init__ assigns the
+# AtA argument through the setter
+CompositeProblem.AtA = property(_get_AtA, _set_AtA)
+
+
 @dataclass
 class QuadraticData:
     c_f: np.ndarray
@@ -99,14 +118,13 @@ class LassoData:
 
 
 def _attach_spectra(P):
-    # Cache A^T A and its spectral range. A^T A is PSD, so its norm is its
+    # Cache the spectral range of A^T A. A^T A is PSD, so its norm is its
     # largest eigenvalue. Its nonzero eigenvalues are those of A A^T, so the
     # smaller of the two Gram matrices gives them; for m < n, A^T A is singular
-    # and its smallest eigenvalue is exactly zero.
+    # and its smallest eigenvalue is exactly zero. Only for m >= n is A^T A
+    # itself formed here.
     m, n = P.A.shape
-    AtA = P.A.T @ P.A
-    eigs = np.linalg.eigvalsh(P.A @ P.A.T if m < n else AtA)
-    P.AtA = AtA
+    eigs = np.linalg.eigvalsh(P.A @ P.A.T if m < n else P.AtA)
     P.norm_AtA = P.max_eig_AtA = max(float(eigs[-1]), 0.0)
     P.min_eig_AtA = 0.0 if m < n else max(float(eigs[0]), 0.0)
     return P

@@ -11,20 +11,30 @@ models ``H_x, H_y``:
    diagonal ``h``. While ``D = h + ell > 0``, the metric is then the diagonal
    ``D`` plus the rank-``n2`` term ``beta A^T A``: only the ``n2 x n2``
    capacitance matrix ``I / beta + A D^-1 A^T`` is factored, and ``d^T Hcal_x d``
-   is ``d . (D d) + beta ||A d||^2``. Where ``D`` is not positive, the dense
+   is ``d . (D d) + beta ||A d||^2``. Where ``h`` is zero outside fewer than
+   ``n1/2`` coordinates, the capacitance matrix is the carried matrix of
+   ``h = 0`` plus a correction in those coordinates' columns of ``A`` (see
+   :func:`_capacitance`). Where ``D`` is not positive, the dense
    ``Hcal_x`` is formed and factored as for any other model, so ``ell`` is
    doubled exactly where the dense metric needs it (the structured one is
-   positive definite whenever it is used).
+   positive definite whenever it is used). ``A^T A`` is formed for the first
+   dense ``Hcal_x``.
 2. First dual update ``lam_{k+1/2} = lam_k - r beta (A x_{k+1} - y_k)``.
 3. y block at ``(x_{k+1}, lam_{k+1/2})`` in the metric
-   ``Hcal_y = H_y + (beta + sigma) I``; extrapolate, backtrack.
+   ``Hcal_y = H_y + (beta + sigma) I``; extrapolate, backtrack. A diagonal
+   ``H_y`` is kept as its diagonal ``h`` and ``Hcal_y`` as the vector
+   ``D = h + beta + sigma``, which is never factored: it is rejected (and
+   ``sigma`` doubled) where some ``D_i <= 0``, exactly where a Cholesky
+   factorization of the matrix would fail, and a solve multiplies by
+   ``1 / sqrt(D)`` twice, as the two triangular solves with its factor do.
 4. Second dual update ``lam_{k+1} = lam_{k+1/2} - s beta (A x_{k+1} - y_{k+1})``.
 5. Stop when the relative sup-norm step over ``(x, y, lam)`` drops to
    ``tol_step`` and the first-order residual (the larger of the split KKT
    residual and the composite residual ``||grad f(x) + A^T grad g(A x)||``)
    is at most ``tol_kkt``.
 6. Refresh ``(H_x, H_y)`` at the new point, doubling ``ell`` / ``sigma`` until
-   both metrics admit a Cholesky factorization. These factors are carried
+   both metrics admit a Cholesky factorization (factored through LAPACK
+   ``potrf``, solved through ``potrs``). These factors are carried
    into the next iteration's block steps, and a block's factor is reused,
    not rebuilt, for as long as its Hessian model stays exactly equal to the
    one it was built from and its ``ell`` / ``sigma`` has not been doubled.
@@ -55,7 +65,7 @@ from enum import Enum
 from typing import TYPE_CHECKING, Callable, List, Mapping, NamedTuple, Optional
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .alf import AugmentedIterate, Iterate, PointEval, _alf_value, eval_alf, eval_merit_hat, grad_alf
 from .core import DimensionMismatch, NotPositiveDefinite, as_vector, cholesky_spd, spectral_norm
@@ -206,17 +216,25 @@ class SolveResult:
     theory_supported: bool = True
 
 
+def _cho_solve(factor, b):
+    # M^{-1} b through LAPACK dpotrs, for the (c, lower) factor of M from cholesky_spd
+    x, info = lapack.dpotrs(factor[0], b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return x
+
+
 class BlockMetric(NamedTuple):
     """One block's metric held as the matrix ``Hcal`` with its Cholesky factor."""
 
     model: np.ndarray  # the Hessian model, as returned by _own
     weight: float  # ell (x block) or sigma (y block)
     Hcal: np.ndarray
-    factor: tuple  # (c, lower) pair for scipy.linalg.cho_solve
+    factor: tuple  # (c, lower) pair from cholesky_spd
 
     def solve(self, g):
         """``Hcal^{-1} g``."""
-        return scipy.linalg.cho_solve(self.factor, g, check_finite=False)
+        return _cho_solve(self.factor, g)
 
     def matvec(self, d):
         """``Hcal d``."""
@@ -233,7 +251,9 @@ class LowRankMetric(NamedTuple):
 
     By the matrix inversion lemma ``Hcal_x^{-1} g = D^-1 g - D^-1 A^T C^-1 A D^-1 g``
     with the m x m capacitance matrix ``C = I / beta + A D^-1 A^T``, the only
-    matrix factored. Same methods as :class:`BlockMetric`.
+    matrix factored. ``base`` is the ``C`` of the model ``h = 0``, when ``C``
+    was assembled from it (see :func:`_capacitance`). Same methods as
+    :class:`BlockMetric`.
     """
 
     model: np.ndarray  # h, as returned by _own
@@ -241,11 +261,12 @@ class LowRankMetric(NamedTuple):
     D: np.ndarray
     A: np.ndarray
     beta: float
+    base: Optional[np.ndarray]
     factor: tuple  # Cholesky factor of C
 
     def solve(self, g):
         u = g / self.D
-        z = scipy.linalg.cho_solve(self.factor, self.A @ u, check_finite=False)
+        z = _cho_solve(self.factor, self.A @ u)
         return u - (self.A.T @ z) / self.D
 
     def matvec(self, d):
@@ -254,6 +275,30 @@ class LowRankMetric(NamedTuple):
     def quad(self, d):
         Ad = self.A @ d
         return float(d @ (self.D * d) + self.beta * (Ad @ Ad))
+
+
+class DiagonalMetric(NamedTuple):
+    """The y-metric ``Hcal_y = diag(D)`` with ``D = h + beta + sigma > 0``, for a
+    diagonal model ``h``, held as vectors and never factored.
+
+    ``r = 1 / sqrt(D)`` is the inverse diagonal of the Cholesky factor
+    ``diag(sqrt(D))``, so ``solve`` is the two triangular solves of a factored
+    ``diag(D)``. Same methods as :class:`BlockMetric`.
+    """
+
+    model: np.ndarray  # h, as returned by _own
+    weight: float  # sigma
+    D: np.ndarray
+    r: np.ndarray
+
+    def solve(self, g):
+        return (g * self.r) * self.r
+
+    def matvec(self, d):
+        return self.D * d
+
+    def quad(self, d):
+        return float(d @ (self.D * d))
 
 
 class Carry(NamedTuple):
@@ -271,7 +316,7 @@ class Carry(NamedTuple):
     L_beta: float
     x_eval: PointEval
     metric_x: BlockMetric | LowRankMetric
-    metric_y: BlockMetric
+    metric_y: BlockMetric | DiagonalMetric
 
 
 class IterationOutcome(NamedTuple):
@@ -280,7 +325,8 @@ class IterationOutcome(NamedTuple):
     ``hess_x`` / ``hess_y`` are the refreshed Hessian models as read-only
     arrays: while a refreshed model stays equal to the previous one, the same
     array is returned again. Where the x-model is diagonal (see
-    :func:`iterate_once`), ``hess_x`` is its diagonal, shape ``(n1,)``.
+    :func:`iterate_once`), ``hess_x`` is its diagonal, shape ``(n1,)``; a
+    diagonal ``H_y`` comes back as its diagonal, shape ``(n2,)``.
     """
 
     state: AugmentedIterate
@@ -301,16 +347,35 @@ def _diagonal_x(P):
     return P.hess_f_diag is not None and P.n2 < P.n1
 
 
+def _is_diagonal(H):
+    # a square matrix with no nonzero entry off its diagonal (counted on the
+    # boolean H != 0, which numpy counts faster than floats)
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+        return False
+    return np.count_nonzero(H != 0.0) == np.count_nonzero(H.diagonal())
+
+
+def _same_model(model, H):
+    # H equals the kept model exactly; a diagonal (1-D) model also equals a
+    # diagonal matrix H with that diagonal
+    if H is model:
+        return True
+    if model.ndim == 1 and H.ndim == 2:
+        return np.array_equal(H.diagonal(), model) and _is_diagonal(H)
+    return np.array_equal(model, H)
+
+
 def _own(H, metric, diagonal=False):
     # the model the solver works with in place of the caller's H: metric.model
-    # when H equals it exactly, else a read-only private copy of H (of its
-    # diagonal, for a diagonal matrix H when ``diagonal``). So no later write
-    # to the caller's array reaches a carried factor, and equal models are one
-    # array, which a factor then fits by identity.
-    if metric is not None and (H is metric.model or np.array_equal(metric.model, H)):
+    # when H equals it (see _same_model), else a read-only private copy of H
+    # (of its diagonal, for a diagonal matrix H when ``diagonal``). So no later
+    # write to the caller's array reaches a carried factor, and equal models
+    # are one array, which a factor then fits by identity.
+    H = np.asarray(H)
+    if metric is not None and _same_model(metric.model, H):
         return metric.model
     H = np.array(H, dtype=float)
-    if diagonal and H.ndim == 2 and np.count_nonzero(H) == np.count_nonzero(H.diagonal()):
+    if diagonal and _is_diagonal(H):
         H = H.diagonal().copy()
     H.flags.writeable = False
     return H
@@ -329,6 +394,34 @@ def _cholesky(M, failure):
         raise ProximalNotPD(f"{failure}: {exc}") from None
 
 
+def _capacitance(P, D, params, cached):
+    # C = I / beta + A D^-1 A^T, and the base it was assembled from (or None).
+    # Where D equals ell (h = 0) outside fewer than n/2 coordinates K, C is
+    # the base I / beta + A A^T / ell plus the symmetric part of
+    # A_K diag(1/D_K - 1/ell) A_K^T: 2 m^2 |K| flops against m^2 n for B B^T.
+    # The base is taken from ``cached`` at the same ell and beta. C depends on
+    # D, ell and beta alone, so a carried metric has the bits of a fresh one.
+    K = np.flatnonzero(D != params.ell)
+    if 2 * K.size >= P.n1:
+        B = P.A / np.sqrt(D)
+        C = B @ B.T  # B B^T is computed exactly symmetric
+        C[np.diag_indices_from(C)] += 1.0 / params.beta
+        return C, None
+    same = isinstance(cached, LowRankMetric) and cached.weight == params.ell and cached.beta == params.beta
+    if same and cached.base is not None:
+        base = cached.base
+    else:
+        base = P.A @ P.A.T
+        base /= params.ell
+        base[np.diag_indices_from(base)] += 1.0 / params.beta
+    A_K = P.A[:, K]
+    U = (A_K * (1.0 / D[K] - 1.0 / params.ell)) @ A_K.T
+    C = U + U.T
+    C *= 0.5
+    C += base
+    return C, base
+
+
 def _metric_x(P, model, params, cached=None):
     # factored Hcal_x = H_x + beta A^T A + ell I for a model from _own; ``cached`` when it fits.
     # A diagonal model (1-D) with D = h + ell > 0 and a wide A gets a LowRankMetric.
@@ -337,11 +430,9 @@ def _metric_x(P, model, params, cached=None):
     if model.ndim == 1:
         D = model + params.ell
         if P.n2 < P.n1 and np.all(D > 0.0):
-            B = P.A / np.sqrt(D)
-            C = B @ B.T  # B B^T is computed exactly symmetric
-            C[np.diag_indices_from(C)] += 1.0 / params.beta
+            C, base = _capacitance(P, D, params, cached)
             factor = _cholesky(C, f"x-metric capacitance matrix not positive definite at ell = {params.ell}")
-            return LowRankMetric(model, params.ell, D, P.A, params.beta, factor)
+            return LowRankMetric(model, params.ell, D, P.A, params.beta, base, factor)
     # (model + beta AtA) + ell I summed in place, so that fewer n1 x n1 arrays
     # are live while the previous iteration's metric is still held
     Hcal = params.beta * P.AtA
@@ -355,9 +446,16 @@ def _metric_x(P, model, params, cached=None):
 
 
 def _metric_y(P, model, params, cached=None):
-    # factored Hcal_y = H_y + (beta + sigma) I for a model from _own; ``cached`` when it fits
+    # factored Hcal_y = H_y + (beta + sigma) I for a model from _own; ``cached`` when it fits.
+    # A diagonal model (1-D) gets a DiagonalMetric; it is rejected where the
+    # Cholesky factorization of the dense metric would fail.
     if cached is not None and cached.model is model and cached.weight == params.sigma:
         return cached
+    if model.ndim == 1:
+        D = model + (params.beta + params.sigma)
+        if not np.all(D > 0.0):
+            raise ProximalNotPD(f"y-metric not positive definite at sigma = {params.sigma}")
+        return DiagonalMetric(model, params.sigma, D, 1.0 / np.sqrt(D))
     Hcal = _scaled_eye(P.n2, params.beta + params.sigma)
     Hcal += model
     factor = _cholesky(Hcal, f"y-metric not positive definite at sigma = {params.sigma}")
@@ -378,7 +476,7 @@ def _y_step(P, x_eval, y, lam_half, H_y, params, cached=None):
     g = P.grad_g(y) + lam_half - params.beta * residual
     if not np.all(np.isfinite(g)):
         raise NumericalError("non-finite y-gradient")
-    metric = _metric_y(P, _own(H_y, cached), params, cached)
+    metric = _metric_y(P, _own(H_y, cached, diagonal=True), params, cached)
     return y - metric.solve(g), metric, g
 
 
@@ -571,7 +669,7 @@ def iterate_once(P, state, H_x, H_y, params, k=0, eta2_y=None, keep_internals=Fa
     # ----- refresh the second-order model, keeping both metrics factorable;
     # these factors are the next iteration's, unless its models differ
     H_x_next, H_y_next = hessian_pair(P, x_next, y_next, _diagonal_x(P))
-    H_x_next, H_y_next = _own(H_x_next, metric_x), _own(H_y_next, metric_y)
+    H_x_next, H_y_next = _own(H_x_next, metric_x), _own(H_y_next, metric_y, diagonal=True)
     metric_x_next = _repair_metric(lambda: _metric_x(P, H_x_next, params, metric_x), bump_ell)
     metric_y_next = _repair_metric(lambda: _metric_y(P, H_y_next, params, metric_y), bump_sigma)
 

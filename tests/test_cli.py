@@ -161,6 +161,13 @@ def test_read_trace_rejects_foreign_header(tmp_path):
         read_trace(path)
 
 
+def test_read_trace_rejects_empty_file(tmp_path):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"")
+    with pytest.raises(ConfigError, match="empty trace file"):
+        read_trace(path)
+
+
 def test_merit_column_nonincreasing_under_certified_margins(tmp_path):
     P = make_quadratic([1.0], [0.0], [[1.0]])
     params = suggest_params("alda", P)
@@ -390,6 +397,40 @@ def test_cli_gen_data_rejects_invalid_size(tmp_path, capsys):
     assert code == 1
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _below_a_file(tmp_path):
+    # a directory path under a regular file: it cannot be created
+    (tmp_path / "file").write_text("")
+    return tmp_path / "file" / "out"
+
+
+def _assert_cannot_write(code, capsys, path):
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"config error: cannot write {path}: ")
+
+
+def test_cli_gen_data_to_a_missing_directory_is_a_config_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.json"
+    code = main(["gen-data", "--problem", "quadratic", "--seed", "1", "--out", str(out)])
+    _assert_cannot_write(code, capsys, out)
+
+
+def test_cli_solve_to_an_uncreatable_output_dir_is_a_config_error(tmp_path, capsys):
+    problem_file, _ = _quadratic_file(tmp_path)
+    out_dir = _below_a_file(tmp_path)
+    code = main(["solve", "--config", str(_solve_config(tmp_path, problem_file, output_dir=str(out_dir)))])
+    _assert_cannot_write(code, capsys, out_dir)
+
+
+def test_cli_sweep_to_an_uncreatable_output_dir_is_a_config_error(tmp_path, capsys):
+    problem_file, _ = _quadratic_file(tmp_path)
+    out_dir = _below_a_file(tmp_path)
+    obj = _sweep_config(tmp_path, problem_file, [[0.1, 1.0]], [0.0])
+    obj["base"]["output_dir"] = str(out_dir)
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps(obj))
+    _assert_cannot_write(main(["sweep", "--config", str(cfg_path)]), capsys, out_dir)
 
 
 def test_cli_sweep_writes_csv(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 import prsqp.solver
 from prsqp import (
     AugmentedIterate,
+    CompositeProblem,
     DimensionMismatch,
     Iterate,
     LineSearchFailed,
@@ -858,3 +859,106 @@ def test_structured_metric_factors_only_capacitance_matrices(monkeypatch):
     shapes.clear()
     run(P, _zero_start(P), SolverParams(ell=0.01, max_iter=5))
     assert (10, 10) in shapes
+
+
+# ----- diagonal y-metric and capacitance assembly ------------------------------------------
+
+
+def test_diagonal_y_metric_matches_the_dense_metric_of_its_diagonal():
+    rng = make_rng(61)
+    params = SolverParams(beta=2.0, sigma=3.0)
+    for n in (1, 7, 128):
+        P = random_quadratic(n + 1, n, rng)
+        h = normal_sample(rng, n)  # D = h + 5 > 0 here
+        diagonal = prsqp.solver._metric_y(P, h, params)
+        dense = prsqp.solver._metric_y(P, np.diag(h), params)
+        assert isinstance(diagonal, prsqp.solver.DiagonalMetric)
+        assert isinstance(dense, prsqp.solver.BlockMetric)
+        for v in (normal_sample(rng, n), 1e-3 * normal_sample(rng, n)):
+            assert _close(diagonal.solve(v), dense.solve(v), 1e-14)
+            assert _close(diagonal.matvec(v), dense.matvec(v), 1e-14)
+            assert _close(diagonal.quad(v), dense.quad(v), 1e-14)
+
+
+def _separable_g(c):
+    # f = ||x||^2 / 2 and g = sum_i c_i y_i^2 / 2 on A = I: H_y = diag(c)
+    n = len(c)
+    c = np.asarray(c, dtype=float)
+    return CompositeProblem(
+        name="separable",
+        n1=n,
+        n2=n,
+        A=np.eye(n),
+        eval_f=lambda x: 0.5 * float(x @ x),
+        grad_f=lambda x: x.copy(),
+        hess_f_at=lambda x: np.eye(n),
+        eval_g=lambda y: 0.5 * float(y @ (c * y)),
+        grad_g=lambda y: c * y,
+        hess_g_at=lambda y: np.diag(c),
+    )
+
+
+def test_diagonal_y_metric_doubles_sigma_until_its_diagonal_is_positive():
+    # min(h) + beta + sigma with beta = 1, sigma = 0.5: the concave coordinate
+    # -4 needs sigma = 4 (1 + 4 - 4 > 0); at -3, sigma = 2 makes it exactly 0,
+    # which a Cholesky factorization rejects too, so sigma = 4 again
+    for c_min, sigma in ((-4.0, 4.0), (-3.0, 4.0), (-1.0, 0.5)):
+        P = _separable_g([1.0, c_min, 0.25])
+        params = SolverParams(beta=1.0, sigma=0.5)
+        w = _w(np.ones(3), np.ones(3), np.zeros(3))
+        out = iterate_once(P, _aug(w), *hessian_pair(P, w.x, w.y), params)
+        assert params.sigma == sigma
+        assert isinstance(out.carry.metric_y, prsqp.solver.DiagonalMetric)
+        assert np.array_equal(out.hess_y, [1.0, c_min, 0.25])
+
+
+def test_capacitance_matrix_depends_on_the_model_alone():
+    # support changes of the Huber model, on both sides of the n/2 switch
+    # between the base-plus-correction and the direct assembly, and changes of
+    # ell and beta: the metric built from the previous one is bit-equal to a
+    # fresh one, and solves as the dense x-metric does
+    P = make_huber_lasso(16, 64, rng=make_rng(59))
+    rng = make_rng(60)
+    knee = P.data.tau / P.data.mu
+    cached = None
+    steps = [(3, 5.0, 10.0), (5, 5.0, 10.0), (0, 5.0, 10.0), (31, 5.0, 10.0), (32, 5.0, 10.0)]
+    steps += [(64, 5.0, 10.0), (10, 5.0, 10.0), (12, 10.0, 10.0), (12, 10.0, 1.0), (9, 10.0, 1.0)]
+    for size, ell, beta in steps:
+        h = np.zeros(64)
+        h[rng.choice(64, size, replace=False)] = knee
+        h.flags.writeable = False
+        params = SolverParams(ell=ell, beta=beta)
+        metric = prsqp.solver._metric_x(P, h, params, cached)
+        fresh = prsqp.solver._metric_x(P, h, params)
+        assert isinstance(metric, prsqp.solver.LowRankMetric)
+        assert (metric.base is None) == (2 * size >= 64)
+        if metric.base is not None and cached is not None and cached.base is not None:
+            # the base is carried at the same ell and beta, and rebuilt otherwise
+            assert (metric.base is cached.base) == ((cached.weight, cached.beta) == (ell, beta))
+        Hcal = np.diag(h + ell) + beta * (P.A.T @ P.A)
+        for g in (normal_sample(rng, 64), 1e3 * normal_sample(rng, 64)):
+            assert metric.solve(g).tobytes() == fresh.solve(g).tobytes()
+            assert _close(metric.solve(g), np.linalg.solve(Hcal, g), 1e-10)
+        cached = metric
+
+
+def test_constant_diagonal_y_model_is_never_factored(monkeypatch):
+    shapes = []
+    factor = prsqp.solver.cholesky_spd
+    monkeypatch.setattr(prsqp.solver, "cholesky_spd", lambda M: shapes.append(M.shape) or factor(M))
+    P = make_classification(20, 20, rng=make_rng(31))
+    outcomes = []
+    params = SolverParams(r=0.1, s=1.0, tol_step=0.0, max_iter=100)
+    result = run(P, _zero_start(P), params, callback=outcomes.append)
+    assert result.iterations == 100
+    assert shapes and set(shapes) == {(P.n1, P.n1)}  # x-metrics only
+    assert all(isinstance(out.carry.metric_y, prsqp.solver.DiagonalMetric) for out in outcomes)
+    assert all(out.hess_y is outcomes[0].hess_y for out in outcomes)
+    assert np.array_equal(outcomes[0].hess_y, np.full(P.n2, P.data.mu))
+
+
+def test_structured_solve_never_forms_AtA():
+    P = make_huber_lasso(16, 64, rng=make_rng(62))
+    run(P, _zero_start(P), SolverParams(tol_step=0.0, max_iter=30))
+    assert P._AtA is None  # formed on first read only
+    assert P.AtA.tobytes() == (P.A.T @ P.A).tobytes() and P.AtA is P.AtA
