@@ -599,7 +599,8 @@ def iterate_once(P, state, H_x, H_y, params, k=0, eta2_y=None, keep_internals=Fa
     are the Hessian models at ``state.w``. On a problem that declares
     ``hess_f_diag`` and has ``n2 < n1`` the x-model is kept as its diagonal: a
     diagonal ``H_x`` may be given as a matrix or as its ``(n1,)`` diagonal, and
-    ``hess_x`` comes back as the diagonal. ``eta2_y`` is the
+    ``hess_x`` comes back as the diagonal. The y-model is kept the same way
+    whenever ``H_y`` is diagonal, on every problem. ``eta2_y`` is the
     uniform y-curvature bound used for the merit column of the trace record
     (``L_hat`` is NaN when it is not supplied). ``keep_internals`` attaches the
     per-block gradients, directions and metric quadratic forms to the outcome
