@@ -21,8 +21,8 @@ gen-data --problem quadratic|classification|huber_lasso --seed N --out f.json
 Exit codes: 0 success; 1 config error (:class:`ConfigError`, raised while the
 configuration is read and its problem built, or when an output path cannot be
 written); 2 solver failure (a breakdown status, or any other exception during
-the run). All numeric output
-uses '.' as the decimal separator regardless of locale (plain ``repr``/JSON).
+the run). All numeric output uses '.' as the decimal separator regardless of
+locale (plain ``repr``/JSON).
 """
 
 from __future__ import annotations

@@ -134,23 +134,29 @@ def sparse_normal_sample(rng, n, density):
 # ----- spectra of symmetric matrices -----------------------------------------
 
 
+def _eigenvalues(M):
+    # ascending eigenvalues of symmetric M; a 1-D M stands for the diagonal
+    # matrix with that diagonal (the form of a diagonal Hessian model)
+    M = np.asarray(M, dtype=float)
+    if M.ndim == 1:
+        return np.sort(M)
+    return np.linalg.eigvalsh(as_matrix(M, name="M"))
+
+
 def spectral_norm(M):
     """Largest singular value of symmetric ``M``: its largest ``|eigenvalue|``.
 
-    A 1-D ``M`` stands for the diagonal matrix with that diagonal, whose norm
-    is ``max |M_i|``.
+    Here and below, a 1-D ``M`` stands for the diagonal matrix with that
+    diagonal, whose eigenvalues are its entries.
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim == 1:
-        return float(np.max(np.abs(M)))
-    return float(np.max(np.abs(np.linalg.eigvalsh(as_matrix(M, name="M")))))
+    return float(np.max(np.abs(_eigenvalues(M))))
 
 
 def min_eigenvalue(M):
     """Smallest eigenvalue of symmetric ``M``."""
-    return float(np.linalg.eigvalsh(as_matrix(M, name="M"))[0])
+    return float(_eigenvalues(M)[0])
 
 
 def max_eigenvalue(M):
     """Largest eigenvalue of symmetric ``M``."""
-    return float(np.linalg.eigvalsh(as_matrix(M, name="M"))[-1])
+    return float(_eigenvalues(M)[-1])

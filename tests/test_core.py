@@ -127,9 +127,11 @@ def test_spectral_estimates_on_diagonal():
     assert abs(max_eigenvalue(M) - 3.0) <= 1e-6
 
 
-def test_spectral_norm_of_a_vector_is_that_of_its_diagonal_matrix():
+def test_spectra_of_a_vector_are_those_of_its_diagonal_matrix():
     for v in ([-3.0, 2.0, 0.5], [1e-3] * 4, [0.0]):
         assert spectral_norm(np.array(v)) == spectral_norm(np.diag(v)) == max(abs(x) for x in v)
+        assert min_eigenvalue(np.array(v)) == min_eigenvalue(np.diag(v)) == min(v)
+        assert max_eigenvalue(np.array(v)) == max_eigenvalue(np.diag(v)) == max(v)
 
 
 def test_spectral_estimates_signed_spectrum():

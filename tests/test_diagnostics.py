@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from prsqp import (
+    AugmentedIterate,
     Iterate,
     NonPositiveEta1,
     SolverParams,
@@ -11,7 +12,10 @@ from prsqp import (
     compute_deltas,
     compute_gamma,
     diagnostics_report,
+    hessian_pair,
+    iterate_once,
     kkt_residual,
+    make_classification,
     make_quadratic,
     make_rng,
     quadratic_kkt_point,
@@ -81,6 +85,17 @@ def test_spectral_bounds_frozen_scalar_cases():
     assert abs(b.eta1_x - 3.0) <= 1e-8
     assert abs(b.eta1_y - 2.0) <= 1e-8
     assert abs(b.eta2_y - 2.0) <= 1e-8
+
+
+def test_spectral_bounds_accept_the_models_iterate_once_returns():
+    # the refreshed y-model comes back as its diagonal; its bounds are those of the matrix
+    P = make_classification(20, 20, rng=make_rng(31))
+    params = SolverParams()
+    w0 = Iterate(np.zeros(P.n1), np.zeros(P.n2), np.zeros(P.n2))
+    H_x, H_y = hessian_pair(P, w0.x, w0.y)
+    out = iterate_once(P, AugmentedIterate(w0, np.zeros(P.n2)), H_x, H_y, params)
+    assert out.hess_y.shape == (P.n2,)
+    assert spectral_bounds(P, params, out.hess_x, out.hess_y) == spectral_bounds(P, params, out.hess_x, H_y)
 
 
 def test_spectral_bounds_rejects_nonpositive_floor():
