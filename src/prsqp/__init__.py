@@ -11,7 +11,7 @@ baseline and a batch CLI (``prsqp solve|sweep|check-params|gen-data``) round
 out the experiment harness.
 """
 
-from .alf import AlfGradient, AugmentedIterate, Iterate, PointEval, eval_alf, eval_merit_hat, grad_alf
+from .alf import AlfGradient, AugmentedIterate, Iterate, PointEval, YPointEval, eval_alf, eval_merit_hat, grad_alf
 from .baseline import GdParams, GdRecord, GdResult, composite_gradient, gradient_descent
 from .core import (
     DimensionMismatch,
@@ -97,6 +97,7 @@ __all__ = [
     "SpectralBounds",
     "StepRecord",
     "UnknownLipschitz",
+    "YPointEval",
     "cholesky_spd",
     "classify_regime",
     "composite_gradient",

@@ -12,7 +12,8 @@ a weighted square of the previous y-direction; the solver drives it monotonicall
 downward when the dual step sizes admit positive decrease margins.
 
 A :class:`PointEval` keeps ``A x``, ``f(x)`` and ``grad f(x)`` of one x-point
-once computed, so that every quantity derived at that point shares them.
+once computed, and a :class:`YPointEval` keeps ``g(y)`` and ``grad g(y)`` of one
+y-point, so that every quantity derived at that point shares them.
 """
 
 from __future__ import annotations
@@ -83,6 +84,27 @@ class PointEval:
         return self.P.grad_f(self.x)
 
 
+class YPointEval:
+    """The point ``y`` of problem ``P`` with ``g(y)`` and ``grad g(y)`` evaluated
+    on first use and kept.
+
+    The values are what ``float(P.eval_g(y))`` and ``P.grad_g(y)`` return, under
+    the same rules as :class:`PointEval`, and the same functions accept it.
+    """
+
+    def __init__(self, P, y):
+        self.P = P
+        self.y = y
+
+    @cached_property
+    def g(self):
+        return float(self.P.eval_g(self.y))
+
+    @cached_property
+    def grad_g(self):
+        return self.P.grad_g(self.y)
+
+
 @dataclass(frozen=True)
 class AlfGradient:
     """Partial gradients of ``L_beta`` in ``x``, ``y`` and ``lam``."""
@@ -97,22 +119,24 @@ def _alf_value(f, g, lam, residual, beta):
 
     Every value of ``L_beta`` in the package is summed here, in one operand order.
     """
-    return f + g - float(lam @ residual) + 0.5 * beta * float(residual @ residual)
+    return f + g - float(lam.dot(residual)) + 0.5 * beta * float(residual.dot(residual))
 
 
-def eval_alf(P, w, beta, x_eval=None):
+def eval_alf(P, w, beta, x_eval=None, y_eval=None):
     """Value of the augmented Lagrangian at ``w``.
 
     ``x_eval`` is the :class:`PointEval` of ``w.x`` on ``P`` when the caller
-    keeps one; ``A x`` and ``f(x)`` are read from it.
+    keeps one; ``A x`` and ``f(x)`` are read from it. ``y_eval`` is the
+    :class:`YPointEval` of ``w.y`` likewise, for ``g(y)``.
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     at = PointEval(P, w.x) if x_eval is None else x_eval
-    return _alf_value(at.f, float(P.eval_g(w.y)), w.lam, at.Ax - w.y, beta)
+    at_y = YPointEval(P, w.y) if y_eval is None else y_eval
+    return _alf_value(at.f, at_y.g, w.lam, at.Ax - w.y, beta)
 
 
-def grad_alf(P, w, beta, x_eval=None):
+def grad_alf(P, w, beta, x_eval=None, y_eval=None):
     """All three partial gradients of ``L_beta`` at ``w``.
 
     With ``residual = A x - y`` and the shifted multiplier
@@ -122,16 +146,18 @@ def grad_alf(P, w, beta, x_eval=None):
         ``gy =  grad g(y) + lam_shift``
         ``glam = -residual``
 
-    ``x_eval`` is the :class:`PointEval` of ``w.x``, as in :func:`eval_alf`.
+    ``x_eval`` and ``y_eval`` are the records of ``w.x`` and ``w.y``, as in
+    :func:`eval_alf`; ``grad g(y)`` is read from ``y_eval``.
     """
     if beta <= 0:
         raise ValueError(f"beta must be positive, got {beta}")
     at = PointEval(P, w.x) if x_eval is None else x_eval
+    at_y = YPointEval(P, w.y) if y_eval is None else y_eval
     residual = at.Ax - w.y
     lam_shift = w.lam - beta * residual
     return AlfGradient(
         gx=at.grad_f - P.apply_At(lam_shift),
-        gy=P.grad_g(w.y) + lam_shift,
+        gy=at_y.grad_g + lam_shift,
         glam=-residual,
     )
 
@@ -159,4 +185,4 @@ def eval_merit_hat(P, what, params, eta2_y, L_beta=None):
     if L_beta is None:
         L_beta = eval_alf(P, what.w, beta)
     d = what.d_y_prev
-    return L_beta + weight * float(d @ d)
+    return L_beta + weight * float(d.dot(d))

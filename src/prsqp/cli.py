@@ -275,6 +275,9 @@ def _summarize(P, result, tcpu_s, params):
         "fea": res.feas,
         "kkt": res.total,
         "status": result.status.value,
+        "stop_reason": result.stop_reason,
+        "ell": result.ell,
+        "sigma": result.sigma,
         "regime": classify_regime(params.r, params.s),
     }
 

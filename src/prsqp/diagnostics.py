@@ -18,10 +18,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .alf import PointEval
+from .alf import PointEval, YPointEval
 from .core import UnknownLipschitz, min_eigenvalue, spectral_norm
 from .problems import hessian_pair
-from .solver import SolverParams
 
 
 class NonPositiveEta1(ValueError):
@@ -45,19 +44,22 @@ class KktResidual:
     total: float
 
 
-def kkt_residual(P, w, x_eval=None):
+def kkt_residual(P, w, x_eval=None, y_eval=None):
     """First-order residuals of the split problem at the iterate ``w``.
 
     ``x_eval`` is the :class:`~prsqp.alf.PointEval` of ``w.x`` on ``P`` when
     the caller keeps one; ``A x`` and ``grad f(x)`` are read from it.
+    ``y_eval`` is the :class:`~prsqp.alf.YPointEval` of ``w.y`` likewise, for
+    ``grad g(y)``.
     """
     at = PointEval(P, w.x) if x_eval is None else x_eval
+    at_y = YPointEval(P, w.y) if y_eval is None else y_eval
     Ax = at.Ax
     gf = at.grad_f
-    stat_x = float(np.max(np.abs(gf - P.apply_At(w.lam))))
-    stat_y = float(np.max(np.abs(P.grad_g(w.y) + w.lam)))
-    feas = float(np.max(np.abs(Ax - w.y)))
-    composite = float(np.max(np.abs(gf + P.apply_At(P.grad_g(Ax)))))
+    stat_x = float(np.abs(gf - P.apply_At(w.lam)).max())
+    stat_y = float(np.abs(at_y.grad_g + w.lam).max())
+    feas = float(np.abs(Ax - w.y).max())
+    composite = float(np.abs(gf + P.apply_At(P.grad_g(Ax))).max())
     return KktResidual(
         stat_x=stat_x,
         stat_y=stat_y,
@@ -231,6 +233,8 @@ def suggest_params(direction, P, base=None, H_x=None, H_y=None, s=None, margin=0
         raise ValueError(f"direction must be 'alda' or 'aldd', got {direction!r}")
     if P.lipschitz_f is None or P.lipschitz_g is None:
         raise UnknownLipschitz("suggest_params needs both Lipschitz constants on the problem")
+    from .solver import SolverParams  # solver imports this module
+
     base = base if base is not None else SolverParams()
     rho, nu, alpha, beta = base.rho, base.nu, base.alpha, base.beta
     c = 1.0 / (1.0 + alpha) - rho

@@ -149,7 +149,8 @@ def huber(z, mu):
 
 
 def _huber_value(z, mu):
-    return np.where(np.abs(z) < mu, z * z / (2.0 * mu), np.abs(z) - mu / 2.0)
+    a = np.abs(z)
+    return np.where(a < mu, z * z / (2.0 * mu), a - mu / 2.0)
 
 
 def _huber_deriv(z, mu):
@@ -246,7 +247,7 @@ def _classification_problem(D, labels, mu):
 
     def eval_f(x):
         z = labels * (D.T @ x)
-        return float(np.mean(1.0 - np.tanh(z)))
+        return float((1.0 - np.tanh(z)).sum() / T)  # the bits of np.mean
 
     def grad_f(x):
         z = labels * (D.T @ x)
@@ -269,7 +270,7 @@ def _classification_problem(D, labels, mu):
         eval_f=eval_f,
         grad_f=grad_f,
         hess_f_at=hess_f_at,
-        eval_g=lambda y: 0.5 * mu * float(y @ y),
+        eval_g=lambda y: 0.5 * mu * float(y.dot(y)),
         grad_g=lambda y: mu * y,
         hess_g_at=lambda y: I2,
         lipschitz_f=4.0 / (3.0 * np.sqrt(3.0)),  # max |2 t (1 - t^2)| with unit-norm columns
@@ -310,7 +311,7 @@ def _lasso_problem(Amat, u, tau, mu, density):
     I2 = np.eye(m)
 
     def eval_f(x):
-        return tau * float(np.sum(_huber_value(np.asarray(x, dtype=float), mu)))
+        return tau * float(_huber_value(np.asarray(x, dtype=float), mu).sum())
 
     def grad_f(x):
         return tau * _huber_deriv(np.asarray(x, dtype=float), mu)

@@ -43,16 +43,22 @@ The dual steps ``r, s`` may take either sign (ascent or descent flavors) as
 long as ``r + s != 0``; the diagnostics module computes the decrease margins
 that certify monotonicity of the merit function for a given choice.
 
-Each x-point is evaluated once, through its :class:`~prsqp.alf.PointEval`.
-An x trial evaluates ``A x`` and ``f`` at its own point (``g(y_k)`` once per
-x search). The accepted trial is ``x_{k+1}``, computed from the same
-operands, and its record serves both dual updates, the y step, the y search
-(whose trials evaluate only ``g`` and the residual), ``L_beta(w_{k+1})``,
-the first-order residuals and the objective, which evaluates
-``grad f(x_{k+1})``. The record is carried to the next iteration with
-``L_beta(w_{k+1})``; both are used only when the next iteration starts from
-exactly that iterate on the same problem with the same ``beta``, and then
-the x-gradient evaluates no ``A x`` and no ``grad f``.
+Each x-point is evaluated once, through its :class:`~prsqp.alf.PointEval`,
+and so is each y-point, through its :class:`~prsqp.alf.YPointEval`. An x
+trial evaluates ``A x`` and ``f`` at its own point. The accepted trial is
+``x_{k+1}``, computed from the same operands, and its record serves both dual
+updates, the y step, the y search (whose trials evaluate only ``g`` and the
+residual), ``L_beta(w_{k+1})``, the first-order residuals and the objective,
+which evaluates ``grad f(x_{k+1})``. Likewise the accepted y trial is
+``y_{k+1}``: its ``g`` enters ``L_beta(w_{k+1})``, and the first-order
+residuals evaluate its ``grad g``. Both records are carried to the next
+iteration with ``L_beta(w_{k+1})``; all three are used only when the next
+iteration starts from exactly that iterate on the same problem with the same
+``beta``. Then the x-gradient evaluates no ``A x``, ``grad f`` or
+``grad g``, the x search and the y search's ``L_beta`` no ``g(y_k)``, and the
+y step no ``grad g``. So per iteration ``g`` is evaluated at each y trial and
+at ``A x_{k+1}`` (for the objective), and ``grad g`` at ``y_{k+1}`` and at
+``A x_{k+1}`` (for the composite residual).
 """
 
 from __future__ import annotations
@@ -62,17 +68,15 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import TYPE_CHECKING, Callable, List, Mapping, NamedTuple, Optional
+from typing import Callable, List, Mapping, NamedTuple, Optional
 
 import numpy as np
 from scipy.linalg import lapack
 
-from .alf import AugmentedIterate, Iterate, PointEval, _alf_value, eval_alf, eval_merit_hat, grad_alf
+from .alf import AugmentedIterate, Iterate, PointEval, YPointEval, _alf_value, eval_alf, eval_merit_hat, grad_alf
 from .core import DimensionMismatch, NotPositiveDefinite, as_vector, cholesky_spd, spectral_norm
+from .diagnostics import KktResidual, kkt_residual
 from .problems import composite_objective, hessian_pair
-
-if TYPE_CHECKING:
-    from .diagnostics import KktResidual
 
 
 class ProximalNotPD(NotPositiveDefinite):
@@ -209,11 +213,22 @@ class StepRecord:
 
 @dataclass
 class SolveResult:
+    """What :func:`run` returns.
+
+    ``stop_reason`` says why the run ended: the stop rule that fired, or the
+    message of the error an iteration broke down with. ``ell`` and ``sigma``
+    are the proximal weights the run ended with, which exceed the caller's
+    where a metric was repaired.
+    """
+
     final: Iterate
     status: SolveStatus
     trace: List[StepRecord] = field(default_factory=list)
     iterations: int = 0
     theory_supported: bool = True
+    stop_reason: str = ""
+    ell: Optional[float] = None
+    sigma: Optional[float] = None
 
 
 def _cho_solve(factor, b):
@@ -242,7 +257,7 @@ class BlockMetric(NamedTuple):
 
     def quad(self, d):
         """``d^T Hcal d``."""
-        return float(d @ (self.Hcal @ d))
+        return float(d.dot(self.Hcal @ d))
 
 
 class LowRankMetric(NamedTuple):
@@ -274,7 +289,7 @@ class LowRankMetric(NamedTuple):
 
     def quad(self, d):
         Ad = self.A @ d
-        return float(d @ (self.D * d) + self.beta * (Ad @ Ad))
+        return float(d.dot(self.D * d) + self.beta * Ad.dot(Ad))
 
 
 class DiagonalMetric(NamedTuple):
@@ -298,16 +313,17 @@ class DiagonalMetric(NamedTuple):
         return self.D * d
 
     def quad(self, d):
-        return float(d @ (self.D * d))
+        return float(d.dot(self.D * d))
 
 
 class Carry(NamedTuple):
     """What one :func:`iterate_once` call hands to the next on the same problem.
 
     Both blocks' factored metrics at the refreshed Hessian models, and
-    ``L_beta`` and the :class:`~prsqp.alf.PointEval` of x at the new iterate
-    (``point`` is a private copy of its ``concat()``). Each part is used only
-    while it still matches its inputs.
+    ``L_beta``, the :class:`~prsqp.alf.PointEval` of x and the
+    :class:`~prsqp.alf.YPointEval` of y at the new iterate (``point`` is a
+    private copy of its ``concat()``). Each part is used only while it still
+    matches its inputs.
     """
 
     problem: object
@@ -315,6 +331,7 @@ class Carry(NamedTuple):
     point: np.ndarray
     L_beta: float
     x_eval: PointEval
+    y_eval: YPointEval
     metric_x: BlockMetric | LowRankMetric
     metric_y: BlockMetric | DiagonalMetric
 
@@ -405,7 +422,7 @@ def _capacitance(P, D, params, cached):
     if 2 * K.size >= P.n1:
         B = P.A / np.sqrt(D)
         C = B @ B.T  # B B^T is computed exactly symmetric
-        C[np.diag_indices_from(C)] += 1.0 / params.beta
+        C.flat[:: P.n2 + 1] += 1.0 / params.beta
         return C, None
     same = isinstance(cached, LowRankMetric) and cached.weight == params.ell and cached.beta == params.beta
     if same and cached.base is not None:
@@ -413,7 +430,7 @@ def _capacitance(P, D, params, cached):
     else:
         base = P.A @ P.A.T
         base /= params.ell
-        base[np.diag_indices_from(base)] += 1.0 / params.beta
+        base.flat[:: P.n2 + 1] += 1.0 / params.beta
     A_K = P.A[:, K]
     U = (A_K * (1.0 / D[K] - 1.0 / params.ell)) @ A_K.T
     C = U + U.T
@@ -429,18 +446,19 @@ def _metric_x(P, model, params, cached=None):
         return cached
     if model.ndim == 1:
         D = model + params.ell
-        if P.n2 < P.n1 and np.all(D > 0.0):
+        if P.n2 < P.n1 and (D > 0.0).all():
             C, base = _capacitance(P, D, params, cached)
             factor = _cholesky(C, f"x-metric capacitance matrix not positive definite at ell = {params.ell}")
             return LowRankMetric(model, params.ell, D, P.A, params.beta, base, factor)
-    # (model + beta AtA) + ell I summed in place, so that fewer n1 x n1 arrays
-    # are live while the previous iteration's metric is still held
+    # (model + beta AtA) + ell I summed in place, ell on the diagonal only, so
+    # that fewer n1 x n1 arrays are live while the previous iteration's metric
+    # is still held
     Hcal = params.beta * P.AtA
     if model.ndim == 1:
-        Hcal[np.diag_indices_from(Hcal)] += model
+        Hcal.flat[:: P.n1 + 1] += model
     else:
         Hcal += model
-    Hcal += _scaled_eye(P.n1, params.ell)
+    Hcal.flat[:: P.n1 + 1] += params.ell
     factor = _cholesky(Hcal, f"x-metric not positive definite at ell = {params.ell}")
     return BlockMetric(model, params.ell, Hcal, factor)
 
@@ -453,7 +471,7 @@ def _metric_y(P, model, params, cached=None):
         return cached
     if model.ndim == 1:
         D = model + (params.beta + params.sigma)
-        if not np.all(D > 0.0):
+        if not (D > 0.0).all():
             raise ProximalNotPD(f"y-metric not positive definite at sigma = {params.sigma}")
         return DiagonalMetric(model, params.sigma, D, 1.0 / np.sqrt(D))
     Hcal = _scaled_eye(P.n2, params.beta + params.sigma)
@@ -462,19 +480,20 @@ def _metric_y(P, model, params, cached=None):
     return BlockMetric(model, params.sigma, Hcal, factor)
 
 
-def _x_step(P, w, x_eval, H_x, params, cached=None):
+def _x_step(P, w, x_eval, y_eval, H_x, params, cached=None):
     # quadratic-model minimizer, its factored metric and the gradient it used
-    g = grad_alf(P, w, params.beta, x_eval).gx
-    if not np.all(np.isfinite(g)):
+    g = grad_alf(P, w, params.beta, x_eval, y_eval).gx
+    if not np.isfinite(g).all():
         raise NumericalError("non-finite x-gradient")
     metric = _metric_x(P, _own(H_x, cached, _diagonal_x(P)), params, cached)
     return w.x - metric.solve(g), metric, g
 
 
-def _y_step(P, x_eval, y, lam_half, H_y, params, cached=None):
+def _y_step(P, x_eval, y_eval, lam_half, H_y, params, cached=None):
+    y = y_eval.y
     residual = x_eval.Ax - y
-    g = P.grad_g(y) + lam_half - params.beta * residual
-    if not np.all(np.isfinite(g)):
+    g = y_eval.grad_g + lam_half - params.beta * residual
+    if not np.isfinite(g).all():
         raise NumericalError("non-finite y-gradient")
     metric = _metric_y(P, _own(H_y, cached, diagonal=True), params, cached)
     return y - metric.solve(g), metric, g
@@ -495,18 +514,21 @@ def hybrid_accelerate(tilde, current, alpha):
 class SearchStep(tuple):
     """What :func:`line_search` returns: the pair ``(t, backtracks)``.
 
-    ``x_eval`` is the :class:`~prsqp.alf.PointEval` of the accepted point's x.
-    After an x search it is the record of the accepted trial, so its ``A x``
-    and ``f`` are those the search evaluated.
+    ``x_eval`` and ``y_eval`` are the :class:`~prsqp.alf.PointEval` of the
+    accepted point's x and the :class:`~prsqp.alf.YPointEval` of its y. The
+    searched block's record is that of the accepted trial, so its values are
+    those the search evaluated: ``A x`` and ``f`` after an x search, ``g``
+    after a y search.
     """
 
-    def __new__(cls, t, backtracks, x_eval):
+    def __new__(cls, t, backtracks, x_eval, y_eval):
         step = super().__new__(cls, (t, backtracks))
         step.x_eval = x_eval
+        step.y_eval = y_eval
         return step
 
 
-def line_search(P, point, d, Hcal, params, block, L0=None, x_eval=None):
+def line_search(P, point, d, Hcal, params, block, L0=None, x_eval=None, y_eval=None):
     """Armijo backtracking for one block of ``L_beta`` at fixed other blocks.
 
     Accepts the largest ``t = nu^i`` (``i = 0, 1, ...``) with
@@ -520,9 +542,10 @@ def line_search(P, point, d, Hcal, params, block, L0=None, x_eval=None):
     vanishing direction near a stationary point is not rejected on rounding
     noise. ``L0`` is ``L_beta(point)`` when the caller already has it; it is
     evaluated otherwise. ``x_eval`` is the :class:`~prsqp.alf.PointEval` of
-    ``point.x`` when the caller keeps one. An x trial evaluates ``A x`` and
-    ``f`` at its own point and ``g(point.y)`` is evaluated once per search; a
-    y trial evaluates only ``g`` and the residual.
+    ``point.x`` and ``y_eval`` the :class:`~prsqp.alf.YPointEval` of
+    ``point.y`` when the caller keeps them. An x trial evaluates ``A x`` and
+    ``f`` at its own point and reads ``g(point.y)`` from ``y_eval``; a y trial
+    evaluates only ``g`` and the residual.
 
     Returns a :class:`SearchStep`, which unpacks as ``(t, i)``; ``d = 0``
     returns ``(1.0, 0)`` immediately.
@@ -533,26 +556,28 @@ def line_search(P, point, d, Hcal, params, block, L0=None, x_eval=None):
         raise ValueError(f"block must be 'x' or 'y', got {block!r}")
     d = as_vector(d, name="d")
     at = PointEval(P, point.x) if x_eval is None else x_eval
-    if not np.any(d):
-        return SearchStep(1.0, 0, PointEval(P, point.x + d) if block == "x" else at)
-    quad = float(d @ (Hcal @ d)) if isinstance(Hcal, np.ndarray) else Hcal.quad(d)
+    at_y = YPointEval(P, point.y) if y_eval is None else y_eval
+    if not d.any():
+        if block == "x":
+            return SearchStep(1.0, 0, PointEval(P, point.x + d), at_y)
+        return SearchStep(1.0, 0, at, YPointEval(P, point.y + d))
+    quad = float(d.dot(Hcal @ d)) if isinstance(Hcal, np.ndarray) else Hcal.quad(d)
     beta, lam = params.beta, point.lam
-    g = float(P.eval_g(point.y)) if block == "x" or L0 is None else None
     if L0 is None:
-        L0 = _alf_value(at.f, g, lam, at.Ax - point.y, beta)
-    if not np.isfinite(L0) or not np.isfinite(quad):
+        L0 = _alf_value(at.f, at_y.g, lam, at.Ax - point.y, beta)
+    if not (math.isfinite(L0) and math.isfinite(quad)):
         raise NumericalError(f"non-finite quantities entering the {block} line search")
     slack = 1e-12 * (1.0 + abs(L0))
     t = 1.0
     for i in range(params.max_backtracks + 1):
         if block == "x":
             trial = PointEval(P, point.x + t * d)
-            L_t = _alf_value(trial.f, g, lam, trial.Ax - point.y, beta)
+            L_t = _alf_value(trial.f, at_y.g, lam, trial.Ax - point.y, beta)
         else:
-            trial, y = at, point.y + t * d  # x, and so its record, is fixed
-            L_t = _alf_value(at.f, float(P.eval_g(y)), lam, at.Ax - y, beta)
+            trial = YPointEval(P, point.y + t * d)  # x, and so its record, is fixed
+            L_t = _alf_value(at.f, trial.g, lam, at.Ax - trial.y, beta)
         if L_t <= L0 - params.rho * t * quad + slack:
-            return SearchStep(t, i, trial)
+            return SearchStep(t, i, trial, at_y) if block == "x" else SearchStep(t, i, at, trial)
         t *= params.nu
     raise LineSearchFailed(
         f"{block} line search found no acceptable step within {params.max_backtracks} backtracks"
@@ -610,9 +635,10 @@ def iterate_once(P, state, H_x, H_y, params, k=0, eta2_y=None, keep_internals=Fa
     A block then reuses the factor built at the previous refresh when its
     model (``H_x`` / ``H_y``) is exactly equal to the one the factor was built
     from and its ``ell`` / ``sigma`` is unchanged. When ``state.w`` is that
-    outcome's iterate, the x block also reuses its ``L_beta`` and the record
-    of its x (``A x`` and ``grad f(x)``); anything else is computed afresh,
-    as without ``carry``. The result is the same either way.
+    outcome's iterate, the iteration also reuses its ``L_beta`` and the
+    records of its x (``A x`` and ``grad f(x)``) and of its y (``g(y)`` and
+    ``grad g(y)``); anything else is computed afresh, as without ``carry``.
+    The result is the same either way.
 
     Raises :class:`LineSearchFailed` or :class:`NumericalError` upward.
     """
@@ -622,9 +648,9 @@ def iterate_once(P, state, H_x, H_y, params, k=0, eta2_y=None, keep_internals=Fa
     if carry is not None and (carry.problem is not P or carry.beta != beta):
         carry = None
     if carry is not None and np.array_equal(carry.point, w.concat()):
-        L0, x_eval = carry.L_beta, carry.x_eval
+        L0, x_eval, y_eval = carry.L_beta, carry.x_eval, carry.y_eval
     else:
-        L0, x_eval = None, PointEval(P, w.x)
+        L0, x_eval, y_eval = None, PointEval(P, w.x), YPointEval(P, w.y)
 
     # ----- x block: model step, extrapolation, Armijo
     def bump_ell():
@@ -632,12 +658,12 @@ def iterate_once(P, state, H_x, H_y, params, k=0, eta2_y=None, keep_internals=Fa
 
     metric_x = carry.metric_x if carry is not None else None
     x_tilde, metric_x, gx = _repair_metric(
-        lambda: _x_step(P, w, x_eval, H_x, params, metric_x), bump_ell
+        lambda: _x_step(P, w, x_eval, y_eval, H_x, params, metric_x), bump_ell
     )
-    if not np.all(np.isfinite(x_tilde)):
+    if not np.isfinite(x_tilde).all():
         raise NumericalError("x-subproblem produced non-finite values")
     d_x = hybrid_accelerate(x_tilde, w.x, params.alpha)
-    search_x = line_search(P, w, d_x, metric_x, params, "x", L0=L0, x_eval=x_eval)
+    search_x = line_search(P, w, d_x, metric_x, params, "x", L0=L0, x_eval=x_eval, y_eval=y_eval)
     t_x, bt_x = search_x
     x_eval = search_x.x_eval  # the accepted trial: x_{k+1} with A x_{k+1} and f(x_{k+1})
     x_next = x_eval.x
@@ -651,20 +677,23 @@ def iterate_once(P, state, H_x, H_y, params, k=0, eta2_y=None, keep_internals=Fa
 
     metric_y = carry.metric_y if carry is not None else None
     y_tilde, metric_y, gy = _repair_metric(
-        lambda: _y_step(P, x_eval, w.y, lam_half, H_y, params, metric_y), bump_sigma
+        lambda: _y_step(P, x_eval, y_eval, lam_half, H_y, params, metric_y), bump_sigma
     )
-    if not np.all(np.isfinite(y_tilde)):
+    if not np.isfinite(y_tilde).all():
         raise NumericalError("y-subproblem produced non-finite values")
     d_y = hybrid_accelerate(y_tilde, w.y, params.alpha)
     mid = Iterate(x_next, w.y, lam_half)
-    t_y, bt_y = line_search(P, mid, d_y, metric_y, params, "y", x_eval=x_eval)
-    y_next = w.y + t_y * d_y
+    search_y = line_search(P, mid, d_y, metric_y, params, "y", x_eval=x_eval, y_eval=y_eval)
+    t_y, bt_y = search_y
+    y_eval = search_y.y_eval  # the accepted trial: y_{k+1} with g(y_{k+1})
+    y_next = y_eval.y
 
     # ----- second dual update on the full new residual
     residual_new = x_eval.Ax - y_next
     lam_next = dual_update(lam_half, params.s, beta, residual_new)
     w_next = Iterate(x_next, y_next, lam_next)
-    if not np.all(np.isfinite(w_next.concat())):
+    point_next = w_next.concat()
+    if not np.isfinite(point_next).all():
         raise NumericalError("iteration produced non-finite iterate")
 
     # ----- refresh the second-order model, keeping both metrics factorable;
@@ -676,23 +705,21 @@ def iterate_once(P, state, H_x, H_y, params, k=0, eta2_y=None, keep_internals=Fa
 
     state_next = AugmentedIterate(w=w_next, d_y_prev=d_y)
 
-    from .diagnostics import kkt_residual  # local import: diagnostics uses SolverParams
-
-    L_beta = eval_alf(P, w_next, beta, x_eval)
+    L_beta = eval_alf(P, w_next, beta, x_eval, y_eval)
     if eta2_y is not None and P.lipschitz_g is not None:
         L_hat = eval_merit_hat(P, state_next, params, eta2_y, L_beta=L_beta)
     else:
         L_hat = float("nan")
-    kkt = kkt_residual(P, w_next, x_eval)
+    kkt = kkt_residual(P, w_next, x_eval, y_eval)
     record = StepRecord(
         k=k,
         t_x=t_x,
         t_y=t_y,
-        norm_dx=float(np.linalg.norm(d_x)),
-        norm_dy=float(np.linalg.norm(d_y)),
+        norm_dx=math.sqrt(d_x.dot(d_x)),  # the bits of np.linalg.norm
+        norm_dy=math.sqrt(d_y.dot(d_y)),
         L_beta=L_beta,
         L_hat=L_hat,
-        feas_inf=float(np.max(np.abs(residual_new))) if residual_new.size else 0.0,
+        feas_inf=kkt.feas,  # max |A x_{k+1} - y_{k+1}|
         kkt_inf=kkt.total,
         ofv=composite_objective(P, x_eval),
         backtracks_x=bt_x,
@@ -707,17 +734,17 @@ def iterate_once(P, state, H_x, H_y, params, k=0, eta2_y=None, keep_internals=Fa
             d_x=d_x,
             quad_x=metric_x.quad(d_x),
             gx_dot_dx=float(gx @ d_x),
-            model_residual_x=float(np.max(np.abs(gx + metric_x.matvec(x_tilde - w.x)))),
+            model_residual_x=float(np.abs(gx + metric_x.matvec(x_tilde - w.x)).max()),
             x_tilde=x_tilde,
             gy=gy,
             d_y=d_y,
             quad_y=metric_y.quad(d_y),
             gy_dot_dy=float(gy @ d_y),
-            model_residual_y=float(np.max(np.abs(gy + metric_y.matvec(y_tilde - w.y)))),
+            model_residual_y=float(np.abs(gy + metric_y.matvec(y_tilde - w.y)).max()),
             y_tilde=y_tilde,
             lam_half=lam_half,
         )
-    carry_next = Carry(P, beta, w_next.concat(), L_beta, x_eval, metric_x_next, metric_y_next)
+    carry_next = Carry(P, beta, point_next, L_beta, x_eval, y_eval, metric_x_next, metric_y_next)
     return IterationOutcome(state_next, record, H_x_next, H_y_next, internals, kkt, carry_next)
 
 
@@ -759,10 +786,11 @@ def run(P, w0, params, callback: Optional[Callable[[IterationOutcome], None]] = 
     H_x, H_y = hessian_pair(P, w0.x, w0.y, _diagonal_x(P))
     eta_y = spectral_norm(H_y)
     carry = None
+    prev = w0.concat()
     trace: List[StepRecord] = []
     status = SolveStatus.ITER_LIMIT
+    reason = f"max_iter: {params.max_iter} iterations"
     for k in range(params.max_iter):
-        prev = state.w.concat()
         try:
             out = iterate_once(
                 P,
@@ -775,11 +803,11 @@ def run(P, w0, params, callback: Optional[Callable[[IterationOutcome], None]] = 
                 keep_internals=callback is not None,
                 carry=carry,
             )
-        except LineSearchFailed:
-            status = SolveStatus.LINE_SEARCH_FAILED
+        except LineSearchFailed as exc:
+            status, reason = SolveStatus.LINE_SEARCH_FAILED, str(exc)
             break
-        except (NumericalError, NotPositiveDefinite):
-            status = SolveStatus.NUMERICAL_ERROR
+        except (NumericalError, NotPositiveDefinite) as exc:
+            status, reason = SolveStatus.NUMERICAL_ERROR, str(exc)
             break
         if out.hess_y is not H_y:  # an unchanged model comes back as the same array
             eta_y = max(eta_y, spectral_norm(out.hess_y))
@@ -787,15 +815,24 @@ def run(P, w0, params, callback: Optional[Callable[[IterationOutcome], None]] = 
         trace.append(out.record)
         if callback is not None:
             callback(out)
-        step = float(np.max(np.abs(state.w.concat() - prev)))
-        stationary = max(out.kkt.total, out.kkt.composite) <= params.tol_kkt
-        if stationary and step / max(1.0, float(np.max(np.abs(prev)))) <= params.tol_step:
-            status = SolveStatus.CONVERGED
-            break
+        residual = max(out.kkt.total, out.kkt.composite)
+        if residual <= params.tol_kkt:
+            step = float(np.abs(carry.point - prev).max()) / max(1.0, float(np.abs(prev).max()))
+            if step <= params.tol_step:
+                status = SolveStatus.CONVERGED
+                reason = (
+                    f"tol_step and tol_kkt: relative step {step:.3g} <= {params.tol_step}, "
+                    f"first-order residual {residual:.3g} <= {params.tol_kkt}"
+                )
+                break
+        prev = carry.point
     return SolveResult(
         final=state.w,
         status=status,
         trace=trace,
         iterations=len(trace),
         theory_supported=theory_supported,
+        stop_reason=reason,
+        ell=params.ell,
+        sigma=params.sigma,
     )

@@ -194,6 +194,8 @@ def test_run_experiment_oracle_summary_and_outputs(tmp_path):
     assert (out / "trace.csv").exists() and (out / "summary.json").exists()
     stored = json.loads((out / "summary.json").read_text())
     assert stored["kkt"] == summary["kkt"]
+    assert stored["stop_reason"] == result.stop_reason
+    assert (stored["ell"], stored["sigma"]) == (result.ell, result.sigma) == (cfg.params.ell, cfg.params.sigma)
 
 
 def test_run_experiment_with_baseline_matches_iteration_budget(tmp_path):
@@ -327,6 +329,7 @@ def test_cli_solve_exit_two_on_breakdown(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     assert code == 2
     assert summary["status"] == "LineSearchFailed"
+    assert "line search found no acceptable step" in summary["stop_reason"]
 
 
 def test_cli_rejects_malformed_json_without_partial_outputs(tmp_path, capsys):

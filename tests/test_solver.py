@@ -1,3 +1,4 @@
+import math
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -491,6 +492,22 @@ def test_run_reports_line_search_breakdown_in_status():
     params = SolverParams(alpha=10.0, relaxed_alpha=True, rho=0.4, max_iter=50, max_backtracks=40)
     result = run(P, w0, params)
     assert result.status is SolveStatus.LINE_SEARCH_FAILED
+    assert result.stop_reason.endswith("line search found no acceptable step within 40 backtracks")
+
+
+def test_run_names_the_stop_rule_that_fired_or_the_breakdown():
+    P = make_quadratic([1.0], [0.0], [[1.0]])
+    w0 = _w(0.0, 0.0, 0.0)
+    converged = run(P, w0, SolverParams(tol_step=1e-6))
+    assert converged.status is SolveStatus.CONVERGED
+    assert converged.stop_reason.startswith("tol_step and tol_kkt: relative step ")
+    limited = run(P, w0, SolverParams(tol_step=0.0, max_iter=3))
+    assert limited.status is SolveStatus.ITER_LIMIT
+    assert limited.stop_reason == "max_iter: 3 iterations"
+    nan_gradient = decoupled_problem(lambda x: x * x, lambda x: math.nan, lambda x: 2.0)
+    broken = run(nan_gradient, w0, SolverParams())
+    assert broken.status is SolveStatus.NUMERICAL_ERROR
+    assert broken.stop_reason == "non-finite x-gradient"
 
 
 
@@ -603,6 +620,25 @@ def test_run_with_carried_factors_matches_reference_through_metric_repairs():
         _assert_bit_identical(run(P, w0, params), _run_refactoring_every_step(P, w0, params))
 
 
+def test_run_reports_the_weights_it_ended_with():
+    # ell (first case) or sigma (second case) doubles mid-run on the wells; the
+    # result holds the weights that iterate_once left in run's private params,
+    # which differ from the caller's
+    for P, w0, params in (
+        (_wells(3.0, -1.0), _w(3.0, 0.0, 0.0), SolverParams(ell=0.01)),
+        (_wells(-1.0, 3.0), _w(0.5, 3.0, 0.0), SolverParams(sigma=0.5)),
+    ):
+        params = replace(params, tol_step=0.0, tol_kkt=0.0, max_iter=60)
+        replayed = replace(params)
+        state, (H_x, H_y) = _aug(w0), hessian_pair(P, w0.x, w0.y)
+        for k in range(params.max_iter):
+            out = iterate_once(P, state, H_x, H_y, replayed, k=k)
+            state, H_x, H_y = out.state, out.hess_x, out.hess_y
+        result = run(P, w0, params)
+        assert (result.ell, result.sigma) == (replayed.ell, replayed.sigma)
+        assert (result.ell, result.sigma) != (params.ell, params.sigma)
+
+
 def test_carried_factors_follow_hessians_that_reuse_their_buffer():
     classification = make_classification(20, 20, rng=make_rng(31))
     for P, w0, params in (
@@ -628,6 +664,9 @@ def test_carry_is_used_only_with_the_inputs_it_was_built_from():
     # the carry's x record holds the outcome's own x array, here written in place
     written = iterate_once(P, _aug(w0), *hessian_pair(P, w0.x, w0.y), params)
     written.state.w.x[:] += zigzag
+    # and its y record the outcome's own y array, whose g and grad g it keeps
+    written_y = iterate_once(P, _aug(w0), *hessian_pair(P, w0.x, w0.y), params)
+    written_y.state.w.y[:] += zigzag[: P.n2]
     # f, A, g and the Hessians as on P: only grad f, so only the carried x record, differs
     steeper = replace(P, grad_f=lambda x: 2.0 * P.grad_f(x))
     for Q, state, changed, carry in (
@@ -637,6 +676,7 @@ def test_carry_is_used_only_with_the_inputs_it_was_built_from():
         (other, first.state, params, first.carry),
         (P, moved, params, first.carry),
         (P, written.state, params, written.carry),
+        (P, written_y.state, params, written_y.carry),
         (steeper, first.state, params, first.carry),
     ):
         H_x, H_y = hessian_pair(Q, state.w.x, state.w.y)
@@ -647,8 +687,8 @@ def test_carry_is_used_only_with_the_inputs_it_was_built_from():
 
 
 def _counting(P, monkeypatch):
-    # calls to the instance's apply_A, eval_f and grad_f from here on
-    calls = dict.fromkeys(("apply_A", "eval_f", "grad_f"), 0)
+    # calls to the instance's evaluations and products from here on
+    calls = dict.fromkeys(("apply_A", "apply_At", "eval_f", "grad_f", "eval_g", "grad_g"), 0)
     for name in calls:
         fn = getattr(P, name)
 
@@ -682,7 +722,26 @@ def test_run_evaluates_each_x_point_once(monkeypatch):
         assert result.iterations == params.max_iter
         trials = sum(rec.backtracks_x + 1 for rec in result.trace)
         f_w0 = int(result.trace[0].norm_dx > 0.0)
-        assert calls == dict(apply_A=trials + 1, eval_f=trials + f_w0, grad_f=result.iterations + 1)
+        x_calls = {name: calls[name] for name in ("apply_A", "eval_f", "grad_f")}
+        assert x_calls == dict(apply_A=trials + 1, eval_f=trials + f_w0, grad_f=result.iterations + 1)
+        # A^T enters the x-gradient and the two first-order residuals
+        assert calls["apply_At"] == 3 * result.iterations
+
+
+def test_run_evaluates_each_y_point_once(monkeypatch):
+    # g is evaluated at each y trial and at A x_{k+1} for the objective, and at
+    # y0 when the first iteration moves; grad g at y0, at each new iterate and
+    # at A x_{k+1} for the composite residual. Every other use reads the
+    # point's record, so on the Huber-LASSO (the first case) grad g costs two
+    # evaluations per iteration after the first.
+    for P, w0, params in _evaluation_cases():
+        calls = _counting(P, monkeypatch)
+        result = run(P, w0, params)
+        assert result.iterations == params.max_iter
+        trials = sum(rec.backtracks_y + 1 for rec in result.trace)
+        g_y0 = int(result.trace[0].norm_dx > 0.0 or result.trace[0].norm_dy > 0.0)
+        assert calls["eval_g"] == trials + result.iterations + g_y0
+        assert calls["grad_g"] == 2 * result.iterations + 1
 
 
 def test_trace_records_match_fresh_evaluations():
