@@ -1,9 +1,9 @@
 """Composite problem instances: min f(x) + g(y) subject to A x = y.
 
 A :class:`CompositeProblem` packages the two smooth blocks (values, gradients,
-pointwise Hessians), the coupling map ``A`` with cached spectral data of
-``A^T A``, and optional gradient Lipschitz constants used by the step-size
-theory. Three builders are provided:
+pointwise Hessians), the coupling map ``A`` with spectral data of ``A^T A``
+computed on first read, and optional gradient Lipschitz constants used by the
+step-size theory. Three builders are provided:
 
 * :func:`make_quadratic`      -- separable quadratics with a closed-form
   first-order point (the test oracle),
@@ -33,7 +33,7 @@ SCHEMA_VERSION = 1
 
 @dataclass
 class CompositeProblem:
-    """Two-block composite instance with cached coupling spectra.
+    """Two-block composite instance with lazily computed coupling spectra.
 
     ``eval_f``/``grad_f``/``hess_f_at`` act on ``x`` (length ``n1``),
     ``eval_g``/``grad_g``/``hess_g_at`` on ``y`` (length ``n2``), and
@@ -51,7 +51,10 @@ class CompositeProblem:
 
     ``AtA`` is ``A^T A``: when it is not given, it is formed from ``A`` on
     first read (a dense x-metric reads it), so a problem solved through the
-    capacitance matrix never holds the ``n1 x n1`` array.
+    capacitance matrix never holds the ``n1 x n1`` array. Likewise
+    ``norm_AtA``, ``min_eig_AtA`` and ``max_eig_AtA``, the spectral range of
+    ``A^T A`` that only the theory constants of :mod:`prsqp.diagnostics` use,
+    are computed together on the first read of any of them unless given.
     """
 
     name: str
@@ -67,9 +70,9 @@ class CompositeProblem:
     lipschitz_f: Optional[float] = None
     lipschitz_g: Optional[float] = None
     AtA: np.ndarray = field(default=None, repr=False)
-    norm_AtA: float = 0.0
-    min_eig_AtA: float = 0.0
-    max_eig_AtA: float = 0.0
+    norm_AtA: Optional[float] = field(default=None, repr=False)
+    min_eig_AtA: Optional[float] = field(default=None, repr=False)
+    max_eig_AtA: Optional[float] = field(default=None, repr=False)
     data: object = None
     hess_f_diag: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
@@ -80,19 +83,43 @@ class CompositeProblem:
         return self.A.T @ v
 
 
-def _get_AtA(P):
-    if P._AtA is None:
-        P._AtA = P.A.T @ P.A
-    return P._AtA
+def _form_AtA(P):
+    P._AtA = P.A.T @ P.A
 
 
-def _set_AtA(P, AtA):
-    P._AtA = AtA
+def _form_spectra(P):
+    # The spectral range of A^T A, for each of the three not already set. A^T A
+    # is PSD, so its norm is its largest eigenvalue. Its nonzero eigenvalues
+    # are those of A A^T, so the smaller of the two Gram matrices gives them;
+    # for m < n, A^T A is singular and its smallest eigenvalue is exactly zero.
+    # Only for m >= n is A^T A itself formed here.
+    m, n = P.A.shape
+    eigs = np.linalg.eigvalsh(P.A @ P.A.T if m < n else P.AtA)
+    top = max(float(eigs[-1]), 0.0)
+    low = 0.0 if m < n else max(float(eigs[0]), 0.0)
+    for key, value in (("_norm_AtA", top), ("_min_eig_AtA", low), ("_max_eig_AtA", top)):
+        if getattr(P, key) is None:
+            setattr(P, key, value)
 
 
-# installed after the dataclass is made, so that its __init__ assigns the
-# AtA argument through the setter
-CompositeProblem.AtA = property(_get_AtA, _set_AtA)
+def _lazy(name, form):
+    # a property over P._<name>: a value set (by the constructor too) is kept,
+    # and None is replaced by form(P) on first read
+    key = "_" + name
+
+    def get(P):
+        if getattr(P, key) is None:
+            form(P)
+        return getattr(P, key)
+
+    return property(get, lambda P, value: setattr(P, key, value))
+
+
+# installed after the dataclass is made, so that its __init__ assigns these
+# arguments through the setters
+CompositeProblem.AtA = _lazy("AtA", _form_AtA)
+for _name in ("norm_AtA", "min_eig_AtA", "max_eig_AtA"):
+    setattr(CompositeProblem, _name, _lazy(_name, _form_spectra))
 
 
 @dataclass
@@ -115,19 +142,6 @@ class LassoData:
     tau: float
     mu: float
     density: float
-
-
-def _attach_spectra(P):
-    # Cache the spectral range of A^T A. A^T A is PSD, so its norm is its
-    # largest eigenvalue. Its nonzero eigenvalues are those of A A^T, so the
-    # smaller of the two Gram matrices gives them; for m < n, A^T A is singular
-    # and its smallest eigenvalue is exactly zero. Only for m >= n is A^T A
-    # itself formed here.
-    m, n = P.A.shape
-    eigs = np.linalg.eigvalsh(P.A @ P.A.T if m < n else P.AtA)
-    P.norm_AtA = P.max_eig_AtA = max(float(eigs[-1]), 0.0)
-    P.min_eig_AtA = 0.0 if m < n else max(float(eigs[0]), 0.0)
-    return P
 
 
 # ----- scalar pieces --------------------------------------------------------
@@ -185,7 +199,7 @@ def make_quadratic(c_f, c_g, A):
     ones1 = np.ones(n1)
     I1 = np.eye(n1)
     I2 = np.eye(n2)
-    P = CompositeProblem(
+    return CompositeProblem(
         name="quadratic",
         n1=n1,
         n2=n2,
@@ -201,7 +215,6 @@ def make_quadratic(c_f, c_g, A):
         data=QuadraticData(c_f=c_f, c_g=c_g),
         hess_f_diag=lambda x: ones1,
     )
-    return _attach_spectra(P)
 
 
 def quadratic_kkt_point(P):
@@ -262,7 +275,7 @@ def _classification_problem(D, labels, mu):
         M = (D * c) @ D.T
         return 0.5 * (M + M.T)  # exact symmetry despite float matmul rounding
 
-    P = CompositeProblem(
+    return CompositeProblem(
         name="classification",
         n1=n,
         n2=n - 1,
@@ -277,7 +290,6 @@ def _classification_problem(D, labels, mu):
         lipschitz_g=mu,
         data=ClassificationData(D=D, labels=labels, mu=mu),
     )
-    return _attach_spectra(P)
 
 
 def make_classification(n, T, mu=0.001, rng=None):
@@ -319,7 +331,7 @@ def _lasso_problem(Amat, u, tau, mu, density):
     def hess_f_diag(x):
         return np.where(np.abs(x) < mu, tau / mu, 0.0)
 
-    P = CompositeProblem(
+    return CompositeProblem(
         name="huber_lasso",
         n1=n,
         n2=m,
@@ -335,7 +347,6 @@ def _lasso_problem(Amat, u, tau, mu, density):
         data=LassoData(u=u, d=d, tau=tau, mu=mu, density=density),
         hess_f_diag=hess_f_diag,
     )
-    return _attach_spectra(P)
 
 
 def make_huber_lasso(m, n, density=0.5, tau=1e-3, mu=0.1, rng=None):

@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -149,15 +150,21 @@ def validate_params(params, relaxed=None):
             out.append(f"{name} must be finite, got {get(name)}")
     if get("r") + get("s") == 0.0:
         out.append(f"r + s must be nonzero, got r = {get('r')}, s = {get('s')}")
-    if get("max_iter") < 1:
-        out.append(f"max_iter must be >= 1, got {get('max_iter')}")
+    _check_count(out, "max_iter", get("max_iter"))
     if not get("tol_step") >= 0.0:
         out.append(f"tol_step must be >= 0, got {get('tol_step')}")
     if not get("tol_kkt") >= 0.0:
         out.append(f"tol_kkt must be >= 0, got {get('tol_kkt')}")
-    if get("max_backtracks") < 1:
-        out.append(f"max_backtracks must be >= 1, got {get('max_backtracks')}")
+    _check_count(out, "max_backtracks", get("max_backtracks"))
     return out
+
+
+def _check_count(out, name, value):
+    # a loop limit is an integer >= 1; numpy integers count, bools do not
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        out.append(f"{name} must be an integer, got {value!r}")
+    elif value < 1:
+        out.append(f"{name} must be >= 1, got {value}")
 
 
 @dataclass
@@ -762,9 +769,10 @@ def run(P, w0, params, callback: Optional[Callable[[IterationOutcome], None]] = 
     an iteration raises (captured, not propagated). The
     caller's ``params`` are never mutated; positive-definiteness repair acts on
     a private copy. The merit column of the trace uses the running maximum of
-    ``||H_y||`` for the uniform curvature bound, which is estimated again only
-    when :func:`iterate_once` hands back a new ``hess_y`` array (after the
-    first iteration, and then when the model changes). Each iteration gets
+    ``||H_y||`` for the uniform curvature bound, read off the diagonal of a
+    diagonal model and estimated again only when :func:`iterate_once` hands
+    back a new ``hess_y`` array (after the first iteration, and then when the
+    model changes). Each iteration gets
     the previous outcome's ``carry``, so a block's metric is factored only
     when its Hessian model or its ``ell`` / ``sigma`` changed (see
     :func:`iterate_once`). ``callback``, when given, receives each
@@ -784,7 +792,7 @@ def run(P, w0, params, callback: Optional[Callable[[IterationOutcome], None]] = 
 
     state = AugmentedIterate(w=w0, d_y_prev=np.zeros(P.n2))
     H_x, H_y = hessian_pair(P, w0.x, w0.y, _diagonal_x(P))
-    eta_y = spectral_norm(H_y)
+    eta_y = spectral_norm(_own(H_y, None, diagonal=True))  # off the diagonal of a diagonal model
     carry = None
     prev = w0.concat()
     trace: List[StepRecord] = []

@@ -359,6 +359,17 @@ def test_cli_rejects_negative_kkt_tolerance(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_rejects_non_integer_loop_limits(tmp_path, capsys):
+    problem_file, _ = _quadratic_file(tmp_path)
+    for name, bad in (("max_iter", 20.5), ("max_backtracks", 2.5), ("max_iter", True), ("max_backtracks", 3.0)):
+        cfg_path = _solve_config(tmp_path, problem_file, params={name: bad})
+        code = main(["solve", "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error: invalid params" in err and f"{name} must be an integer" in err
+        assert not (tmp_path / "out").exists()
+
+
 def test_cli_rejects_non_finite_weights(tmp_path, capsys):
     problem_file, _ = _quadratic_file(tmp_path)
     for name in ("beta", "ell", "sigma"):

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from prsqp import (
+    CompositeProblem,
+    Iterate,
+    SolverParams,
     composite_objective,
     forward_difference,
     hessian_pair,
@@ -19,8 +22,10 @@ from prsqp import (
     problem_to_json,
     quadratic_kkt_point,
     random_quadratic,
+    run,
 )
-from toys import central_diff, rel_err
+from prsqp.cli import _summarize
+from toys import central_diff, rel_err, scalar_problem
 
 
 # ----- huber ------------------------------------------------------------------
@@ -244,6 +249,87 @@ def test_cached_spectra_match_coupling():
     assert abs(P.norm_AtA - eigs[-1]) <= 1e-6
     assert abs(P.max_eig_AtA - eigs[-1]) <= 1e-6
     assert abs(P.min_eig_AtA - max(eigs[0], 0.0)) <= 1e-6
+
+
+SPECTRA = ("norm_AtA", "min_eig_AtA", "max_eig_AtA")
+
+
+def _unformed(P):
+    # which of A^T A and its spectra P holds, read without forming them
+    return {name: vars(P)["_" + name] is None for name in ("AtA",) + SPECTRA}
+
+
+def _count_eigvalsh(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(M.shape) or eigvalsh(M))
+    return calls
+
+
+def _eager_spectra(A):
+    # reference: the spectral range of A^T A computed eagerly from A
+    m, n = A.shape
+    eigs = np.linalg.eigvalsh(A @ A.T if m < n else A.T @ A)
+    top = max(float(eigs[-1]), 0.0)
+    return top, (0.0 if m < n else max(float(eigs[0]), 0.0)), top
+
+
+def _families():
+    return [
+        random_quadratic(5, 3, make_rng(16)),
+        random_quadratic(3, 5, make_rng(17)),
+        make_classification(12, 10, rng=make_rng(18)),
+        make_huber_lasso(8, 16, rng=make_rng(19)),
+    ]
+
+
+def test_builds_compute_no_spectra_and_no_gram_matrix(monkeypatch):
+    calls = _count_eigvalsh(monkeypatch)
+    for P in _families():
+        Q = problem_from_json(problem_to_json(P))
+        repr(P)
+        for built in (P, Q):
+            assert all(_unformed(built).values())
+    assert calls == []
+
+
+def test_first_read_of_spectra_has_the_eager_bits():
+    quadratic_square = make_quadratic(np.ones(4), np.zeros(4), normal_sample(make_rng(20), 16).reshape(4, 4))
+    for P in _families() + [quadratic_square]:
+        m, n = P.A.shape
+        expected = _eager_spectra(P.A)
+        first = SPECTRA[P.n1 % 3]  # any of the three may be read first
+        getattr(P, first)
+        assert not any(_unformed(P)[name] for name in SPECTRA)
+        assert _unformed(P)["AtA"] == (m < n)  # only m >= n forms A^T A, as before
+        for name, value in zip(SPECTRA, expected):
+            assert repr(getattr(P, name)) == repr(value)
+    assert quadratic_square.min_eig_AtA > 0.0
+
+
+def test_given_spectra_are_kept(monkeypatch):
+    base = make_huber_lasso(8, 16, rng=make_rng(21))
+    top, low, _ = _eager_spectra(base.A)
+    calls = _count_eigvalsh(monkeypatch)
+    P = scalar_problem(lambda x: 0.0, lambda x: 0.0, lambda x: 0.0, lambda y: 0.0, lambda y: 0.0, lambda y: 0.0, a=2.0)
+    assert (P.norm_AtA, P.min_eig_AtA, P.max_eig_AtA) == (4.0, 4.0, 4.0)
+    assert calls == []
+    callables = ("eval_f", "grad_f", "hess_f_at", "eval_g", "grad_g", "hess_g_at")
+    kept = CompositeProblem("kept", base.n1, base.n2, base.A, *(getattr(base, c) for c in callables), norm_AtA=123.0)
+    assert kept.norm_AtA == 123.0 and calls == []
+    assert (kept.max_eig_AtA, kept.min_eig_AtA, kept.norm_AtA) == (top, low, 123.0)
+    assert len(calls) == 1
+
+
+def test_lasso_solve_and_summary_leave_spectra_and_gram_matrix_unformed(monkeypatch):
+    calls = _count_eigvalsh(monkeypatch)
+    P = make_huber_lasso(8, 16, rng=make_rng(22))
+    params = SolverParams(max_iter=10)
+    result = run(P, Iterate(np.zeros(P.n1), np.zeros(P.n2), np.zeros(P.n2)), params)
+    _summarize(P, result, 0.0, params)
+    assert result.iterations == 10
+    assert all(_unformed(P).values())
+    assert calls == []
 
 
 # ----- serialization -------------------------------------------------------------

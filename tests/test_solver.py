@@ -107,6 +107,25 @@ def test_validate_params_rejects_non_finite_weights():
                 run(P, w0, params)
 
 
+def test_validate_params_requires_integer_loop_limits():
+    P = make_quadratic([1.0, 2.0], [0.0], [[1.0, 1.0]])
+    w0 = _w(np.zeros(2), 0.0, 0.0)
+    for name in ("max_iter", "max_backtracks"):
+        for bad in (20.5, 2.0, True, False, "3"):
+            out = validate_params({name: bad})
+            assert out == [f"{name} must be an integer, got {bad!r}"]
+            with pytest.raises(ValueError, match=name):
+                SolverParams(**{name: bad})
+        assert validate_params({name: 0}) == [f"{name} must be >= 1, got 0"]
+        assert validate_params({name: np.int64(3)}) == []
+        params = SolverParams()
+        setattr(params, name, 2.5)
+        with pytest.raises(ValueError, match=name):
+            run(P, w0, params)
+    result = run(P, w0, SolverParams(max_iter=np.int64(3), max_backtracks=np.int32(5), tol_step=0.0))
+    assert result.iterations == 3
+
+
 # ----- model subproblems ----------------------------------------------------------
 
 
@@ -1021,3 +1040,24 @@ def test_structured_solve_never_forms_AtA():
     run(P, _zero_start(P), SolverParams(tol_step=0.0, max_iter=30))
     assert P._AtA is None  # formed on first read only
     assert P.AtA.tobytes() == (P.A.T @ P.A).tobytes() and P.AtA is P.AtA
+
+
+def test_y_curvature_is_read_off_a_diagonal_model(monkeypatch):
+    problems = [
+        random_quadratic(5, 3, make_rng(95)),
+        make_classification(6, 9, rng=make_rng(96)),
+        make_huber_lasso(8, 16, rng=make_rng(97)),
+    ]
+    models = [P.hess_g_at(np.zeros(P.n2)) for P in problems]
+    models.append(np.diag([3.0, -0.5, 1e-3, 2.25, -7.125, 0.1]))  # distinct entries, largest |.| negative
+    for H in models:
+        h = prsqp.solver._own(H, None, diagonal=True)
+        assert h.shape == (H.shape[0],)
+        assert repr(spectral_norm(h)) == repr(spectral_norm(H))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(M.shape) or eigvalsh(M))
+    for P in problems:
+        result = run(P, _w(np.zeros(P.n1), np.zeros(P.n2), np.zeros(P.n2)), SolverParams(max_iter=5))
+        assert result.iterations >= 1
+    assert calls == []  # a diagonal H_y, and the spectra of A^T A, need no eigendecomposition
