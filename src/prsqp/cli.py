@@ -136,7 +136,7 @@ def _parse_params(obj, relaxed_alpha):
         raise ConfigError("params must be an object")
     _check_keys(obj, _PARAM_FIELD_NAMES, "params")
     try:
-        return SolverParams(**obj, relaxed_alpha=bool(relaxed_alpha))
+        return SolverParams(**obj, relaxed_alpha=relaxed_alpha)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid params: {exc}") from None
 
@@ -154,14 +154,17 @@ def parse_experiment(obj, context="config"):
     for key in ("problem", "seed", "output_dir"):
         if key not in obj:
             raise ConfigError(f"{context} is missing required key {key!r}")
-    if not isinstance(obj["seed"], int):
+    if isinstance(obj["seed"], bool) or not isinstance(obj["seed"], int):
         raise ConfigError(f"{context}: seed must be an integer")
+    for key in ("relaxed_alpha", "baseline"):
+        if not isinstance(obj.get(key, False), bool):
+            raise ConfigError(f"{context}: {key} must be true or false, got {obj[key]!r}")
     return ExperimentConfig(
         problem=_parse_problem(obj["problem"]),
         seed=obj["seed"],
         params=_parse_params(obj.get("params"), obj.get("relaxed_alpha", False)),
         output_dir=str(obj["output_dir"]),
-        baseline=bool(obj.get("baseline", False)),
+        baseline=obj.get("baseline", False),
     )
 
 
@@ -323,6 +326,11 @@ class SweepConfig:
     max_workers: int = 1
 
 
+def _is_number(value):
+    # a JSON number; true and false are not
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def parse_sweep(obj):
     if not isinstance(obj, dict):
         raise ConfigError("sweep config must be a JSON object")
@@ -340,14 +348,14 @@ def parse_sweep(obj):
         raise ConfigError("rs_grid must be a nonempty list of [r, s] pairs")
     pairs = []
     for entry in rs_grid:
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise ConfigError(f"rs_grid entries must be [r, s] pairs, got {entry!r}")
+        if not (isinstance(entry, list) and len(entry) == 2 and all(map(_is_number, entry))):
+            raise ConfigError(f"rs_grid entries must be [r, s] pairs of numbers, got {entry!r}")
         pairs.append((float(entry[0]), float(entry[1])))
     alpha_grid = obj.get("alpha_grid", [base.params.alpha])
-    if not isinstance(alpha_grid, list) or not alpha_grid:
-        raise ConfigError("alpha_grid must be a nonempty list")
+    if not isinstance(alpha_grid, list) or not alpha_grid or not all(map(_is_number, alpha_grid)):
+        raise ConfigError("alpha_grid must be a nonempty list of numbers")
     workers = obj.get("max_workers", 1)
-    if not isinstance(workers, int) or workers < 1:
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ConfigError("max_workers must be a positive integer")
     return SweepConfig(base=base, rs_grid=pairs, alpha_grid=[float(a) for a in alpha_grid], max_workers=workers)
 

@@ -31,7 +31,7 @@ from .core import (
 SCHEMA_VERSION = 1
 
 
-@dataclass
+@dataclass(eq=False)
 class CompositeProblem:
     """Two-block composite instance with lazily computed coupling spectra.
 
@@ -41,13 +41,15 @@ class CompositeProblem:
     gradient Lipschitz bounds (``None`` when unknown); the step-floor and
     merit diagnostics require them.
 
-    ``hess_f_diag``, when given, declares that ``hess_f_at(x)`` is diagonal:
-    it returns that diagonal as an ``(n1,)`` array. With ``n2 < n1`` the solver
-    then keeps the x-model as this vector and, while every entry of
-    ``hess_f_diag(x) + ell`` is positive, solves in the x-metric
-    ``diag(hess_f_diag(x)) + beta A^T A + ell I`` through an ``n2 x n2``
-    capacitance matrix instead of factoring the ``n1 x n1`` metric (see
-    :mod:`prsqp.solver`). ``None`` (the default) keeps the dense metric.
+    ``hess_f_at`` / ``hess_g_at`` return the Hessian as an ``(n, n)`` matrix
+    or, for a diagonal Hessian, its diagonal as an ``(n,)`` array: the shape
+    declares the structure. The solver keeps a diagonal model as a vector. For
+    x with ``n2 < n1``, while every entry of ``hess_f_at(x) + ell`` is
+    positive, it solves in the x-metric ``diag(hess_f_at(x)) + beta A^T A +
+    ell I`` through an ``n2 x n2`` capacitance matrix instead of factoring the
+    ``n1 x n1`` metric; for y the metric is a vector and is never factored
+    (see :mod:`prsqp.solver`). A matrix always takes the dense metric, even
+    when it is diagonal.
 
     ``AtA`` is ``A^T A``: when it is not given, it is formed from ``A`` on
     first read (a dense x-metric reads it), so a problem solved through the
@@ -55,6 +57,10 @@ class CompositeProblem:
     ``norm_AtA``, ``min_eig_AtA`` and ``max_eig_AtA``, the spectral range of
     ``A^T A`` that only the theory constants of :mod:`prsqp.diagnostics` use,
     are computed together on the first read of any of them unless given.
+
+    Problems compare by identity. ``dataclasses.replace(P, ...)`` reads every
+    field through its property, so it forms ``A^T A`` and the spectra on ``P``
+    if they are not yet set, and the copy shares those arrays and values.
     """
 
     name: str
@@ -74,7 +80,6 @@ class CompositeProblem:
     min_eig_AtA: Optional[float] = field(default=None, repr=False)
     max_eig_AtA: Optional[float] = field(default=None, repr=False)
     data: object = None
-    hess_f_diag: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def apply_A(self, x):
         return self.A @ x
@@ -196,9 +201,7 @@ def make_quadratic(c_f, c_g, A):
     c_g = as_vector(c_g, name="c_g")
     n1, n2 = c_f.shape[0], c_g.shape[0]
     A = as_matrix(A, shape=(n2, n1), name="A")
-    ones1 = np.ones(n1)
-    I1 = np.eye(n1)
-    I2 = np.eye(n2)
+    ones1, ones2 = np.ones(n1), np.ones(n2)  # both Hessians are identities, given as diagonals
     return CompositeProblem(
         name="quadratic",
         n1=n1,
@@ -206,14 +209,13 @@ def make_quadratic(c_f, c_g, A):
         A=A,
         eval_f=lambda x: 0.5 * float((x - c_f) @ (x - c_f)),
         grad_f=lambda x: x - c_f,
-        hess_f_at=lambda x: I1,
+        hess_f_at=lambda x: ones1,
         eval_g=lambda y: 0.5 * float((y - c_g) @ (y - c_g)),
         grad_g=lambda y: y - c_g,
-        hess_g_at=lambda y: I2,
+        hess_g_at=lambda y: ones2,
         lipschitz_f=1.0,
         lipschitz_g=1.0,
         data=QuadraticData(c_f=c_f, c_g=c_g),
-        hess_f_diag=lambda x: ones1,
     )
 
 
@@ -256,7 +258,7 @@ def _classification_problem(D, labels, mu):
     if mu <= 0:
         raise ValueError(f"mu must be positive, got {mu}")
     A = forward_difference(n)
-    I2 = mu * np.eye(n - 1)
+    h_g = np.full(n - 1, mu)  # hess g = mu I, given as its diagonal
 
     def eval_f(x):
         z = labels * (D.T @ x)
@@ -285,7 +287,7 @@ def _classification_problem(D, labels, mu):
         hess_f_at=hess_f_at,
         eval_g=lambda y: 0.5 * mu * float(y.dot(y)),
         grad_g=lambda y: mu * y,
-        hess_g_at=lambda y: I2,
+        hess_g_at=lambda y: h_g,
         lipschitz_f=4.0 / (3.0 * np.sqrt(3.0)),  # max |2 t (1 - t^2)| with unit-norm columns
         lipschitz_g=mu,
         data=ClassificationData(D=D, labels=labels, mu=mu),
@@ -320,7 +322,7 @@ def _lasso_problem(Amat, u, tau, mu, density):
     if tau <= 0 or mu <= 0:
         raise ValueError(f"tau and mu must be positive, got tau={tau}, mu={mu}")
     d = Amat @ u
-    I2 = np.eye(m)
+    ones2 = np.ones(m)  # hess g = I, given as its diagonal
 
     def eval_f(x):
         return tau * float(_huber_value(np.asarray(x, dtype=float), mu).sum())
@@ -328,7 +330,8 @@ def _lasso_problem(Amat, u, tau, mu, density):
     def grad_f(x):
         return tau * _huber_deriv(np.asarray(x, dtype=float), mu)
 
-    def hess_f_diag(x):
+    def hess_f_at(x):
+        # the diagonal of hess f: tau / mu inside the Huber knee, 0 outside
         return np.where(np.abs(x) < mu, tau / mu, 0.0)
 
     return CompositeProblem(
@@ -338,14 +341,13 @@ def _lasso_problem(Amat, u, tau, mu, density):
         A=Amat,
         eval_f=eval_f,
         grad_f=grad_f,
-        hess_f_at=lambda x: np.diag(hess_f_diag(x)),
+        hess_f_at=hess_f_at,
         eval_g=lambda y: 0.5 * float((y - d) @ (y - d)),
         grad_g=lambda y: y - d,
-        hess_g_at=lambda y: I2,
+        hess_g_at=lambda y: ones2,
         lipschitz_f=tau / mu,
         lipschitz_g=1.0,
         data=LassoData(u=u, d=d, tau=tau, mu=mu, density=density),
-        hess_f_diag=hess_f_diag,
     )
 
 
@@ -378,20 +380,20 @@ def composite_objective(P, x):
     return at.f + float(P.eval_g(at.Ax))
 
 
-def hessian_pair(P, x, y, diagonal_x=False):
+def hessian_pair(P, x, y):
     """Current second-order model ``(hess f(x), hess g(y))`` with shape checks.
 
-    With ``diagonal_x`` the x part is ``P.hess_f_diag(x)``, the diagonal of
-    ``hess f(x)`` as an ``(n1,)`` array.
+    Each part is what the problem's callable returns: an ``(n, n)`` matrix, or
+    the ``(n,)`` diagonal of a diagonal Hessian.
     """
     x = as_vector(x, n=P.n1, name="x")
     y = as_vector(y, n=P.n2, name="y")
-    if diagonal_x:
-        H_x = as_vector(P.hess_f_diag(x), n=P.n1, name="hess_f_diag(x)")
-    else:
-        H_x = as_matrix(P.hess_f_at(x), shape=(P.n1, P.n1), name="hess_f(x)")
-    H_y = as_matrix(P.hess_g_at(y), shape=(P.n2, P.n2), name="hess_g(y)")
-    return H_x, H_y
+    return _model(P.hess_f_at(x), P.n1, "hess_f(x)"), _model(P.hess_g_at(y), P.n2, "hess_g(y)")
+
+
+def _model(H, n, name):
+    H = np.asarray(H, dtype=float)
+    return as_vector(H, n=n, name=name) if H.ndim == 1 else as_matrix(H, shape=(n, n), name=name)
 
 
 # ----- JSON (de)serialization --------------------------------------------------

@@ -5,24 +5,25 @@ models ``H_x, H_y``:
 
 1. x block: solve the quadratic model of ``L_beta`` in the metric
    ``Hcal_x = H_x + beta A^T A + ell I``, extrapolate by ``alpha``, Armijo
-   backtrack along ``d_x = (1 + alpha)(x_tilde - x_k)``. When the problem
-   declares ``hess_f_diag`` (the diagonal of a diagonal ``hess f(x)``, an
-   ``(n1,)`` array) and ``A`` is wide (``n2 < n1``), ``H_x`` is kept as that
-   diagonal ``h``. While ``D = h + ell > 0``, the metric is then the diagonal
-   ``D`` plus the rank-``n2`` term ``beta A^T A``: only the ``n2 x n2``
-   capacitance matrix ``I / beta + A D^-1 A^T`` is factored, and ``d^T Hcal_x d``
-   is ``d . (D d) + beta ||A d||^2``. Where ``h`` is zero outside fewer than
+   backtrack along ``d_x = (1 + alpha)(x_tilde - x_k)``. A Hessian model is
+   an ``(n, n)`` matrix or, for a diagonal Hessian, its ``(n,)`` diagonal
+   ``h``; the shape is the declaration, and a matrix is never scanned for
+   structure. For a diagonal x-model and a wide ``A`` (``n2 < n1``), while
+   ``D = h + ell > 0``, the metric is the diagonal ``D`` plus the rank-``n2``
+   term ``beta A^T A``: only the ``n2 x n2`` capacitance matrix
+   ``I / beta + A D^-1 A^T`` is factored, and ``d^T Hcal_x d`` is
+   ``d . (D d) + beta ||A d||^2``. Where ``h`` is zero outside fewer than
    ``n1/2`` coordinates, the capacitance matrix is the carried matrix of
    ``h = 0`` plus a correction in those coordinates' columns of ``A`` (see
-   :func:`_capacitance`). Where ``D`` is not positive, the dense
-   ``Hcal_x`` is formed and factored as for any other model, so ``ell`` is
+   :func:`_capacitance`). Otherwise (``D`` not positive, ``n2 >= n1`` or a
+   matrix model) the dense ``Hcal_x`` is formed and factored, so ``ell`` is
    doubled exactly where the dense metric needs it (the structured one is
    positive definite whenever it is used). ``A^T A`` is formed for the first
    dense ``Hcal_x``.
 2. First dual update ``lam_{k+1/2} = lam_k - r beta (A x_{k+1} - y_k)``.
 3. y block at ``(x_{k+1}, lam_{k+1/2})`` in the metric
-   ``Hcal_y = H_y + (beta + sigma) I``; extrapolate, backtrack. A diagonal
-   ``H_y`` is kept as its diagonal ``h`` and ``Hcal_y`` as the vector
+   ``Hcal_y = H_y + (beta + sigma) I``; extrapolate, backtrack. For a
+   y-model given as its diagonal ``h``, ``Hcal_y`` is kept as the vector
    ``D = h + beta + sigma``, which is never factored: it is rejected (and
    ``sigma`` doubled) where some ``D_i <= 0``, exactly where a Cholesky
    factorization of the matrix would fail, and a solve multiplies by
@@ -114,6 +115,7 @@ _PARAM_DEFAULTS = dict(
     max_backtracks=60,
     relaxed_alpha=False,
 )
+_REAL_PARAMS = [name for name, value in _PARAM_DEFAULTS.items() if isinstance(value, float)]
 
 
 def validate_params(params, relaxed=None):
@@ -131,7 +133,9 @@ def validate_params(params, relaxed=None):
         get = merged.__getitem__
     else:
         get = lambda k: getattr(params, k, _PARAM_DEFAULTS[k])
-    out = []
+    # a JSON true is not a weight of 1
+    bools = [k for k in _REAL_PARAMS if isinstance(get(k), (bool, np.bool_))]
+    out = [f"{k} must be a real number, got {get(k)!r}" for k in bools]
     rho, nu, alpha = get("rho"), get("nu"), get("alpha")
     if not 0.0 < rho < 1.0:
         out.append(f"rho must lie in (0, 1), got {rho}")
@@ -347,10 +351,9 @@ class IterationOutcome(NamedTuple):
     """What :func:`iterate_once` returns.
 
     ``hess_x`` / ``hess_y`` are the refreshed Hessian models as read-only
-    arrays: while a refreshed model stays equal to the previous one, the same
-    array is returned again. Where the x-model is diagonal (see
-    :func:`iterate_once`), ``hess_x`` is its diagonal, shape ``(n1,)``; a
-    diagonal ``H_y`` comes back as its diagonal, shape ``(n2,)``.
+    arrays, in the shape the problem's Hessian callables return: a matrix, or
+    the diagonal of a diagonal model. While a refreshed model stays equal to
+    the previous one, the same array is returned again.
     """
 
     state: AugmentedIterate
@@ -365,42 +368,14 @@ class IterationOutcome(NamedTuple):
 _MAX_METRIC_REPAIR = 60  # doublings of ell / sigma before giving up
 
 
-def _diagonal_x(P):
-    # whether the x-model is kept as its diagonal, so that _metric_x may solve
-    # through the capacitance matrix: P declares hess_f_diag and A is wide
-    return P.hess_f_diag is not None and P.n2 < P.n1
-
-
-def _is_diagonal(H):
-    # a square matrix with no nonzero entry off its diagonal (counted on the
-    # boolean H != 0, which numpy counts faster than floats)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        return False
-    return np.count_nonzero(H != 0.0) == np.count_nonzero(H.diagonal())
-
-
-def _same_model(model, H):
-    # H equals the kept model exactly; a diagonal (1-D) model also equals a
-    # diagonal matrix H with that diagonal
-    if H is model:
-        return True
-    if model.ndim == 1 and H.ndim == 2:
-        return np.array_equal(H.diagonal(), model) and _is_diagonal(H)
-    return np.array_equal(model, H)
-
-
-def _own(H, metric, diagonal=False):
+def _own(H, metric):
     # the model the solver works with in place of the caller's H: metric.model
-    # when H equals it (see _same_model), else a read-only private copy of H
-    # (of its diagonal, for a diagonal matrix H when ``diagonal``). So no later
-    # write to the caller's array reaches a carried factor, and equal models
-    # are one array, which a factor then fits by identity.
-    H = np.asarray(H)
-    if metric is not None and _same_model(metric.model, H):
+    # when H is exactly equal to it, else a read-only private copy of H. So no
+    # later write to the caller's array reaches a carried factor, and equal
+    # models are one array, which a factor then fits by identity.
+    if metric is not None and (H is metric.model or np.array_equal(metric.model, H)):
         return metric.model
     H = np.array(H, dtype=float)
-    if diagonal and _is_diagonal(H):
-        H = H.diagonal().copy()
     H.flags.writeable = False
     return H
 
@@ -492,7 +467,7 @@ def _x_step(P, w, x_eval, y_eval, H_x, params, cached=None):
     g = grad_alf(P, w, params.beta, x_eval, y_eval).gx
     if not np.isfinite(g).all():
         raise NumericalError("non-finite x-gradient")
-    metric = _metric_x(P, _own(H_x, cached, _diagonal_x(P)), params, cached)
+    metric = _metric_x(P, _own(H_x, cached), params, cached)
     return w.x - metric.solve(g), metric, g
 
 
@@ -502,7 +477,7 @@ def _y_step(P, x_eval, y_eval, lam_half, H_y, params, cached=None):
     g = y_eval.grad_g + lam_half - params.beta * residual
     if not np.isfinite(g).all():
         raise NumericalError("non-finite y-gradient")
-    metric = _metric_y(P, _own(H_y, cached, diagonal=True), params, cached)
+    metric = _metric_y(P, _own(H_y, cached), params, cached)
     return y - metric.solve(g), metric, g
 
 
@@ -628,15 +603,15 @@ def iterate_once(P, state, H_x, H_y, params, k=0, eta2_y=None, keep_internals=Fa
 
     ``params`` is mutated in place when a metric needs repair (``ell`` or
     ``sigma`` doubles) -- :func:`run` passes a private copy. ``H_x`` / ``H_y``
-    are the Hessian models at ``state.w``. On a problem that declares
-    ``hess_f_diag`` and has ``n2 < n1`` the x-model is kept as its diagonal: a
-    diagonal ``H_x`` may be given as a matrix or as its ``(n1,)`` diagonal, and
-    ``hess_x`` comes back as the diagonal. The y-model is kept the same way
-    whenever ``H_y`` is diagonal, on every problem. ``eta2_y`` is the
-    uniform y-curvature bound used for the merit column of the trace record
-    (``L_hat`` is NaN when it is not supplied). ``keep_internals`` attaches the
-    per-block gradients, directions and metric quadratic forms to the outcome
-    for invariant checks.
+    are the Hessian models at ``state.w``, each an ``(n, n)`` matrix or the
+    ``(n,)`` diagonal of a diagonal model. The shape picks the metric (see the
+    module docstring), so a diagonal model given as a matrix takes the dense
+    path. The refreshed models come from
+    :func:`~prsqp.problems.hessian_pair`, in the shapes the problem returns.
+    ``eta2_y`` is the uniform y-curvature bound used for the merit column of
+    the trace record (``L_hat`` is NaN when it is not supplied).
+    ``keep_internals`` attaches the per-block gradients, directions and metric
+    quadratic forms to the outcome for invariant checks.
 
     ``carry`` is the ``carry`` of the previous outcome on the same problem.
     A block then reuses the factor built at the previous refresh when its
@@ -705,8 +680,8 @@ def iterate_once(P, state, H_x, H_y, params, k=0, eta2_y=None, keep_internals=Fa
 
     # ----- refresh the second-order model, keeping both metrics factorable;
     # these factors are the next iteration's, unless its models differ
-    H_x_next, H_y_next = hessian_pair(P, x_next, y_next, _diagonal_x(P))
-    H_x_next, H_y_next = _own(H_x_next, metric_x), _own(H_y_next, metric_y, diagonal=True)
+    H_x_next, H_y_next = hessian_pair(P, x_next, y_next)
+    H_x_next, H_y_next = _own(H_x_next, metric_x), _own(H_y_next, metric_y)
     metric_x_next = _repair_metric(lambda: _metric_x(P, H_x_next, params, metric_x), bump_ell)
     metric_y_next = _repair_metric(lambda: _metric_y(P, H_y_next, params, metric_y), bump_sigma)
 
@@ -769,11 +744,11 @@ def run(P, w0, params, callback: Optional[Callable[[IterationOutcome], None]] = 
     an iteration raises (captured, not propagated). The
     caller's ``params`` are never mutated; positive-definiteness repair acts on
     a private copy. The merit column of the trace uses the running maximum of
-    ``||H_y||`` for the uniform curvature bound, read off the diagonal of a
-    diagonal model and estimated again only when :func:`iterate_once` hands
-    back a new ``hess_y`` array (after the first iteration, and then when the
-    model changes). Each iteration gets
-    the previous outcome's ``carry``, so a block's metric is factored only
+    ``||H_y||`` for the uniform curvature bound, read off a diagonal model
+    given as its diagonal, and estimated again only when :func:`iterate_once`
+    hands back a new ``hess_y`` array (after the first iteration, and then
+    when the model changes). Each iteration gets the previous outcome's
+    ``carry``, so a block's metric is factored only
     when its Hessian model or its ``ell`` / ``sigma`` changed (see
     :func:`iterate_once`). ``callback``, when given, receives each
     :class:`IterationOutcome` (with internals attached).
@@ -791,8 +766,8 @@ def run(P, w0, params, callback: Optional[Callable[[IterationOutcome], None]] = 
     theory_supported = not validate_params(params, relaxed=False)
 
     state = AugmentedIterate(w=w0, d_y_prev=np.zeros(P.n2))
-    H_x, H_y = hessian_pair(P, w0.x, w0.y, _diagonal_x(P))
-    eta_y = spectral_norm(_own(H_y, None, diagonal=True))  # off the diagonal of a diagonal model
+    H_x, H_y = hessian_pair(P, w0.x, w0.y)
+    eta_y = spectral_norm(H_y)  # a 1-D model's entries are its eigenvalues
     carry = None
     prev = w0.concat()
     trace: List[StepRecord] = []

@@ -370,6 +370,42 @@ def test_cli_rejects_non_integer_loop_limits(tmp_path, capsys):
         assert not (tmp_path / "out").exists()
 
 
+def test_cli_rejects_booleans_where_numbers_or_flags_belong(tmp_path, capsys):
+    # JSON true is no weight of 1, a string "false" no flag, and true no seed
+    problem_file, _ = _quadratic_file(tmp_path)
+    for extra, message in (
+        (dict(params={"beta": True}), "beta must be a real number"),
+        (dict(params={"tol_step": True, "max_iter": 5}), "tol_step must be a real number"),
+        (dict(params={"r": False}), "r must be a real number"),
+        (dict(relaxed_alpha="false"), "relaxed_alpha must be true or false"),
+        (dict(relaxed_alpha=1), "relaxed_alpha must be true or false"),
+        (dict(baseline="false"), "baseline must be true or false"),
+        (dict(seed=True), "seed must be an integer"),
+    ):
+        cfg_path = _solve_config(tmp_path, problem_file, **extra)
+        code = main(["solve", "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "config error" in err and message in err
+        assert not (tmp_path / "out").exists()
+
+
+def test_parse_sweep_rejects_non_numbers_in_grids_and_worker_count():
+    base = {"schema_version": 1, "problem": {"type": "quadratic", "file": "f"}, "seed": 1, "output_dir": "out"}
+    good = {"schema_version": 1, "base": base, "rs_grid": [[0.1, 1.0]], "alpha_grid": [0.0], "max_workers": 1}
+    assert parse_sweep(good).rs_grid == [(0.1, 1.0)]
+    for key, bad, message in (
+        ("rs_grid", [[True, 1.0]], "rs_grid"),
+        ("rs_grid", [["abc", 1.0]], "rs_grid"),
+        ("rs_grid", [[0.1, "1.0"]], "rs_grid"),
+        ("alpha_grid", [False], "alpha_grid"),
+        ("alpha_grid", ["0.5"], "alpha_grid"),
+        ("max_workers", True, "max_workers"),
+    ):
+        with pytest.raises(ConfigError, match=message):
+            parse_sweep({**good, key: bad})
+
+
 def test_cli_rejects_non_finite_weights(tmp_path, capsys):
     problem_file, _ = _quadratic_file(tmp_path)
     for name in ("beta", "ell", "sigma"):

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from prsqp import (
     CompositeProblem,
+    DimensionMismatch,
     Iterate,
     SolverParams,
     composite_objective,
@@ -208,26 +211,43 @@ def test_lasso_paper_scale_builds():
 
 
 def test_hessian_pair_quadratic_identities():
+    # both identities are given as their diagonals
     P = make_quadratic([1.0, 0.0], [0.5], [[1.0, -1.0]])
     H_x, H_y = hessian_pair(P, np.zeros(2), np.zeros(1))
-    assert np.array_equal(H_x, np.eye(2))
-    assert np.array_equal(H_y, np.eye(1))
+    assert np.array_equal(H_x, np.ones(2)) and H_x.shape == (2,)
+    assert np.array_equal(H_y, np.ones(1)) and H_y.shape == (1,)
 
 
 def test_hessian_pair_classification_at_origin():
+    # a dense x-model and the diagonal of H_y = mu I
     mu = 0.001
     P = make_classification(6, 9, mu=mu, rng=make_rng(11))
     H_x, H_y = hessian_pair(P, np.zeros(6), np.zeros(5))
-    assert np.max(np.abs(H_x)) == 0.0
-    assert np.array_equal(H_y, mu * np.eye(5))
+    assert H_x.shape == (6, 6) and np.max(np.abs(H_x)) == 0.0
+    assert np.array_equal(H_y, np.full(5, mu))
 
 
 def test_hessian_pair_lasso_outside_knee():
     P = make_huber_lasso(8, 16, rng=make_rng(12))
     x = np.full(16, 2.0)  # every coordinate beyond the knee: flat smoothed-L1 curvature
     H_x, H_y = hessian_pair(P, x, np.zeros(8))
-    assert np.max(np.abs(H_x)) == 0.0
-    assert np.array_equal(H_y, np.eye(8))
+    assert H_x.shape == (16,) and np.max(np.abs(H_x)) == 0.0
+    assert np.array_equal(H_y, np.ones(8))
+    x[3] = 0.5 * P.data.mu  # inside the knee
+    assert np.flatnonzero(hessian_pair(P, x, np.zeros(8))[0]).tolist() == [3]
+
+
+def test_hessian_pair_rejects_models_of_neither_shape():
+    # a model is an (n, n) matrix or an (n,) diagonal; anything else is refused
+    P = make_quadratic(np.zeros(3), np.zeros(2), np.ones((2, 3)))
+    x, y = np.zeros(3), np.zeros(2)
+    for name, n in (("hess_f_at", 3), ("hess_g_at", 2)):
+        for shape in ((n, 1), (n - 1,), (n, n + 1), (n, n, 1), ()):
+            Q = replace(P, **{name: lambda _, shape=shape: np.zeros(shape)})
+            with pytest.raises(DimensionMismatch, match=name[:6]):
+                hessian_pair(Q, x, y)
+    Q = replace(P, hess_f_at=lambda _: np.eye(3), hess_g_at=lambda _: np.eye(2))
+    assert [H.shape for H in hessian_pair(Q, x, y)] == [(3, 3), (2, 2)]
 
 
 def test_hessian_models_symmetric():
@@ -319,6 +339,17 @@ def test_given_spectra_are_kept(monkeypatch):
     assert kept.norm_AtA == 123.0 and calls == []
     assert (kept.max_eig_AtA, kept.min_eig_AtA, kept.norm_AtA) == (top, low, 123.0)
     assert len(calls) == 1
+
+
+def test_problems_compare_by_identity_and_replace_shares_the_lazy_fields():
+    P = make_huber_lasso(8, 16, rng=make_rng(23))
+    Q = make_huber_lasso(8, 16, rng=make_rng(23))
+    assert P == P and P != Q  # equal draws are still two problems
+    assert all(_unformed(P).values()) and P._AtA is None  # == read no field
+    R = replace(P, name="copy")
+    # replace reads every field through its property, so it forms them on P
+    assert not any(_unformed(P).values())
+    assert R.AtA is P.AtA and R.norm_AtA == P.norm_AtA and R != P
 
 
 def test_lasso_solve_and_summary_leave_spectra_and_gram_matrix_unformed(monkeypatch):

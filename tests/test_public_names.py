@@ -1,8 +1,8 @@
 """Names other code looks up at run time must keep resolving.
 
-``perfbench/tracer.py`` fetches prsqp's layer functions with ``getattr``, so
-deleting or renaming one in ``src/`` would break a traced benchmark run
-without failing any import.
+``perfbench/tracer.py`` fetches prsqp's layer functions, and the callables of
+the problems it traces, with ``getattr``, so deleting or renaming one in
+``src/`` would break a traced benchmark run without failing any import.
 """
 
 import importlib
@@ -28,6 +28,19 @@ def test_tracer_layer_functions_resolve():
         module = importlib.import_module(f"prsqp.{mod_name}")
         for name in names:
             assert callable(getattr(module, name, None)), f"prsqp.{mod_name}.{name}"
+
+
+def test_tracer_instance_callables_resolve_on_every_family():
+    names = _load_tracer().INSTANCE_CALLABLES
+    assert names
+    rng = prsqp.make_rng(1)
+    for P in (
+        prsqp.random_quadratic(4, 3, rng),
+        prsqp.make_classification(5, 6, rng=rng),
+        prsqp.make_huber_lasso(3, 8, rng=rng),
+    ):
+        for name in names:
+            assert callable(getattr(P, name, None)), f"{P.name}.{name}"
 
 
 def test_public_names_are_unique_and_resolve():

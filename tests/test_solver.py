@@ -126,6 +126,19 @@ def test_validate_params_requires_integer_loop_limits():
     assert result.iterations == 3
 
 
+def test_validate_params_rejects_bools_for_real_parameters():
+    assert validate_params({"beta": True, "tol_step": True}) == [
+        "beta must be a real number, got True",
+        "tol_step must be a real number, got True",
+    ]
+    for name in ("rho", "nu", "alpha", "beta", "ell", "sigma", "r", "s", "tol_step", "tol_kkt"):
+        for bad in (True, False, np.True_):
+            assert f"{name} must be a real number, got {bad!r}" in validate_params({name: bad})
+            with pytest.raises(ValueError, match=name):
+                SolverParams(**{name: bad})
+    assert validate_params({"beta": 1, "ell": np.float64(2.0), "sigma": np.int64(3)}) == []
+
+
 # ----- model subproblems ----------------------------------------------------------
 
 
@@ -602,7 +615,7 @@ def _repair_steps(P, w0, params):
 
 def _mutating_hessians(P):
     # the same problem, but hess_f_at / hess_g_at overwrite and return one buffer each
-    buf_x, buf_y = np.empty((P.n1, P.n1)), np.empty((P.n2, P.n2))
+    buf_x, buf_y = np.empty_like(P.hess_f_at(np.zeros(P.n1))), np.empty_like(P.hess_g_at(np.zeros(P.n2)))
 
     def hess_f_at(x):
         buf_x[...] = P.hess_f_at(x)
@@ -707,7 +720,8 @@ def test_carry_is_used_only_with_the_inputs_it_was_built_from():
 
 def _counting(P, monkeypatch):
     # calls to the instance's evaluations and products from here on
-    calls = dict.fromkeys(("apply_A", "apply_At", "eval_f", "grad_f", "eval_g", "grad_g"), 0)
+    names = ("apply_A", "apply_At", "eval_f", "grad_f", "eval_g", "grad_g", "hess_f_at", "hess_g_at")
+    calls = dict.fromkeys(names, 0)
     for name in calls:
         fn = getattr(P, name)
 
@@ -763,6 +777,17 @@ def test_run_evaluates_each_y_point_once(monkeypatch):
         assert calls["grad_g"] == 2 * result.iterations + 1
 
 
+def test_run_refreshes_each_hessian_once_per_iteration(monkeypatch):
+    # both models are evaluated at w0 and once at each new iterate, whatever
+    # their shape: the Huber-LASSO x-model is a diagonal, the classification
+    # one a matrix
+    for P, w0, params in _evaluation_cases():
+        calls = _counting(P, monkeypatch)
+        result = run(P, w0, params)
+        assert result.iterations == params.max_iter
+        assert calls["hess_f_at"] == calls["hess_g_at"] == result.iterations + 1
+
+
 def test_trace_records_match_fresh_evaluations():
     for P, w0, params in _evaluation_cases():
         outcomes = []
@@ -808,8 +833,9 @@ def test_carried_factors_bound_factorizations_per_iteration(monkeypatch):
 
 
 def _dense_twin(P):
-    # the same problem without hess_f_diag, so the solver forms and factors Hcal_x
-    return replace(P, hess_f_diag=None)
+    # the same problem with hess f given as a diagonal matrix, so the solver
+    # forms and factors Hcal_x
+    return replace(P, hess_f_at=lambda x: np.diag(P.hess_f_at(x)))
 
 
 def _wide_wells(m, n, c, seed):
@@ -821,8 +847,7 @@ def _wide_wells(m, n, c, seed):
         name="wells",
         eval_f=lambda x: float(np.sum(x**4 / 4 - c * x * x / 2)),
         grad_f=lambda x: x**3 - c * x,
-        hess_f_at=lambda x: np.diag(3 * x * x - c),
-        hess_f_diag=lambda x: 3 * x * x - c,
+        hess_f_at=lambda x: 3 * x * x - c,
         lipschitz_f=None,
     )
 
@@ -856,9 +881,8 @@ def _assert_traces_close(result, reference):
 
 def test_structured_x_step_matches_dense_metric():
     for P, w, params in _structured_cases():
-        H_x, H_y = hessian_pair(P, w.x, w.y)
         out, dense = (
-            iterate_once(Q, _aug(w), H_x, H_y, replace(params), keep_internals=True)
+            iterate_once(Q, _aug(w), *hessian_pair(Q, w.x, w.y), replace(params), keep_internals=True)
             for Q in (P, _dense_twin(P))
         )
         it, dense_it = out.internals, dense.internals
@@ -918,20 +942,23 @@ def test_structured_metric_factors_only_capacitance_matrices(monkeypatch):
         shapes.clear()
         run(_dense_twin(P), _zero_start(P), SolverParams(tol_step=0.0, max_iter=100))
         assert (P.n1, P.n1) in shapes
-    # a diagonal H_x given as a matrix is taken as its diagonal
+    # the shape of H_x, not its entries, picks the metric: a diagonal H_x
+    # given as a matrix is factored densely, and the refresh from the problem's
+    # own (64,) model is structured again
     P = make_huber_lasso(16, 64, rng=make_rng(56))
     rng = make_rng(58)
     w = Iterate(0.1 * normal_sample(rng, 64), normal_sample(rng, 16), normal_sample(rng, 16))
+    h, H_y = hessian_pair(P, w.x, w.y)
     outcomes = []
-    for diagonal_x in (False, True):
+    for H_x, factored in ((h, {(16, 16)}), (np.diag(h), {(64, 64), (16, 16)})):
         shapes.clear()
-        H_x, H_y = hessian_pair(P, w.x, w.y, diagonal_x)
-        outcomes.append(iterate_once(P, _aug(w), H_x, H_y, SolverParams()))
-        assert shapes and set(shapes) == {(16, 16)}
-    matrix, diagonal = outcomes
-    assert repr(astuple(matrix.record)[:-1]) == repr(astuple(diagonal.record)[:-1])
-    assert matrix.state.w.concat().tobytes() == diagonal.state.w.concat().tobytes()
+        outcomes.append(iterate_once(P, _aug(w), H_x, H_y, SolverParams(), keep_internals=True))
+        assert set(shapes) == factored
+    diagonal, matrix = outcomes
+    assert isinstance(matrix.carry.metric_x, prsqp.solver.LowRankMetric)
     assert matrix.hess_x.shape == diagonal.hess_x.shape == (64,)
+    assert _close(matrix.internals["x_tilde"], diagonal.internals["x_tilde"])
+    assert _close(matrix.state.w.concat(), diagonal.state.w.concat())
     # where D = h + ell is not positive the dense metric is factored instead
     P = _wide_wells(4, 10, 3.0, 0)
     shapes.clear()
@@ -959,7 +986,7 @@ def test_diagonal_y_metric_matches_the_dense_metric_of_its_diagonal():
 
 
 def _separable_g(c):
-    # f = ||x||^2 / 2 and g = sum_i c_i y_i^2 / 2 on A = I: H_y = diag(c)
+    # f = ||x||^2 / 2 and g = sum_i c_i y_i^2 / 2 on A = I: H_y = diag(c), given as c
     n = len(c)
     c = np.asarray(c, dtype=float)
     return CompositeProblem(
@@ -972,7 +999,7 @@ def _separable_g(c):
         hess_f_at=lambda x: np.eye(n),
         eval_g=lambda y: 0.5 * float(y @ (c * y)),
         grad_g=lambda y: c * y,
-        hess_g_at=lambda y: np.diag(c),
+        hess_g_at=lambda y: c,
     )
 
 
@@ -988,6 +1015,25 @@ def test_diagonal_y_metric_doubles_sigma_until_its_diagonal_is_positive():
         assert params.sigma == sigma
         assert isinstance(out.carry.metric_y, prsqp.solver.DiagonalMetric)
         assert np.array_equal(out.hess_y, [1.0, c_min, 0.25])
+
+
+def test_diagonal_y_model_given_as_a_matrix_takes_the_dense_metric():
+    # the same g with H_y = diag(c) as a matrix: a factored BlockMetric instead
+    # of a DiagonalMetric, the same sigma doublings and the same iterates
+    for c_min, sigma in ((-4.0, 4.0), (-3.0, 4.0), (-1.0, 0.5)):
+        P = _separable_g([1.0, c_min, 0.25])
+        dense = replace(P, hess_g_at=lambda y: np.diag(P.hess_g_at(y)))
+        w0 = _w(np.ones(3), np.ones(3), np.zeros(3))
+        params = SolverParams(beta=1.0, sigma=0.5, tol_step=0.0, max_iter=40)
+        results, kinds = [], []
+        for Q in (P, dense):
+            seen = []
+            results.append(run(Q, w0, params, callback=lambda out: seen.append(type(out.carry.metric_y))))
+            kinds.append(set(seen))
+        assert kinds == [{prsqp.solver.DiagonalMetric}, {prsqp.solver.BlockMetric}]
+        diagonal, matrix = results
+        assert diagonal.sigma == matrix.sigma == sigma
+        _assert_traces_close(matrix, diagonal)
 
 
 def test_capacitance_matrix_depends_on_the_model_alone():
@@ -1049,11 +1095,10 @@ def test_y_curvature_is_read_off_a_diagonal_model(monkeypatch):
         make_huber_lasso(8, 16, rng=make_rng(97)),
     ]
     models = [P.hess_g_at(np.zeros(P.n2)) for P in problems]
-    models.append(np.diag([3.0, -0.5, 1e-3, 2.25, -7.125, 0.1]))  # distinct entries, largest |.| negative
-    for H in models:
-        h = prsqp.solver._own(H, None, diagonal=True)
-        assert h.shape == (H.shape[0],)
-        assert repr(spectral_norm(h)) == repr(spectral_norm(H))
+    assert [h.shape for h in models] == [(P.n2,) for P in problems]  # every family gives H_y as its diagonal
+    models.append(np.array([3.0, -0.5, 1e-3, 2.25, -7.125, 0.1]))  # distinct entries, largest |.| negative
+    for h in models:
+        assert repr(spectral_norm(h)) == repr(spectral_norm(np.diag(h)))
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda M: calls.append(M.shape) or eigvalsh(M))

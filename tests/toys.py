@@ -17,7 +17,11 @@ def scalar_problem(
     lipschitz_g=None,
     name="scalar",
 ):
-    """1-D composite problem with coupling A = [[a]]; callables act on scalars."""
+    """1-D composite problem with coupling A = [[a]]; callables act on scalars.
+
+    ``hess_f_at`` returns a 1 x 1 matrix and ``hess_g_at`` the (1,) diagonal,
+    so the solver builds a factored x-metric and a diagonal y-metric.
+    """
     A = np.array([[float(a)]])
     ata = float(a) * float(a)
     return CompositeProblem(
@@ -30,7 +34,7 @@ def scalar_problem(
         hess_f_at=lambda x: np.array([[hess_f(float(x[0]))]], dtype=float),
         eval_g=lambda y: float(eval_g(float(y[0]))),
         grad_g=lambda y: np.array([grad_g(float(y[0]))], dtype=float),
-        hess_g_at=lambda y: np.array([[hess_g(float(y[0]))]], dtype=float),
+        hess_g_at=lambda y: np.array([hess_g(float(y[0]))], dtype=float),
         lipschitz_f=lipschitz_f,
         lipschitz_g=lipschitz_g,
         AtA=np.array([[ata]]),
