@@ -2,13 +2,19 @@
 
 Everything downstream (problem builders, the splitting solver, the diagnostics)
 funnels its linear algebra and randomness through this module so that error
-handling and reproducibility live in one place.
+handling and reproducibility live in one place. It is the only module that
+imports scipy, and from scipy it binds two LAPACK routines, ``dpotrf`` and
+``dpotrs`` (see :func:`_bind_lapack`).
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+
 import numpy as np
-from scipy.linalg import lapack
+import scipy
 
 
 class DimensionMismatch(ValueError):
@@ -49,14 +55,38 @@ def as_matrix(M, shape=None, name="matrix"):
 # ----- symmetric positive definite factorization ---------------------------
 
 
+def _bind_lapack():
+    """``(dpotrf, dpotrs)`` from scipy's compiled LAPACK wrappers.
+
+    These are the functions ``scipy.linalg.lapack`` re-exports from its
+    extension module ``_flapack``. That module is loaded here on its own, kept
+    out of ``sys.modules``, so that the ``scipy.linalg`` package initializer,
+    which imports about 85 modules prsqp never calls, does not run, and a
+    later ``import scipy.linalg`` initializes as usual. Where the extension is
+    not found beside scipy's ``linalg`` package, ``scipy.linalg.lapack`` is
+    imported for the same functions.
+    """
+    linalg_dir = os.path.join(os.path.dirname(scipy.__file__), "linalg")
+    spec = importlib.machinery.PathFinder.find_spec("_flapack", [linalg_dir])
+    if spec is None:
+        from scipy.linalg import lapack
+    else:
+        lapack = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(lapack)
+    return lapack.dpotrf, lapack.dpotrs
+
+
+_dpotrf, _dpotrs = _bind_lapack()
+
+
 def cholesky_spd(M):
     """Lower Cholesky factor of a symmetric matrix, or raise :class:`NotPositiveDefinite`.
 
     ``M`` must be symmetric to ``max|M - M^T| <= 1e-10 * max(1, max|M|)``,
     else :class:`ValueError`. The returned object is the ``(factor, lower)``
-    pair accepted by :func:`scipy.linalg.cho_solve`; the factor is LAPACK
-    ``dpotrf``'s output as it stands (the upper triangle is not cleared), for
-    solves through ``dpotrs``.
+    pair accepted by :func:`cholesky_solve` (and :func:`scipy.linalg.cho_solve`);
+    the factor is the output of LAPACK ``dpotrf``, bound in this module, as it
+    stands (the upper triangle is not cleared).
     """
     M = as_matrix(M, name="M")
     n = M.shape[0]
@@ -67,12 +97,20 @@ def cholesky_spd(M):
         scale = max(1.0, float(np.abs(M).max()))
         if float(np.abs(M - M.T).max()) > 1e-10 * scale:
             raise ValueError("M must be symmetric (relative tolerance 1e-10)")
-    c, info = lapack.dpotrf(M, lower=1, clean=0)
+    c, info = _dpotrf(M, lower=1, clean=0)
     if info > 0:
         raise NotPositiveDefinite(f"{info}-th leading minor of the array is not positive definite")
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrf")
     return c, True
+
+
+def cholesky_solve(factor, b):
+    """``M^{-1} b`` through LAPACK ``dpotrs``, for the ``(c, lower)`` factor of ``M`` from :func:`cholesky_spd`."""
+    x, info = _dpotrs(factor[0], b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrs")
+    return x
 
 
 # ----- seeded randomness ---------------------------------------------------

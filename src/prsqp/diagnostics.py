@@ -13,6 +13,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 
@@ -32,9 +33,10 @@ class KktResidual:
     """Sup-norm first-order residuals at ``(x, y, lam)``.
 
     ``stat_x = ||grad f(x) - A^T lam||``, ``stat_y = ||grad g(y) + lam||``,
-    ``feas = ||A x - y||``, ``total = max`` of those three; ``composite``
-    is ``||grad f(x) + A^T grad g(A x)||``, which certifies stationarity of
-    ``f + g o A`` regardless of multiplier conventions.
+    ``feas = ||A x - y||``, ``total = max`` of those three (NaN if any of
+    them is NaN); ``composite`` is ``||grad f(x) + A^T grad g(A x)||``, which
+    certifies stationarity of ``f + g o A`` regardless of multiplier
+    conventions.
     """
 
     stat_x: float
@@ -42,6 +44,13 @@ class KktResidual:
     feas: float
     composite: float
     total: float
+
+
+def _max_or_nan(*values):
+    # Python's max keeps its running maximum when a comparison with NaN is
+    # false, so it drops a NaN that is not its first argument; a residual
+    # with a NaN part must not pass a tolerance test
+    return math.nan if any(map(math.isnan, values)) else max(values)
 
 
 def kkt_residual(P, w, x_eval=None, y_eval=None):
@@ -65,7 +74,7 @@ def kkt_residual(P, w, x_eval=None, y_eval=None):
         stat_y=stat_y,
         feas=feas,
         composite=composite,
-        total=max(stat_x, stat_y, feas),
+        total=_max_or_nan(stat_x, stat_y, feas),
     )
 
 

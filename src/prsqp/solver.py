@@ -35,10 +35,12 @@ models ``H_x, H_y``:
    is at most ``tol_kkt``.
 6. Refresh ``(H_x, H_y)`` at the new point, doubling ``ell`` / ``sigma`` until
    both metrics admit a Cholesky factorization (factored through LAPACK
-   ``potrf``, solved through ``potrs``). These factors are carried
-   into the next iteration's block steps, and a block's factor is reused,
-   not rebuilt, for as long as its Hessian model stays exactly equal to the
-   one it was built from and its ``ell`` / ``sigma`` has not been doubled.
+   ``potrf``, solved through ``potrs``; :mod:`prsqp.core` binds both, in
+   :func:`~prsqp.core.cholesky_spd` and :func:`~prsqp.core.cholesky_solve`).
+   These factors are carried into the next iteration's block steps, and a
+   block's factor is reused, not rebuilt, for as long as its Hessian model
+   stays exactly equal to the one it was built from and its ``ell`` /
+   ``sigma`` has not been doubled.
 
 The dual steps ``r, s`` may take either sign (ascent or descent flavors) as
 long as ``r + s != 0``; the diagnostics module computes the decrease margins
@@ -73,11 +75,10 @@ from enum import Enum
 from typing import Callable, List, Mapping, NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import lapack
 
 from .alf import AugmentedIterate, Iterate, PointEval, YPointEval, _alf_value, eval_alf, eval_merit_hat, grad_alf
-from .core import DimensionMismatch, NotPositiveDefinite, as_vector, cholesky_spd, spectral_norm
-from .diagnostics import KktResidual, kkt_residual
+from .core import DimensionMismatch, NotPositiveDefinite, as_vector, cholesky_solve, cholesky_spd, spectral_norm
+from .diagnostics import KktResidual, _max_or_nan, kkt_residual
 from .problems import composite_objective, hessian_pair
 
 
@@ -143,7 +144,12 @@ def validate_params(params, relaxed=None):
         out.append(f"nu must lie in (0, 1), got {nu}")
     if not -1.0 < alpha < math.inf:
         out.append(f"alpha must be finite and exceed -1, got {alpha}")
-    relaxed_eff = bool(get("relaxed_alpha")) if relaxed is None else bool(relaxed)
+    flag = get("relaxed_alpha")
+    if not isinstance(flag, (bool, np.bool_)):
+        # a string such as "false" is truthy; it must not relax the range
+        out.append(f"relaxed_alpha must be a boolean, got {flag!r}")
+        flag = False
+    relaxed_eff = bool(flag) if relaxed is None else bool(relaxed)
     if not relaxed_eff and 0.0 < rho < 1.0 and not alpha < 1.0 / rho - 1.0:
         out.append(f"alpha = {alpha} is not below 1/rho - 1 = {1.0 / rho - 1.0} (set relaxed_alpha to override)")
     for name in ("beta", "ell", "sigma"):
@@ -242,14 +248,6 @@ class SolveResult:
     sigma: Optional[float] = None
 
 
-def _cho_solve(factor, b):
-    # M^{-1} b through LAPACK dpotrs, for the (c, lower) factor of M from cholesky_spd
-    x, info = lapack.dpotrs(factor[0], b, lower=1)
-    if info != 0:
-        raise ValueError(f"illegal value in argument {-info} of dpotrs")
-    return x
-
-
 class BlockMetric(NamedTuple):
     """One block's metric held as the matrix ``Hcal`` with its Cholesky factor."""
 
@@ -260,7 +258,7 @@ class BlockMetric(NamedTuple):
 
     def solve(self, g):
         """``Hcal^{-1} g``."""
-        return _cho_solve(self.factor, g)
+        return cholesky_solve(self.factor, g)
 
     def matvec(self, d):
         """``Hcal d``."""
@@ -292,7 +290,7 @@ class LowRankMetric(NamedTuple):
 
     def solve(self, g):
         u = g / self.D
-        z = _cho_solve(self.factor, self.A @ u)
+        z = cholesky_solve(self.factor, self.A @ u)
         return u - (self.A.T @ z) / self.D
 
     def matvec(self, d):
@@ -739,11 +737,11 @@ def run(P, w0, params, callback: Optional[Callable[[IterationOutcome], None]] = 
     and, at the same iterate, the first-order residual
     ``max(kkt.total, kkt.composite)`` (see :func:`~prsqp.diagnostics.kkt_residual`)
     is at most the absolute ``params.tol_kkt``, so a small step away from a
-    stationary point does not end the run. It stops with IterLimit after
-    ``max_iter`` iterations, and with LineSearchFailed / NumericalError when
-    an iteration raises (captured, not propagated). The
-    caller's ``params`` are never mutated; positive-definiteness repair acts on
-    a private copy. The merit column of the trace uses the running maximum of
+    stationary point does not end the run; a residual with a NaN part never
+    passes. It stops with IterLimit after ``max_iter`` iterations, and with
+    LineSearchFailed / NumericalError when an iteration raises (captured, not
+    propagated). The caller's ``params`` are never mutated;
+    positive-definiteness repair acts on a private copy. The merit column of the trace uses the running maximum of
     ``||H_y||`` for the uniform curvature bound, read off a diagonal model
     given as its diagonal, and estimated again only when :func:`iterate_once`
     hands back a new ``hess_y`` array (after the first iteration, and then
@@ -798,7 +796,7 @@ def run(P, w0, params, callback: Optional[Callable[[IterationOutcome], None]] = 
         trace.append(out.record)
         if callback is not None:
             callback(out)
-        residual = max(out.kkt.total, out.kkt.composite)
+        residual = _max_or_nan(out.kkt.total, out.kkt.composite)
         if residual <= params.tol_kkt:
             step = float(np.abs(carry.point - prev).max()) / max(1.0, float(np.abs(prev).max()))
             if step <= params.tol_step:

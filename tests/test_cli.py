@@ -32,6 +32,7 @@ from prsqp.cli import (
     write_sweep,
     write_trace,
 )
+from toys import fresh_python
 
 
 def _quadratic_file(tmp_path, name="problem.json", n1=2, n2=2, seed=60):
@@ -509,6 +510,27 @@ def test_cli_check_params_reports_margins(tmp_path, capsys):
     assert code == 0
     assert {"gamma", "delta_x", "delta_y", "regime", "margins_ok", "bounds"} <= set(report)
     assert report["gamma"] > 0
+
+
+_FOOTPRINT = """
+import sys
+import prsqp
+from prsqp.cli import main
+code = main(["check-params", "--config", sys.argv[1]])
+print(sorted(name for name in sys.modules if name.startswith("scipy.linalg")))
+sys.exit(code)
+"""
+
+
+def test_import_and_check_params_load_no_scipy_linalg(tmp_path):
+    # prsqp binds its two LAPACK routines without running scipy.linalg's
+    # package initializer, which would add about 85 modules to every process
+    cfg = _cfg(problem={"type": "classification", "n": 10, "T": 10}, output_dir=str(tmp_path / "out"))
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    done = fresh_python(_FOOTPRINT, cfg_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_cli_gen_data_round_trips_through_solve(tmp_path, capsys):

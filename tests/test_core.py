@@ -1,3 +1,6 @@
+import importlib.machinery
+import json
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,7 +15,9 @@ from prsqp import (
     sparse_normal_sample,
     spectral_norm,
 )
-from prsqp.core import as_matrix, as_vector, cholesky_spd
+import prsqp.core
+from prsqp.core import as_matrix, as_vector, cholesky_solve, cholesky_spd
+from toys import fresh_python
 
 
 # ----- SPD solves through cholesky_spd ------------------------------------------
@@ -71,6 +76,93 @@ def test_cholesky_symmetry_tolerance_is_relative_to_the_largest_entry():
         cholesky_spd(within)
         with pytest.raises(ValueError):
             cholesky_spd(beyond)
+
+
+# ----- the LAPACK binding ----------------------------------------------------------
+
+
+def _spd_cases():
+    # SPD matrices of sizes 1, 5 and 128, each in C and in Fortran order, with a right-hand side
+    rng = make_rng(11)
+    for n in (1, 5, 128):
+        B = normal_sample(rng, n * n).reshape(n, n)
+        M = B.T @ B + n * np.eye(n)
+        b = normal_sample(rng, n)
+        for order in ("C", "F"):
+            yield np.array(M, order=order), b
+
+
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _factor_and_solve_bits():
+    return [(_bits(cholesky_spd(M)[0]), _bits(cholesky_solve(cholesky_spd(M), b))) for M, b in _spd_cases()]
+
+
+def test_lapack_binding_matches_scipy_linalg_lapack_bit_for_bit():
+    # loaded on its own, not taken from scipy.linalg
+    assert prsqp.core._dpotrf is not scipy.linalg.lapack.dpotrf
+    for M, b in _spd_cases():
+        factor = cholesky_spd(M)
+        c, info = scipy.linalg.lapack.dpotrf(M, lower=1, clean=0)
+        assert info == 0 and _bits(factor[0]) == _bits(c)
+        x, info = scipy.linalg.lapack.dpotrs(c, b, lower=1)
+        assert info == 0 and _bits(cholesky_solve(factor, b)) == _bits(x)
+
+
+def test_lapack_binding_reports_the_leading_minor_lapack_reports():
+    for (M, _), k in zip(_spd_cases(), (1, 1, 3, 3, 100, 100)):
+        M = M.copy()
+        M[k - 1, k - 1] = -1.0
+        _, info = scipy.linalg.lapack.dpotrf(M, lower=1, clean=0)
+        assert info == k
+        with pytest.raises(NotPositiveDefinite, match=f"^{k}-th leading minor "):
+            cholesky_spd(M)
+
+
+_BITS_ACROSS_IMPORT = """
+import json, sys
+import numpy as np
+from prsqp.core import cholesky_solve, cholesky_spd
+rng = np.random.default_rng(3)
+B = rng.standard_normal((40, 40))
+M, b = B.T @ B + np.eye(40), rng.standard_normal(40)
+def bits():
+    return [cholesky_spd(M)[0].tobytes().hex(), cholesky_solve(cholesky_spd(M), b).tobytes().hex()]
+before = bits()
+loaded_before = "scipy.linalg" in sys.modules
+import scipy.linalg
+c = scipy.linalg.lapack.dpotrf(M, lower=1, clean=0)[0]
+x = scipy.linalg.lapack.dpotrs(c, b, lower=1)[0]
+print(json.dumps({
+    "loaded_before": loaded_before,
+    "same_after_import": bits() == before,
+    "same_as_scipy": [c.tobytes().hex(), x.tobytes().hex()] == before,
+    "scipy_linalg_initialized": scipy.linalg.lapack.dpotrf is scipy.linalg._flapack.dpotrf,
+}))
+"""
+
+
+def test_lapack_binding_keeps_its_bits_after_scipy_linalg_is_imported():
+    done = fresh_python(_BITS_ACROSS_IMPORT)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == {
+        "loaded_before": False,
+        "same_after_import": True,
+        "same_as_scipy": True,
+        "scipy_linalg_initialized": True,
+    }
+
+
+def test_lapack_binding_falls_back_to_scipy_linalg_lapack(monkeypatch):
+    expected = _factor_and_solve_bits()
+    monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", lambda *args, **kwargs: None)
+    potrf, potrs = prsqp.core._bind_lapack()
+    assert potrf is scipy.linalg.lapack.dpotrf and potrs is scipy.linalg.lapack.dpotrs
+    monkeypatch.setattr(prsqp.core, "_dpotrf", potrf)
+    monkeypatch.setattr(prsqp.core, "_dpotrs", potrs)
+    assert _factor_and_solve_bits() == expected
 
 
 # ----- seeded sampling -------------------------------------------------------

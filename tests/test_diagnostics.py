@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -24,7 +26,7 @@ from prsqp import (
     suggest_params,
     validate_params,
 )
-from toys import zero_problem
+from toys import scalar_problem, zero_problem
 
 
 def _unit_bounds():
@@ -63,6 +65,20 @@ def test_kkt_residual_at_origin():
     assert res.stat_x == 1.0  # grad f(0) = -1, multiplier 0
     assert res.feas == 0.0
     assert res.total == max(res.stat_x, res.stat_y, res.feas)
+
+
+def test_kkt_residual_total_is_nan_when_a_part_is_nan():
+    # f = x^2/2, g = y^2/2 on y >= 0 with a gradient undefined (NaN) below 0
+    half_square = lambda v: 0.5 * v * v
+    grad_g = lambda y: y if y >= 0 else math.nan
+    P = scalar_problem(half_square, lambda x: x, lambda x: 1.0, half_square, grad_g, lambda y: 1.0)
+    res = kkt_residual(P, Iterate(np.array([-1e-3]), np.array([-1e-3]), np.zeros(1)))
+    assert math.isnan(res.stat_y) and res.stat_x == 1e-3
+    assert math.isnan(res.total)
+    # a finite split residual beside a NaN composite one (grad g(A x) is NaN)
+    res = kkt_residual(P, Iterate(np.array([-1e-3]), np.array([1e-3]), np.zeros(1)))
+    assert math.isnan(res.composite)
+    assert res.total == 2e-3
 
 
 def test_kkt_residual_fields_nonnegative():

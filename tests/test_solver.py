@@ -139,6 +139,19 @@ def test_validate_params_rejects_bools_for_real_parameters():
     assert validate_params({"beta": 1, "ell": np.float64(2.0), "sigma": np.int64(3)}) == []
 
 
+def test_validate_params_requires_a_boolean_relaxed_alpha():
+    # a truthy string must neither pass nor relax the acceleration range
+    for bad in ("false", "true", 1, None):
+        violations = validate_params({"alpha": 2.0, "relaxed_alpha": bad})
+        assert violations[0] == f"relaxed_alpha must be a boolean, got {bad!r}"
+        assert any(v.startswith("alpha = 2.0 is not below") for v in violations)
+        with pytest.raises(ValueError, match="relaxed_alpha must be a boolean"):
+            SolverParams(alpha=2.0, relaxed_alpha=bad)
+    for good in (True, np.True_):
+        assert validate_params({"alpha": 2.0, "relaxed_alpha": good}) == []
+    assert SolverParams(alpha=2.0, relaxed_alpha=np.True_).alpha == 2.0
+
+
 # ----- model subproblems ----------------------------------------------------------
 
 
@@ -456,6 +469,20 @@ def test_run_small_step_alone_does_not_report_converged():
             assert residual > tol_kkt
         prev = w
     assert small_steps > 0
+
+
+def test_run_never_reports_converged_on_a_nan_composite_residual(monkeypatch):
+    P = make_quadratic([1.0], [0.0], [[1.0]])
+    w0 = Iterate(np.zeros(1), np.zeros(1), np.zeros(1))
+    params = SolverParams(tol_step=1e-6, max_iter=200)
+    assert run(P, w0, params).status is SolveStatus.CONVERGED
+    real = prsqp.solver.kkt_residual
+    monkeypatch.setattr(
+        prsqp.solver, "kkt_residual", lambda *args: replace(real(*args), composite=math.nan)
+    )
+    result = run(P, w0, params)
+    assert result.status is SolveStatus.ITER_LIMIT
+    assert result.iterations == params.max_iter
 
 
 def test_run_converged_implies_first_order_residuals_within_tolerance():

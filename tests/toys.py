@@ -1,8 +1,31 @@
 """Tiny hand-checkable problem instances and finite-difference helpers for the tests."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import prsqp
 from prsqp import CompositeProblem
+
+
+def fresh_python(code, *args):
+    """Run ``code`` in a new interpreter that imports this checkout's prsqp; return its result.
+
+    For checks on what a process loads, which the test process itself (having
+    imported scipy.linalg for reference values) cannot show.
+    """
+    src = str(Path(prsqp.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-c", code, *map(str, args)],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
 
 
 def scalar_problem(
