@@ -61,7 +61,10 @@ class GdResult:
     final_x: np.ndarray
     status: SolveStatus
     trace: List[GdRecord] = field(default_factory=list)
-    iterations: int = 0
+
+    @property
+    def iterations(self):
+        return len(self.trace)
 
 
 def composite_gradient(P, x):
@@ -80,39 +83,43 @@ def gradient_descent(P, x0, gd):
     objective and gradient norm after the step it logs.
     """
     x = as_vector(x0, n=P.n1, name="x0")
+    # F(x) and grad F(x) of the current iterate, carried from the step that made it
+    g = composite_gradient(P, x)
+    F = composite_objective(P, x) if gd.step_rule == "armijo" else None
     trace: List[GdRecord] = []
     status = SolveStatus.ITER_LIMIT
     for k in range(gd.max_iter):
         t_start = time.perf_counter()
-        g = composite_gradient(P, x)
         if float(np.max(np.abs(g))) <= gd.tol:
             status = SolveStatus.CONVERGED
             break
         if gd.step_rule == "fixed":
             t = gd.eta
             x = x - t * g
+            F = composite_objective(P, x)
         else:
             # no float slack here: an accept-on-noise bias would put a floor on
             # the reachable gradient norm and break the tol contract
-            F0 = composite_objective(P, x)
             gg = float(g @ g)
             t = 1.0
             for _ in range(gd.max_backtracks + 1):
                 cand = x - t * g
-                if composite_objective(P, cand) <= F0 - gd.rho * t * gg:
-                    x = cand
+                F_cand = composite_objective(P, cand)
+                if F_cand <= F - gd.rho * t * gg:
+                    x, F = cand, F_cand
                     break
                 t *= gd.nu
             else:
                 status = SolveStatus.LINE_SEARCH_FAILED
                 break
+        g = composite_gradient(P, x)
         trace.append(
             GdRecord(
                 k=k,
-                objective=composite_objective(P, x),
-                grad_inf=float(np.max(np.abs(composite_gradient(P, x)))),
+                objective=F,
+                grad_inf=float(np.max(np.abs(g))),
                 t=t,
                 elapsed=time.perf_counter() - t_start,
             )
         )
-    return GdResult(final_x=x, status=status, trace=trace, iterations=len(trace))
+    return GdResult(final_x=x, status=status, trace=trace)

@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .alf import Iterate
+from .alf import Iterate, PointEval
 from .baseline import GdParams, gradient_descent
 from .core import make_rng
 from .diagnostics import classify_regime, diagnostics_report, kkt_residual
@@ -95,6 +95,11 @@ _PROBLEM_REQUIRED = {
 }
 
 
+def _is_number(value):
+    # a JSON number; true and false are not
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_keys(obj, allowed, context):
     extra = set(obj) - allowed
     if extra:
@@ -123,7 +128,18 @@ def _parse_problem(obj):
     missing = _PROBLEM_REQUIRED[kind] - set(obj)
     if missing:
         raise ConfigError(f"problem ({kind}) is missing keys: {sorted(missing)}")
-    return dict(obj)
+    out = dict(obj)
+    if "file" in obj and not isinstance(obj["file"], str):
+        raise ConfigError(f"problem ({kind}): file must be a path string, got {obj['file']!r}")
+    for key in ("m", "n", "T"):
+        if key in obj and (isinstance(obj[key], bool) or not isinstance(obj[key], int)):
+            raise ConfigError(f"problem ({kind}): {key} must be an integer, got {obj[key]!r}")
+    for key in ("density", "tau", "mu"):
+        if key in obj:
+            if not (_is_number(obj[key]) and math.isfinite(obj[key])):
+                raise ConfigError(f"problem ({kind}): {key} must be a finite real number, got {obj[key]!r}")
+            out[key] = float(obj[key])
+    return out
 
 
 _PARAM_FIELD_NAMES = {f.name for f in fields(SolverParams)} - {"relaxed_alpha"}
@@ -178,19 +194,12 @@ def build_problem(problem_cfg, seed):
     try:
         if kind == "quadratic":
             return problem_from_json(_load_json(problem_cfg["file"]))
+        # the sizes and weights the config gives; the builders hold the defaults
+        given = {key: value for key, value in problem_cfg.items() if key != "type"}
         rng = make_rng(seed)
         if kind == "classification":
-            return make_classification(
-                int(problem_cfg["n"]), int(problem_cfg["T"]), float(problem_cfg.get("mu", 0.001)), rng
-            )
-        return make_huber_lasso(
-            int(problem_cfg["m"]),
-            int(problem_cfg["n"]),
-            float(problem_cfg.get("density", 0.5)),
-            float(problem_cfg.get("tau", 1e-3)),
-            float(problem_cfg.get("mu", 0.1)),
-            rng,
-        )
+            return make_classification(**given, rng=rng)
+        return make_huber_lasso(**given, rng=rng)
     except (TypeError, ValueError) as exc:  # ValueError covers ConfigError and DimensionMismatch
         raise ConfigError(f"cannot build the {kind} problem: {exc}") from None
 
@@ -269,12 +278,13 @@ def read_trace(path):
 
 def _summarize(P, result, tcpu_s, params):
     final = result.final
-    res = kkt_residual(P, final)
+    at = PointEval(P, final.x)  # f(x) and A x, once for the residuals and both objectives
+    res = kkt_residual(P, final, x_eval=at)
     return {
         "iter": result.iterations,
         "tcpu_s": tcpu_s,
-        "ofv": composite_objective(P, final.x),
-        "ofv_split": float(P.eval_f(final.x)) + float(P.eval_g(final.y)),
+        "ofv": composite_objective(P, at),
+        "ofv_split": at.f + float(P.eval_g(final.y)),
         "fea": res.feas,
         "kkt": res.total,
         "status": result.status.value,
@@ -324,11 +334,6 @@ class SweepConfig:
     rs_grid: list
     alpha_grid: list
     max_workers: int = 1
-
-
-def _is_number(value):
-    # a JSON number; true and false are not
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def parse_sweep(obj):

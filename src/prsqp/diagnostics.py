@@ -102,7 +102,8 @@ def spectral_bounds(P, params, H_x, H_y):
 
     ``eta1_x = lambda_lo_x + beta lambda_min(A^T A) + ell`` and
     ``eta1_y = lambda_lo_y + beta + sigma`` must come out positive (else
-    :class:`NonPositiveEta1`); ``eta2_*`` add the norms instead. ``eta_*`` and
+    :class:`NonPositiveEta1`); ``eta2_*`` add the norms instead, with
+    ``||A^T A|| = lambda_max(A^T A)`` as ``A^T A`` is PSD. ``eta_*`` and
     ``lambda_lo_*`` are the largest ``|eigenvalue|`` and the smallest
     eigenvalue of each model.
     """
@@ -124,7 +125,7 @@ def spectral_bounds(P, params, H_x, H_y):
         lambda_lo_y=lo_y,
         eta1_x=eta1_x,
         eta1_y=eta1_y,
-        eta2_x=eta_x + params.beta * P.norm_AtA + params.ell,
+        eta2_x=eta_x + params.beta * P.max_eig_AtA + params.ell,
         eta2_y=eta_y + params.beta + params.sigma,
     )
 
@@ -134,7 +135,8 @@ def compute_gamma(P, params, bounds):
 
     ``gamma = nu * min(1, c eta1_x / (L_f + beta ||A^T A||), c eta1_y / (L_g + beta))``
 
-    with ``c = 1/(1 + alpha) - rho``. Requires both Lipschitz constants; when
+    with ``c = 1/(1 + alpha) - rho`` and ``||A^T A|| = lambda_max(A^T A)``
+    (``P.max_eig_AtA``). Requires both Lipschitz constants; when
     ``c <= 0`` (acceleration beyond the supported range) the floor degenerates,
     which is reported as 0 with a warning.
     """
@@ -148,7 +150,7 @@ def compute_gamma(P, params, bounds):
         return 0.0
     return params.nu * min(
         1.0,
-        c * bounds.eta1_x / (P.lipschitz_f + params.beta * P.norm_AtA),
+        c * bounds.eta1_x / (P.lipschitz_f + params.beta * P.max_eig_AtA),
         c * bounds.eta1_y / (P.lipschitz_g + params.beta),
     )
 
@@ -236,7 +238,8 @@ def suggest_params(direction, P, base=None, H_x=None, H_y=None, s=None, margin=0
     iterates the bound system to a fixed point (each strict inequality realized
     with a ``1 + margin`` factor, positive floors at ``margin * beta``) and
     then verifies ``delta_x, delta_y > 0`` via :func:`compute_deltas`, raising
-    ``ValueError`` if certification fails.
+    ``ValueError`` if certification fails. The coupling enters through the
+    spectral range of ``A^T A``, with ``||A^T A|| = lambda_max(A^T A)``.
     """
     if direction not in ("alda", "aldd"):
         raise ValueError(f"direction must be 'alda' or 'aldd', got {direction!r}")
@@ -273,7 +276,7 @@ def suggest_params(direction, P, base=None, H_x=None, H_y=None, s=None, margin=0
         eta1_y = lo_y + beta + sigma
         eta2_y = eta_y + beta + sigma
         gamma = nu * min(
-            1.0, c * eta1_x / (L_f + beta * P.norm_AtA), c * eta1_y / (L_g + beta)
+            1.0, c * eta1_x / (L_f + beta * P.max_eig_AtA), c * eta1_y / (L_g + beta)
         )
         # sigma must keep the r-denominator positive: rho gamma eta1_y > beta (alda)
         # resp. > -s beta (aldd)

@@ -1,9 +1,9 @@
 """Composite problem instances: min f(x) + g(y) subject to A x = y.
 
 A :class:`CompositeProblem` packages the two smooth blocks (values, gradients,
-pointwise Hessians), the coupling map ``A`` with spectral data of ``A^T A``
-computed on first read, and optional gradient Lipschitz constants used by the
-step-size theory. Three builders are provided:
+pointwise Hessians), the coupling map ``A``, from which the sizes, ``A^T A``
+and its spectral range are derived, and optional gradient Lipschitz constants
+used by the step-size theory. Three builders are provided:
 
 * :func:`make_quadratic`      -- separable quadratics with a closed-form
   first-order point (the test oracle),
@@ -15,6 +15,7 @@ step-size theory. Three builders are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,7 +34,7 @@ SCHEMA_VERSION = 1
 
 @dataclass(eq=False)
 class CompositeProblem:
-    """Two-block composite instance with lazily computed coupling spectra.
+    """Two-block composite instance; its sizes and coupling spectra are read off ``A``.
 
     ``eval_f``/``grad_f``/``hess_f_at`` act on ``x`` (length ``n1``),
     ``eval_g``/``grad_g``/``hess_g_at`` on ``y`` (length ``n2``), and
@@ -51,21 +52,19 @@ class CompositeProblem:
     (see :mod:`prsqp.solver`). A matrix always takes the dense metric, even
     when it is diagonal.
 
-    ``AtA`` is ``A^T A``: when it is not given, it is formed from ``A`` on
-    first read (a dense x-metric reads it), so a problem solved through the
-    capacitance matrix never holds the ``n1 x n1`` array. Likewise
-    ``norm_AtA``, ``min_eig_AtA`` and ``max_eig_AtA``, the spectral range of
-    ``A^T A`` that only the theory constants of :mod:`prsqp.diagnostics` use,
-    are computed together on the first read of any of them unless given.
+    Everything else is derived from ``A``: ``(n2, n1)`` is its shape, set on
+    construction. ``AtA`` is ``A^T A``, formed on first read (a dense x-metric
+    reads it), so a problem solved through the capacitance matrix never holds
+    the ``n1 x n1`` array. ``min_eig_AtA`` and ``max_eig_AtA``, the spectral
+    range of ``A^T A`` that only the theory constants of
+    :mod:`prsqp.diagnostics` use, are computed together on the first read of
+    either.
 
-    Problems compare by identity. ``dataclasses.replace(P, ...)`` reads every
-    field through its property, so it forms ``A^T A`` and the spectra on ``P``
-    if they are not yet set, and the copy shares those arrays and values.
+    Problems compare by identity. ``dataclasses.replace(P, ...)`` builds a new
+    problem, which derives all of these afresh from its own ``A``.
     """
 
     name: str
-    n1: int
-    n2: int
     A: np.ndarray
     eval_f: Callable[[np.ndarray], float]
     grad_f: Callable[[np.ndarray], np.ndarray]
@@ -75,56 +74,40 @@ class CompositeProblem:
     hess_g_at: Callable[[np.ndarray], np.ndarray]
     lipschitz_f: Optional[float] = None
     lipschitz_g: Optional[float] = None
-    AtA: np.ndarray = field(default=None, repr=False)
-    norm_AtA: Optional[float] = field(default=None, repr=False)
-    min_eig_AtA: Optional[float] = field(default=None, repr=False)
-    max_eig_AtA: Optional[float] = field(default=None, repr=False)
     data: object = None
+    n1: int = field(init=False)
+    n2: int = field(init=False)
+
+    def __post_init__(self):
+        self.n2, self.n1 = as_matrix(self.A, name="A").shape
+
+    @cached_property
+    def AtA(self):
+        return self.A.T @ self.A
+
+    @cached_property
+    def _spectral_range(self):
+        # (lambda_min, lambda_max) of A^T A. Its nonzero eigenvalues are those
+        # of A A^T, so the smaller of the two Gram matrices gives them; for
+        # m < n, A^T A is singular and its smallest eigenvalue is exactly zero.
+        # Only for m >= n is A^T A itself formed here.
+        m, n = self.A.shape
+        eigs = np.linalg.eigvalsh(self.A @ self.A.T if m < n else self.AtA)
+        return (0.0 if m < n else max(float(eigs[0]), 0.0)), max(float(eigs[-1]), 0.0)
+
+    @property
+    def min_eig_AtA(self):
+        return self._spectral_range[0]
+
+    @property
+    def max_eig_AtA(self):
+        return self._spectral_range[1]
 
     def apply_A(self, x):
         return self.A @ x
 
     def apply_At(self, v):
         return self.A.T @ v
-
-
-def _form_AtA(P):
-    P._AtA = P.A.T @ P.A
-
-
-def _form_spectra(P):
-    # The spectral range of A^T A, for each of the three not already set. A^T A
-    # is PSD, so its norm is its largest eigenvalue. Its nonzero eigenvalues
-    # are those of A A^T, so the smaller of the two Gram matrices gives them;
-    # for m < n, A^T A is singular and its smallest eigenvalue is exactly zero.
-    # Only for m >= n is A^T A itself formed here.
-    m, n = P.A.shape
-    eigs = np.linalg.eigvalsh(P.A @ P.A.T if m < n else P.AtA)
-    top = max(float(eigs[-1]), 0.0)
-    low = 0.0 if m < n else max(float(eigs[0]), 0.0)
-    for key, value in (("_norm_AtA", top), ("_min_eig_AtA", low), ("_max_eig_AtA", top)):
-        if getattr(P, key) is None:
-            setattr(P, key, value)
-
-
-def _lazy(name, form):
-    # a property over P._<name>: a value set (by the constructor too) is kept,
-    # and None is replaced by form(P) on first read
-    key = "_" + name
-
-    def get(P):
-        if getattr(P, key) is None:
-            form(P)
-        return getattr(P, key)
-
-    return property(get, lambda P, value: setattr(P, key, value))
-
-
-# installed after the dataclass is made, so that its __init__ assigns these
-# arguments through the setters
-CompositeProblem.AtA = _lazy("AtA", _form_AtA)
-for _name in ("norm_AtA", "min_eig_AtA", "max_eig_AtA"):
-    setattr(CompositeProblem, _name, _lazy(_name, _form_spectra))
 
 
 @dataclass
@@ -204,8 +187,6 @@ def make_quadratic(c_f, c_g, A):
     ones1, ones2 = np.ones(n1), np.ones(n2)  # both Hessians are identities, given as diagonals
     return CompositeProblem(
         name="quadratic",
-        n1=n1,
-        n2=n2,
         A=A,
         eval_f=lambda x: 0.5 * float((x - c_f) @ (x - c_f)),
         grad_f=lambda x: x - c_f,
@@ -279,8 +260,6 @@ def _classification_problem(D, labels, mu):
 
     return CompositeProblem(
         name="classification",
-        n1=n,
-        n2=n - 1,
         A=A,
         eval_f=eval_f,
         grad_f=grad_f,
@@ -336,8 +315,6 @@ def _lasso_problem(Amat, u, tau, mu, density):
 
     return CompositeProblem(
         name="huber_lasso",
-        n1=n,
-        n2=m,
         A=Amat,
         eval_f=eval_f,
         grad_f=grad_f,

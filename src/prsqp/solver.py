@@ -235,17 +235,21 @@ class SolveResult:
     ``stop_reason`` says why the run ended: the stop rule that fired, or the
     message of the error an iteration broke down with. ``ell`` and ``sigma``
     are the proximal weights the run ended with, which exceed the caller's
-    where a metric was repaired.
+    where a metric was repaired. ``iterations`` is the number of records in
+    ``trace``.
     """
 
     final: Iterate
     status: SolveStatus
     trace: List[StepRecord] = field(default_factory=list)
-    iterations: int = 0
     theory_supported: bool = True
     stop_reason: str = ""
     ell: Optional[float] = None
     sigma: Optional[float] = None
+
+    @property
+    def iterations(self):
+        return len(self.trace)
 
 
 class BlockMetric(NamedTuple):
@@ -811,7 +815,6 @@ def run(P, w0, params, callback: Optional[Callable[[IterationOutcome], None]] = 
         final=state.w,
         status=status,
         trace=trace,
-        iterations=len(trace),
         theory_supported=theory_supported,
         stop_reason=reason,
         ell=params.ell,

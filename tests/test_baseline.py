@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -80,3 +83,33 @@ def test_trace_records_carry_post_step_measurements():
     for rec in result.trace:
         assert rec.t > 0.0
         assert np.isfinite(rec.objective) and np.isfinite(rec.grad_inf)
+
+
+def _counting(P):
+    # P with eval_f and grad_f counting their calls
+    calls = {"eval_f": 0, "grad_f": 0}
+
+    def counted(name):
+        fn = getattr(P, name)
+
+        def call(x):
+            calls[name] += 1
+            return fn(x)
+
+        return call
+
+    return replace(P, eval_f=counted("eval_f"), grad_f=counted("grad_f")), calls
+
+
+def test_each_iterate_is_evaluated_once():
+    # grad F and F of an iterate are carried from the step that made it to the
+    # trace record and the next iteration: grad f once per iteration and once at
+    # x0; f once per Armijo trial and once at x0, or once per fixed step
+    P, calls = _counting(make_huber_lasso(16, 64, rng=make_rng(40)))
+    result = gradient_descent(P, np.zeros(P.n1), GdParams(max_iter=50, tol=0.0))
+    trials = sum(round(math.log(rec.t, 0.5)) + 1 for rec in result.trace)
+    assert result.iterations == 50 and trials == 350
+    assert calls == {"eval_f": 1 + trials, "grad_f": 51}
+    calls.update(eval_f=0, grad_f=0)
+    gradient_descent(P, np.zeros(P.n1), GdParams(step_rule="fixed", eta=0.01, max_iter=50, tol=0.0))
+    assert calls == {"eval_f": 50, "grad_f": 51}

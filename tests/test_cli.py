@@ -12,6 +12,8 @@ from prsqp import (
     SolverParams,
     StepRecord,
     gradient_descent,
+    make_classification,
+    make_huber_lasso,
     make_quadratic,
     make_rng,
     problem_to_json,
@@ -23,6 +25,9 @@ from prsqp.cli import (
     SWEEP_HEADER,
     TRACE_HEADER,
     ConfigError,
+    _parse_problem,
+    _summarize,
+    build_problem,
     main,
     parse_experiment,
     parse_sweep,
@@ -389,6 +394,57 @@ def test_cli_rejects_booleans_where_numbers_or_flags_belong(tmp_path, capsys):
         assert code == 1
         assert "config error" in err and message in err
         assert not (tmp_path / "out").exists()
+
+
+def test_cli_rejects_non_integer_sizes_and_non_number_weights_in_the_problem(tmp_path, capsys):
+    # 20.9 is no size of 20, and true no weight of 1; nothing is built or written
+    for problem, message in (
+        ({"type": "classification", "n": 20.9, "T": 20}, "n must be an integer"),
+        ({"type": "classification", "n": 20, "T": True}, "T must be an integer"),
+        ({"type": "classification", "n": 20, "T": 20, "mu": True}, "mu must be a finite real number"),
+        ({"type": "classification", "n": 20, "T": 20, "mu": "0.1"}, "mu must be a finite real number"),
+        ({"type": "huber_lasso", "m": 8.5, "n": 16}, "m must be an integer"),
+        ({"type": "huber_lasso", "m": 8, "n": "16"}, "n must be an integer"),
+        ({"type": "huber_lasso", "m": 8, "n": 16, "density": True}, "density must be a finite real number"),
+        ({"type": "huber_lasso", "m": 8, "n": 16, "tau": False}, "tau must be a finite real number"),
+        ({"type": "huber_lasso", "m": 8, "n": 16, "tau": float("nan")}, "tau must be a finite real number"),
+        ({"type": "quadratic", "file": 1}, "file must be a path string"),
+    ):
+        for command in ("solve", "check-params"):
+            cfg = {"schema_version": 1, "problem": problem, "seed": 1, "output_dir": str(tmp_path / "out")}
+            cfg_path = tmp_path / "config.json"
+            cfg_path.write_text(json.dumps(cfg))
+            code = main([command, "--config", str(cfg_path)])
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert "config error" in captured.err and message in captured.err
+            assert not (tmp_path / "out").exists()
+
+
+def test_build_problem_passes_only_the_given_options_to_the_builders():
+    # the defaults are the builders' own, and integer weights are read as floats
+    P = build_problem(_parse_problem({"type": "classification", "n": 6, "T": 5}), 3)
+    Q = make_classification(6, 5, rng=make_rng(3))
+    assert P.data.mu == Q.data.mu and P.data.D.tobytes() == Q.data.D.tobytes()
+    P = build_problem(_parse_problem({"type": "huber_lasso", "m": 4, "n": 8, "tau": 1}), 3)
+    Q = make_huber_lasso(4, 8, tau=1.0, rng=make_rng(3))
+    assert (P.data.tau, P.data.mu, P.data.density) == (Q.data.tau, Q.data.mu, Q.data.density)
+    assert type(P.data.tau) is float and P.A.tobytes() == Q.A.tobytes()
+
+
+def test_summary_evaluates_f_and_A_x_once():
+    P = make_huber_lasso(8, 16, rng=make_rng(22))
+    params = SolverParams(max_iter=5)
+    result = run(P, Iterate(np.zeros(P.n1), np.zeros(P.n2), np.zeros(P.n2)), params)
+    calls = []
+    for name in ("eval_f", "apply_A", "grad_f"):
+        fn = getattr(P, name)
+        setattr(P, name, lambda x, fn=fn, name=name: calls.append(name) or fn(x))
+    summary = _summarize(P, result, 0.0, params)
+    assert sorted(calls) == ["apply_A", "eval_f", "grad_f"]
+    x, y = result.final.x, result.final.y
+    assert summary["ofv"] == float(P.eval_f(x)) + float(P.eval_g(P.A @ x))
+    assert summary["ofv_split"] == float(P.eval_f(x)) + float(P.eval_g(y))
 
 
 def test_parse_sweep_rejects_non_numbers_in_grids_and_worker_count():

@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 import pytest
@@ -9,6 +9,7 @@ from prsqp import (
     Iterate,
     SolverParams,
     composite_objective,
+    diagnostics_report,
     forward_difference,
     hessian_pair,
     huber,
@@ -28,7 +29,7 @@ from prsqp import (
     run,
 )
 from prsqp.cli import _summarize
-from toys import central_diff, rel_err, scalar_problem
+from toys import central_diff, rel_err
 
 
 # ----- huber ------------------------------------------------------------------
@@ -259,24 +260,23 @@ def test_hessian_models_symmetric():
     assert np.array_equal(H_y, H_y.T)
 
 
-# ----- spectra cache -------------------------------------------------------------
+# ----- values derived from A ------------------------------------------------------
 
 
 def test_cached_spectra_match_coupling():
     P = make_classification(12, 10, rng=make_rng(14))
     AtA = P.A.T @ P.A
     eigs = np.linalg.eigvalsh(AtA)
-    assert abs(P.norm_AtA - eigs[-1]) <= 1e-6
     assert abs(P.max_eig_AtA - eigs[-1]) <= 1e-6
     assert abs(P.min_eig_AtA - max(eigs[0], 0.0)) <= 1e-6
 
 
-SPECTRA = ("norm_AtA", "min_eig_AtA", "max_eig_AtA")
+SPECTRA = ("min_eig_AtA", "max_eig_AtA")
 
 
 def _unformed(P):
-    # which of A^T A and its spectra P holds, read without forming them
-    return {name: vars(P)["_" + name] is None for name in ("AtA",) + SPECTRA}
+    # which of the values cached on first read P holds, read without forming them
+    return {name: name not in vars(P) for name in ("AtA", "_spectral_range")}
 
 
 def _count_eigvalsh(monkeypatch):
@@ -287,11 +287,10 @@ def _count_eigvalsh(monkeypatch):
 
 
 def _eager_spectra(A):
-    # reference: the spectral range of A^T A computed eagerly from A
+    # reference: the spectral range (min, max) of A^T A computed eagerly from A
     m, n = A.shape
     eigs = np.linalg.eigvalsh(A @ A.T if m < n else A.T @ A)
-    top = max(float(eigs[-1]), 0.0)
-    return top, (0.0 if m < n else max(float(eigs[0]), 0.0)), top
+    return (0.0 if m < n else max(float(eigs[0]), 0.0)), max(float(eigs[-1]), 0.0)
 
 
 def _families():
@@ -301,6 +300,26 @@ def _families():
         make_classification(12, 10, rng=make_rng(18)),
         make_huber_lasso(8, 16, rng=make_rng(19)),
     ]
+
+
+def test_constructor_takes_only_what_A_does_not_give():
+    given = [f.name for f in fields(CompositeProblem) if f.init]
+    assert given == [
+        "name", "A", "eval_f", "grad_f", "hess_f_at", "eval_g", "grad_g", "hess_g_at",
+        "lipschitz_f", "lipschitz_g", "data",
+    ]
+    with pytest.raises(ValueError, match="init=False"):  # a size cannot be given
+        replace(random_quadratic(3, 2, make_rng(15)), n1=4)
+
+
+def test_sizes_are_the_shape_of_A():
+    sizes = [(5, 3), (3, 5), (12, 11), (16, 8)]  # (n1, n2) the builders were asked for
+    for P, (n1, n2) in zip(_families(), sizes):
+        for built in (P, problem_from_json(problem_to_json(P))):
+            assert (built.n1, built.n2) == (n1, n2)
+            assert built.A.shape == (n2, n1)
+    with pytest.raises(DimensionMismatch):
+        replace(random_quadratic(3, 2, make_rng(15)), A=np.ones(3))
 
 
 def test_builds_compute_no_spectra_and_no_gram_matrix(monkeypatch):
@@ -318,38 +337,34 @@ def test_first_read_of_spectra_has_the_eager_bits():
     for P in _families() + [quadratic_square]:
         m, n = P.A.shape
         expected = _eager_spectra(P.A)
-        first = SPECTRA[P.n1 % 3]  # any of the three may be read first
+        first = SPECTRA[P.n1 % 2]  # either may be read first
         getattr(P, first)
-        assert not any(_unformed(P)[name] for name in SPECTRA)
+        assert not _unformed(P)["_spectral_range"]
         assert _unformed(P)["AtA"] == (m < n)  # only m >= n forms A^T A, as before
         for name, value in zip(SPECTRA, expected):
             assert repr(getattr(P, name)) == repr(value)
     assert quadratic_square.min_eig_AtA > 0.0
 
 
-def test_given_spectra_are_kept(monkeypatch):
-    base = make_huber_lasso(8, 16, rng=make_rng(21))
-    top, low, _ = _eager_spectra(base.A)
-    calls = _count_eigvalsh(monkeypatch)
-    P = scalar_problem(lambda x: 0.0, lambda x: 0.0, lambda x: 0.0, lambda y: 0.0, lambda y: 0.0, lambda y: 0.0, a=2.0)
-    assert (P.norm_AtA, P.min_eig_AtA, P.max_eig_AtA) == (4.0, 4.0, 4.0)
-    assert calls == []
-    callables = ("eval_f", "grad_f", "hess_f_at", "eval_g", "grad_g", "hess_g_at")
-    kept = CompositeProblem("kept", base.n1, base.n2, base.A, *(getattr(base, c) for c in callables), norm_AtA=123.0)
-    assert kept.norm_AtA == 123.0 and calls == []
-    assert (kept.max_eig_AtA, kept.min_eig_AtA, kept.norm_AtA) == (top, low, 123.0)
-    assert len(calls) == 1
-
-
-def test_problems_compare_by_identity_and_replace_shares_the_lazy_fields():
+def test_replace_derives_sizes_gram_matrix_and_spectra_from_the_new_A(monkeypatch):
     P = make_huber_lasso(8, 16, rng=make_rng(23))
     Q = make_huber_lasso(8, 16, rng=make_rng(23))
     assert P == P and P != Q  # equal draws are still two problems
-    assert all(_unformed(P).values()) and P._AtA is None  # == read no field
-    R = replace(P, name="copy")
-    # replace reads every field through its property, so it forms them on P
-    assert not any(_unformed(P).values())
-    assert R.AtA is P.AtA and R.norm_AtA == P.norm_AtA and R != P
+    B = normal_sample(make_rng(24), 30).reshape(6, 5)
+    calls = _count_eigvalsh(monkeypatch)
+    R = replace(P, A=B)
+    assert all(_unformed(P).values()) and calls == []  # replace forms nothing on P
+    assert (R.n1, R.n2) == (5, 6) and R != P
+    assert R.AtA.tobytes() == (B.T @ B).tobytes()
+    assert (R.min_eig_AtA, R.max_eig_AtA) == _eager_spectra(B)
+    assert all(_unformed(P).values())
+    # a scaled coupling certifies what a fresh build of the same data does
+    S = random_quadratic(4, 6, make_rng(3))
+    S.AtA, S.max_eig_AtA  # formed on S first: the copy must not inherit them
+    scaled = replace(S, A=2.0 * S.A)
+    fresh = make_quadratic(S.data.c_f, S.data.c_g, 2.0 * S.A)
+    assert scaled.AtA.tobytes() == fresh.AtA.tobytes()
+    assert asdict(diagnostics_report(scaled, SolverParams())) == asdict(diagnostics_report(fresh, SolverParams()))
 
 
 def test_lasso_solve_and_summary_leave_spectra_and_gram_matrix_unformed(monkeypatch):

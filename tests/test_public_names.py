@@ -1,28 +1,34 @@
-"""Names other code looks up at run time must keep resolving.
+"""Names and configs other code looks up at run time must keep resolving.
 
 ``perfbench/tracer.py`` fetches prsqp's layer functions, and the callables of
 the problems it traces, with ``getattr``, so deleting or renaming one in
 ``src/`` would break a traced benchmark run without failing any import.
+``perfbench/harness.py`` builds its instances from problem configs through
+``cli.build_problem``, so a stricter config parser or a changed builder must
+still accept them.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import prsqp
+from prsqp.cli import _parse_problem, build_problem
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def _load_tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _load(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up there
     spec.loader.exec_module(module)
     return module
 
 
 def test_tracer_layer_functions_resolve():
-    layers = _load_tracer().LAYER_FUNCTIONS
+    layers = _load("tracer").LAYER_FUNCTIONS
     assert layers
     for mod_name, names in layers.items():
         module = importlib.import_module(f"prsqp.{mod_name}")
@@ -31,7 +37,7 @@ def test_tracer_layer_functions_resolve():
 
 
 def test_tracer_instance_callables_resolve_on_every_family():
-    names = _load_tracer().INSTANCE_CALLABLES
+    names = _load("tracer").INSTANCE_CALLABLES
     assert names
     rng = prsqp.make_rng(1)
     for P in (
@@ -46,3 +52,13 @@ def test_tracer_instance_callables_resolve_on_every_family():
 def test_public_names_are_unique_and_resolve():
     assert len(set(prsqp.__all__)) == len(prsqp.__all__)
     assert [name for name in prsqp.__all__ if not hasattr(prsqp, name)] == []
+
+
+def test_bench_problem_configs_parse_and_build(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # harness imports tracer by its plain name
+    workloads = _load("harness").WORKLOADS
+    assert workloads
+    for name, wl in workloads.items():
+        assert _parse_problem(wl.problem) == wl.problem, name
+        P = build_problem(wl.problem, 1)  # at the bench's own sizes
+        assert P.name == wl.problem["type"] and P.n1 == wl.problem["n"], name

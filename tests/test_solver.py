@@ -602,7 +602,7 @@ def _run_refactoring_every_step(P, w0, params):
         if stationary and step / max(1.0, float(np.max(np.abs(prev)))) <= params.tol_step:
             status = SolveStatus.CONVERGED
             break
-    return SolveResult(final=state.w, status=status, trace=trace, iterations=len(trace))
+    return SolveResult(final=state.w, status=status, trace=trace)
 
 
 def _assert_bit_identical(result, reference):
@@ -1018,8 +1018,6 @@ def _separable_g(c):
     c = np.asarray(c, dtype=float)
     return CompositeProblem(
         name="separable",
-        n1=n,
-        n2=n,
         A=np.eye(n),
         eval_f=lambda x: 0.5 * float(x @ x),
         grad_f=lambda x: x.copy(),
@@ -1111,7 +1109,7 @@ def test_constant_diagonal_y_model_is_never_factored(monkeypatch):
 def test_structured_solve_never_forms_AtA():
     P = make_huber_lasso(16, 64, rng=make_rng(62))
     run(P, _zero_start(P), SolverParams(tol_step=0.0, max_iter=30))
-    assert P._AtA is None  # formed on first read only
+    assert "AtA" not in vars(P)  # formed on first read only
     assert P.AtA.tobytes() == (P.A.T @ P.A).tobytes() and P.AtA is P.AtA
 
 

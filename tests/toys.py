@@ -45,13 +45,9 @@ def scalar_problem(
     ``hess_f_at`` returns a 1 x 1 matrix and ``hess_g_at`` the (1,) diagonal,
     so the solver builds a factored x-metric and a diagonal y-metric.
     """
-    A = np.array([[float(a)]])
-    ata = float(a) * float(a)
     return CompositeProblem(
         name=name,
-        n1=1,
-        n2=1,
-        A=A,
+        A=np.array([[float(a)]]),
         eval_f=lambda x: float(eval_f(float(x[0]))),
         grad_f=lambda x: np.array([grad_f(float(x[0]))], dtype=float),
         hess_f_at=lambda x: np.array([[hess_f(float(x[0]))]], dtype=float),
@@ -60,10 +56,6 @@ def scalar_problem(
         hess_g_at=lambda y: np.array([hess_g(float(y[0]))], dtype=float),
         lipschitz_f=lipschitz_f,
         lipschitz_g=lipschitz_g,
-        AtA=np.array([[ata]]),
-        norm_AtA=ata,
-        min_eig_AtA=ata,
-        max_eig_AtA=ata,
     )
 
 
