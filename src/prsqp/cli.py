@@ -35,7 +35,7 @@ import math
 import sys
 import time
 import typing
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +45,8 @@ from .baseline import GdParams, gradient_descent
 from .core import make_rng
 from .diagnostics import classify_regime, diagnostics_report, kkt_residual
 from .problems import (
+    _json_size,
+    _json_weight,
     composite_objective,
     make_classification,
     make_huber_lasso,
@@ -87,6 +89,9 @@ _PROBLEM_KEYS = {
     "huber_lasso": {"type", "m", "n", "density", "tau", "mu"},
     "quadratic": {"type", "file"},
 }
+
+# sizes and weights are read as the same fields of a problem file are
+_PROBLEM_READERS = dict.fromkeys(("m", "n", "T"), _json_size) | dict.fromkeys(("density", "tau", "mu"), _json_weight)
 
 _PROBLEM_REQUIRED = {
     "classification": {"n", "T"},
@@ -131,14 +136,12 @@ def _parse_problem(obj):
     out = dict(obj)
     if "file" in obj and not isinstance(obj["file"], str):
         raise ConfigError(f"problem ({kind}): file must be a path string, got {obj['file']!r}")
-    for key in ("m", "n", "T"):
-        if key in obj and (isinstance(obj[key], bool) or not isinstance(obj[key], int)):
-            raise ConfigError(f"problem ({kind}): {key} must be an integer, got {obj[key]!r}")
-    for key in ("density", "tau", "mu"):
+    for key, read in _PROBLEM_READERS.items():
         if key in obj:
-            if not (_is_number(obj[key]) and math.isfinite(obj[key])):
-                raise ConfigError(f"problem ({kind}): {key} must be a finite real number, got {obj[key]!r}")
-            out[key] = float(obj[key])
+            try:
+                out[key] = read(obj, key)
+            except ValueError as exc:
+                raise ConfigError(f"problem ({kind}): {exc}") from None
     return out
 
 
@@ -227,7 +230,7 @@ def _open_output(path):
 
 
 def _output_dir(path):
-    # the output directory, created before any work is done
+    # the output directory, created before anything is written to it
     out = Path(path)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -295,15 +298,19 @@ def _summarize(P, result, tcpu_s, params):
     }
 
 
-def run_experiment(cfg):
-    """Execute one configured solve; returns (summary dict, SolveResult)."""
-    P = build_problem(cfg.problem, cfg.seed)
-    out_dir = _output_dir(cfg.output_dir)
+def _solve(problem_cfg, seed, params):
+    # the solve behind ``solve`` and each sweep row: build, run from zero, summarize
+    P = build_problem(problem_cfg, seed)
     w0 = Iterate(np.zeros(P.n1), np.zeros(P.n2), np.zeros(P.n2))
     t0 = time.perf_counter()
-    result = run(P, w0, cfg.params)
-    summary = _summarize(P, result, time.perf_counter() - t0, cfg.params)
+    result = run(P, w0, params)
+    return P, result, _summarize(P, result, time.perf_counter() - t0, params)
 
+
+def run_experiment(cfg):
+    """Execute one configured solve; returns (summary dict, SolveResult)."""
+    P, result, summary = _solve(cfg.problem, cfg.seed, cfg.params)
+    out_dir = _output_dir(cfg.output_dir)
     write_trace(result.trace, out_dir / "trace.csv")
 
     if cfg.baseline:
@@ -365,9 +372,8 @@ def parse_sweep(obj):
     return SweepConfig(base=base, rs_grid=pairs, alpha_grid=[float(a) for a in alpha_grid], max_workers=workers)
 
 
-def _sweep_row(payload):
+def _sweep_row(base, r, s, alpha, seed):
     # top-level function so process pools can pickle it; rebuilds everything locally
-    r, s, alpha = payload["r"], payload["s"], payload["alpha"]
     row = {
         "r": r,
         "s": s,
@@ -381,25 +387,11 @@ def _sweep_row(payload):
         "status": "InvalidParams",
     }
     try:
-        params = SolverParams(
-            **{**payload["params"], "r": r, "s": s, "alpha": alpha},
-            relaxed_alpha=payload["relaxed_alpha"],
-        )
+        params = replace(base.params, r=r, s=s, alpha=alpha)
     except ValueError:
         return row
-    P = build_problem(payload["problem"], payload["seed"])
-    w0 = Iterate(np.zeros(P.n1), np.zeros(P.n2), np.zeros(P.n2))
-    t0 = time.perf_counter()
-    result = run(P, w0, params)
-    summary = _summarize(P, result, time.perf_counter() - t0, params)
-    row.update(
-        iter=summary["iter"],
-        tcpu_s=summary["tcpu_s"],
-        ofv=summary["ofv"],
-        fea=summary["fea"],
-        kkt=summary["kkt"],
-        status=summary["status"],
-    )
+    summary = _solve(base.problem, seed, params)[2]
+    row.update({key: summary[key] for key in ("iter", "tcpu_s", "ofv", "fea", "kkt", "status")})
     return row
 
 
@@ -411,33 +403,12 @@ def run_sweep(cfg):
     completion order. Rows whose parameters fail validation are recorded with
     status InvalidParams and the sweep continues.
     """
-    base_params = {
-        f.name: getattr(cfg.base.params, f.name)
-        for f in fields(SolverParams)
-        if f.name not in ("r", "s", "alpha", "relaxed_alpha")
-    }
-    payloads = []
-    idx = 0
-    for alpha in cfg.alpha_grid:
-        for r, s in cfg.rs_grid:
-            payloads.append(
-                {
-                    "r": r,
-                    "s": s,
-                    "alpha": alpha,
-                    "params": base_params,
-                    "relaxed_alpha": cfg.base.params.relaxed_alpha,
-                    "problem": cfg.base.problem,
-                    "seed": cfg.base.seed ^ idx,
-                }
-            )
-            idx += 1
+    points = [(r, s, alpha) for alpha in cfg.alpha_grid for r, s in cfg.rs_grid]
+    jobs = [(cfg.base, r, s, alpha, cfg.base.seed ^ idx) for idx, (r, s, alpha) in enumerate(points)]
     if cfg.max_workers == 1:
-        rows = [_sweep_row(p) for p in payloads]
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.max_workers) as pool:
-            rows = list(pool.map(_sweep_row, payloads))
-    return rows
+        return [_sweep_row(*job) for job in jobs]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.max_workers) as pool:
+        return list(pool.map(_sweep_row, *zip(*jobs)))
 
 
 def write_sweep(rows, path):
@@ -477,15 +448,21 @@ def _cmd_check_params(args):
     return 0
 
 
+def _given(**weights):
+    # the weights set on the command line; the builders hold the defaults
+    return {key: value for key, value in weights.items() if value is not None}
+
+
 def _cmd_gen_data(args):
     rng = make_rng(args.seed)
     try:
         if args.problem == "quadratic":
             P = random_quadratic(args.n1, args.n2, rng)
         elif args.problem == "classification":
-            P = make_classification(args.n, args.T, args.mu, rng)
+            P = make_classification(args.n, args.T, **_given(mu=args.mu), rng=rng)
         else:  # argparse restricts the choices
-            P = make_huber_lasso(args.m, args.n, args.density, args.tau, args.mu_huber, rng)
+            weights = _given(density=args.density, tau=args.tau, mu=args.mu_huber)
+            P = make_huber_lasso(args.m, args.n, **weights, rng=rng)
     except ValueError as exc:
         raise ConfigError(f"cannot build the {args.problem} problem: {exc}") from None
     with _open_output(args.out) as fh:
@@ -522,11 +499,13 @@ def build_parser():
     p_gen.add_argument("--n2", type=int, default=3, help="quadratic: y dimension")
     p_gen.add_argument("--n", type=int, default=100, help="classification/huber_lasso dimension")
     p_gen.add_argument("--T", type=int, default=100, help="classification: sample count")
-    p_gen.add_argument("--mu", type=float, default=0.001, help="classification: regularizer weight")
+    p_gen.add_argument("--mu", type=float, help="classification: regularizer weight (default: the builder's)")
     p_gen.add_argument("--m", type=int, default=128, help="huber_lasso: row count")
-    p_gen.add_argument("--density", type=float, default=0.5, help="huber_lasso: signal density")
-    p_gen.add_argument("--tau", type=float, default=1e-3, help="huber_lasso: weight")
-    p_gen.add_argument("--mu-huber", dest="mu_huber", type=float, default=0.1, help="huber_lasso: knee width")
+    p_gen.add_argument("--density", type=float, help="huber_lasso: signal density (default: the builder's)")
+    p_gen.add_argument("--tau", type=float, help="huber_lasso: weight (default: the builder's)")
+    p_gen.add_argument(
+        "--mu-huber", dest="mu_huber", type=float, help="huber_lasso: knee width (default: the builder's)"
+    )
     p_gen.set_defaults(handler=_cmd_gen_data)
     return parser
 

@@ -14,6 +14,8 @@ used by the step-size theory. Three builders are provided:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Optional
@@ -141,7 +143,7 @@ def huber(z, mu):
 
     Accepts scalars or arrays (elementwise).
     """
-    if mu <= 0:
+    if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
     z = np.asarray(z, dtype=float)
     value, deriv = _huber_value(z, mu), _huber_deriv(z, mu)
@@ -236,7 +238,7 @@ def _classification_problem(D, labels, mu):
     labels = as_vector(labels, n=T, name="labels")
     if not np.all(np.abs(labels) == 1.0):
         raise ValueError("labels must be +1 or -1")
-    if mu <= 0:
+    if not mu > 0:
         raise ValueError(f"mu must be positive, got {mu}")
     A = forward_difference(n)
     h_g = np.full(n - 1, mu)  # hess g = mu I, given as its diagonal
@@ -298,7 +300,7 @@ def _lasso_problem(Amat, u, tau, mu, density):
     Amat = as_matrix(Amat, name="Amat")
     m, n = Amat.shape
     u = as_vector(u, n=n, name="u")
-    if tau <= 0 or mu <= 0:
+    if not (tau > 0 and mu > 0):
         raise ValueError(f"tau and mu must be positive, got tau={tau}, mu={mu}")
     d = Amat @ u
     ones2 = np.ones(m)  # hess g = I, given as its diagonal
@@ -383,11 +385,27 @@ def matrix_to_json(M):
     return {"rows": int(M.shape[0]), "cols": int(M.shape[1]), "data": [float(v) for v in M.ravel()]}
 
 
+def _json_size(obj, key):
+    # a JSON integer; 1.5 is no size of 1, and true none of 1
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _json_weight(obj, key):
+    # a finite JSON number, as a float; true, false and strings are not numbers
+    value = obj[key]
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite real number, got {value!r}")
+    return float(value)
+
+
 def matrix_from_json(obj):
     keys = set(obj)
     if keys != {"rows", "cols", "data"}:
         raise ValueError(f"matrix object must have keys rows/cols/data, got {sorted(keys)}")
-    rows, cols = int(obj["rows"]), int(obj["cols"])
+    rows, cols = _json_size(obj, "rows"), _json_size(obj, "cols")
     data = np.asarray(obj["data"], dtype=float)
     if data.shape != (rows * cols,):
         raise ValueError(f"matrix data length {data.shape[0]} != rows*cols = {rows * cols}")
@@ -426,7 +444,12 @@ def problem_to_json(P):
 
 
 def problem_from_json(obj):
-    """Rebuild a :class:`CompositeProblem` from :func:`problem_to_json` output."""
+    """Rebuild a :class:`CompositeProblem` from :func:`problem_to_json` output.
+
+    Raises ``ValueError`` for a malformed object, among them a weight (``mu``,
+    ``tau``, ``density``) that is no finite number and a matrix size that is
+    no integer.
+    """
     if not isinstance(obj, dict):
         raise ValueError("problem object must be a JSON object")
     version = obj.get("schema_version")
@@ -449,7 +472,6 @@ def problem_from_json(obj):
     if kind == "quadratic":
         return make_quadratic(obj["c_f"], obj["c_g"], matrix_from_json(obj["A"]))
     if kind == "classification":
-        return _classification_problem(matrix_from_json(obj["D"]), obj["labels"], float(obj["mu"]))
-    return _lasso_problem(
-        matrix_from_json(obj["A"]), obj["u"], float(obj["tau"]), float(obj["mu"]), float(obj["density"])
-    )
+        return _classification_problem(matrix_from_json(obj["D"]), obj["labels"], _json_weight(obj, "mu"))
+    tau, mu, density = (_json_weight(obj, key) for key in ("tau", "mu", "density"))
+    return _lasso_problem(matrix_from_json(obj["A"]), obj["u"], tau, mu, density)

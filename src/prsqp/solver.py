@@ -33,14 +33,15 @@ models ``H_x, H_y``:
    ``tol_step`` and the first-order residual (the larger of the split KKT
    residual and the composite residual ``||grad f(x) + A^T grad g(A x)||``)
    is at most ``tol_kkt``.
-6. Refresh ``(H_x, H_y)`` at the new point, doubling ``ell`` / ``sigma`` until
-   both metrics admit a Cholesky factorization (factored through LAPACK
-   ``potrf``, solved through ``potrs``; :mod:`prsqp.core` binds both, in
-   :func:`~prsqp.core.cholesky_spd` and :func:`~prsqp.core.cholesky_solve`).
-   These factors are carried into the next iteration's block steps, and a
-   block's factor is reused, not rebuilt, for as long as its Hessian model
-   stays exactly equal to the one it was built from and its ``ell`` /
-   ``sigma`` has not been doubled.
+6. Refresh ``(H_x, H_y)`` at the new point and factor both metrics, doubling
+   ``ell`` / ``sigma`` until each admits a Cholesky factorization (factored
+   through LAPACK ``potrf``, solved through ``potrs``; :mod:`prsqp.core`
+   binds both, in :func:`~prsqp.core.cholesky_spd` and
+   :func:`~prsqp.core.cholesky_solve`). The factors and the weights go into
+   the new :class:`SolverState`, whose block steps solve in them; a block's
+   factor is kept, not rebuilt, while its refreshed model is exactly equal to
+   the previous one and its weight has not doubled. :func:`initial_state`
+   factors the metrics at ``w_0`` in the same way, so no step repairs one.
 
 The dual steps ``r, s`` may take either sign (ascent or descent flavors) as
 long as ``r + s != 0``; the diagnostics module computes the decrease margins
@@ -54,14 +55,13 @@ updates, the y step, the y search (whose trials evaluate only ``g`` and the
 residual), ``L_beta(w_{k+1})``, the first-order residuals and the objective,
 which evaluates ``grad f(x_{k+1})``. Likewise the accepted y trial is
 ``y_{k+1}``: its ``g`` enters ``L_beta(w_{k+1})``, and the first-order
-residuals evaluate its ``grad g``. Both records are carried to the next
-iteration with ``L_beta(w_{k+1})``; all three are used only when the next
-iteration starts from exactly that iterate on the same problem with the same
-``beta``. Then the x-gradient evaluates no ``A x``, ``grad f`` or
-``grad g``, the x search and the y search's ``L_beta`` no ``g(y_k)``, and the
-y step no ``grad g``. So per iteration ``g`` is evaluated at each y trial and
-at ``A x_{k+1}`` (for the objective), and ``grad g`` at ``y_{k+1}`` and at
-``A x_{k+1}`` (for the composite residual).
+residuals evaluate its ``grad g``. Both records go into the new state with
+``L_beta(w_{k+1})``, so the next iteration's x-gradient evaluates no ``A x``,
+``grad f`` or ``grad g``, its x search and its y search's ``L_beta`` no
+``g(y_k)``, and its y step no ``grad g``. So per iteration ``g`` is evaluated
+at each y trial and at ``A x_{k+1}`` (for the objective), and ``grad g`` at
+``y_{k+1}`` and at ``A x_{k+1}`` (for the composite residual). A state's
+arrays are read-only, so no write reaches the records or factors it holds.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ from typing import Callable, List, Mapping, NamedTuple, Optional
 
 import numpy as np
 
-from .alf import AugmentedIterate, Iterate, PointEval, YPointEval, _alf_value, eval_alf, eval_merit_hat, grad_alf
+from .alf import Iterate, PointEval, YPointEval, _alf_value, eval_alf, eval_merit_hat, grad_alf
 from .core import DimensionMismatch, NotPositiveDefinite, as_vector, cholesky_solve, cholesky_spd, spectral_norm
 from .diagnostics import KktResidual, _max_or_nan, kkt_residual
 from .problems import composite_objective, hessian_pair
@@ -234,9 +234,11 @@ class SolveResult:
 
     ``stop_reason`` says why the run ended: the stop rule that fired, or the
     message of the error an iteration broke down with. ``ell`` and ``sigma``
-    are the proximal weights the run ended with, which exceed the caller's
-    where a metric was repaired. ``iterations`` is the number of records in
-    ``trace``.
+    are the proximal weights of the run's last :class:`SolverState`, which
+    exceed the caller's where a metric was repaired (the caller's, when the
+    metrics at ``w0`` could not be repaired). ``final`` is that state's
+    iterate, whose arrays are read-only (``w0`` itself when the run built no
+    state). ``iterations`` is the number of records in ``trace``.
     """
 
     final: Iterate
@@ -329,42 +331,44 @@ class DiagonalMetric(NamedTuple):
         return float(d.dot(self.D * d))
 
 
-class Carry(NamedTuple):
-    """What one :func:`iterate_once` call hands to the next on the same problem.
+class SolverState(NamedTuple):
+    """Everything :func:`iterate_once` reads; build the first with :func:`initial_state`.
 
-    Both blocks' factored metrics at the refreshed Hessian models, and
-    ``L_beta``, the :class:`~prsqp.alf.PointEval` of x and the
-    :class:`~prsqp.alf.YPointEval` of y at the new iterate (``point`` is a
-    private copy of its ``concat()``). Each part is used only while it still
-    matches its inputs.
+    ``params`` holds the weights in use, which exceed the caller's where a
+    metric was repaired, and ``k`` is the index of the next iteration. ``w`` is
+    the iterate and ``d_y_prev`` the previous accepted y-direction (zero at the
+    start), the two parts the merit function reads. ``x_eval`` / ``y_eval``
+    are the :class:`~prsqp.alf.PointEval` of ``w.x`` and the
+    :class:`~prsqp.alf.YPointEval` of ``w.y``, and ``L_beta`` is
+    ``L_beta(w)``, ``None`` until evaluated. ``metric_x`` / ``metric_y`` are
+    the factored metrics at the Hessian models at ``w``. Each holds its model
+    as ``.model``, a read-only array in the shape the problem's Hessian
+    callable returns (a matrix, or the diagonal of a diagonal model), and its
+    ``ell`` / ``sigma`` as ``.weight``. ``eta_y`` is the running maximum of
+    ``||H_y||`` over the models so far, the uniform curvature bound of the
+    merit column. The arrays of ``w`` and ``d_y_prev`` are read-only.
     """
 
-    problem: object
-    beta: float
-    point: np.ndarray
-    L_beta: float
+    P: object
+    params: SolverParams
+    k: int
+    w: Iterate
+    d_y_prev: np.ndarray
     x_eval: PointEval
     y_eval: YPointEval
+    L_beta: Optional[float]
     metric_x: BlockMetric | LowRankMetric
     metric_y: BlockMetric | DiagonalMetric
+    eta_y: float
 
 
 class IterationOutcome(NamedTuple):
-    """What :func:`iterate_once` returns.
+    """What :func:`iterate_once` returns; ``state`` is the next iteration's input."""
 
-    ``hess_x`` / ``hess_y`` are the refreshed Hessian models as read-only
-    arrays, in the shape the problem's Hessian callables return: a matrix, or
-    the diagonal of a diagonal model. While a refreshed model stays equal to
-    the previous one, the same array is returned again.
-    """
-
-    state: AugmentedIterate
+    state: SolverState
     record: StepRecord
-    hess_x: np.ndarray
-    hess_y: np.ndarray
     internals: Optional[dict]
     kkt: KktResidual  # residuals at the new iterate; ``record.kkt_inf`` is its total
-    carry: Carry  # pass to the next iterate_once call to reuse its factors
 
 
 _MAX_METRIC_REPAIR = 60  # doublings of ell / sigma before giving up
@@ -373,13 +377,18 @@ _MAX_METRIC_REPAIR = 60  # doublings of ell / sigma before giving up
 def _own(H, metric):
     # the model the solver works with in place of the caller's H: metric.model
     # when H is exactly equal to it, else a read-only private copy of H. So no
-    # later write to the caller's array reaches a carried factor, and equal
+    # later write to the caller's array reaches a state's factor, and equal
     # models are one array, which a factor then fits by identity.
     if metric is not None and (H is metric.model or np.array_equal(metric.model, H)):
         return metric.model
     H = np.array(H, dtype=float)
     H.flags.writeable = False
     return H
+
+
+def _read_only(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
 
 
 def _scaled_eye(n, c):
@@ -395,92 +404,96 @@ def _cholesky(M, failure):
         raise ProximalNotPD(f"{failure}: {exc}") from None
 
 
-def _capacitance(P, D, params, cached):
+def _capacitance(P, D, ell, beta, cached):
     # C = I / beta + A D^-1 A^T, and the base it was assembled from (or None).
     # Where D equals ell (h = 0) outside fewer than n/2 coordinates K, C is
     # the base I / beta + A A^T / ell plus the symmetric part of
     # A_K diag(1/D_K - 1/ell) A_K^T: 2 m^2 |K| flops against m^2 n for B B^T.
     # The base is taken from ``cached`` at the same ell and beta. C depends on
-    # D, ell and beta alone, so a carried metric has the bits of a fresh one.
-    K = np.flatnonzero(D != params.ell)
+    # D, ell and beta alone, so a kept metric has the bits of a fresh one.
+    K = np.flatnonzero(D != ell)
     if 2 * K.size >= P.n1:
         B = P.A / np.sqrt(D)
         C = B @ B.T  # B B^T is computed exactly symmetric
-        C.flat[:: P.n2 + 1] += 1.0 / params.beta
+        C.flat[:: P.n2 + 1] += 1.0 / beta
         return C, None
-    same = isinstance(cached, LowRankMetric) and cached.weight == params.ell and cached.beta == params.beta
+    same = isinstance(cached, LowRankMetric) and cached.weight == ell and cached.beta == beta
     if same and cached.base is not None:
         base = cached.base
     else:
         base = P.A @ P.A.T
-        base /= params.ell
-        base.flat[:: P.n2 + 1] += 1.0 / params.beta
+        base /= ell
+        base.flat[:: P.n2 + 1] += 1.0 / beta
     A_K = P.A[:, K]
-    U = (A_K * (1.0 / D[K] - 1.0 / params.ell)) @ A_K.T
+    U = (A_K * (1.0 / D[K] - 1.0 / ell)) @ A_K.T
     C = U + U.T
     C *= 0.5
     C += base
     return C, base
 
 
-def _metric_x(P, model, params, cached=None):
+def _metric_x(P, model, ell, beta, cached=None):
     # factored Hcal_x = H_x + beta A^T A + ell I for a model from _own; ``cached`` when it fits.
     # A diagonal model (1-D) with D = h + ell > 0 and a wide A gets a LowRankMetric.
-    if cached is not None and cached.model is model and cached.weight == params.ell:
+    if cached is not None and cached.model is model and cached.weight == ell:
         return cached
     if model.ndim == 1:
-        D = model + params.ell
+        D = model + ell
         if P.n2 < P.n1 and (D > 0.0).all():
-            C, base = _capacitance(P, D, params, cached)
-            factor = _cholesky(C, f"x-metric capacitance matrix not positive definite at ell = {params.ell}")
-            return LowRankMetric(model, params.ell, D, P.A, params.beta, base, factor)
+            C, base = _capacitance(P, D, ell, beta, cached)
+            factor = _cholesky(C, f"x-metric capacitance matrix not positive definite at ell = {ell}")
+            return LowRankMetric(model, ell, D, P.A, beta, base, factor)
     # (model + beta AtA) + ell I summed in place, ell on the diagonal only, so
     # that fewer n1 x n1 arrays are live while the previous iteration's metric
     # is still held
-    Hcal = params.beta * P.AtA
+    Hcal = beta * P.AtA
     if model.ndim == 1:
         Hcal.flat[:: P.n1 + 1] += model
     else:
         Hcal += model
-    Hcal.flat[:: P.n1 + 1] += params.ell
-    factor = _cholesky(Hcal, f"x-metric not positive definite at ell = {params.ell}")
-    return BlockMetric(model, params.ell, Hcal, factor)
+    Hcal.flat[:: P.n1 + 1] += ell
+    factor = _cholesky(Hcal, f"x-metric not positive definite at ell = {ell}")
+    return BlockMetric(model, ell, Hcal, factor)
 
 
-def _metric_y(P, model, params, cached=None):
+def _metric_y(P, model, sigma, beta, cached=None):
     # factored Hcal_y = H_y + (beta + sigma) I for a model from _own; ``cached`` when it fits.
     # A diagonal model (1-D) gets a DiagonalMetric; it is rejected where the
     # Cholesky factorization of the dense metric would fail.
-    if cached is not None and cached.model is model and cached.weight == params.sigma:
+    if cached is not None and cached.model is model and cached.weight == sigma:
         return cached
     if model.ndim == 1:
-        D = model + (params.beta + params.sigma)
+        D = model + (beta + sigma)
         if not (D > 0.0).all():
-            raise ProximalNotPD(f"y-metric not positive definite at sigma = {params.sigma}")
-        return DiagonalMetric(model, params.sigma, D, 1.0 / np.sqrt(D))
-    Hcal = _scaled_eye(P.n2, params.beta + params.sigma)
+            raise ProximalNotPD(f"y-metric not positive definite at sigma = {sigma}")
+        return DiagonalMetric(model, sigma, D, 1.0 / np.sqrt(D))
+    Hcal = _scaled_eye(P.n2, beta + sigma)
     Hcal += model
-    factor = _cholesky(Hcal, f"y-metric not positive definite at sigma = {params.sigma}")
-    return BlockMetric(model, params.sigma, Hcal, factor)
+    factor = _cholesky(Hcal, f"y-metric not positive definite at sigma = {sigma}")
+    return BlockMetric(model, sigma, Hcal, factor)
 
 
-def _x_step(P, w, x_eval, y_eval, H_x, params, cached=None):
-    # quadratic-model minimizer, its factored metric and the gradient it used
-    g = grad_alf(P, w, params.beta, x_eval, y_eval).gx
-    if not np.isfinite(g).all():
-        raise NumericalError("non-finite x-gradient")
-    metric = _metric_x(P, _own(H_x, cached), params, cached)
-    return w.x - metric.solve(g), metric, g
+def _factored(metric_at, weight):
+    # metric_at(weight), with the weight doubled until the metric factors
+    for attempt in range(_MAX_METRIC_REPAIR + 1):
+        try:
+            return metric_at(weight)
+        except NotPositiveDefinite:
+            if attempt == _MAX_METRIC_REPAIR:
+                raise NumericalError(
+                    f"metric stayed indefinite after {_MAX_METRIC_REPAIR} proximal-weight doublings"
+                ) from None
+            weight *= 2.0
 
 
-def _y_step(P, x_eval, y_eval, lam_half, H_y, params, cached=None):
-    y = y_eval.y
-    residual = x_eval.Ax - y
-    g = y_eval.grad_g + lam_half - params.beta * residual
-    if not np.isfinite(g).all():
-        raise NumericalError("non-finite y-gradient")
-    metric = _metric_y(P, _own(H_y, cached), params, cached)
-    return y - metric.solve(g), metric, g
+def _metrics(P, params, H_x, H_y, cached_x=None, cached_y=None):
+    # both blocks' factored metrics at models from _own, and the params holding
+    # their weights: ``params`` itself unless ell or sigma had to double
+    metric_x = _factored(lambda ell: _metric_x(P, H_x, ell, params.beta, cached_x), params.ell)
+    metric_y = _factored(lambda sigma: _metric_y(P, H_y, sigma, params.beta, cached_y), params.sigma)
+    if (metric_x.weight, metric_y.weight) != (params.ell, params.sigma):
+        params = replace(params, ell=metric_x.weight, sigma=metric_y.weight)
+    return params, metric_x, metric_y
 
 
 def hybrid_accelerate(tilde, current, alpha):
@@ -519,8 +532,8 @@ def line_search(P, point, d, Hcal, params, block, L0=None, x_eval=None, y_eval=N
 
         ``L_beta(moved) <= L_beta(point) - rho * t * d^T Hcal d``
 
-    where ``Hcal`` is the block's metric, as a matrix or as a metric built by
-    :func:`iterate_once` (which supplies ``d^T Hcal d`` through ``quad``), and
+    where ``Hcal`` is the block's metric, as a matrix or as a metric of a
+    :class:`SolverState` (which supplies ``d^T Hcal d`` through ``quad``), and
     ``moved`` shifts the ``block`` coordinate ("x" or "y") of ``point``
     by ``t d``. The comparison carries a ``1e-12 (1 + |L|)`` float slack so a
     vanishing direction near a stationary point is not rejected on rounding
@@ -586,83 +599,93 @@ def _quiet_numerics(fn):
     return wrapper
 
 
-def _repair_metric(build, bump, limit=_MAX_METRIC_REPAIR):
-    # call build() until it stops raising, doubling via bump(); returns build's value
-    for attempt in range(limit + 1):
-        try:
-            return build()
-        except NotPositiveDefinite:
-            if attempt == limit:
-                raise NumericalError(
-                    f"metric stayed indefinite after {limit} proximal-weight doublings"
-                ) from None
-            bump()
+def initial_state(P, w0, params, H_x=None, H_y=None):
+    """The :class:`SolverState` at ``w0`` that :func:`iterate_once` starts from.
+
+    ``H_x`` / ``H_y`` are the Hessian models at ``w0``, given together, each an
+    ``(n, n)`` matrix or the ``(n,)`` diagonal of a diagonal model; by default
+    they come from :func:`~prsqp.problems.hessian_pair`, in the shapes the
+    problem returns. The shape picks the metric (see the module docstring), so
+    a diagonal model given as a matrix takes the dense path. The solver works
+    on read-only copies of the models and of ``w0``'s arrays, so the caller's
+    stay writable and no later write to them reaches the state. Both metrics
+    are factored, ``ell`` / ``sigma`` doubled until each factors; the state's
+    ``params`` is then a copy holding the weights used. ``params`` itself is
+    never changed.
+
+    Raises ``ValueError`` for invalid parameters, ``TypeError`` when ``w0`` is
+    no :class:`~prsqp.alf.Iterate`, :class:`~prsqp.core.DimensionMismatch`
+    when its sizes are not the problem's, and :class:`NumericalError` when a
+    metric stays indefinite after 60 doublings.
+    """
+    violations = validate_params(params)
+    if violations:
+        raise ValueError("; ".join(violations))
+    if not isinstance(w0, Iterate):
+        raise TypeError("w0 must be an Iterate")
+    if w0.x.shape[0] != P.n1 or w0.y.shape[0] != P.n2:
+        raise DimensionMismatch(
+            f"w0 has shapes x:{w0.x.shape}, y:{w0.y.shape}; problem expects {P.n1}/{P.n2}"
+        )
+    if (H_x is None) != (H_y is None):
+        raise TypeError("give both Hessian models or neither")
+    w = Iterate(w0.x.copy(), w0.y.copy(), w0.lam.copy())
+    d_y_prev = np.zeros(P.n2)
+    _read_only(w.x, w.y, w.lam, d_y_prev)
+    if H_x is None:
+        H_x, H_y = hessian_pair(P, w.x, w.y)
+    params, metric_x, metric_y = _metrics(P, params, _own(H_x, None), _own(H_y, None))
+    eta_y = spectral_norm(metric_y.model)  # a 1-D model's entries are its eigenvalues
+    return SolverState(
+        P, params, 0, w, d_y_prev, PointEval(P, w.x), YPointEval(P, w.y), None, metric_x, metric_y, eta_y
+    )
 
 
 @_quiet_numerics
-def iterate_once(P, state, H_x, H_y, params, k=0, eta2_y=None, keep_internals=False, carry=None):
-    """One full iteration from ``state``; returns an :class:`IterationOutcome`.
+def iterate_once(state, keep_internals=False):
+    """One full iteration from the :class:`SolverState` ``state``; returns an :class:`IterationOutcome`.
 
-    ``params`` is mutated in place when a metric needs repair (``ell`` or
-    ``sigma`` doubles) -- :func:`run` passes a private copy. ``H_x`` / ``H_y``
-    are the Hessian models at ``state.w``, each an ``(n, n)`` matrix or the
-    ``(n,)`` diagonal of a diagonal model. The shape picks the metric (see the
-    module docstring), so a diagonal model given as a matrix takes the dense
-    path. The refreshed models come from
-    :func:`~prsqp.problems.hessian_pair`, in the shapes the problem returns.
-    ``eta2_y`` is the uniform y-curvature bound used for the merit column of
-    the trace record (``L_hat`` is NaN when it is not supplied).
+    Both block steps solve in the state's factored metrics, and the line
+    searches start from its ``L_beta`` and its records of ``w.x`` and ``w.y``.
+    The Hessian models are then refreshed at ``w_{k+1}``: a metric whose
+    refreshed model is exactly equal to its model is kept, and any other is
+    factored afresh, its weight doubled until it factors (module docstring,
+    step 6). ``eta_y`` grows only with a new y-model. The record's ``L_hat``
+    is the merit value with the state's curvature bound
+    ``eta_y + beta + sigma``, NaN when the problem has no ``lipschitz_g``.
     ``keep_internals`` attaches the per-block gradients, directions and metric
     quadratic forms to the outcome for invariant checks.
-
-    ``carry`` is the ``carry`` of the previous outcome on the same problem.
-    A block then reuses the factor built at the previous refresh when its
-    model (``H_x`` / ``H_y``) is exactly equal to the one the factor was built
-    from and its ``ell`` / ``sigma`` is unchanged. When ``state.w`` is that
-    outcome's iterate, the iteration also reuses its ``L_beta`` and the
-    records of its x (``A x`` and ``grad f(x)``) and of its y (``g(y)`` and
-    ``grad g(y)``); anything else is computed afresh, as without ``carry``.
-    The result is the same either way.
 
     Raises :class:`LineSearchFailed` or :class:`NumericalError` upward.
     """
     t_start = time.perf_counter()
-    w = state.w
+    P, params, w = state.P, state.params, state.w
     beta = params.beta
-    if carry is not None and (carry.problem is not P or carry.beta != beta):
-        carry = None
-    if carry is not None and np.array_equal(carry.point, w.concat()):
-        L0, x_eval, y_eval = carry.L_beta, carry.x_eval, carry.y_eval
-    else:
-        L0, x_eval, y_eval = None, PointEval(P, w.x), YPointEval(P, w.y)
+    x_eval, y_eval = state.x_eval, state.y_eval
+    metric_x, metric_y = state.metric_x, state.metric_y
 
-    # ----- x block: model step, extrapolation, Armijo
-    def bump_ell():
-        params.ell *= 2.0
-
-    metric_x = carry.metric_x if carry is not None else None
-    x_tilde, metric_x, gx = _repair_metric(
-        lambda: _x_step(P, w, x_eval, y_eval, H_x, params, metric_x), bump_ell
-    )
+    # ----- x block: model step in the state's metric, extrapolation, Armijo
+    gx = grad_alf(P, w, beta, x_eval, y_eval).gx
+    if not np.isfinite(gx).all():
+        raise NumericalError("non-finite x-gradient")
+    x_tilde = w.x - metric_x.solve(gx)
     if not np.isfinite(x_tilde).all():
         raise NumericalError("x-subproblem produced non-finite values")
     d_x = hybrid_accelerate(x_tilde, w.x, params.alpha)
-    search_x = line_search(P, w, d_x, metric_x, params, "x", L0=L0, x_eval=x_eval, y_eval=y_eval)
+    search_x = line_search(P, w, d_x, metric_x, params, "x", L0=state.L_beta, x_eval=x_eval, y_eval=y_eval)
     t_x, bt_x = search_x
     x_eval = search_x.x_eval  # the accepted trial: x_{k+1} with A x_{k+1} and f(x_{k+1})
     x_next = x_eval.x
 
     # ----- first dual update on the mixed residual A x_{k+1} - y_k
-    lam_half = dual_update(w.lam, params.r, beta, x_eval.Ax - w.y)
+    residual_mid = x_eval.Ax - w.y
+    lam_half = dual_update(w.lam, params.r, beta, residual_mid)
 
     # ----- y block at the updated x and half-step multiplier
-    def bump_sigma():
-        params.sigma *= 2.0
-
-    metric_y = carry.metric_y if carry is not None else None
-    y_tilde, metric_y, gy = _repair_metric(
-        lambda: _y_step(P, x_eval, y_eval, lam_half, H_y, params, metric_y), bump_sigma
-    )
+    gy = y_eval.grad_g + lam_half - beta * residual_mid
+    if not np.isfinite(gy).all():
+        raise NumericalError("non-finite y-gradient")
+    y_tilde = w.y - metric_y.solve(gy)
     if not np.isfinite(y_tilde).all():
         raise NumericalError("y-subproblem produced non-finite values")
     d_y = hybrid_accelerate(y_tilde, w.y, params.alpha)
@@ -673,30 +696,29 @@ def iterate_once(P, state, H_x, H_y, params, k=0, eta2_y=None, keep_internals=Fa
     y_next = y_eval.y
 
     # ----- second dual update on the full new residual
-    residual_new = x_eval.Ax - y_next
-    lam_next = dual_update(lam_half, params.s, beta, residual_new)
-    w_next = Iterate(x_next, y_next, lam_next)
-    point_next = w_next.concat()
-    if not np.isfinite(point_next).all():
+    lam_next = dual_update(lam_half, params.s, beta, x_eval.Ax - y_next)
+    if not (np.isfinite(x_next).all() and np.isfinite(y_next).all() and np.isfinite(lam_next).all()):
         raise NumericalError("iteration produced non-finite iterate")
+    _read_only(x_next, y_next, lam_next, d_y)
+    w_next = Iterate(x_next, y_next, lam_next)
 
-    # ----- refresh the second-order model, keeping both metrics factorable;
-    # these factors are the next iteration's, unless its models differ
-    H_x_next, H_y_next = hessian_pair(P, x_next, y_next)
-    H_x_next, H_y_next = _own(H_x_next, metric_x), _own(H_y_next, metric_y)
-    metric_x_next = _repair_metric(lambda: _metric_x(P, H_x_next, params, metric_x), bump_ell)
-    metric_y_next = _repair_metric(lambda: _metric_y(P, H_y_next, params, metric_y), bump_sigma)
-
-    state_next = AugmentedIterate(w=w_next, d_y_prev=d_y)
+    # ----- refresh the second-order model, keeping both metrics factorable
+    H_x, H_y = hessian_pair(P, x_next, y_next)
+    H_x, H_y = _own(H_x, metric_x), _own(H_y, metric_y)
+    params_next, metric_x_next, metric_y_next = _metrics(P, params, H_x, H_y, metric_x, metric_y)
+    eta_y = state.eta_y if H_y is metric_y.model else max(state.eta_y, spectral_norm(H_y))
 
     L_beta = eval_alf(P, w_next, beta, x_eval, y_eval)
-    if eta2_y is not None and P.lipschitz_g is not None:
-        L_hat = eval_merit_hat(P, state_next, params, eta2_y, L_beta=L_beta)
+    state_next = SolverState(
+        P, params_next, state.k + 1, w_next, d_y, x_eval, y_eval, L_beta, metric_x_next, metric_y_next, eta_y
+    )
+    if P.lipschitz_g is not None:
+        L_hat = eval_merit_hat(P, state_next, params, state.eta_y + beta + params.sigma, L_beta=L_beta)
     else:
         L_hat = float("nan")
     kkt = kkt_residual(P, w_next, x_eval, y_eval)
     record = StepRecord(
-        k=k,
+        k=state.k,
         t_x=t_x,
         t_y=t_y,
         norm_dx=math.sqrt(d_x.dot(d_x)),  # the bits of np.linalg.norm
@@ -728,13 +750,12 @@ def iterate_once(P, state, H_x, H_y, params, k=0, eta2_y=None, keep_internals=Fa
             y_tilde=y_tilde,
             lam_half=lam_half,
         )
-    carry_next = Carry(P, beta, point_next, L_beta, x_eval, y_eval, metric_x_next, metric_y_next)
-    return IterationOutcome(state_next, record, H_x_next, H_y_next, internals, kkt, carry_next)
+    return IterationOutcome(state_next, record, internals, kkt)
 
 
 @_quiet_numerics
 def run(P, w0, params, callback: Optional[Callable[[IterationOutcome], None]] = None):
-    """Drive :func:`iterate_once` from ``w0`` until convergence or breakdown.
+    """Drive :func:`iterate_once` from :func:`initial_state` at ``w0`` until convergence or breakdown.
 
     Stops with status Converged when the relative sup-norm step
     ``||w_{k+1} - w_k||_inf / max(1, ||w_k||_inf)`` falls to ``params.tol_step``
@@ -743,80 +764,48 @@ def run(P, w0, params, callback: Optional[Callable[[IterationOutcome], None]] = 
     is at most the absolute ``params.tol_kkt``, so a small step away from a
     stationary point does not end the run; a residual with a NaN part never
     passes. It stops with IterLimit after ``max_iter`` iterations, and with
-    LineSearchFailed / NumericalError when an iteration raises (captured, not
-    propagated). The caller's ``params`` are never mutated;
-    positive-definiteness repair acts on a private copy. The merit column of the trace uses the running maximum of
-    ``||H_y||`` for the uniform curvature bound, read off a diagonal model
-    given as its diagonal, and estimated again only when :func:`iterate_once`
-    hands back a new ``hess_y`` array (after the first iteration, and then
-    when the model changes). Each iteration gets the previous outcome's
-    ``carry``, so a block's metric is factored only
-    when its Hessian model or its ``ell`` / ``sigma`` changed (see
-    :func:`iterate_once`). ``callback``, when given, receives each
+    LineSearchFailed / NumericalError when building the state or an iteration
+    raises (captured, not propagated; so is such an error raised by
+    ``callback``). The caller's ``params`` and ``w0`` are never changed: a
+    repaired weight lives in the states, and the result reports the last
+    state's weights. ``callback``, when given, receives each
     :class:`IterationOutcome` (with internals attached).
     """
-    violations = validate_params(params)
-    if violations:
-        raise ValueError("; ".join(violations))
-    if not isinstance(w0, Iterate):
-        raise TypeError("w0 must be an Iterate")
-    if w0.x.shape[0] != P.n1 or w0.y.shape[0] != P.n2:
-        raise DimensionMismatch(
-            f"w0 has shapes x:{w0.x.shape}, y:{w0.y.shape}; problem expects {P.n1}/{P.n2}"
-        )
-    params = replace(params)
     theory_supported = not validate_params(params, relaxed=False)
-
-    state = AugmentedIterate(w=w0, d_y_prev=np.zeros(P.n2))
-    H_x, H_y = hessian_pair(P, w0.x, w0.y)
-    eta_y = spectral_norm(H_y)  # a 1-D model's entries are its eigenvalues
-    carry = None
-    prev = w0.concat()
     trace: List[StepRecord] = []
+    state = None
     status = SolveStatus.ITER_LIMIT
     reason = f"max_iter: {params.max_iter} iterations"
-    for k in range(params.max_iter):
-        try:
-            out = iterate_once(
-                P,
-                state,
-                H_x,
-                H_y,
-                params,
-                k=k,
-                eta2_y=eta_y + params.beta + params.sigma,
-                keep_internals=callback is not None,
-                carry=carry,
-            )
-        except LineSearchFailed as exc:
-            status, reason = SolveStatus.LINE_SEARCH_FAILED, str(exc)
-            break
-        except (NumericalError, NotPositiveDefinite) as exc:
-            status, reason = SolveStatus.NUMERICAL_ERROR, str(exc)
-            break
-        if out.hess_y is not H_y:  # an unchanged model comes back as the same array
-            eta_y = max(eta_y, spectral_norm(out.hess_y))
-        state, H_x, H_y, carry = out.state, out.hess_x, out.hess_y, out.carry
-        trace.append(out.record)
-        if callback is not None:
-            callback(out)
-        residual = _max_or_nan(out.kkt.total, out.kkt.composite)
-        if residual <= params.tol_kkt:
-            step = float(np.abs(carry.point - prev).max()) / max(1.0, float(np.abs(prev).max()))
-            if step <= params.tol_step:
-                status = SolveStatus.CONVERGED
-                reason = (
-                    f"tol_step and tol_kkt: relative step {step:.3g} <= {params.tol_step}, "
-                    f"first-order residual {residual:.3g} <= {params.tol_kkt}"
-                )
-                break
-        prev = carry.point
+    try:
+        state = initial_state(P, w0, params)
+        for _ in range(params.max_iter):
+            out = iterate_once(state, keep_internals=callback is not None)
+            prev, state = state.w, out.state
+            trace.append(out.record)
+            if callback is not None:
+                callback(out)
+            residual = _max_or_nan(out.kkt.total, out.kkt.composite)
+            if residual <= params.tol_kkt:
+                before = prev.concat()
+                step = float(np.abs(state.w.concat() - before).max()) / max(1.0, float(np.abs(before).max()))
+                if step <= params.tol_step:
+                    status = SolveStatus.CONVERGED
+                    reason = (
+                        f"tol_step and tol_kkt: relative step {step:.3g} <= {params.tol_step}, "
+                        f"first-order residual {residual:.3g} <= {params.tol_kkt}"
+                    )
+                    break
+    except LineSearchFailed as exc:
+        status, reason = SolveStatus.LINE_SEARCH_FAILED, str(exc)
+    except (NumericalError, NotPositiveDefinite) as exc:
+        status, reason = SolveStatus.NUMERICAL_ERROR, str(exc)
+    last = params if state is None else state.params
     return SolveResult(
-        final=state.w,
+        final=w0 if state is None else state.w,
         status=status,
         trace=trace,
         theory_supported=theory_supported,
         stop_reason=reason,
-        ell=params.ell,
-        sigma=params.sigma,
+        ell=last.ell,
+        sigma=last.sigma,
     )

@@ -421,6 +421,25 @@ def test_cli_rejects_non_integer_sizes_and_non_number_weights_in_the_problem(tmp
             assert not (tmp_path / "out").exists()
 
 
+def test_cli_rejects_non_number_weights_and_non_integer_sizes_in_the_problem_file(tmp_path, capsys):
+    # a quadratic config's file may hold any family; its weights and matrix sizes are checked too
+    obj = problem_to_json(make_classification(5, 4, rng=make_rng(3)))
+    problem_file = tmp_path / "problem.json"
+    for changed, message in (
+        ({"mu": True}, "mu must be a finite real number"),
+        ({"mu": "0.1"}, "mu must be a finite real number"),
+        ({"mu": float("nan")}, "mu must be a finite real number"),
+        ({"D": {**obj["D"], "rows": 5.0}}, "rows must be an integer"),
+        ({"D": {**obj["D"], "cols": True}}, "cols must be an integer"),
+    ):
+        problem_file.write_text(json.dumps({**obj, **changed}))
+        code = main(["solve", "--config", str(_solve_config(tmp_path, problem_file))])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "config error" in captured.err and message in captured.err
+        assert not (tmp_path / "out").exists()
+
+
 def test_build_problem_passes_only_the_given_options_to_the_builders():
     # the defaults are the builders' own, and integer weights are read as floats
     P = build_problem(_parse_problem({"type": "classification", "n": 6, "T": 5}), 3)
@@ -587,6 +606,19 @@ def test_import_and_check_params_load_no_scipy_linalg(tmp_path):
     done = fresh_python(_FOOTPRINT, cfg_path)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "[]"
+
+
+def test_cli_gen_data_without_weight_flags_writes_what_the_builders_give(tmp_path, capsys):
+    # the weight defaults are the builders' own; a given flag is passed on
+    for problem, flags, build in (
+        ("classification", ["--n", "6", "--T", "5"], lambda rng: make_classification(6, 5, rng=rng)),
+        ("huber_lasso", ["--m", "4", "--n", "8"], lambda rng: make_huber_lasso(4, 8, rng=rng)),
+        ("huber_lasso", ["--m", "4", "--n", "8", "--tau", "0.5"], lambda rng: make_huber_lasso(4, 8, tau=0.5, rng=rng)),
+    ):
+        out = tmp_path / "generated.json"
+        assert main(["gen-data", "--problem", problem, "--seed", "3", *flags, "--out", str(out)]) == 0
+        assert out.read_text() == json.dumps(problem_to_json(build(make_rng(3)))) + "\n"
+    capsys.readouterr()
 
 
 def test_cli_gen_data_round_trips_through_solve(tmp_path, capsys):

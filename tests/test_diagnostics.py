@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from prsqp import (
-    AugmentedIterate,
     Iterate,
     NonPositiveEta1,
     SolverParams,
@@ -15,6 +14,7 @@ from prsqp import (
     compute_gamma,
     diagnostics_report,
     hessian_pair,
+    initial_state,
     iterate_once,
     kkt_residual,
     make_classification,
@@ -104,15 +104,16 @@ def test_spectral_bounds_frozen_scalar_cases():
 
 
 def test_spectral_bounds_accept_the_models_iterate_once_returns():
-    # the refreshed y-model comes back as its diagonal; its bounds are those of the matrix
+    # the refreshed y-model is kept as its diagonal; its bounds are those of the matrix
     P = make_classification(20, 20, rng=make_rng(31))
     params = SolverParams()
     w0 = Iterate(np.zeros(P.n1), np.zeros(P.n2), np.zeros(P.n2))
     H_x, H_y = hessian_pair(P, w0.x, w0.y)
-    out = iterate_once(P, AugmentedIterate(w0, np.zeros(P.n2)), H_x, H_y, params)
-    assert out.hess_y.shape == (P.n2,)
-    dense = spectral_bounds(P, params, out.hess_x, np.diag(out.hess_y))
-    assert spectral_bounds(P, params, out.hess_x, out.hess_y) == dense
+    state = iterate_once(initial_state(P, w0, params, H_x, H_y)).state
+    h_x, h_y = state.metric_x.model, state.metric_y.model
+    assert h_y.shape == (P.n2,)
+    dense = spectral_bounds(P, params, h_x, np.diag(h_y))
+    assert spectral_bounds(P, params, h_x, h_y) == dense
 
 
 def test_spectral_bounds_rejects_nonpositive_floor():

@@ -400,3 +400,38 @@ def test_quadratic_json_round_trip():
     a, b, c = quadratic_kkt_point(P)
     d, e, f = quadratic_kkt_point(Q)
     assert np.array_equal(a, d) and np.array_equal(b, e) and np.array_equal(c, f)
+
+
+def test_problem_json_rejects_non_number_weights_and_non_integer_sizes():
+    # true is no weight of 1, "0.1" no weight at all, and 1.5 no size of 1
+    rng = make_rng(16)
+    cls = problem_to_json(make_classification(5, 4, rng=rng))
+    lasso = problem_to_json(make_huber_lasso(3, 6, rng=rng))
+    for obj, key, bad in (
+        (cls, "mu", True),
+        (cls, "mu", "0.1"),
+        (cls, "mu", float("nan")),
+        (lasso, "tau", True),
+        (lasso, "tau", float("inf")),
+        (lasso, "mu", float("nan")),
+        (lasso, "density", False),
+        (lasso, "density", None),
+    ):
+        with pytest.raises(ValueError, match=f"{key} must be a finite real number, got {bad!r}"):
+            problem_from_json({**obj, key: bad})
+    row, column = matrix_to_json(np.ones((1, 3))), matrix_to_json(np.ones((3, 1)))
+    for obj, key, bad in ((row, "rows", 1.5), (row, "rows", True), (column, "cols", 1.0), (column, "cols", "1")):
+        with pytest.raises(ValueError, match=f"{key} must be an integer, got {bad!r}"):
+            matrix_from_json({**obj, key: bad})
+    assert matrix_from_json({**row, "rows": np.int64(1)}).shape == (1, 3)
+
+
+def test_builders_reject_nan_weights():
+    rng = make_rng(17)
+    with pytest.raises(ValueError, match="mu must be positive"):
+        make_classification(5, 4, mu=float("nan"), rng=rng)
+    for tau, mu in ((float("nan"), 0.1), (1e-3, float("nan"))):
+        with pytest.raises(ValueError, match="tau and mu must be positive"):
+            make_huber_lasso(3, 6, tau=tau, mu=mu, rng=rng)
+    with pytest.raises(ValueError, match="mu must be positive"):
+        huber(1.0, float("nan"))

@@ -5,16 +5,18 @@ the problems it traces, with ``getattr``, so deleting or renaming one in
 ``src/`` would break a traced benchmark run without failing any import.
 ``perfbench/harness.py`` builds its instances from problem configs through
 ``cli.build_problem``, so a stricter config parser or a changed builder must
-still accept them.
+still accept them, and it drives ``solver.run`` and ``cli.run_sweep`` through
+entry points that must keep running.
 """
 
 import importlib
 import importlib.util
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import prsqp
-from prsqp.cli import _parse_problem, build_problem
+from prsqp.cli import _parse_problem, build_problem, run_sweep
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -62,3 +64,23 @@ def test_bench_problem_configs_parse_and_build(monkeypatch):
         assert _parse_problem(wl.problem) == wl.problem, name
         P = build_problem(wl.problem, 1)  # at the bench's own sizes
         assert P.name == wl.problem["type"] and P.n1 == wl.problem["n"], name
+
+
+def test_bench_entry_points_run_on_small_instances(monkeypatch):
+    # the bench's solve and sweep paths, at small sizes: its callback reads
+    # out.record, and it builds the cli's config dataclasses itself
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    harness = _load("harness")
+    small = {"lasso_desk": {"m": 8, "n": 16}, "classification": {"n": 6, "T": 6}}
+    for name, sizes in small.items():
+        wl = replace(harness.WORKLOADS[name], problem={**harness.WORKLOADS[name].problem, **sizes})
+        P = build_problem(wl.problem, 1)
+        k = harness.first_accurate_iterate(P, wl)
+        assert k is not None, name
+        seconds, result = harness.timed_solve(P, wl, k)
+        assert seconds > 0.0 and harness.solve_gate(P, result, k) == [], name
+    sweep = harness.WORKLOADS["sweep_regimes"]
+    wl = replace(sweep, problem={**sweep.problem, "n": 6, "T": 6}, params={**sweep.params, "max_iter": 50})
+    rows = run_sweep(harness.sweep_config(wl, 1, 1))
+    assert harness.sweep_gate(wl, rows) == []
+    assert all(1 <= row["iter"] <= 50 for row in rows)

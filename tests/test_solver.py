@@ -6,7 +6,6 @@ import pytest
 
 import prsqp.solver
 from prsqp import (
-    AugmentedIterate,
     CompositeProblem,
     DimensionMismatch,
     Iterate,
@@ -23,6 +22,7 @@ from prsqp import (
     eval_merit_hat,
     hessian_pair,
     hybrid_accelerate,
+    initial_state,
     iterate_once,
     kkt_residual,
     line_search,
@@ -44,10 +44,6 @@ from toys import decoupled_problem, scalar_problem
 
 def _w(x, y, lam):
     return Iterate(np.atleast_1d(x), np.atleast_1d(y), np.atleast_1d(lam))
-
-
-def _aug(w):
-    return AugmentedIterate(w=w, d_y_prev=np.zeros(w.y.shape[0]))
 
 
 # ----- parameter validation -----------------------------------------------------
@@ -162,9 +158,7 @@ def _half_square_problem():
 
 def _internals(P, w, params, H_x=None, H_y=None):
     # the per-block internals of one iteration from w, at the models given or at w's
-    if H_x is None:
-        H_x, H_y = hessian_pair(P, w.x, w.y)
-    return iterate_once(P, _aug(w), H_x, H_y, params, keep_internals=True).internals
+    return iterate_once(initial_state(P, w, params, H_x, H_y), keep_internals=True).internals
 
 
 def test_solve_x_stationary_input_is_fixed():
@@ -215,7 +209,7 @@ def test_subproblem_model_stationarity_random():
         w = Iterate(normal_sample(rng, 5), normal_sample(rng, 4), normal_sample(rng, 4))
         H_x = np.eye(5)
         H_y = np.eye(4)
-        out = iterate_once(P, _aug(w), H_x, H_y, params, keep_internals=True)
+        out = iterate_once(initial_state(P, w, params, H_x, H_y), keep_internals=True)
         it = out.internals
         Hcal_x = H_x + params.beta * P.AtA + params.ell * np.eye(5)
         resid = P.apply_A(w.x) - w.y
@@ -320,9 +314,8 @@ def test_dual_update_dimension_check():
 def test_iterate_once_is_fixed_at_first_order_point():
     P = make_quadratic([1.0], [0.0], [[1.0]])
     x, y, lam = quadratic_kkt_point(P)
-    state = _aug(Iterate(x, y, lam))
-    params = SolverParams()
-    out = iterate_once(P, state, np.eye(1), np.eye(1), params)
+    state = initial_state(P, Iterate(x, y, lam), SolverParams(), np.eye(1), np.eye(1))
+    out = iterate_once(state)
     assert np.max(np.abs(out.state.w.concat() - state.w.concat())) <= 1e-14
     assert out.record.norm_dx == 0.0 and out.record.norm_dy == 0.0
     assert out.record.feas_inf <= 1e-14
@@ -335,9 +328,10 @@ def test_iterate_once_decreases_merit_under_certified_margins():
     assert report.delta_x > 0 and report.delta_y > 0
     H_x, H_y = np.eye(1), np.eye(1)
     eta2_y = spectral_bounds(P, params, H_x, H_y).eta2_y
-    state = _aug(_w(2.0, -1.0, 0.5))
+    state = initial_state(P, _w(2.0, -1.0, 0.5), params, H_x, H_y)
+    assert state.eta_y + params.beta + params.sigma == eta2_y  # the bound of the record's L_hat
     before = eval_merit_hat(P, state, params, eta2_y)
-    out = iterate_once(P, state, H_x, H_y, params, eta2_y=eta2_y)
+    out = iterate_once(state)
     assert out.record.L_hat <= before
 
 
@@ -345,15 +339,14 @@ def test_iterate_once_smoke_on_classification():
     P = make_classification(20, 20, rng=make_rng(31))
     w0 = Iterate(np.zeros(20), np.zeros(19), np.zeros(19))
     params = SolverParams(r=0.1, s=1.0, alpha=0.0)
-    state = _aug(w0)
-    out = iterate_once(P, state, *hessian_pair(P, w0.x, w0.y), params)
+    out = iterate_once(initial_state(P, w0, params))
     assert np.all(np.isfinite(out.state.w.concat()))
     assert out.record.L_beta <= eval_alf(P, w0, params.beta)
 
 
-def test_iterate_once_repairs_indefinite_metric():
-    # concave f makes H + beta A^T A + ell indefinite until ell doubles high enough
-    P = scalar_problem(
+def _concave_scalar():
+    # concave f: H + beta A^T A + ell is indefinite until ell reaches 8 from 1
+    return scalar_problem(
         lambda x: -2.5 * x * x,
         lambda x: -5.0 * x,
         lambda x: -5.0,
@@ -364,11 +357,16 @@ def test_iterate_once_repairs_indefinite_metric():
         lipschitz_f=5.0,
         lipschitz_g=1.0,
     )
+
+
+def test_iterate_once_repairs_indefinite_metric():
+    P = _concave_scalar()
     params = SolverParams(beta=1.0, ell=1.0, sigma=1.0)
-    state = _aug(_w(0.3, 0.0, 0.0))
-    out = iterate_once(P, state, np.array([[-5.0]]), np.eye(1), params)
-    # -5 + 1 + ell must exceed 0: 1 -> 2 -> 4 -> 8
-    assert params.ell == 8.0
+    state = initial_state(P, _w(0.3, 0.0, 0.0), params, np.array([[-5.0]]), np.eye(1))
+    # -5 + 1 + ell must exceed 0: 1 -> 2 -> 4 -> 8, in the state's params only
+    assert state.params.ell == 8.0 and params.ell == 1.0
+    out = iterate_once(state)
+    assert out.state.params.ell == 8.0
     assert np.all(np.isfinite(out.state.w.concat()))
 
 
@@ -377,8 +375,8 @@ def test_iterate_once_direction_descent_identity():
     for alpha in (-0.5, 0.0, 1.0):
         P = random_quadratic(4, 3, rng)
         params = SolverParams(alpha=alpha)
-        state = _aug(Iterate(normal_sample(rng, 4), normal_sample(rng, 3), normal_sample(rng, 3)))
-        out = iterate_once(P, state, np.eye(4), np.eye(3), params, keep_internals=True)
+        w = Iterate(normal_sample(rng, 4), normal_sample(rng, 3), normal_sample(rng, 3))
+        out = iterate_once(initial_state(P, w, params, np.eye(4), np.eye(3)), keep_internals=True)
         it = out.internals
         scale = 1.0 / (1.0 + alpha)
         assert abs(it["gx_dot_dx"] + scale * it["quad_x"]) <= 1e-9 * max(1.0, abs(it["quad_x"]))
@@ -518,17 +516,7 @@ def test_run_validates_start_and_parameters():
 
 
 def test_run_does_not_mutate_caller_params():
-    P = scalar_problem(
-        lambda x: -2.5 * x * x,
-        lambda x: -5.0 * x,
-        lambda x: -5.0,
-        lambda y: 0.5 * y * y,
-        lambda y: y,
-        lambda y: 1.0,
-        a=1.0,
-        lipschitz_f=5.0,
-        lipschitz_g=1.0,
-    )
+    P = _concave_scalar()
     params = SolverParams(beta=1.0, ell=1.0, sigma=1.0, max_iter=3)
     run(P, Iterate(np.array([0.3]), np.zeros(1), np.zeros(1)), params)
     assert params.ell == 1.0 and params.sigma == 1.0
@@ -574,28 +562,25 @@ def test_run_names_the_stop_rule_that_fired_or_the_breakdown():
 
 
 def _run_refactoring_every_step(P, w0, params):
-    # reference for run(): the same loop over iterate_once, but passing no carry,
-    # so every metric is built and factored afresh, and ||H_y|| is estimated
-    # at every iteration
-    params = replace(params)
-    state = AugmentedIterate(w=w0, d_y_prev=np.zeros(P.n2))
-    H_x, H_y = hessian_pair(P, w0.x, w0.y)
-    eta_y = spectral_norm(H_y)
+    # reference for run(): the same loop over iterate_once, but each iteration
+    # starts from a fresh initial_state at the iterate and the models of the
+    # previous state, so every metric is built and factored afresh and every
+    # value at the iterate is evaluated again; k, d_y_prev and eta_y are kept
+    state = initial_state(P, w0, params)
     trace = []
     status = SolveStatus.ITER_LIMIT
     for k in range(params.max_iter):
         prev = state.w.concat()
         try:
-            eta2_y = eta_y + params.beta + params.sigma
-            out = iterate_once(P, state, H_x, H_y, params, k=k, eta2_y=eta2_y)
+            fresh = initial_state(P, state.w, state.params, state.metric_x.model, state.metric_y.model)
+            out = iterate_once(fresh._replace(k=state.k, d_y_prev=state.d_y_prev, eta_y=state.eta_y))
         except LineSearchFailed:
             status = SolveStatus.LINE_SEARCH_FAILED
             break
         except (NumericalError, NotPositiveDefinite):
             status = SolveStatus.NUMERICAL_ERROR
             break
-        state, H_x, H_y = out.state, out.hess_x, out.hess_y
-        eta_y = max(eta_y, spectral_norm(H_y))
+        state = out.state
         trace.append(out.record)
         step = float(np.max(np.abs(state.w.concat() - prev)))
         stationary = max(out.kkt.total, out.kkt.composite) <= params.tol_kkt
@@ -626,17 +611,15 @@ def _wells(c_f, c_g):
 
 
 def _repair_steps(P, w0, params):
-    # iterations of the reference loop after which ell / sigma had doubled
-    ref = replace(params)
-    state = AugmentedIterate(w=w0, d_y_prev=np.zeros(P.n2))
-    H_x, H_y = hessian_pair(P, w0.x, w0.y)
+    # iterations k after which ell / sigma had doubled; k = 0 counts a repair at w0
+    ell, sigma = params.ell, params.sigma
+    state = initial_state(P, w0, params)
     ell_k, sigma_k = [], []
     for k in range(params.max_iter):
-        ell, sigma = ref.ell, ref.sigma
-        out = iterate_once(P, state, H_x, H_y, ref, k=k)
-        state, H_x, H_y = out.state, out.hess_x, out.hess_y
-        ell_k += [k] if ref.ell != ell else []
-        sigma_k += [k] if ref.sigma != sigma else []
+        state = iterate_once(state).state
+        ell_k += [k] if state.params.ell != ell else []
+        sigma_k += [k] if state.params.sigma != sigma else []
+        ell, sigma = state.params.ell, state.params.sigma
     return ell_k, sigma_k
 
 
@@ -681,20 +664,18 @@ def test_run_with_carried_factors_matches_reference_through_metric_repairs():
 
 def test_run_reports_the_weights_it_ended_with():
     # ell (first case) or sigma (second case) doubles mid-run on the wells; the
-    # result holds the weights that iterate_once left in run's private params,
-    # which differ from the caller's
+    # result holds the weights of the run's last state, which differ from the
+    # caller's
     for P, w0, params in (
         (_wells(3.0, -1.0), _w(3.0, 0.0, 0.0), SolverParams(ell=0.01)),
         (_wells(-1.0, 3.0), _w(0.5, 3.0, 0.0), SolverParams(sigma=0.5)),
     ):
         params = replace(params, tol_step=0.0, tol_kkt=0.0, max_iter=60)
-        replayed = replace(params)
-        state, (H_x, H_y) = _aug(w0), hessian_pair(P, w0.x, w0.y)
-        for k in range(params.max_iter):
-            out = iterate_once(P, state, H_x, H_y, replayed, k=k)
-            state, H_x, H_y = out.state, out.hess_x, out.hess_y
+        state = initial_state(P, w0, params)
+        for _ in range(params.max_iter):
+            state = iterate_once(state).state
         result = run(P, w0, params)
-        assert (result.ell, result.sigma) == (replayed.ell, replayed.sigma)
+        assert (result.ell, result.sigma) == (state.params.ell, state.params.sigma)
         assert (result.ell, result.sigma) != (params.ell, params.sigma)
 
 
@@ -710,39 +691,27 @@ def test_carried_factors_follow_hessians_that_reuse_their_buffer():
         _assert_bit_identical(run(_mutating_hessians(P), w0, params), reference)
 
 
-def test_carry_is_used_only_with_the_inputs_it_was_built_from():
-    P = make_classification(20, 20, rng=make_rng(31))
-    other = make_classification(20, 20, rng=make_rng(32))  # same A, H_y and sizes
-    params = SolverParams(r=0.1, s=1.0)
-    w0 = _zero_start(P)
-    first = iterate_once(P, _aug(w0), *hessian_pair(P, w0.x, w0.y), params)
-    w1 = first.state.w
-    # L_beta at w1 is far below its value here, so reusing it would change the x line search
-    zigzag = 0.5 * (-1.0) ** np.arange(P.n1)
-    moved = AugmentedIterate(Iterate(w1.x + zigzag, w1.y, w1.lam), first.state.d_y_prev)
-    # the carry's x record holds the outcome's own x array, here written in place
-    written = iterate_once(P, _aug(w0), *hessian_pair(P, w0.x, w0.y), params)
-    written.state.w.x[:] += zigzag
-    # and its y record the outcome's own y array, whose g and grad g it keeps
-    written_y = iterate_once(P, _aug(w0), *hessian_pair(P, w0.x, w0.y), params)
-    written_y.state.w.y[:] += zigzag[: P.n2]
-    # f, A, g and the Hessians as on P: only grad f, so only the carried x record, differs
-    steeper = replace(P, grad_f=lambda x: 2.0 * P.grad_f(x))
-    for Q, state, changed, carry in (
-        (P, first.state, replace(params, ell=2.0 * params.ell), first.carry),
-        (P, first.state, replace(params, sigma=2.0 * params.sigma), first.carry),
-        (P, first.state, replace(params, beta=2.0 * params.beta), first.carry),
-        (other, first.state, params, first.carry),
-        (P, moved, params, first.carry),
-        (P, written.state, params, written.carry),
-        (P, written_y.state, params, written_y.carry),
-        (steeper, first.state, params, first.carry),
-    ):
-        H_x, H_y = hessian_pair(Q, state.w.x, state.w.y)
-        fresh = iterate_once(Q, state, H_x, H_y, replace(changed))
-        carried = iterate_once(Q, state, H_x, H_y, replace(changed), carry=carry)
-        assert repr(astuple(carried.record)[:-1]) == repr(astuple(fresh.record)[:-1])
-        assert carried.state.w.concat().tobytes() == fresh.state.w.concat().tobytes()
+def test_states_are_read_only_and_leave_the_callers_inputs_alone():
+    P = _concave_scalar()
+    params = SolverParams(beta=1.0, ell=1.0, sigma=1.0, max_iter=3, tol_step=0.0)
+    w0 = _w(0.3, 0.0, 0.0)
+    start = w0.concat()
+    state = initial_state(P, w0, params)
+    out = iterate_once(state)
+    result = run(P, w0, params)
+    # the repaired ell lives in the states and the result only
+    assert state.params.ell == out.state.params.ell == result.ell == 8.0
+    assert (params.ell, params.sigma) == (1.0, 1.0)
+    assert w0.concat().tobytes() == start.tobytes()
+    for a in (w0.x, w0.y, w0.lam):
+        a[0] = a[0]  # the caller's arrays stay writable
+    for s in (state, out.state):
+        for a in (s.w.x, s.w.y, s.w.lam, s.d_y_prev):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+    for a in (result.final.x, result.final.y, result.final.lam):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
 
 
 def _counting(P, monkeypatch):
@@ -837,7 +806,7 @@ def test_carried_factors_bound_factorizations_per_iteration(monkeypatch):
 
     def record(out):
         per_iteration.append(len(calls) - sum(per_iteration))
-        models_y.append(out.hess_y)
+        models_y.append(out.state.metric_y.model)
 
     # classification: H_y is constant and H_x changes every iteration
     P = make_classification(20, 20, rng=make_rng(31))
@@ -845,7 +814,7 @@ def test_carried_factors_bound_factorizations_per_iteration(monkeypatch):
     result = run(P, _zero_start(P), params, callback=record)
     assert result.iterations == 200
     assert max(per_iteration[1:]) <= 1
-    # the unchanged y-model comes back as one read-only array
+    # the unchanged y-model stays one read-only array
     assert all(H is models_y[0] for H in models_y) and not models_y[0].flags.writeable
 
     # Huber-LASSO: H_x = diag(|x| < mu) changes in a minority of iterations
@@ -908,19 +877,16 @@ def _assert_traces_close(result, reference):
 
 def test_structured_x_step_matches_dense_metric():
     for P, w, params in _structured_cases():
-        out, dense = (
-            iterate_once(Q, _aug(w), *hessian_pair(Q, w.x, w.y), replace(params), keep_internals=True)
-            for Q in (P, _dense_twin(P))
-        )
+        out, dense = (iterate_once(initial_state(Q, w, params), keep_internals=True) for Q in (P, _dense_twin(P)))
         it, dense_it = out.internals, dense.internals
-        metric, dense_metric = out.carry.metric_x, dense.carry.metric_x
+        metric, dense_metric = out.state.metric_x, dense.state.metric_x
         assert isinstance(metric, prsqp.solver.LowRankMetric)
         assert isinstance(dense_metric, prsqp.solver.BlockMetric)
-        assert np.array_equal(np.diag(out.hess_x), dense.hess_x)  # the refreshed model, as its diagonal
+        assert np.array_equal(np.diag(metric.model), dense_metric.model)  # the refreshed model, as its diagonal
         assert _close(it["x_tilde"], dense_it["x_tilde"])
         assert _close(it["quad_x"], dense_it["quad_x"])
         assert it["model_residual_x"] <= 1e-10 * (1.0 + np.max(np.abs(it["gx"])))
-        # the carried metrics at the refreshed model agree as operators
+        # the next state's metrics at the refreshed model agree as operators
         for d in (it["d_x"], normal_sample(make_rng(55), P.n1)):
             assert _close(metric.quad(d), dense_metric.quad(d))
             assert _close(metric.matvec(d), dense_metric.matvec(d))
@@ -951,7 +917,7 @@ def test_structured_metric_doubles_ell_where_the_dense_metric_does():
         repairs = _repair_steps(P, w0, params)
         assert repairs[0] == doubled and repairs == _repair_steps(_dense_twin(P), w0, params)
         structured = []
-        record = lambda out: structured.append(isinstance(out.carry.metric_x, prsqp.solver.LowRankMetric))
+        record = lambda out: structured.append(isinstance(out.state.metric_x, prsqp.solver.LowRankMetric))
         result = run(P, w0, params, callback=record)
         assert any(structured)
         _assert_traces_close(result, run(_dense_twin(P), w0, params))
@@ -979,11 +945,11 @@ def test_structured_metric_factors_only_capacitance_matrices(monkeypatch):
     outcomes = []
     for H_x, factored in ((h, {(16, 16)}), (np.diag(h), {(64, 64), (16, 16)})):
         shapes.clear()
-        outcomes.append(iterate_once(P, _aug(w), H_x, H_y, SolverParams(), keep_internals=True))
+        outcomes.append(iterate_once(initial_state(P, w, SolverParams(), H_x, H_y), keep_internals=True))
         assert set(shapes) == factored
     diagonal, matrix = outcomes
-    assert isinstance(matrix.carry.metric_x, prsqp.solver.LowRankMetric)
-    assert matrix.hess_x.shape == diagonal.hess_x.shape == (64,)
+    assert isinstance(matrix.state.metric_x, prsqp.solver.LowRankMetric)
+    assert matrix.state.metric_x.model.shape == diagonal.state.metric_x.model.shape == (64,)
     assert _close(matrix.internals["x_tilde"], diagonal.internals["x_tilde"])
     assert _close(matrix.state.w.concat(), diagonal.state.w.concat())
     # where D = h + ell is not positive the dense metric is factored instead
@@ -1002,8 +968,8 @@ def test_diagonal_y_metric_matches_the_dense_metric_of_its_diagonal():
     for n in (1, 7, 128):
         P = random_quadratic(n + 1, n, rng)
         h = normal_sample(rng, n)  # D = h + 5 > 0 here
-        diagonal = prsqp.solver._metric_y(P, h, params)
-        dense = prsqp.solver._metric_y(P, np.diag(h), params)
+        diagonal = prsqp.solver._metric_y(P, h, params.sigma, params.beta)
+        dense = prsqp.solver._metric_y(P, np.diag(h), params.sigma, params.beta)
         assert isinstance(diagonal, prsqp.solver.DiagonalMetric)
         assert isinstance(dense, prsqp.solver.BlockMetric)
         for v in (normal_sample(rng, n), 1e-3 * normal_sample(rng, n)):
@@ -1035,11 +1001,10 @@ def test_diagonal_y_metric_doubles_sigma_until_its_diagonal_is_positive():
     for c_min, sigma in ((-4.0, 4.0), (-3.0, 4.0), (-1.0, 0.5)):
         P = _separable_g([1.0, c_min, 0.25])
         params = SolverParams(beta=1.0, sigma=0.5)
-        w = _w(np.ones(3), np.ones(3), np.zeros(3))
-        out = iterate_once(P, _aug(w), *hessian_pair(P, w.x, w.y), params)
-        assert params.sigma == sigma
-        assert isinstance(out.carry.metric_y, prsqp.solver.DiagonalMetric)
-        assert np.array_equal(out.hess_y, [1.0, c_min, 0.25])
+        out = iterate_once(initial_state(P, _w(np.ones(3), np.ones(3), np.zeros(3)), params))
+        assert out.state.params.sigma == sigma and params.sigma == 0.5
+        assert isinstance(out.state.metric_y, prsqp.solver.DiagonalMetric)
+        assert np.array_equal(out.state.metric_y.model, [1.0, c_min, 0.25])
 
 
 def test_diagonal_y_model_given_as_a_matrix_takes_the_dense_metric():
@@ -1053,7 +1018,7 @@ def test_diagonal_y_model_given_as_a_matrix_takes_the_dense_metric():
         results, kinds = [], []
         for Q in (P, dense):
             seen = []
-            results.append(run(Q, w0, params, callback=lambda out: seen.append(type(out.carry.metric_y))))
+            results.append(run(Q, w0, params, callback=lambda out: seen.append(type(out.state.metric_y))))
             kinds.append(set(seen))
         assert kinds == [{prsqp.solver.DiagonalMetric}, {prsqp.solver.BlockMetric}]
         diagonal, matrix = results
@@ -1076,9 +1041,8 @@ def test_capacitance_matrix_depends_on_the_model_alone():
         h = np.zeros(64)
         h[rng.choice(64, size, replace=False)] = knee
         h.flags.writeable = False
-        params = SolverParams(ell=ell, beta=beta)
-        metric = prsqp.solver._metric_x(P, h, params, cached)
-        fresh = prsqp.solver._metric_x(P, h, params)
+        metric = prsqp.solver._metric_x(P, h, ell, beta, cached)
+        fresh = prsqp.solver._metric_x(P, h, ell, beta)
         assert isinstance(metric, prsqp.solver.LowRankMetric)
         assert (metric.base is None) == (2 * size >= 64)
         if metric.base is not None and cached is not None and cached.base is not None:
@@ -1101,9 +1065,23 @@ def test_constant_diagonal_y_model_is_never_factored(monkeypatch):
     result = run(P, _zero_start(P), params, callback=outcomes.append)
     assert result.iterations == 100
     assert shapes and set(shapes) == {(P.n1, P.n1)}  # x-metrics only
-    assert all(isinstance(out.carry.metric_y, prsqp.solver.DiagonalMetric) for out in outcomes)
-    assert all(out.hess_y is outcomes[0].hess_y for out in outcomes)
-    assert np.array_equal(outcomes[0].hess_y, np.full(P.n2, P.data.mu))
+    models = [out.state.metric_y.model for out in outcomes]
+    assert all(isinstance(out.state.metric_y, prsqp.solver.DiagonalMetric) for out in outcomes)
+    assert all(h is models[0] for h in models)
+    assert np.array_equal(models[0], np.full(P.n2, P.data.mu))
+
+
+def test_constant_y_model_is_measured_once(monkeypatch):
+    # ||H_y|| enters the merit column's curvature bound; an unchanged model
+    # keeps its array, so its norm is not estimated again
+    calls = []
+    norm = prsqp.solver.spectral_norm
+    monkeypatch.setattr(prsqp.solver, "spectral_norm", lambda M: calls.append(M.shape) or norm(M))
+    for P in (make_classification(20, 20, rng=make_rng(31)), make_huber_lasso(16, 64, rng=make_rng(40))):
+        calls.clear()
+        result = run(P, _zero_start(P), SolverParams(tol_step=0.0, max_iter=50))
+        assert result.iterations == 50
+        assert calls == [(P.n2,)]
 
 
 def test_structured_solve_never_forms_AtA():
