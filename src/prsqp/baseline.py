@@ -1,15 +1,15 @@
 """Steepest-descent baseline on the unsplit objective ``F(x) = f(x) + g(A x)``.
 
 The comparison partner for the splitting solver: same problem data, no
-splitting, no duals -- just ``x_{k+1} = x_k - t grad F(x_k)`` with either a
-fixed step or weak-Armijo backtracking.
+splitting, no duals -- just ``x_{k+1} = x_k - t grad F(x_k)`` with
+weak-Armijo backtracking.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 import numpy as np
 
@@ -18,18 +18,15 @@ from .problems import composite_objective
 from .solver import SolveStatus, _quiet_numerics
 
 
-@dataclass
+@dataclass(frozen=True)
 class GdParams:
-    """Step rule and loop controls for :func:`gradient_descent`.
+    """Armijo step rule and loop controls for :func:`gradient_descent`.
 
-    ``step_rule = "armijo"`` backtracks from 1 with ratio ``nu`` until
-    ``F(x - t g) <= F(x) - rho t ||g||^2`` (defaults ``rho = 1e-4``,
-    ``nu = 0.5``); ``step_rule = "fixed"`` uses the constant step ``eta``.
-    ``tol`` stops on the sup-norm of the gradient.
+    Each step backtracks from 1 with ratio ``nu`` until
+    ``F(x - t g) <= F(x) - rho t ||g||^2``. ``tol`` stops on the sup-norm of
+    the gradient. Ranges are enforced at construction; a set is frozen.
     """
 
-    step_rule: str = "armijo"
-    eta: Optional[float] = None
     rho: float = 1e-4
     nu: float = 0.5
     max_iter: int = 1000
@@ -37,11 +34,7 @@ class GdParams:
     max_backtracks: int = 60
 
     def __post_init__(self):
-        if self.step_rule not in ("armijo", "fixed"):
-            raise ValueError(f"step_rule must be 'armijo' or 'fixed', got {self.step_rule!r}")
-        if self.step_rule == "fixed" and not (self.eta is not None and self.eta > 0):
-            raise ValueError("fixed step rule needs eta > 0")
-        if self.step_rule == "armijo" and not (0 < self.rho < 1 and 0 < self.nu < 1):
+        if not (0 < self.rho < 1 and 0 < self.nu < 1):
             raise ValueError(f"armijo needs rho, nu in (0, 1), got rho={self.rho}, nu={self.nu}")
         if self.max_iter < 1 or self.max_backtracks < 1 or self.tol < 0:
             raise ValueError("max_iter, max_backtracks must be >= 1 and tol >= 0")
@@ -85,7 +78,7 @@ def gradient_descent(P, x0, gd):
     x = as_vector(x0, n=P.n1, name="x0")
     # F(x) and grad F(x) of the current iterate, carried from the step that made it
     g = composite_gradient(P, x)
-    F = composite_objective(P, x) if gd.step_rule == "armijo" else None
+    F = composite_objective(P, x)
     trace: List[GdRecord] = []
     status = SolveStatus.ITER_LIMIT
     for k in range(gd.max_iter):
@@ -93,25 +86,20 @@ def gradient_descent(P, x0, gd):
         if float(np.max(np.abs(g))) <= gd.tol:
             status = SolveStatus.CONVERGED
             break
-        if gd.step_rule == "fixed":
-            t = gd.eta
-            x = x - t * g
-            F = composite_objective(P, x)
-        else:
-            # no float slack here: an accept-on-noise bias would put a floor on
-            # the reachable gradient norm and break the tol contract
-            gg = float(g @ g)
-            t = 1.0
-            for _ in range(gd.max_backtracks + 1):
-                cand = x - t * g
-                F_cand = composite_objective(P, cand)
-                if F_cand <= F - gd.rho * t * gg:
-                    x, F = cand, F_cand
-                    break
-                t *= gd.nu
-            else:
-                status = SolveStatus.LINE_SEARCH_FAILED
+        # no float slack here: an accept-on-noise bias would put a floor on
+        # the reachable gradient norm and break the tol contract
+        gg = float(g @ g)
+        t = 1.0
+        for _ in range(gd.max_backtracks + 1):
+            cand = x - t * g
+            F_cand = composite_objective(P, cand)
+            if F_cand <= F - gd.rho * t * gg:
+                x, F = cand, F_cand
                 break
+            t *= gd.nu
+        else:
+            status = SolveStatus.LINE_SEARCH_FAILED
+            break
         g = composite_gradient(P, x)
         trace.append(
             GdRecord(

@@ -315,7 +315,7 @@ def run_experiment(cfg):
 
     if cfg.baseline:
         iters = max(result.iterations, 1)
-        gd = GdParams(step_rule="armijo", max_iter=iters, tol=0.0)
+        gd = GdParams(max_iter=iters, tol=0.0)
         t0 = time.perf_counter()
         base = gradient_descent(P, np.zeros(P.n1), gd)
         summary["baseline"] = {
@@ -448,23 +448,20 @@ def _cmd_check_params(args):
     return 0
 
 
-def _given(**weights):
-    # the weights set on the command line; the builders hold the defaults
-    return {key: value for key, value in weights.items() if value is not None}
-
-
 def _cmd_gen_data(args):
-    rng = make_rng(args.seed)
-    try:
-        if args.problem == "quadratic":
-            P = random_quadratic(args.n1, args.n2, rng)
-        elif args.problem == "classification":
-            P = make_classification(args.n, args.T, **_given(mu=args.mu), rng=rng)
-        else:  # argparse restricts the choices
-            weights = _given(density=args.density, tau=args.tau, mu=args.mu_huber)
-            P = make_huber_lasso(args.m, args.n, **weights, rng=rng)
-    except ValueError as exc:
-        raise ConfigError(f"cannot build the {args.problem} problem: {exc}") from None
+    if args.problem == "quadratic":
+        try:
+            P = random_quadratic(args.n1, args.n2, make_rng(args.seed))
+        except ValueError as exc:
+            raise ConfigError(f"cannot build the quadratic problem: {exc}") from None
+    else:  # argparse restricts the choices
+        if args.problem == "classification":
+            flags = dict(n=args.n, T=args.T, mu=args.mu)
+        else:
+            flags = dict(m=args.m, n=args.n, density=args.density, tau=args.tau, mu=args.mu_huber)
+        # the flags given, read as a config's problem is; the builders hold the defaults
+        problem = {"type": args.problem} | {key: value for key, value in flags.items() if value is not None}
+        P = build_problem(_parse_problem(problem), args.seed)
     with _open_output(args.out) as fh:
         json.dump(problem_to_json(P), fh)
         fh.write("\n")

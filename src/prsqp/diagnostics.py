@@ -207,10 +207,9 @@ class DiagnosticsReport:
     bounds: SpectralBounds
 
 
-def diagnostics_report(P, params, H_x=None, H_y=None):
-    """Assemble the full report at the given Hessian models (defaults: models at 0)."""
-    if H_x is None or H_y is None:
-        H_x, H_y = hessian_pair(P, np.zeros(P.n1), np.zeros(P.n2))
+def diagnostics_report(P, params):
+    """Assemble the full report for ``params`` at the Hessian models at ``x = 0``, ``y = 0``."""
+    H_x, H_y = hessian_pair(P, np.zeros(P.n1), np.zeros(P.n2))
     bounds = spectral_bounds(P, params, H_x, H_y)
     gamma = compute_gamma(P, params, bounds)
     delta_x, delta_y = compute_deltas(P, params, bounds, gamma)
@@ -224,19 +223,24 @@ def diagnostics_report(P, params, H_x=None, H_y=None):
     )
 
 
-def suggest_params(direction, P, base=None, H_x=None, H_y=None, s=None, margin=0.1, max_rounds=50):
+_RECIPE_MARGIN = 0.1  # each strict bound is met with a factor 1 + margin; floors at margin * beta
+_RECIPE_ROUNDS = 50  # fixed-point rounds of the coupled bounds on ell, sigma and gamma
+
+
+def suggest_params(direction, P, base=None, s=None):
     """Feasible dual steps and proximal weights with certified positive margins.
 
     ``direction`` selects the regime: ``"alda"`` (both dual updates ascent,
     ``s = 1``) or ``"aldd"`` (both descent, default ``s = -0.5``; any
     ``s in [-1, 0)`` is accepted). ``base`` supplies ``rho, nu, alpha, beta``
     and the loop controls (defaults otherwise); the returned
-    :class:`SolverParams` keeps those and replaces ``ell, sigma, r, s``.
+    :class:`SolverParams` keeps those and replaces ``ell, sigma, r, s``. The
+    curvature is that of the Hessian models at ``x = 0``, ``y = 0``.
 
     The strict bounds on ``ell`` and ``sigma`` are coupled to the step floor
     ``gamma``, which itself depends on ``ell`` and ``sigma``; the recipe
     iterates the bound system to a fixed point (each strict inequality realized
-    with a ``1 + margin`` factor, positive floors at ``margin * beta``) and
+    with a 10% margin, positive floors at ``0.1 beta``) and
     then verifies ``delta_x, delta_y > 0`` via :func:`compute_deltas`, raising
     ``ValueError`` if certification fails. The coupling enters through the
     spectral range of ``A^T A``, with ``||A^T A|| = lambda_max(A^T A)``.
@@ -259,19 +263,18 @@ def suggest_params(direction, P, base=None, H_x=None, H_y=None, s=None, margin=0
         if not -1.0 <= s_val < 0.0:
             raise ValueError(f"aldd needs s in [-1, 0), got {s_val}")
 
-    if H_x is None or H_y is None:
-        H_x, H_y = hessian_pair(P, np.zeros(P.n1), np.zeros(P.n2))
+    H_x, H_y = hessian_pair(P, np.zeros(P.n1), np.zeros(P.n2))
     eta_y = spectral_norm(H_y)
     lo_x = min_eigenvalue(H_x)
     lo_y = min_eigenvalue(H_y)
     L_f, L_g = P.lipschitz_f, P.lipschitz_g
 
-    factor = 1.0 + margin
-    floor = margin * beta
+    factor = 1.0 + _RECIPE_MARGIN
+    floor = _RECIPE_MARGIN * beta
     ell = max(factor * (-lo_x - beta * P.min_eig_AtA), floor)
     sigma = max(factor * (-lo_y - beta), floor)
     r_val = None
-    for _ in range(max_rounds):
+    for _ in range(_RECIPE_ROUNDS):
         eta1_x = lo_x + beta * P.min_eig_AtA + ell
         eta1_y = lo_y + beta + sigma
         eta2_y = eta_y + beta + sigma
@@ -300,7 +303,7 @@ def suggest_params(direction, P, base=None, H_x=None, H_y=None, s=None, margin=0
                 continue
         break
     if r_val is None:
-        raise ValueError(f"recipe did not stabilize within {max_rounds} rounds")
+        raise ValueError(f"recipe did not stabilize within {_RECIPE_ROUNDS} rounds")
 
     params = replace(base, ell=ell, sigma=sigma, r=r_val, s=s_val)
     bounds = spectral_bounds(P, params, H_x, H_y)

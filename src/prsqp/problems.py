@@ -393,12 +393,22 @@ def _json_size(obj, key):
     return int(value)
 
 
-def _json_weight(obj, key):
+def _json_real(value, name):
     # a finite JSON number, as a float; true, false and strings are not numbers
-    value = obj[key]
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
-        raise ValueError(f"{key} must be a finite real number, got {value!r}")
+        raise ValueError(f"{name} must be a finite real number, got {value!r}")
     return float(value)
+
+
+def _json_weight(obj, key):
+    return _json_real(obj[key], key)
+
+
+def _json_vector(obj, key):
+    # a JSON list of finite numbers, as a float array
+    if not isinstance(obj[key], list):
+        raise ValueError(f"{key} must be a list of numbers, got {type(obj[key]).__name__}")
+    return np.array([_json_real(value, f"each entry of {key}") for value in obj[key]], dtype=float)
 
 
 def matrix_from_json(obj):
@@ -406,7 +416,7 @@ def matrix_from_json(obj):
     if keys != {"rows", "cols", "data"}:
         raise ValueError(f"matrix object must have keys rows/cols/data, got {sorted(keys)}")
     rows, cols = _json_size(obj, "rows"), _json_size(obj, "cols")
-    data = np.asarray(obj["data"], dtype=float)
+    data = _json_vector(obj, "data")
     if data.shape != (rows * cols,):
         raise ValueError(f"matrix data length {data.shape[0]} != rows*cols = {rows * cols}")
     return data.reshape(rows, cols)
@@ -447,8 +457,8 @@ def problem_from_json(obj):
     """Rebuild a :class:`CompositeProblem` from :func:`problem_to_json` output.
 
     Raises ``ValueError`` for a malformed object, among them a weight (``mu``,
-    ``tau``, ``density``) that is no finite number and a matrix size that is
-    no integer.
+    ``tau``, ``density``) or an array entry that is no finite number (a
+    boolean or a string included) and a matrix size that is no integer.
     """
     if not isinstance(obj, dict):
         raise ValueError("problem object must be a JSON object")
@@ -470,8 +480,8 @@ def problem_from_json(obj):
     if missing:
         raise ValueError(f"missing keys in problem object: {sorted(missing)}")
     if kind == "quadratic":
-        return make_quadratic(obj["c_f"], obj["c_g"], matrix_from_json(obj["A"]))
+        return make_quadratic(_json_vector(obj, "c_f"), _json_vector(obj, "c_g"), matrix_from_json(obj["A"]))
     if kind == "classification":
-        return _classification_problem(matrix_from_json(obj["D"]), obj["labels"], _json_weight(obj, "mu"))
+        return _classification_problem(matrix_from_json(obj["D"]), _json_vector(obj, "labels"), _json_weight(obj, "mu"))
     tau, mu, density = (_json_weight(obj, key) for key in ("tau", "mu", "density"))
-    return _lasso_problem(matrix_from_json(obj["A"]), obj["u"], tau, mu, density)
+    return _lasso_problem(matrix_from_json(obj["A"]), _json_vector(obj, "u"), tau, mu, density)

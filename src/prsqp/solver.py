@@ -70,9 +70,9 @@ import functools
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from enum import Enum
-from typing import Callable, List, Mapping, NamedTuple, Optional
+from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -101,71 +101,82 @@ class SolveStatus(str, Enum):
     NUMERICAL_ERROR = "NumericalError"
 
 
-_PARAM_DEFAULTS = dict(
-    rho=0.4,
-    nu=0.6,
-    alpha=0.0,
-    beta=1.0,
-    ell=5.0,
-    sigma=10.0,
-    r=0.1,
-    s=1.0,
-    max_iter=10_000,
-    tol_step=1e-4,
-    tol_kkt=1e-2,
-    max_backtracks=60,
-    relaxed_alpha=False,
-)
-_REAL_PARAMS = [name for name, value in _PARAM_DEFAULTS.items() if isinstance(value, float)]
+@dataclass(frozen=True)
+class SolverParams:
+    """Algorithm parameters, fixed for a run; ranges are enforced at construction.
+
+    ``alpha`` must satisfy ``-1 < alpha < 1/rho - 1`` unless ``relaxed_alpha``
+    is set, in which case only ``alpha > -1`` is required and runs are tagged
+    as outside the supported theory. ``r`` and ``s`` are the two dual step
+    scales (positive = ascent, negative = descent) with ``r + s != 0``.
+    ``tol_step`` (relative) and ``tol_kkt`` (absolute) are the two tolerances
+    that must both hold for :func:`run` to report Converged. A set is frozen:
+    build a changed one with ``dataclasses.replace``, which validates it anew.
+    """
+
+    rho: float = 0.4
+    nu: float = 0.6
+    alpha: float = 0.0
+    beta: float = 1.0
+    ell: float = 5.0
+    sigma: float = 10.0
+    r: float = 0.1
+    s: float = 1.0
+    max_iter: int = 10_000
+    tol_step: float = 1e-4
+    tol_kkt: float = 1e-2
+    max_backtracks: int = 60
+    relaxed_alpha: bool = False
+
+    def __post_init__(self):
+        violations = validate_params(self)
+        if violations:
+            raise ValueError("; ".join(violations))
 
 
-def validate_params(params, relaxed=None):
+_REAL_PARAMS = [f.name for f in fields(SolverParams) if isinstance(f.default, float)]
+
+
+def validate_params(params):
     """Range violations of a parameter set, as human-readable strings.
 
-    ``params`` may be a :class:`SolverParams`, any object with the same
-    attributes, or a mapping (missing entries fall back to the defaults, so
-    invalid combinations can be checked without constructing). ``relaxed``
-    overrides the set's own ``relaxed_alpha`` flag; when true, the upper
-    acceleration bound ``alpha < 1/rho - 1`` is not enforced.
+    ``params`` is a :class:`SolverParams` or any object with the same
+    attributes; a :class:`SolverParams` always gives ``[]``, as its
+    constructor raises on the violations listed here. Unless the set's
+    ``relaxed_alpha`` is true, the upper acceleration bound
+    ``alpha < 1/rho - 1`` is enforced.
     """
-    if isinstance(params, Mapping):
-        merged = dict(_PARAM_DEFAULTS)
-        merged.update(params)
-        get = merged.__getitem__
-    else:
-        get = lambda k: getattr(params, k, _PARAM_DEFAULTS[k])
+    p = params
     # a JSON true is not a weight of 1
-    bools = [k for k in _REAL_PARAMS if isinstance(get(k), (bool, np.bool_))]
-    out = [f"{k} must be a real number, got {get(k)!r}" for k in bools]
-    rho, nu, alpha = get("rho"), get("nu"), get("alpha")
-    if not 0.0 < rho < 1.0:
-        out.append(f"rho must lie in (0, 1), got {rho}")
-    if not 0.0 < nu < 1.0:
-        out.append(f"nu must lie in (0, 1), got {nu}")
-    if not -1.0 < alpha < math.inf:
-        out.append(f"alpha must be finite and exceed -1, got {alpha}")
-    flag = get("relaxed_alpha")
-    if not isinstance(flag, (bool, np.bool_)):
+    bools = [k for k in _REAL_PARAMS if isinstance(getattr(p, k), (bool, np.bool_))]
+    out = [f"{k} must be a real number, got {getattr(p, k)!r}" for k in bools]
+    if not 0.0 < p.rho < 1.0:
+        out.append(f"rho must lie in (0, 1), got {p.rho}")
+    if not 0.0 < p.nu < 1.0:
+        out.append(f"nu must lie in (0, 1), got {p.nu}")
+    if not -1.0 < p.alpha < math.inf:
+        out.append(f"alpha must be finite and exceed -1, got {p.alpha}")
+    relaxed = p.relaxed_alpha
+    if not isinstance(relaxed, (bool, np.bool_)):
         # a string such as "false" is truthy; it must not relax the range
-        out.append(f"relaxed_alpha must be a boolean, got {flag!r}")
-        flag = False
-    relaxed_eff = bool(flag) if relaxed is None else bool(relaxed)
-    if not relaxed_eff and 0.0 < rho < 1.0 and not alpha < 1.0 / rho - 1.0:
-        out.append(f"alpha = {alpha} is not below 1/rho - 1 = {1.0 / rho - 1.0} (set relaxed_alpha to override)")
+        out.append(f"relaxed_alpha must be a boolean, got {relaxed!r}")
+        relaxed = False
+    if not relaxed and 0.0 < p.rho < 1.0 and not p.alpha < 1.0 / p.rho - 1.0:
+        out.append(f"alpha = {p.alpha} is not below 1/rho - 1 = {1.0 / p.rho - 1.0} (set relaxed_alpha to override)")
     for name in ("beta", "ell", "sigma"):
-        if not 0.0 < get(name) < math.inf:
-            out.append(f"{name} must be positive and finite, got {get(name)}")
+        if not 0.0 < getattr(p, name) < math.inf:
+            out.append(f"{name} must be positive and finite, got {getattr(p, name)}")
     for name in ("r", "s"):
-        if not math.isfinite(get(name)):
-            out.append(f"{name} must be finite, got {get(name)}")
-    if get("r") + get("s") == 0.0:
-        out.append(f"r + s must be nonzero, got r = {get('r')}, s = {get('s')}")
-    _check_count(out, "max_iter", get("max_iter"))
-    if not get("tol_step") >= 0.0:
-        out.append(f"tol_step must be >= 0, got {get('tol_step')}")
-    if not get("tol_kkt") >= 0.0:
-        out.append(f"tol_kkt must be >= 0, got {get('tol_kkt')}")
-    _check_count(out, "max_backtracks", get("max_backtracks"))
+        if not math.isfinite(getattr(p, name)):
+            out.append(f"{name} must be finite, got {getattr(p, name)}")
+    if p.r + p.s == 0.0:
+        out.append(f"r + s must be nonzero, got r = {p.r}, s = {p.s}")
+    _check_count(out, "max_iter", p.max_iter)
+    if not p.tol_step >= 0.0:
+        out.append(f"tol_step must be >= 0, got {p.tol_step}")
+    if not p.tol_kkt >= 0.0:
+        out.append(f"tol_kkt must be >= 0, got {p.tol_kkt}")
+    _check_count(out, "max_backtracks", p.max_backtracks)
     return out
 
 
@@ -175,38 +186,6 @@ def _check_count(out, name, value):
         out.append(f"{name} must be an integer, got {value!r}")
     elif value < 1:
         out.append(f"{name} must be >= 1, got {value}")
-
-
-@dataclass
-class SolverParams:
-    """Algorithm parameters; ranges are enforced at construction.
-
-    ``alpha`` must satisfy ``-1 < alpha < 1/rho - 1`` unless ``relaxed_alpha``
-    is set, in which case only ``alpha > -1`` is required and runs are tagged
-    as outside the supported theory. ``r`` and ``s`` are the two dual step
-    scales (positive = ascent, negative = descent) with ``r + s != 0``.
-    ``tol_step`` (relative) and ``tol_kkt`` (absolute) are the two tolerances
-    that must both hold for :func:`run` to report Converged.
-    """
-
-    rho: float = _PARAM_DEFAULTS["rho"]
-    nu: float = _PARAM_DEFAULTS["nu"]
-    alpha: float = _PARAM_DEFAULTS["alpha"]
-    beta: float = _PARAM_DEFAULTS["beta"]
-    ell: float = _PARAM_DEFAULTS["ell"]
-    sigma: float = _PARAM_DEFAULTS["sigma"]
-    r: float = _PARAM_DEFAULTS["r"]
-    s: float = _PARAM_DEFAULTS["s"]
-    max_iter: int = _PARAM_DEFAULTS["max_iter"]
-    tol_step: float = _PARAM_DEFAULTS["tol_step"]
-    tol_kkt: float = _PARAM_DEFAULTS["tol_kkt"]
-    max_backtracks: int = _PARAM_DEFAULTS["max_backtracks"]
-    relaxed_alpha: bool = _PARAM_DEFAULTS["relaxed_alpha"]
-
-    def __post_init__(self):
-        violations = validate_params(self)
-        if violations:
-            raise ValueError("; ".join(violations))
 
 
 @dataclass
@@ -613,14 +592,13 @@ def initial_state(P, w0, params, H_x=None, H_y=None):
     ``params`` is then a copy holding the weights used. ``params`` itself is
     never changed.
 
-    Raises ``ValueError`` for invalid parameters, ``TypeError`` when ``w0`` is
+    Raises ``TypeError`` when ``params`` is no :class:`SolverParams` or ``w0``
     no :class:`~prsqp.alf.Iterate`, :class:`~prsqp.core.DimensionMismatch`
     when its sizes are not the problem's, and :class:`NumericalError` when a
     metric stays indefinite after 60 doublings.
     """
-    violations = validate_params(params)
-    if violations:
-        raise ValueError("; ".join(violations))
+    if not isinstance(params, SolverParams):
+        raise TypeError("params must be a SolverParams")
     if not isinstance(w0, Iterate):
         raise TypeError("w0 must be an Iterate")
     if w0.x.shape[0] != P.n1 or w0.y.shape[0] != P.n2:
@@ -769,15 +747,14 @@ def run(P, w0, params, callback: Optional[Callable[[IterationOutcome], None]] = 
     ``callback``). The caller's ``params`` and ``w0`` are never changed: a
     repaired weight lives in the states, and the result reports the last
     state's weights. ``callback``, when given, receives each
-    :class:`IterationOutcome` (with internals attached).
+    :class:`IterationOutcome` (with internals attached). The result is
+    ``theory_supported`` when ``alpha < 1/rho - 1``. Errors in the inputs propagate.
     """
-    theory_supported = not validate_params(params, relaxed=False)
     trace: List[StepRecord] = []
     state = None
-    status = SolveStatus.ITER_LIMIT
-    reason = f"max_iter: {params.max_iter} iterations"
     try:
-        state = initial_state(P, w0, params)
+        state = initial_state(P, w0, params)  # raises TypeError before params is read
+        status, reason = SolveStatus.ITER_LIMIT, f"max_iter: {params.max_iter} iterations"
         for _ in range(params.max_iter):
             out = iterate_once(state, keep_internals=callback is not None)
             prev, state = state.w, out.state
@@ -804,7 +781,7 @@ def run(P, w0, params, callback: Optional[Callable[[IterationOutcome], None]] = 
         final=w0 if state is None else state.w,
         status=status,
         trace=trace,
-        theory_supported=theory_supported,
+        theory_supported=bool(params.alpha < 1.0 / params.rho - 1.0),
         stop_reason=reason,
         ell=last.ell,
         sigma=last.sigma,

@@ -1,3 +1,6 @@
+from dataclasses import asdict
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -142,8 +145,8 @@ def test_merit_dominates_alf():
 def test_merit_needs_lipschitz_and_nonzero_dual_steps():
     P = make_quadratic([1.0], [0.0], [[1.0]])
     what = AugmentedIterate(_w(0.0, 0.0, 0.0), np.array([1.0]))
-    cancelling = SolverParams()
-    cancelling.r, cancelling.s = 1.0, -1.0  # construction rejects this; probe the guard directly
+    # construction rejects this; probe the guard directly with an object of the same attributes
+    cancelling = SimpleNamespace(**{**asdict(SolverParams()), "r": 1.0, "s": -1.0})
     with pytest.raises(ValueError):
         eval_merit_hat(P, what, cancelling, eta2_y=1.0)
     Q = zero_problem()

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -18,16 +18,6 @@ from prsqp import (
     random_quadratic,
 )
 from toys import central_diff, decoupled_problem, rel_err
-
-
-def test_fixed_unit_step_solves_isolated_quadratic():
-    # F(x) = x^2/2: a unit fixed step from 1 lands on the minimizer exactly
-    P = make_quadratic([0.0], [0.0], [[0.0]])
-    result = gradient_descent(P, np.array([1.0]), GdParams(step_rule="fixed", eta=1.0))
-    assert result.status is SolveStatus.CONVERGED
-    assert np.array_equal(result.final_x, [0.0])
-    assert result.iterations == 1
-    assert result.trace[0].t == 1.0 and result.trace[0].objective == 0.0
 
 
 def test_armijo_converges_on_quadratic():
@@ -67,13 +57,13 @@ def test_armijo_exhaustion_is_reported():
 
 def test_gd_params_validation():
     with pytest.raises(ValueError):
-        GdParams(step_rule="exact")
-    with pytest.raises(ValueError):
-        GdParams(step_rule="fixed")  # needs eta
-    with pytest.raises(ValueError):
         GdParams(rho=0.0)
     with pytest.raises(ValueError):
+        GdParams(nu=1.0)
+    with pytest.raises(ValueError):
         GdParams(max_iter=0)
+    with pytest.raises(FrozenInstanceError):
+        GdParams().tol = 0.0
 
 
 def test_trace_records_carry_post_step_measurements():
@@ -104,12 +94,9 @@ def _counting(P):
 def test_each_iterate_is_evaluated_once():
     # grad F and F of an iterate are carried from the step that made it to the
     # trace record and the next iteration: grad f once per iteration and once at
-    # x0; f once per Armijo trial and once at x0, or once per fixed step
+    # x0; f once per Armijo trial and once at x0
     P, calls = _counting(make_huber_lasso(16, 64, rng=make_rng(40)))
     result = gradient_descent(P, np.zeros(P.n1), GdParams(max_iter=50, tol=0.0))
     trials = sum(round(math.log(rec.t, 0.5)) + 1 for rec in result.trace)
     assert result.iterations == 50 and trials == 350
     assert calls == {"eval_f": 1 + trials, "grad_f": 51}
-    calls.update(eval_f=0, grad_f=0)
-    gradient_descent(P, np.zeros(P.n1), GdParams(step_rule="fixed", eta=0.01, max_iter=50, tol=0.0))
-    assert calls == {"eval_f": 50, "grad_f": 51}

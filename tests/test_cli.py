@@ -525,6 +525,35 @@ def test_cli_gen_data_rejects_invalid_size(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_gen_data_rejects_non_finite_weights(tmp_path, capsys):
+    # the flags are read as a config's problem is, so no Infinity reaches the file
+    out = tmp_path / "data.json"
+    for problem, flag, bad in (
+        ("huber_lasso", "--tau", "inf"),
+        ("huber_lasso", "--mu-huber", "nan"),
+        ("classification", "--mu", "nan"),
+    ):
+        code = main(["gen-data", "--problem", problem, flag, bad, "--seed", "1", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"config error: problem ({problem}): ")
+        assert not out.exists()
+
+
+def test_cli_rejects_problem_file_with_non_number_entries(tmp_path, capsys):
+    problem_file, P = _quadratic_file(tmp_path)
+    obj = problem_to_json(P)
+    for broken in (
+        {**obj, "c_f": [True, *obj["c_f"][1:]]},
+        {**obj, "c_g": ["2.5", *obj["c_g"][1:]]},
+        {**obj, "A": {**obj["A"], "data": [math.nan, *obj["A"]["data"][1:]]}},
+    ):
+        problem_file.write_text(json.dumps(broken))  # a NaN is written as NaN, which json reads back
+        code = main(["solve", "--config", str(_solve_config(tmp_path, problem_file))])
+        assert code == 1
+        assert "must be a finite real number" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _below_a_file(tmp_path):
     # a directory path under a regular file: it cannot be created
     (tmp_path / "file").write_text("")

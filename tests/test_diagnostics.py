@@ -1,4 +1,6 @@
 import math
+from dataclasses import asdict
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -198,8 +200,7 @@ def test_delta_y_frozen_value():
 
 def test_deltas_reject_cancelling_dual_steps():
     P = make_quadratic([0.0], [0.0], [[1.0]])
-    params = SolverParams()
-    params.r, params.s = 1.0, -1.0
+    params = SimpleNamespace(**{**asdict(SolverParams()), "r": 1.0, "s": -1.0})  # construction rejects this
     with pytest.raises(ValueError):
         compute_deltas(P, params, _unit_bounds(), gamma=0.1)
 

@@ -1,3 +1,4 @@
+import re
 from dataclasses import asdict, fields, replace
 
 import numpy as np
@@ -424,6 +425,35 @@ def test_problem_json_rejects_non_number_weights_and_non_integer_sizes():
         with pytest.raises(ValueError, match=f"{key} must be an integer, got {bad!r}"):
             matrix_from_json({**obj, key: bad})
     assert matrix_from_json({**row, "rows": np.int64(1)}).shape == (1, 3)
+
+
+def _with_first_entry(obj, key, value):
+    # obj with the first entry of its array ``key`` (a list or a matrix object) replaced
+    array = obj[key]
+    if isinstance(array, dict):
+        return {**obj, key: {**array, "data": [value, *array["data"][1:]]}}
+    return {**obj, key: [value, *array[1:]]}
+
+
+def test_problem_json_rejects_non_number_and_non_finite_array_entries():
+    # true is no entry of 1, "2.5" no entry at all, and a NaN in u would give a NaN d
+    rng = make_rng(16)
+    quad = problem_to_json(random_quadratic(3, 2, rng))
+    cls = problem_to_json(make_classification(5, 4, rng=rng))
+    lasso = problem_to_json(make_huber_lasso(3, 6, rng=rng))
+    arrays = ((quad, "c_f"), (quad, "c_g"), (quad, "A"), (cls, "D"), (cls, "labels"), (lasso, "A"), (lasso, "u"))
+    for obj, key in arrays:
+        name = "data" if isinstance(obj[key], dict) else key
+        for bad in (True, False, "2.5", None, [1.0], float("nan"), float("inf")):
+            message = f"each entry of {name} must be a finite real number, got {bad!r}"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                problem_from_json(_with_first_entry(obj, key, bad))
+        if name != "data":
+            with pytest.raises(ValueError, match=f"{key} must be a list of numbers, got str"):
+                problem_from_json({**obj, key: "1.0"})
+    # JSON integers are numbers
+    assert np.array_equal(matrix_from_json({"rows": 1, "cols": 2, "data": [1, np.int64(2)]}), [[1.0, 2.0]])
+    assert problem_from_json(_with_first_entry(cls, "labels", 1)).data.labels[0] == 1.0
 
 
 def test_builders_reject_nan_weights():

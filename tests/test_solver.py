@@ -1,5 +1,6 @@
 import math
-from dataclasses import astuple, replace
+from dataclasses import FrozenInstanceError, asdict, astuple, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -49,20 +50,31 @@ def _w(x, y, lam):
 # ----- parameter validation -----------------------------------------------------
 
 
+def _violations(**bad):
+    # the violations SolverParams(**bad) raises, joined by "; " in its message
+    with pytest.raises(ValueError) as raised:
+        SolverParams(**bad)
+    return str(raised.value).split("; ")
+
+
 def test_validate_params_flags_fast_acceleration():
-    out = validate_params(dict(rho=0.4, alpha=2.0), relaxed=False)
+    out = _violations(rho=0.4, alpha=2.0)
     assert len(out) == 1 and "alpha" in out[0]
-    assert validate_params(dict(rho=0.4, alpha=2.0), relaxed=True) == []
+    assert validate_params(SolverParams(rho=0.4, alpha=2.0, relaxed_alpha=True)) == []
 
 
 def test_validate_params_flags_cancelling_dual_steps():
-    out = validate_params(dict(r=1.0, s=-1.0))
+    out = _violations(r=1.0, s=-1.0)
     assert len(out) == 1 and "r + s" in out[0]
+    # any object with the attributes is read, so a guard can be probed past the constructor
+    duck = SimpleNamespace(**{**asdict(SolverParams()), "r": 1.0, "s": -1.0})
+    assert validate_params(duck) == out
 
 
 def test_validate_params_accepts_reference_defaults():
     ok = dict(rho=0.4, nu=0.6, beta=1.0, ell=5.0, sigma=10.0, r=0.1, s=1.0, alpha=0.0)
-    assert validate_params(ok) == []
+    assert validate_params(SolverParams(**ok)) == []
+    assert SolverParams(**ok) == SolverParams()
 
 
 def test_solver_params_constructor_enforces_ranges():
@@ -76,31 +88,27 @@ def test_solver_params_constructor_enforces_ranges():
         SolverParams(beta=0.0)
     relaxed = SolverParams(alpha=2.0, relaxed_alpha=True)
     assert relaxed.alpha == 2.0
+    with pytest.raises(ValueError, match="rho must lie in"):
+        replace(relaxed, rho=1.5)  # a changed copy is validated anew
 
 
 def test_validate_params_rejects_negative_or_nan_kkt_tolerance():
     for bad in (-1.0, float("nan")):
-        out = validate_params(dict(tol_kkt=bad))
+        out = _violations(tol_kkt=bad)
         assert len(out) == 1 and "tol_kkt" in out[0]
-        with pytest.raises(ValueError, match="tol_kkt"):
-            SolverParams(tol_kkt=bad)
-    assert validate_params(dict(tol_kkt=0.0)) == []
-    assert validate_params(dict(tol_kkt=float("inf"))) == []
+    assert SolverParams(tol_kkt=0.0).tol_kkt == 0.0
+    assert SolverParams(tol_kkt=float("inf")).tol_kkt == float("inf")
 
 
 def test_validate_params_rejects_non_finite_weights():
-    P = make_quadratic([1.0, 2.0], [0.0], [[1.0, 1.0]])
-    w0 = _w(np.zeros(2), 0.0, 0.0)
+    params = SolverParams()
     for name in ("beta", "ell", "sigma", "alpha", "r", "s"):
         for bad in (float("inf"), float("nan")):
-            out = validate_params({name: bad}, relaxed=True)
+            out = _violations(**{name: bad}, relaxed_alpha=True)
             assert len(out) == 1 and name in out[0]
-            with pytest.raises(ValueError, match=name):
-                SolverParams(**{name: bad})
-            params = SolverParams()
-            setattr(params, name, bad)
-            with pytest.raises(ValueError, match=name):
-                run(P, w0, params)
+            with pytest.raises(FrozenInstanceError):
+                setattr(params, name, bad)
+    assert params == SolverParams()
 
 
 def test_validate_params_requires_integer_loop_limits():
@@ -108,44 +116,52 @@ def test_validate_params_requires_integer_loop_limits():
     w0 = _w(np.zeros(2), 0.0, 0.0)
     for name in ("max_iter", "max_backtracks"):
         for bad in (20.5, 2.0, True, False, "3"):
-            out = validate_params({name: bad})
-            assert out == [f"{name} must be an integer, got {bad!r}"]
-            with pytest.raises(ValueError, match=name):
-                SolverParams(**{name: bad})
-        assert validate_params({name: 0}) == [f"{name} must be >= 1, got 0"]
-        assert validate_params({name: np.int64(3)}) == []
-        params = SolverParams()
-        setattr(params, name, 2.5)
-        with pytest.raises(ValueError, match=name):
-            run(P, w0, params)
+            assert _violations(**{name: bad}) == [f"{name} must be an integer, got {bad!r}"]
+        assert _violations(**{name: 0}) == [f"{name} must be >= 1, got 0"]
+        assert getattr(SolverParams(**{name: np.int64(3)}), name) == 3
+        with pytest.raises(FrozenInstanceError):
+            setattr(SolverParams(), name, 2.5)
     result = run(P, w0, SolverParams(max_iter=np.int64(3), max_backtracks=np.int32(5), tol_step=0.0))
     assert result.iterations == 3
 
 
 def test_validate_params_rejects_bools_for_real_parameters():
-    assert validate_params({"beta": True, "tol_step": True}) == [
+    assert _violations(beta=True, tol_step=True) == [
         "beta must be a real number, got True",
         "tol_step must be a real number, got True",
     ]
     for name in ("rho", "nu", "alpha", "beta", "ell", "sigma", "r", "s", "tol_step", "tol_kkt"):
         for bad in (True, False, np.True_):
-            assert f"{name} must be a real number, got {bad!r}" in validate_params({name: bad})
-            with pytest.raises(ValueError, match=name):
-                SolverParams(**{name: bad})
-    assert validate_params({"beta": 1, "ell": np.float64(2.0), "sigma": np.int64(3)}) == []
+            assert f"{name} must be a real number, got {bad!r}" in _violations(**{name: bad})
+    assert validate_params(SolverParams(beta=1, ell=np.float64(2.0), sigma=np.int64(3))) == []
 
 
 def test_validate_params_requires_a_boolean_relaxed_alpha():
     # a truthy string must neither pass nor relax the acceleration range
     for bad in ("false", "true", 1, None):
-        violations = validate_params({"alpha": 2.0, "relaxed_alpha": bad})
+        violations = _violations(alpha=2.0, relaxed_alpha=bad)
         assert violations[0] == f"relaxed_alpha must be a boolean, got {bad!r}"
         assert any(v.startswith("alpha = 2.0 is not below") for v in violations)
-        with pytest.raises(ValueError, match="relaxed_alpha must be a boolean"):
-            SolverParams(alpha=2.0, relaxed_alpha=bad)
     for good in (True, np.True_):
-        assert validate_params({"alpha": 2.0, "relaxed_alpha": good}) == []
+        assert validate_params(SolverParams(alpha=2.0, relaxed_alpha=good)) == []
     assert SolverParams(alpha=2.0, relaxed_alpha=np.True_).alpha == 2.0
+
+
+def test_params_cannot_change_under_a_state():
+    # a state's metrics are factored at its params' weights, so a write to the
+    # params would leave them stale; a changed set is a new object and a new state
+    P = make_huber_lasso(16, 64, rng=make_rng(40))
+    params = SolverParams()
+    state = initial_state(P, _zero_start(P), params)
+    with pytest.raises(FrozenInstanceError):
+        params.beta = 100.0
+    assert state.params.beta == state.metric_x.beta == 1.0
+    out = iterate_once(state)
+    assert out.state.metric_x is state.metric_x
+    fresh = iterate_once(initial_state(P, _zero_start(P), SolverParams()))
+    assert out.record.L_beta == fresh.record.L_beta
+    changed = initial_state(P, _zero_start(P), replace(params, beta=100.0))
+    assert changed.params.beta == changed.metric_x.beta == 100.0
 
 
 # ----- model subproblems ----------------------------------------------------------
@@ -509,10 +525,14 @@ def test_run_validates_start_and_parameters():
         run(P, np.zeros(3), SolverParams())
     with pytest.raises(DimensionMismatch):
         run(P, Iterate(np.zeros(2), np.zeros(1), np.zeros(1)), SolverParams())
-    bad = SolverParams()
-    bad.rho = 2.0
-    with pytest.raises(ValueError):
-        run(P, Iterate(np.zeros(1), np.zeros(1), np.zeros(1)), bad)
+    w0 = Iterate(np.zeros(1), np.zeros(1), np.zeros(1))
+    with pytest.raises(FrozenInstanceError):
+        SolverParams().rho = 2.0
+    # parameters are validated once, by SolverParams; any other object is refused unread
+    bad = SimpleNamespace(**{**asdict(SolverParams()), "rho": 2.0})
+    for start in (run, initial_state):
+        with pytest.raises(TypeError, match="params must be a SolverParams"):
+            start(P, w0, bad)
 
 
 def test_run_does_not_mutate_caller_params():
