@@ -63,8 +63,9 @@ class PointEval:
     The values are what ``P.apply_A(x)``, ``float(P.eval_f(x))`` and
     ``P.grad_f(x)`` return; neither ``x`` nor the kept arrays may be written to
     while the record is in use. :func:`eval_alf`, :func:`grad_alf`,
-    :func:`~prsqp.solver.line_search`, :func:`~prsqp.diagnostics.kkt_residual`
-    and :func:`~prsqp.problems.composite_objective` accept it.
+    :func:`~prsqp.solver.line_search`, :func:`~prsqp.diagnostics.kkt_residual`,
+    :func:`~prsqp.problems.composite_objective` and
+    :func:`~prsqp.problems.composite_gradient` accept it.
     """
 
     def __init__(self, P, x):

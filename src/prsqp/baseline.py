@@ -13,9 +13,10 @@ from typing import List
 
 import numpy as np
 
+from .alf import PointEval
 from .core import as_vector
-from .problems import composite_objective
-from .solver import SolveStatus, _quiet_numerics
+from .problems import composite_gradient, composite_objective
+from .solver import SolveStatus, _field_violations, _quiet_numerics, _raise_violations
 
 
 @dataclass(frozen=True)
@@ -24,7 +25,9 @@ class GdParams:
 
     Each step backtracks from 1 with ratio ``nu`` until
     ``F(x - t g) <= F(x) - rho t ||g||^2``. ``tol`` stops on the sup-norm of
-    the gradient. Ranges are enforced at construction; a set is frozen.
+    the gradient. Ranges are enforced at construction, by the checks
+    :class:`~prsqp.solver.SolverParams` makes of the same fields; a set is
+    frozen.
     """
 
     rho: float = 1e-4
@@ -34,10 +37,7 @@ class GdParams:
     max_backtracks: int = 60
 
     def __post_init__(self):
-        if not (0 < self.rho < 1 and 0 < self.nu < 1):
-            raise ValueError(f"armijo needs rho, nu in (0, 1), got rho={self.rho}, nu={self.nu}")
-        if self.max_iter < 1 or self.max_backtracks < 1 or self.tol < 0:
-            raise ValueError("max_iter, max_backtracks must be >= 1 and tol >= 0")
+        _raise_violations(_field_violations(self, GdParams))
 
 
 @dataclass
@@ -60,12 +60,6 @@ class GdResult:
         return len(self.trace)
 
 
-def composite_gradient(P, x):
-    """Gradient of the unsplit objective: ``grad f(x) + A^T grad g(A x)``."""
-    x = as_vector(x, n=P.n1, name="x")
-    return P.grad_f(x) + P.apply_At(P.grad_g(P.apply_A(x)))
-
-
 @_quiet_numerics
 def gradient_descent(P, x0, gd):
     """Minimize ``F = f + g o A`` by steepest descent from ``x0``.
@@ -75,10 +69,9 @@ def gradient_descent(P, x0, gd):
     (LineSearchFailed, captured in the status). Each trace record carries the
     objective and gradient norm after the step it logs.
     """
-    x = as_vector(x0, n=P.n1, name="x0")
-    # F(x) and grad F(x) of the current iterate, carried from the step that made it
-    g = composite_gradient(P, x)
-    F = composite_objective(P, x)
+    at = PointEval(P, as_vector(x0, n=P.n1, name="x0"))
+    # F and grad F of the current iterate, evaluated through its one record
+    F, g = composite_objective(P, at), composite_gradient(P, at)
     trace: List[GdRecord] = []
     status = SolveStatus.ITER_LIMIT
     for k in range(gd.max_iter):
@@ -91,16 +84,16 @@ def gradient_descent(P, x0, gd):
         gg = float(g @ g)
         t = 1.0
         for _ in range(gd.max_backtracks + 1):
-            cand = x - t * g
+            cand = PointEval(P, at.x - t * g)
             F_cand = composite_objective(P, cand)
             if F_cand <= F - gd.rho * t * gg:
-                x, F = cand, F_cand
+                at, F = cand, F_cand
                 break
             t *= gd.nu
         else:
             status = SolveStatus.LINE_SEARCH_FAILED
             break
-        g = composite_gradient(P, x)
+        g = composite_gradient(P, at)
         trace.append(
             GdRecord(
                 k=k,
@@ -110,4 +103,4 @@ def gradient_descent(P, x0, gd):
                 elapsed=time.perf_counter() - t_start,
             )
         )
-    return GdResult(final_x=x, status=status, trace=trace)
+    return GdResult(final_x=at.x, status=status, trace=trace)

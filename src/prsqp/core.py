@@ -4,11 +4,13 @@ Everything downstream (problem builders, the splitting solver, the diagnostics)
 funnels its linear algebra and randomness through this module so that error
 handling and reproducibility live in one place. It is the only module that
 imports scipy, and from scipy it binds two LAPACK routines, ``dpotrf`` and
-``dpotrs`` (see :func:`_bind_lapack`).
+``dpotrs``, which run on one thread of scipy's BLAS pool (see
+:func:`_bind_lapack`).
 """
 
 from __future__ import annotations
 
+import ctypes
 import importlib.machinery
 import importlib.util
 import os
@@ -56,27 +58,44 @@ def as_matrix(M, shape=None, name="matrix"):
 
 
 def _bind_lapack():
-    """``(dpotrf, dpotrs)`` from scipy's compiled LAPACK wrappers.
+    """``(dpotrf, dpotrs, set_threads)`` from scipy's compiled LAPACK wrappers.
 
-    These are the functions ``scipy.linalg.lapack`` re-exports from its
-    extension module ``_flapack``. That module is loaded here on its own, kept
-    out of ``sys.modules``, so that the ``scipy.linalg`` package initializer,
-    which imports about 85 modules prsqp never calls, does not run, and a
-    later ``import scipy.linalg`` initializes as usual. Where the extension is
-    not found beside scipy's ``linalg`` package, ``scipy.linalg.lapack`` is
-    imported for the same functions.
+    ``dpotrf`` and ``dpotrs`` are the functions ``scipy.linalg.lapack``
+    re-exports from its extension module ``_flapack``. That module is loaded
+    here on its own, kept out of ``sys.modules``, so that the ``scipy.linalg``
+    package initializer, which imports about 85 modules prsqp never calls,
+    does not run, and a later ``import scipy.linalg`` initializes as usual.
+    ``set_threads`` is OpenBLAS's ``openblas_set_num_threads_local`` from the
+    library behind that module, which sets the thread count of scipy's BLAS
+    pool and returns the previous one, or ``None`` where the library exports
+    no such symbol.
     """
     linalg_dir = os.path.join(os.path.dirname(scipy.__file__), "linalg")
     spec = importlib.machinery.PathFinder.find_spec("_flapack", [linalg_dir])
     if spec is None:
-        from scipy.linalg import lapack
-    else:
-        lapack = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(lapack)
-    return lapack.dpotrf, lapack.dpotrs
+        raise ImportError(f"scipy's LAPACK extension _flapack was not found in {linalg_dir}")
+    lapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(lapack)
+    set_threads = getattr(ctypes.CDLL(spec.origin), "openblas_set_num_threads_local", None)
+    if set_threads is not None:
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], ctypes.c_int
+    return lapack.dpotrf, lapack.dpotrs, set_threads
 
 
-_dpotrf, _dpotrs = _bind_lapack()
+_dpotrf, _dpotrs, _set_blas_threads = _bind_lapack()
+
+
+def _one_thread(routine, *args, **kwargs):
+    # a LAPACK call on one thread of scipy's pool, whose thread count is then
+    # restored: numpy runs its products in a pool of its own, and two pools
+    # taking turns on the same cores slow each other down
+    if _set_blas_threads is None:
+        return routine(*args, **kwargs)
+    previous = _set_blas_threads(1)
+    try:
+        return routine(*args, **kwargs)
+    finally:
+        _set_blas_threads(previous)
 
 
 def cholesky_spd(M):
@@ -97,7 +116,7 @@ def cholesky_spd(M):
         scale = max(1.0, float(np.abs(M).max()))
         if float(np.abs(M - M.T).max()) > 1e-10 * scale:
             raise ValueError("M must be symmetric (relative tolerance 1e-10)")
-    c, info = _dpotrf(M, lower=1, clean=0)
+    c, info = _one_thread(_dpotrf, M, lower=1, clean=0)
     if info > 0:
         raise NotPositiveDefinite(f"{info}-th leading minor of the array is not positive definite")
     if info < 0:
@@ -107,7 +126,7 @@ def cholesky_spd(M):
 
 def cholesky_solve(factor, b):
     """``M^{-1} b`` through LAPACK ``dpotrs``, for the ``(c, lower)`` factor of ``M`` from :func:`cholesky_spd`."""
-    x, info = _dpotrs(factor[0], b, lower=1)
+    x, info = _one_thread(_dpotrs, factor[0], b, lower=1)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrs")
     return x

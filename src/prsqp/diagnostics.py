@@ -20,8 +20,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .alf import PointEval, YPointEval
-from .core import UnknownLipschitz, min_eigenvalue, spectral_norm
-from .problems import hessian_pair
+from .core import UnknownLipschitz, _eigenvalues
+from .problems import composite_gradient, hessian_pair
 
 
 class NonPositiveEta1(ValueError):
@@ -63,12 +63,10 @@ def kkt_residual(P, w, x_eval=None, y_eval=None):
     """
     at = PointEval(P, w.x) if x_eval is None else x_eval
     at_y = YPointEval(P, w.y) if y_eval is None else y_eval
-    Ax = at.Ax
-    gf = at.grad_f
-    stat_x = float(np.abs(gf - P.apply_At(w.lam)).max())
+    stat_x = float(np.abs(at.grad_f - P.apply_At(w.lam)).max())
     stat_y = float(np.abs(at_y.grad_g + w.lam).max())
-    feas = float(np.abs(Ax - w.y).max())
-    composite = float(np.abs(gf + P.apply_At(P.grad_g(Ax))).max())
+    feas = float(np.abs(at.Ax - w.y).max())
+    composite = float(np.abs(composite_gradient(P, at)).max())
     return KktResidual(
         stat_x=stat_x,
         stat_y=stat_y,
@@ -107,10 +105,18 @@ def spectral_bounds(P, params, H_x, H_y):
     ``lambda_lo_*`` are the largest ``|eigenvalue|`` and the smallest
     eigenvalue of each model.
     """
-    eta_x = spectral_norm(H_x)
-    eta_y = spectral_norm(H_y)
-    lo_x = min_eigenvalue(H_x)
-    lo_y = min_eigenvalue(H_y)
+    return _bounds(P, params, _spectrum(H_x), _spectrum(H_y))
+
+
+def _spectrum(H):
+    # (||H||, lambda_min(H)) of a model, from one eigendecomposition
+    eigs = _eigenvalues(H)
+    return float(np.max(np.abs(eigs))), float(eigs[0])
+
+
+def _bounds(P, params, spectrum_x, spectrum_y):
+    # spectral_bounds from the models' spectra
+    (eta_x, lo_x), (eta_y, lo_y) = spectrum_x, spectrum_y
     eta1_x = lo_x + params.beta * P.min_eig_AtA + params.ell
     eta1_y = lo_y + params.beta + params.sigma
     if eta1_x <= 0 or eta1_y <= 0:
@@ -264,9 +270,8 @@ def suggest_params(direction, P, base=None, s=None):
             raise ValueError(f"aldd needs s in [-1, 0), got {s_val}")
 
     H_x, H_y = hessian_pair(P, np.zeros(P.n1), np.zeros(P.n2))
-    eta_y = spectral_norm(H_y)
-    lo_x = min_eigenvalue(H_x)
-    lo_y = min_eigenvalue(H_y)
+    spectrum_x, spectrum_y = _spectrum(H_x), _spectrum(H_y)
+    (_, lo_x), (eta_y, lo_y) = spectrum_x, spectrum_y
     L_f, L_g = P.lipschitz_f, P.lipschitz_g
 
     factor = 1.0 + _RECIPE_MARGIN
@@ -306,7 +311,7 @@ def suggest_params(direction, P, base=None, s=None):
         raise ValueError(f"recipe did not stabilize within {_RECIPE_ROUNDS} rounds")
 
     params = replace(base, ell=ell, sigma=sigma, r=r_val, s=s_val)
-    bounds = spectral_bounds(P, params, H_x, H_y)
+    bounds = _bounds(P, params, spectrum_x, spectrum_y)
     gamma = compute_gamma(P, params, bounds)
     delta_x, delta_y = compute_deltas(P, params, bounds, gamma)
     if not (delta_x > 0 and delta_y > 0):

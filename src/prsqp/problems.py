@@ -349,14 +349,28 @@ def make_huber_lasso(m, n, density=0.5, tau=1e-3, mu=0.1, rng=None):
 # ----- shared evaluations -----------------------------------------------------
 
 
+def _point(P, x):
+    return x if isinstance(x, PointEval) else PointEval(P, as_vector(x, n=P.n1, name="x"))
+
+
 def composite_objective(P, x):
     """Original objective ``f(x) + g(A x)`` (the OFV metric in traces/summaries).
 
     ``x`` may be given as its :class:`~prsqp.alf.PointEval` on ``P``, whose
     ``f(x)`` and ``A x`` are then used.
     """
-    at = x if isinstance(x, PointEval) else PointEval(P, as_vector(x, n=P.n1, name="x"))
+    at = _point(P, x)
     return at.f + float(P.eval_g(at.Ax))
+
+
+def composite_gradient(P, x):
+    """Gradient of the original objective: ``grad f(x) + A^T grad g(A x)``.
+
+    ``x`` may be given as its :class:`~prsqp.alf.PointEval` on ``P``, whose
+    ``grad f(x)`` and ``A x`` are then used.
+    """
+    at = _point(P, x)
+    return at.grad_f + P.apply_At(P.grad_g(at.Ax))
 
 
 def hessian_pair(P, x, y):

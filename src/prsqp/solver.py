@@ -129,12 +129,7 @@ class SolverParams:
     relaxed_alpha: bool = False
 
     def __post_init__(self):
-        violations = validate_params(self)
-        if violations:
-            raise ValueError("; ".join(violations))
-
-
-_REAL_PARAMS = [f.name for f in fields(SolverParams) if isinstance(f.default, float)]
+        _raise_violations(validate_params(self))
 
 
 def validate_params(params):
@@ -147,13 +142,7 @@ def validate_params(params):
     ``alpha < 1/rho - 1`` is enforced.
     """
     p = params
-    # a JSON true is not a weight of 1
-    bools = [k for k in _REAL_PARAMS if isinstance(getattr(p, k), (bool, np.bool_))]
-    out = [f"{k} must be a real number, got {getattr(p, k)!r}" for k in bools]
-    if not 0.0 < p.rho < 1.0:
-        out.append(f"rho must lie in (0, 1), got {p.rho}")
-    if not 0.0 < p.nu < 1.0:
-        out.append(f"nu must lie in (0, 1), got {p.nu}")
+    out = _field_violations(p, SolverParams)
     if not -1.0 < p.alpha < math.inf:
         out.append(f"alpha must be finite and exceed -1, got {p.alpha}")
     relaxed = p.relaxed_alpha
@@ -171,21 +160,35 @@ def validate_params(params):
             out.append(f"{name} must be finite, got {getattr(p, name)}")
     if p.r + p.s == 0.0:
         out.append(f"r + s must be nonzero, got r = {p.r}, s = {p.s}")
-    _check_count(out, "max_iter", p.max_iter)
-    if not p.tol_step >= 0.0:
-        out.append(f"tol_step must be >= 0, got {p.tol_step}")
-    if not p.tol_kkt >= 0.0:
-        out.append(f"tol_kkt must be >= 0, got {p.tol_kkt}")
-    _check_count(out, "max_backtracks", p.max_backtracks)
     return out
 
 
-def _check_count(out, name, value):
-    # a loop limit is an integer >= 1; numpy integers count, bools do not
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        out.append(f"{name} must be an integer, got {value!r}")
-    elif value < 1:
-        out.append(f"{name} must be >= 1, got {value}")
+def _field_violations(p, cls):
+    # the checks SolverParams and GdParams share, over the fields of cls read
+    # from p: a float field is a real, not a bool (a JSON true is no weight of
+    # 1); rho and nu lie in (0, 1); tol* is >= 0, which NaN is not; an int
+    # field is an integer >= 1, where numpy integers count and bools do not
+    out = []
+    for f in fields(cls):
+        name, value = f.name, getattr(p, f.name)
+        if type(f.default) is float:
+            if isinstance(value, (bool, np.bool_)):
+                out.append(f"{name} must be a real number, got {value!r}")
+            if name in ("rho", "nu") and not 0.0 < value < 1.0:
+                out.append(f"{name} must lie in (0, 1), got {value}")
+            if name.startswith("tol") and not value >= 0.0:
+                out.append(f"{name} must be >= 0, got {value}")
+        elif type(f.default) is int:
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                out.append(f"{name} must be an integer, got {value!r}")
+            elif value < 1:
+                out.append(f"{name} must be >= 1, got {value}")
+    return out
+
+
+def _raise_violations(out):
+    if out:
+        raise ValueError("; ".join(out))
 
 
 @dataclass
@@ -487,60 +490,50 @@ def hybrid_accelerate(tilde, current, alpha):
     return (1.0 + alpha) * (np.asarray(tilde, dtype=float) - np.asarray(current, dtype=float))
 
 
-class SearchStep(tuple):
-    """What :func:`line_search` returns: the pair ``(t, backtracks)``.
-
-    ``x_eval`` and ``y_eval`` are the :class:`~prsqp.alf.PointEval` of the
-    accepted point's x and the :class:`~prsqp.alf.YPointEval` of its y. The
-    searched block's record is that of the accepted trial, so its values are
-    those the search evaluated: ``A x`` and ``f`` after an x search, ``g``
-    after a y search.
+class SearchStep(NamedTuple):
+    """What :func:`line_search` returns: the accepted step ``t``, the
+    ``backtracks`` before it, and the records ``x_eval`` / ``y_eval`` of the
+    accepted point's x and y, the searched block's being the accepted trial's.
     """
 
-    def __new__(cls, t, backtracks, x_eval, y_eval):
-        step = super().__new__(cls, (t, backtracks))
-        step.x_eval = x_eval
-        step.y_eval = y_eval
-        return step
+    t: float
+    backtracks: int
+    x_eval: PointEval
+    y_eval: YPointEval
 
 
-def line_search(P, point, d, Hcal, params, block, L0=None, x_eval=None, y_eval=None):
+def line_search(P, point, d, metric, params, block, x_eval, y_eval, L0=None):
     """Armijo backtracking for one block of ``L_beta`` at fixed other blocks.
 
     Accepts the largest ``t = nu^i`` (``i = 0, 1, ...``) with
 
         ``L_beta(moved) <= L_beta(point) - rho * t * d^T Hcal d``
 
-    where ``Hcal`` is the block's metric, as a matrix or as a metric of a
-    :class:`SolverState` (which supplies ``d^T Hcal d`` through ``quad``), and
-    ``moved`` shifts the ``block`` coordinate ("x" or "y") of ``point``
-    by ``t d``. The comparison carries a ``1e-12 (1 + |L|)`` float slack so a
-    vanishing direction near a stationary point is not rejected on rounding
-    noise. ``L0`` is ``L_beta(point)`` when the caller already has it; it is
-    evaluated otherwise. ``x_eval`` is the :class:`~prsqp.alf.PointEval` of
-    ``point.x`` and ``y_eval`` the :class:`~prsqp.alf.YPointEval` of
-    ``point.y`` when the caller keeps them. An x trial evaluates ``A x`` and
-    ``f`` at its own point and reads ``g(point.y)`` from ``y_eval``; a y trial
-    evaluates only ``g`` and the residual.
+    where ``metric`` is the block's metric in a :class:`SolverState`, whose
+    ``quad`` gives ``d^T Hcal d``, and ``moved`` shifts the ``block``
+    coordinate ("x" or "y") of ``point`` by ``t d``. The comparison carries a
+    ``1e-12 (1 + |L|)`` float slack so a vanishing direction near a stationary
+    point is not rejected on rounding noise. ``x_eval`` / ``y_eval`` are the
+    :class:`~prsqp.alf.PointEval` of ``point.x`` and the
+    :class:`~prsqp.alf.YPointEval` of ``point.y``, from which ``L0 =
+    L_beta(point)`` is evaluated unless given. An x trial evaluates ``A x`` and
+    ``f`` at its own point; a y trial evaluates only ``g`` and the residual.
 
-    Returns a :class:`SearchStep`, which unpacks as ``(t, i)``; ``d = 0``
-    returns ``(1.0, 0)`` immediately.
+    Returns a :class:`SearchStep`; ``d = 0`` returns ``t = 1`` at once.
 
     Raises :class:`LineSearchFailed` after ``params.max_backtracks`` shrinks.
     """
     if block not in ("x", "y"):
         raise ValueError(f"block must be 'x' or 'y', got {block!r}")
     d = as_vector(d, name="d")
-    at = PointEval(P, point.x) if x_eval is None else x_eval
-    at_y = YPointEval(P, point.y) if y_eval is None else y_eval
     if not d.any():
         if block == "x":
-            return SearchStep(1.0, 0, PointEval(P, point.x + d), at_y)
-        return SearchStep(1.0, 0, at, YPointEval(P, point.y + d))
-    quad = float(d.dot(Hcal @ d)) if isinstance(Hcal, np.ndarray) else Hcal.quad(d)
+            return SearchStep(1.0, 0, PointEval(P, point.x + d), y_eval)
+        return SearchStep(1.0, 0, x_eval, YPointEval(P, point.y + d))
+    quad = metric.quad(d)
     beta, lam = params.beta, point.lam
     if L0 is None:
-        L0 = _alf_value(at.f, at_y.g, lam, at.Ax - point.y, beta)
+        L0 = _alf_value(x_eval.f, y_eval.g, lam, x_eval.Ax - point.y, beta)
     if not (math.isfinite(L0) and math.isfinite(quad)):
         raise NumericalError(f"non-finite quantities entering the {block} line search")
     slack = 1e-12 * (1.0 + abs(L0))
@@ -548,12 +541,12 @@ def line_search(P, point, d, Hcal, params, block, L0=None, x_eval=None, y_eval=N
     for i in range(params.max_backtracks + 1):
         if block == "x":
             trial = PointEval(P, point.x + t * d)
-            L_t = _alf_value(trial.f, at_y.g, lam, trial.Ax - point.y, beta)
+            L_t = _alf_value(trial.f, y_eval.g, lam, trial.Ax - point.y, beta)
         else:
             trial = YPointEval(P, point.y + t * d)  # x, and so its record, is fixed
-            L_t = _alf_value(at.f, trial.g, lam, at.Ax - trial.y, beta)
+            L_t = _alf_value(x_eval.f, trial.g, lam, x_eval.Ax - trial.y, beta)
         if L_t <= L0 - params.rho * t * quad + slack:
-            return SearchStep(t, i, trial, at_y) if block == "x" else SearchStep(t, i, at, trial)
+            return SearchStep(t, i, trial, y_eval) if block == "x" else SearchStep(t, i, x_eval, trial)
         t *= params.nu
     raise LineSearchFailed(
         f"{block} line search found no acceptable step within {params.max_backtracks} backtracks"
@@ -650,10 +643,8 @@ def iterate_once(state, keep_internals=False):
     if not np.isfinite(x_tilde).all():
         raise NumericalError("x-subproblem produced non-finite values")
     d_x = hybrid_accelerate(x_tilde, w.x, params.alpha)
-    search_x = line_search(P, w, d_x, metric_x, params, "x", L0=state.L_beta, x_eval=x_eval, y_eval=y_eval)
-    t_x, bt_x = search_x
-    x_eval = search_x.x_eval  # the accepted trial: x_{k+1} with A x_{k+1} and f(x_{k+1})
-    x_next = x_eval.x
+    t_x, bt_x, x_eval, _ = line_search(P, w, d_x, metric_x, params, "x", x_eval, y_eval, L0=state.L_beta)
+    x_next = x_eval.x  # the accepted trial: x_{k+1}, with A x_{k+1} and f(x_{k+1}) in its record
 
     # ----- first dual update on the mixed residual A x_{k+1} - y_k
     residual_mid = x_eval.Ax - w.y
@@ -668,10 +659,8 @@ def iterate_once(state, keep_internals=False):
         raise NumericalError("y-subproblem produced non-finite values")
     d_y = hybrid_accelerate(y_tilde, w.y, params.alpha)
     mid = Iterate(x_next, w.y, lam_half)
-    search_y = line_search(P, mid, d_y, metric_y, params, "y", x_eval=x_eval, y_eval=y_eval)
-    t_y, bt_y = search_y
-    y_eval = search_y.y_eval  # the accepted trial: y_{k+1} with g(y_{k+1})
-    y_next = y_eval.y
+    t_y, bt_y, _, y_eval = line_search(P, mid, d_y, metric_y, params, "y", x_eval, y_eval)
+    y_next = y_eval.y  # the accepted trial: y_{k+1}, with g(y_{k+1}) in its record
 
     # ----- second dual update on the full new residual
     lam_next = dual_update(lam_half, params.s, beta, x_eval.Ax - y_next)

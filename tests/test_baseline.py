@@ -64,6 +64,19 @@ def test_gd_params_validation():
         GdParams(max_iter=0)
     with pytest.raises(FrozenInstanceError):
         GdParams().tol = 0.0
+    # the checks SolverParams makes of the same fields: a count is an integer, a
+    # real no bool, rho and nu lie in (0, 1) and tol >= 0, which NaN is not
+    for name in ("max_iter", "max_backtracks"):
+        for bad in (2.5, float("nan"), True):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}$"):
+                GdParams(**{name: bad})
+    for name in ("rho", "nu", "tol"):
+        for bad in (float("nan"), True) if name == "tol" else (2.5, float("nan"), True):
+            with pytest.raises(ValueError, match=f"^{name} must "):
+                GdParams(**{name: bad})
+    with pytest.raises(ValueError, match="^tol must be a real number, got True$"):
+        GdParams(tol=True)
+    assert GdParams(tol=2.5).tol == 2.5
 
 
 def test_trace_records_carry_post_step_measurements():
@@ -76,8 +89,8 @@ def test_trace_records_carry_post_step_measurements():
 
 
 def _counting(P):
-    # P with eval_f and grad_f counting their calls
-    calls = {"eval_f": 0, "grad_f": 0}
+    # P with eval_f, grad_f and apply_A counting their calls
+    calls = dict.fromkeys(("eval_f", "grad_f", "apply_A"), 0)
 
     def counted(name):
         fn = getattr(P, name)
@@ -88,15 +101,18 @@ def _counting(P):
 
         return call
 
-    return replace(P, eval_f=counted("eval_f"), grad_f=counted("grad_f")), calls
+    Q = replace(P, eval_f=counted("eval_f"), grad_f=counted("grad_f"))
+    Q.apply_A = counted("apply_A")  # a method, not a field
+    return Q, calls
 
 
 def test_each_iterate_is_evaluated_once():
-    # grad F and F of an iterate are carried from the step that made it to the
-    # trace record and the next iteration: grad f once per iteration and once at
-    # x0; f once per Armijo trial and once at x0
+    # each point is evaluated through one record: A x once per Armijo trial and
+    # once at x0, and so is f; grad F of an iterate is carried from the step
+    # that made it to the trace record and the next iteration, so grad f runs
+    # once per iteration and once at x0
     P, calls = _counting(make_huber_lasso(16, 64, rng=make_rng(40)))
     result = gradient_descent(P, np.zeros(P.n1), GdParams(max_iter=50, tol=0.0))
     trials = sum(round(math.log(rec.t, 0.5)) + 1 for rec in result.trace)
     assert result.iterations == 50 and trials == 350
-    assert calls == {"eval_f": 1 + trials, "grad_f": 51}
+    assert calls == {"eval_f": 1 + trials, "grad_f": 51, "apply_A": 1 + trials}

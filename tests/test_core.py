@@ -96,18 +96,16 @@ def _bits(a):
     return a.dtype, a.shape, a.tobytes()
 
 
-def _factor_and_solve_bits():
-    return [(_bits(cholesky_spd(M)[0]), _bits(cholesky_solve(cholesky_spd(M), b))) for M, b in _spd_cases()]
-
-
 def test_lapack_binding_matches_scipy_linalg_lapack_bit_for_bit():
-    # loaded on its own, not taken from scipy.linalg
+    # loaded on its own, not taken from scipy.linalg; compared on one thread of
+    # scipy's pool, as the binding runs (a multi-threaded dpotrf rounds otherwise)
     assert prsqp.core._dpotrf is not scipy.linalg.lapack.dpotrf
+    one_thread = prsqp.core._one_thread
     for M, b in _spd_cases():
         factor = cholesky_spd(M)
-        c, info = scipy.linalg.lapack.dpotrf(M, lower=1, clean=0)
+        c, info = one_thread(scipy.linalg.lapack.dpotrf, M, lower=1, clean=0)
         assert info == 0 and _bits(factor[0]) == _bits(c)
-        x, info = scipy.linalg.lapack.dpotrs(c, b, lower=1)
+        x, info = one_thread(scipy.linalg.lapack.dpotrs, c, b, lower=1)
         assert info == 0 and _bits(cholesky_solve(factor, b)) == _bits(x)
 
 
@@ -155,14 +153,71 @@ def test_lapack_binding_keeps_its_bits_after_scipy_linalg_is_imported():
     }
 
 
-def test_lapack_binding_falls_back_to_scipy_linalg_lapack(monkeypatch):
-    expected = _factor_and_solve_bits()
+def test_lapack_binding_without_flapack_is_an_import_error(monkeypatch):
     monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", lambda *args, **kwargs: None)
-    potrf, potrs = prsqp.core._bind_lapack()
-    assert potrf is scipy.linalg.lapack.dpotrf and potrs is scipy.linalg.lapack.dpotrs
-    monkeypatch.setattr(prsqp.core, "_dpotrf", potrf)
-    monkeypatch.setattr(prsqp.core, "_dpotrs", potrs)
-    assert _factor_and_solve_bits() == expected
+    with pytest.raises(ImportError, match="LAPACK extension _flapack was not found in .*linalg"):
+        prsqp.core._bind_lapack()
+
+
+_ONE_THREAD_POOL = """
+import os
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "GOTO_NUM_THREADS"):
+    os.environ.pop(var, None)  # before numpy and scipy load their BLAS
+import ctypes, importlib.machinery, json
+import numpy as np
+import scipy
+import prsqp.core as core
+if core._set_blas_threads is None:
+    raise SystemExit(3)
+spec = importlib.machinery.PathFinder.find_spec("_flapack", [os.path.join(os.path.dirname(scipy.__file__), "linalg")])
+blas = ctypes.CDLL(spec.origin)
+def symbol(name):  # scipy's OpenBLAS prefixes most of its names
+    return getattr(blas, "scipy_" + name, None) or getattr(blas, name)
+count = symbol("openblas_get_num_threads")
+rng = np.random.default_rng(5)
+B = rng.standard_normal((300, 300))
+M, b = B.T @ B + 300 * np.eye(300), rng.standard_normal(300)
+during = []
+def counted(routine):
+    def call(*args, **kwargs):
+        during.append(count())
+        return routine(*args, **kwargs)
+    return call
+potrf, potrs = core._dpotrf, core._dpotrs
+core._dpotrf, core._dpotrs = counted(potrf), counted(potrs)
+before = count()
+factor = core.cholesky_spd(M)
+x = core.cholesky_solve(factor, b)
+after = count()
+# the same routines called directly, with the pool set to one thread by hand
+symbol("openblas_set_num_threads")(1)
+c = potrf(M, lower=1, clean=0)[0]
+direct = [c.tobytes().hex(), potrs(c, b, lower=1)[0].tobytes().hex()]
+print(json.dumps({
+    "before": before,
+    "during": during,
+    "after": after,
+    "same_as_direct": [factor[0].tobytes().hex(), x.tobytes().hex()] == direct,
+}))
+"""
+
+
+def test_lapack_calls_run_on_one_thread_of_scipys_pool():
+    done = fresh_python(_ONE_THREAD_POOL)
+    if done.returncode == 3:
+        pytest.skip("scipy's BLAS exports no openblas_set_num_threads_local")
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    # the pool keeps the count it had, and the calls get one thread of it
+    assert out["before"] >= 1 and out["after"] == out["before"]
+    assert out["during"] == [1, 1] and out["same_as_direct"]
+
+
+def test_lapack_calls_run_unscoped_without_the_thread_symbol(monkeypatch):
+    expected = [(M, b, np.linalg.solve(M, b)) for M, b in _spd_cases()]
+    monkeypatch.setattr(prsqp.core, "_set_blas_threads", None)
+    for M, b, x in expected:
+        assert np.max(np.abs(cholesky_solve(cholesky_spd(M), b) - x)) <= 1e-10 * max(1.0, np.max(np.abs(x)))
 
 
 # ----- seeded sampling -------------------------------------------------------

@@ -266,47 +266,55 @@ def test_hybrid_accelerate_rejects_alpha_at_minus_one():
 # ----- line search -------------------------------------------------------------------
 
 
+def _search(P, w, d, params, block="x", H_x=None, H_y=None):
+    # line_search from the state at w, in its metric and with its records of w.x and w.y
+    state = initial_state(P, w, params, H_x, H_y)
+    metric = state.metric_x if block == "x" else state.metric_y
+    return line_search(P, w, d, metric, params, block, state.x_eval, state.y_eval)
+
+
 def test_line_search_zero_direction_short_circuits():
     P = decoupled_problem(lambda x: 0.5 * x * x, lambda x: x, lambda x: 1.0)
     params = SolverParams(rho=0.4, nu=0.6)
-    t, i = line_search(P, _w(2.0, 0.0, 0.0), np.zeros(1), 2.0 * np.eye(1), params, "x")
-    assert (t, i) == (1.0, 0)
+    step = _search(P, _w(2.0, 0.0, 0.0), np.zeros(1), params)
+    assert (step.t, step.backtracks) == (1.0, 0)
+    assert np.array_equal(step.x_eval.x, [2.0])
 
 
 def test_line_search_accepts_unit_step_on_quadratic():
     P = decoupled_problem(lambda x: 0.5 * x * x, lambda x: x, lambda x: 1.0)
     params = SolverParams(rho=0.4, nu=0.6, beta=1.0, ell=1.0)
     w = _w(2.0, 0.0, 0.0)
-    Hcal = np.array([[2.0]])  # H + ell, no coupling
+    # Hcal = H + ell = 2, no coupling
+    assert initial_state(P, w, params).metric_x.quad(np.ones(1)) == 2.0
     x_tilde = _internals(P, w, params)["x_tilde"]
     d = hybrid_accelerate(x_tilde, w.x, 0.0)
     assert np.allclose(d, [-1.0], atol=1e-14)
-    t, i = line_search(P, w, d, Hcal, params, "x")
-    assert (t, i) == (1.0, 0)
+    step = _search(P, w, d, params)
+    assert (step.t, step.backtracks) == (1.0, 0)
+    assert np.allclose(step.x_eval.x, [1.0], atol=1e-14)
 
 
 def test_line_search_backtracks_on_quartic():
     P = decoupled_problem(lambda x: x**4, lambda x: 4.0 * x**3, lambda x: 12.0 * x * x)
     params = SolverParams(rho=0.4, nu=0.6, beta=1.0, ell=1.0)
-    w = _w(1.0, 0.0, 0.0)
-    Hcal = np.array([[2.0]])
-    d = np.array([-2.0])  # model step from H = 1: 1 - 4/2 = -1, direction -2
-    t, i = line_search(P, w, d, Hcal, params, "x")
-    assert i == 3
-    assert abs(t - 0.6**3) <= 1e-15
+    d = np.array([-2.0])  # model step from H = 1 (Hcal = 2): 1 - 4/2 = -1, direction -2
+    step = _search(P, _w(1.0, 0.0, 0.0), d, params, H_x=np.eye(1), H_y=np.zeros(1))
+    assert step.backtracks == 3
+    assert abs(step.t - 0.6**3) <= 1e-15
 
 
 def test_line_search_exhausts_budget():
     P = decoupled_problem(lambda x: x**4, lambda x: 4.0 * x**3, lambda x: 12.0 * x * x)
-    params = SolverParams(rho=0.4, nu=0.6, max_backtracks=2)
+    params = SolverParams(rho=0.4, nu=0.6, beta=1.0, ell=1.0, max_backtracks=2)
     with pytest.raises(LineSearchFailed):
-        line_search(P, _w(1.0, 0.0, 0.0), np.array([-2.0]), np.array([[2.0]]), params, "x")
+        _search(P, _w(1.0, 0.0, 0.0), np.array([-2.0]), params, H_x=np.eye(1), H_y=np.zeros(1))
 
 
 def test_line_search_rejects_unknown_block():
     P = decoupled_problem(lambda x: 0.5 * x * x, lambda x: x, lambda x: 1.0)
     with pytest.raises(ValueError):
-        line_search(P, _w(1.0, 0.0, 0.0), np.array([-1.0]), np.eye(1), SolverParams(), "z")
+        _search(P, _w(1.0, 0.0, 0.0), np.array([-1.0]), SolverParams(), "z")
 
 
 # ----- multiplier updates --------------------------------------------------------------
