@@ -14,6 +14,7 @@ import ctypes
 import importlib.machinery
 import importlib.util
 import os
+import threading
 
 import numpy as np
 import scipy
@@ -85,17 +86,33 @@ def _bind_lapack():
 _dpotrf, _dpotrs, _set_blas_threads = _bind_lapack()
 
 
+# scipy's BLAS pool is process-wide, and so is the one-thread scope over it:
+# LAPACK calls in flight, and the pool's thread count before the first of them
+_scope_lock = threading.Lock()
+_scope_calls = 0
+_scope_saved = None
+
+
 def _one_thread(routine, *args, **kwargs):
     # a LAPACK call on one thread of scipy's pool, whose thread count is then
     # restored: numpy runs its products in a pool of its own, and two pools
-    # taking turns on the same cores slow each other down
+    # taking turns on the same cores slow each other down. Calls overlapping
+    # in several Python threads share one scope: the first saves the count and
+    # sets 1, the last restores it, so no call restores another's 1.
+    global _scope_calls, _scope_saved
     if _set_blas_threads is None:
         return routine(*args, **kwargs)
-    previous = _set_blas_threads(1)
+    with _scope_lock:
+        if _scope_calls == 0:
+            _scope_saved = _set_blas_threads(1)
+        _scope_calls += 1
     try:
         return routine(*args, **kwargs)
     finally:
-        _set_blas_threads(previous)
+        with _scope_lock:
+            _scope_calls -= 1
+            if _scope_calls == 0:
+                _set_blas_threads(_scope_saved)
 
 
 def cholesky_spd(M):

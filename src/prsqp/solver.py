@@ -239,7 +239,7 @@ class SolveResult:
 class BlockMetric(NamedTuple):
     """One block's metric held as the matrix ``Hcal`` with its Cholesky factor."""
 
-    model: np.ndarray  # the Hessian model, as returned by _own
+    model: np.ndarray  # a read-only copy of the Hessian model
     weight: float  # ell (x block) or sigma (y block)
     Hcal: np.ndarray
     factor: tuple  # (c, lower) pair from cholesky_spd
@@ -268,7 +268,7 @@ class LowRankMetric(NamedTuple):
     :class:`BlockMetric`.
     """
 
-    model: np.ndarray  # h, as returned by _own
+    model: np.ndarray  # h, a read-only copy of the model
     weight: float  # ell
     D: np.ndarray
     A: np.ndarray
@@ -298,7 +298,7 @@ class DiagonalMetric(NamedTuple):
     ``diag(D)``. Same methods as :class:`BlockMetric`.
     """
 
-    model: np.ndarray  # h, as returned by _own
+    model: np.ndarray  # h, a read-only copy of the model
     weight: float  # sigma
     D: np.ndarray
     r: np.ndarray
@@ -356,18 +356,6 @@ class IterationOutcome(NamedTuple):
 _MAX_METRIC_REPAIR = 60  # doublings of ell / sigma before giving up
 
 
-def _own(H, metric):
-    # the model the solver works with in place of the caller's H: metric.model
-    # when H is exactly equal to it, else a read-only private copy of H. So no
-    # later write to the caller's array reaches a state's factor, and equal
-    # models are one array, which a factor then fits by identity.
-    if metric is not None and (H is metric.model or np.array_equal(metric.model, H)):
-        return metric.model
-    H = np.array(H, dtype=float)
-    H.flags.writeable = False
-    return H
-
-
 def _read_only(*arrays):
     for a in arrays:
         a.flags.writeable = False
@@ -415,10 +403,9 @@ def _capacitance(P, D, ell, beta, cached):
 
 
 def _metric_x(P, model, ell, beta, cached=None):
-    # factored Hcal_x = H_x + beta A^T A + ell I for a model from _own; ``cached`` when it fits.
-    # A diagonal model (1-D) with D = h + ell > 0 and a wide A gets a LowRankMetric.
-    if cached is not None and cached.model is model and cached.weight == ell:
-        return cached
+    # factored Hcal_x = H_x + beta A^T A + ell I; ``cached`` (the previous
+    # x-metric) may lend _capacitance its base. A diagonal model (1-D) with
+    # D = h + ell > 0 and a wide A gets a LowRankMetric.
     if model.ndim == 1:
         D = model + ell
         if P.n2 < P.n1 and (D > 0.0).all():
@@ -438,12 +425,10 @@ def _metric_x(P, model, ell, beta, cached=None):
     return BlockMetric(model, ell, Hcal, factor)
 
 
-def _metric_y(P, model, sigma, beta, cached=None):
-    # factored Hcal_y = H_y + (beta + sigma) I for a model from _own; ``cached`` when it fits.
-    # A diagonal model (1-D) gets a DiagonalMetric; it is rejected where the
-    # Cholesky factorization of the dense metric would fail.
-    if cached is not None and cached.model is model and cached.weight == sigma:
-        return cached
+def _metric_y(P, model, sigma, beta):
+    # factored Hcal_y = H_y + (beta + sigma) I. A diagonal model (1-D) gets a
+    # DiagonalMetric; it is rejected where the Cholesky factorization of the
+    # dense metric would fail.
     if model.ndim == 1:
         D = model + (beta + sigma)
         if not (D > 0.0).all():
@@ -455,11 +440,19 @@ def _metric_y(P, model, sigma, beta, cached=None):
     return BlockMetric(model, sigma, Hcal, factor)
 
 
-def _factored(metric_at, weight):
-    # metric_at(weight), with the weight doubled until the metric factors
+def _metric(H, weight, kept, metric_at):
+    # the metric of the Hessian model H: ``kept`` (the previous state's metric)
+    # when H is exactly equal to its model and ``weight`` is its weight, else
+    # metric_at(model, weight) on a read-only private copy of H, with the
+    # weight doubled until the metric factors. So no later write to the
+    # caller's array reaches a state's factor.
+    if kept is not None and kept.weight == weight and (H is kept.model or np.array_equal(kept.model, H)):
+        return kept
+    model = np.array(H, dtype=float)
+    model.flags.writeable = False
     for attempt in range(_MAX_METRIC_REPAIR + 1):
         try:
-            return metric_at(weight)
+            return metric_at(model, weight)
         except NotPositiveDefinite:
             if attempt == _MAX_METRIC_REPAIR:
                 raise NumericalError(
@@ -468,14 +461,23 @@ def _factored(metric_at, weight):
             weight *= 2.0
 
 
-def _metrics(P, params, H_x, H_y, cached_x=None, cached_y=None):
-    # both blocks' factored metrics at models from _own, and the params holding
-    # their weights: ``params`` itself unless ell or sigma had to double
-    metric_x = _factored(lambda ell: _metric_x(P, H_x, ell, params.beta, cached_x), params.ell)
-    metric_y = _factored(lambda sigma: _metric_y(P, H_y, sigma, params.beta, cached_y), params.sigma)
+def _state(P, params, k, w, d_y_prev, x_eval, y_eval, L_beta, H_x=None, H_y=None, prev=None):
+    # the SolverState at w with the metrics of the Hessian models H_x, H_y at
+    # w (by default the problem's), each kept from ``prev``, the previous
+    # state, where it fits (see _metric); its params hold the weights used and
+    # its eta_y grows with a new y-model only
+    if H_x is None:
+        H_x, H_y = hessian_pair(P, w.x, w.y)
+    kept_x, kept_y = (None, None) if prev is None else (prev.metric_x, prev.metric_y)
+    metric_x = _metric(H_x, params.ell, kept_x, lambda model, ell: _metric_x(P, model, ell, params.beta, kept_x))
+    metric_y = _metric(H_y, params.sigma, kept_y, lambda model, sigma: _metric_y(P, model, sigma, params.beta))
     if (metric_x.weight, metric_y.weight) != (params.ell, params.sigma):
         params = replace(params, ell=metric_x.weight, sigma=metric_y.weight)
-    return params, metric_x, metric_y
+    # a 1-D model's entries are its eigenvalues
+    eta_y = prev.eta_y if metric_y is kept_y else spectral_norm(metric_y.model)
+    if prev is not None:
+        eta_y = max(prev.eta_y, eta_y)
+    return SolverState(P, params, k, w, d_y_prev, x_eval, y_eval, L_beta, metric_x, metric_y, eta_y)
 
 
 def hybrid_accelerate(tilde, current, alpha):
@@ -526,10 +528,15 @@ def line_search(P, point, d, metric, params, block, x_eval, y_eval, L0=None):
     if block not in ("x", "y"):
         raise ValueError(f"block must be 'x' or 'y', got {block!r}")
     d = as_vector(d, name="d")
-    if not d.any():
+    start = getattr(point, block)
+
+    def records_at(t):  # the records of the point moved by t d; the other block's is fixed
         if block == "x":
-            return SearchStep(1.0, 0, PointEval(P, point.x + d), y_eval)
-        return SearchStep(1.0, 0, x_eval, YPointEval(P, point.y + d))
+            return PointEval(P, start + t * d), y_eval
+        return x_eval, YPointEval(P, start + t * d)
+
+    if not d.any():
+        return SearchStep(1.0, 0, *records_at(1.0))
     quad = metric.quad(d)
     beta, lam = params.beta, point.lam
     if L0 is None:
@@ -539,18 +546,29 @@ def line_search(P, point, d, metric, params, block, x_eval, y_eval, L0=None):
     slack = 1e-12 * (1.0 + abs(L0))
     t = 1.0
     for i in range(params.max_backtracks + 1):
-        if block == "x":
-            trial = PointEval(P, point.x + t * d)
-            L_t = _alf_value(trial.f, y_eval.g, lam, trial.Ax - point.y, beta)
-        else:
-            trial = YPointEval(P, point.y + t * d)  # x, and so its record, is fixed
-            L_t = _alf_value(x_eval.f, trial.g, lam, x_eval.Ax - trial.y, beta)
+        trial_x, trial_y = records_at(t)
+        L_t = _alf_value(trial_x.f, trial_y.g, lam, trial_x.Ax - trial_y.y, beta)
         if L_t <= L0 - params.rho * t * quad + slack:
-            return SearchStep(t, i, trial, y_eval) if block == "x" else SearchStep(t, i, x_eval, trial)
+            return SearchStep(t, i, trial_x, trial_y)
         t *= params.nu
     raise LineSearchFailed(
         f"{block} line search found no acceptable step within {params.max_backtracks} backtracks"
     )
+
+
+def _block_step(state, point, g, block, x_eval, y_eval, L0=None):
+    # one block's step from ``point`` for the ``block`` gradient g of L_beta:
+    # the model step in the state's metric, its extrapolation by alpha and the
+    # Armijo search along it; returns (tilde, d, SearchStep)
+    if not np.isfinite(g).all():
+        raise NumericalError(f"non-finite {block}-gradient")
+    metric = state.metric_x if block == "x" else state.metric_y
+    current = getattr(point, block)
+    tilde = current - metric.solve(g)
+    if not np.isfinite(tilde).all():
+        raise NumericalError(f"{block}-subproblem produced non-finite values")
+    d = hybrid_accelerate(tilde, current, state.params.alpha)
+    return tilde, d, line_search(state.P, point, d, metric, state.params, block, x_eval, y_eval, L0=L0)
 
 
 def dual_update(lam, step, beta, residual):
@@ -603,13 +621,7 @@ def initial_state(P, w0, params, H_x=None, H_y=None):
     w = Iterate(w0.x.copy(), w0.y.copy(), w0.lam.copy())
     d_y_prev = np.zeros(P.n2)
     _read_only(w.x, w.y, w.lam, d_y_prev)
-    if H_x is None:
-        H_x, H_y = hessian_pair(P, w.x, w.y)
-    params, metric_x, metric_y = _metrics(P, params, _own(H_x, None), _own(H_y, None))
-    eta_y = spectral_norm(metric_y.model)  # a 1-D model's entries are its eigenvalues
-    return SolverState(
-        P, params, 0, w, d_y_prev, PointEval(P, w.x), YPointEval(P, w.y), None, metric_x, metric_y, eta_y
-    )
+    return _state(P, params, 0, w, d_y_prev, PointEval(P, w.x), YPointEval(P, w.y), None, H_x, H_y)
 
 
 @_quiet_numerics
@@ -633,17 +645,10 @@ def iterate_once(state, keep_internals=False):
     P, params, w = state.P, state.params, state.w
     beta = params.beta
     x_eval, y_eval = state.x_eval, state.y_eval
-    metric_x, metric_y = state.metric_x, state.metric_y
 
     # ----- x block: model step in the state's metric, extrapolation, Armijo
     gx = grad_alf(P, w, beta, x_eval, y_eval).gx
-    if not np.isfinite(gx).all():
-        raise NumericalError("non-finite x-gradient")
-    x_tilde = w.x - metric_x.solve(gx)
-    if not np.isfinite(x_tilde).all():
-        raise NumericalError("x-subproblem produced non-finite values")
-    d_x = hybrid_accelerate(x_tilde, w.x, params.alpha)
-    t_x, bt_x, x_eval, _ = line_search(P, w, d_x, metric_x, params, "x", x_eval, y_eval, L0=state.L_beta)
+    x_tilde, d_x, (t_x, bt_x, x_eval, _) = _block_step(state, w, gx, "x", x_eval, y_eval, L0=state.L_beta)
     x_next = x_eval.x  # the accepted trial: x_{k+1}, with A x_{k+1} and f(x_{k+1}) in its record
 
     # ----- first dual update on the mixed residual A x_{k+1} - y_k
@@ -652,14 +657,8 @@ def iterate_once(state, keep_internals=False):
 
     # ----- y block at the updated x and half-step multiplier
     gy = y_eval.grad_g + lam_half - beta * residual_mid
-    if not np.isfinite(gy).all():
-        raise NumericalError("non-finite y-gradient")
-    y_tilde = w.y - metric_y.solve(gy)
-    if not np.isfinite(y_tilde).all():
-        raise NumericalError("y-subproblem produced non-finite values")
-    d_y = hybrid_accelerate(y_tilde, w.y, params.alpha)
     mid = Iterate(x_next, w.y, lam_half)
-    t_y, bt_y, _, y_eval = line_search(P, mid, d_y, metric_y, params, "y", x_eval, y_eval)
+    y_tilde, d_y, (t_y, bt_y, _, y_eval) = _block_step(state, mid, gy, "y", x_eval, y_eval)
     y_next = y_eval.y  # the accepted trial: y_{k+1}, with g(y_{k+1}) in its record
 
     # ----- second dual update on the full new residual
@@ -670,15 +669,8 @@ def iterate_once(state, keep_internals=False):
     w_next = Iterate(x_next, y_next, lam_next)
 
     # ----- refresh the second-order model, keeping both metrics factorable
-    H_x, H_y = hessian_pair(P, x_next, y_next)
-    H_x, H_y = _own(H_x, metric_x), _own(H_y, metric_y)
-    params_next, metric_x_next, metric_y_next = _metrics(P, params, H_x, H_y, metric_x, metric_y)
-    eta_y = state.eta_y if H_y is metric_y.model else max(state.eta_y, spectral_norm(H_y))
-
     L_beta = eval_alf(P, w_next, beta, x_eval, y_eval)
-    state_next = SolverState(
-        P, params_next, state.k + 1, w_next, d_y, x_eval, y_eval, L_beta, metric_x_next, metric_y_next, eta_y
-    )
+    state_next = _state(P, params, state.k + 1, w_next, d_y, x_eval, y_eval, L_beta, prev=state)
     if P.lipschitz_g is not None:
         L_hat = eval_merit_hat(P, state_next, params, state.eta_y + beta + params.sigma, L_beta=L_beta)
     else:
@@ -705,15 +697,15 @@ def iterate_once(state, keep_internals=False):
         internals = dict(
             gx=gx,
             d_x=d_x,
-            quad_x=metric_x.quad(d_x),
+            quad_x=state.metric_x.quad(d_x),
             gx_dot_dx=float(gx @ d_x),
-            model_residual_x=float(np.abs(gx + metric_x.matvec(x_tilde - w.x)).max()),
+            model_residual_x=float(np.abs(gx + state.metric_x.matvec(x_tilde - w.x)).max()),
             x_tilde=x_tilde,
             gy=gy,
             d_y=d_y,
-            quad_y=metric_y.quad(d_y),
+            quad_y=state.metric_y.quad(d_y),
             gy_dot_dy=float(gy @ d_y),
-            model_residual_y=float(np.abs(gy + metric_y.matvec(y_tilde - w.y)).max()),
+            model_residual_y=float(np.abs(gy + state.metric_y.matvec(y_tilde - w.y)).max()),
             y_tilde=y_tilde,
             lam_half=lam_half,
         )

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -25,6 +26,7 @@ from prsqp.cli import (
     SWEEP_HEADER,
     TRACE_HEADER,
     ConfigError,
+    _blas_threads_per_worker,
     _parse_problem,
     _summarize,
     build_problem,
@@ -278,16 +280,70 @@ def test_run_sweep_rows_cover_grid_and_flag_invalid_pairs(tmp_path):
             assert row["status"] in ("Converged", "IterLimit")
 
 
+def _strip_times(rows):
+    return [{k: v for k, v in row.items() if k != "tcpu_s"} for row in rows]
+
+
 def test_run_sweep_deterministic_across_invocations_and_workers(tmp_path):
     problem_file, _ = _quadratic_file(tmp_path)
     obj = _sweep_config(tmp_path, problem_file, [[0.1, 1.0], [-0.1, 1.0]], [0.0, 0.5])
+    environ = dict(os.environ)
     rows_a = run_sweep(parse_sweep(obj))
+    assert dict(os.environ) == environ
     rows_b = run_sweep(parse_sweep(obj))
+    assert dict(os.environ) == environ
     obj["max_workers"] = 2
     rows_c = run_sweep(parse_sweep(obj))
-    def strip(rows):
-        return [{k: v for k, v in row.items() if k != "tcpu_s"} for row in rows]
-    assert strip(rows_a) == strip(rows_b) == strip(rows_c)
+    assert dict(os.environ) == environ
+    assert _strip_times(rows_a) == _strip_times(rows_b) == _strip_times(rows_c)
+
+
+_UNPINNED_SWEEP = """
+import os
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.pop(var, None)
+import json, sys
+from prsqp.cli import parse_sweep, run_sweep
+obj = json.loads(sys.argv[1])
+environ = dict(os.environ)
+rows = {}
+for workers in (1, 2):
+    rows[workers] = run_sweep(parse_sweep({**obj, "max_workers": workers}))
+    assert dict(os.environ) == environ
+print(json.dumps(rows))
+"""
+
+
+def test_run_sweep_without_thread_variables_gives_the_serial_rows(tmp_path):
+    # workers spawned with none of the BLAS thread variables set, which the
+    # sweep then sets for them alone; the 20 x 20 instance is too small for
+    # OpenBLAS to split a product between threads, so the rows are bit-equal
+    obj = _sweep_config(tmp_path, "unused", [[0.1, 1.0], [-0.1, -0.1]], [0.0, 0.5])
+    obj["base"]["problem"] = {"type": "classification", "n": 20, "T": 20}
+    done = fresh_python(_UNPINNED_SWEEP, json.dumps(obj))
+    assert done.returncode == 0, done.stderr
+    rows = json.loads(done.stdout)
+    assert len(rows["1"]) == 4
+    assert _strip_times(rows["2"]) == _strip_times(rows["1"])
+
+
+def test_sweep_workers_split_the_cores_unless_a_thread_variable_is_set(monkeypatch):
+    variables = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    for var in variables:
+        monkeypatch.delenv(var, raising=False)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    environ = dict(os.environ)
+    for workers in (1, 2, cores, cores + 1):
+        with _blas_threads_per_worker(workers):
+            assert [os.environ[var] for var in variables] == [str(max(1, cores // workers))] * 3
+        assert dict(os.environ) == environ
+    for var in variables:
+        monkeypatch.setenv(var, "3")
+        environ = dict(os.environ)
+        with _blas_threads_per_worker(2):
+            assert dict(os.environ) == environ
+        assert dict(os.environ) == environ
+        monkeypatch.delenv(var)
 
 
 def test_sweep_csv_rows_round_trip_exactly(tmp_path):

@@ -213,6 +213,54 @@ def test_lapack_calls_run_on_one_thread_of_scipys_pool():
     assert out["during"] == [1, 1] and out["same_as_direct"]
 
 
+_OVERLAPPING_SCOPES = """
+import os
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "GOTO_NUM_THREADS"):
+    os.environ.pop(var, None)  # before numpy and scipy load their BLAS
+import ctypes, importlib.machinery, json, sys, threading, time
+import numpy as np
+import scipy
+import prsqp.core as core
+if core._set_blas_threads is None:
+    raise SystemExit(3)
+spec = importlib.machinery.PathFinder.find_spec("_flapack", [os.path.join(os.path.dirname(scipy.__file__), "linalg")])
+blas = ctypes.CDLL(spec.origin)
+count = getattr(blas, "scipy_openblas_get_num_threads", None) or blas.openblas_get_num_threads
+rng = np.random.default_rng(7)
+B = rng.standard_normal((300, 300))
+M = B.T @ B + 300 * np.eye(300)
+deadline = time.monotonic() + 1.5
+def factor_until_deadline():
+    while time.monotonic() < deadline:
+        core.cholesky_spd(M)
+before = count()
+cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+threads = [threading.Thread(target=factor_until_deadline) for _ in range(cores + 2)]
+interval = sys.getswitchinterval()
+sys.setswitchinterval(1e-6)  # switch threads between any two bytecodes, mid-scope included
+try:
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+finally:
+    sys.setswitchinterval(interval)
+print(json.dumps({"alive": sum(t.is_alive() for t in threads), "before": before, "after": count()}))
+"""
+
+
+def test_lapack_scopes_overlapping_in_threads_restore_the_pools_thread_count():
+    # the pool's thread count is process-wide: scopes that each saved and
+    # restored it would, overlapping, leave it at 1
+    done = fresh_python(_OVERLAPPING_SCOPES)
+    if done.returncode == 3:
+        pytest.skip("scipy's BLAS exports no openblas_set_num_threads_local")
+    assert done.returncode == 0, done.stderr
+    out = json.loads(done.stdout)
+    assert out["alive"] == 0
+    assert out["after"] == out["before"]
+
+
 def test_lapack_calls_run_unscoped_without_the_thread_symbol(monkeypatch):
     expected = [(M, b, np.linalg.solve(M, b)) for M, b in _spd_cases()]
     monkeypatch.setattr(prsqp.core, "_set_blas_threads", None)
