@@ -45,7 +45,7 @@ import numpy as np
 
 from .alf import Iterate, PointEval
 from .baseline import GdParams, gradient_descent
-from .core import make_rng
+from .core import make_rng, one_numpy_blas_thread
 from .diagnostics import classify_regime, diagnostics_report, kkt_residual
 from .problems import (
     _json_size,
@@ -402,45 +402,43 @@ def run_sweep(cfg):
     """One solve per (alpha, (r, s)) grid point; returns rows in grid order.
 
     Row index runs fastest over rs_grid; each row's problem seed is
-    ``base.seed XOR row_index`` so results are independent of completion order,
-    and of worker count where every process runs its BLAS on the same number of
-    threads. Rows whose parameters fail validation are recorded with status
-    InvalidParams and the sweep continues. With ``max_workers > 1`` the
-    rows run in spawned worker processes, each started with
-    ``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS`` and ``MKL_NUM_THREADS`` set to
-    ``max(1, cores // max_workers)`` unless the caller has set any of them. A
-    spawned worker imports the caller's main module, so a script that sweeps
-    with several workers must guard its entry point with
-    ``if __name__ == "__main__"``.
+    ``base.seed XOR row_index`` so results are independent of worker count and
+    completion order. Rows whose parameters fail validation are recorded with
+    status InvalidParams and the sweep continues.
+
+    Each row runs its BLAS on one thread unless ``OPENBLAS_NUM_THREADS`` is
+    set, so that serial and pooled rows round alike (README, ``prsqp sweep``).
+    Workers that need a thread variable set are spawned, and a spawned worker
+    imports the caller's main module, so a script that sweeps with several
+    workers must guard its entry point with ``if __name__ == "__main__"``.
     """
     points = [(r, s, alpha) for alpha in cfg.alpha_grid for r, s in cfg.rs_grid]
     jobs = [(cfg.base, r, s, alpha, cfg.base.seed ^ idx) for idx, (r, s, alpha) in enumerate(points)]
+    unset = [var for var in _BLAS_THREAD_VARS if var not in os.environ]
     if cfg.max_workers == 1:
-        return [_sweep_row(*job) for job in jobs]
-    spawn = multiprocessing.get_context("spawn")
-    with _blas_threads_per_worker(cfg.max_workers):
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.max_workers, mp_context=spawn) as pool:
-            return list(pool.map(_sweep_row, *zip(*jobs)))
+        scope = one_numpy_blas_thread() if "OPENBLAS_NUM_THREADS" in unset else contextlib.nullcontext()
+        with scope:
+            return [_sweep_row(*job) for job in jobs]
+    context = multiprocessing.get_context("spawn") if unset else None
+    with _environ_for_workers(unset), concurrent.futures.ProcessPoolExecutor(
+        max_workers=cfg.max_workers, mp_context=context
+    ) as pool:
+        return list(pool.map(_sweep_row, *zip(*jobs)))
 
 
 _BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 @contextlib.contextmanager
-def _blas_threads_per_worker(workers):
-    # while a sweep's workers start, the BLAS thread variables they inherit
-    # split the cores between them, so that they do not each run a full BLAS
-    # pool on the same cores; where the caller has set any of them, none is
-    # touched. os.environ is restored on exit.
-    if any(var in os.environ for var in _BLAS_THREAD_VARS):
-        yield
-        return
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, str(max(1, cores // workers))))
+def _environ_for_workers(unset):
+    # the BLAS thread variables in unset are 1 for the workers, which would
+    # otherwise each run a full BLAS pool on the same cores; os.environ is
+    # restored on exit
+    os.environ.update(dict.fromkeys(unset, "1"))
     try:
         yield
     finally:
-        for var in _BLAS_THREAD_VARS:
+        for var in unset:
             os.environ.pop(var, None)
 
 

@@ -5,11 +5,13 @@ funnels its linear algebra and randomness through this module so that error
 handling and reproducibility live in one place. It is the only module that
 imports scipy, and from scipy it binds two LAPACK routines, ``dpotrf`` and
 ``dpotrs``, which run on one thread of scipy's BLAS pool (see
-:func:`_bind_lapack`).
+:func:`_bind_lapack`). numpy's BLAS pool runs on one thread only inside
+:func:`one_numpy_blas_thread`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import importlib.machinery
 import importlib.util
@@ -18,6 +20,11 @@ import threading
 
 import numpy as np
 import scipy
+
+try:
+    from numpy._core import _multiarray_umath
+except ImportError:  # numpy < 2
+    from numpy.core import _multiarray_umath
 
 
 class DimensionMismatch(ValueError):
@@ -77,42 +84,71 @@ def _bind_lapack():
         raise ImportError(f"scipy's LAPACK extension _flapack was not found in {linalg_dir}")
     lapack = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(lapack)
-    set_threads = getattr(ctypes.CDLL(spec.origin), "openblas_set_num_threads_local", None)
+    return lapack.dpotrf, lapack.dpotrs, _thread_setter(spec.origin)
+
+
+def _thread_setter(extension):
+    # openblas_set_num_threads_local of the library behind the extension
+    # module at path extension, or None where it exports no such symbol
+    set_threads = getattr(ctypes.CDLL(extension), "openblas_set_num_threads_local", None)
     if set_threads is not None:
         set_threads.argtypes, set_threads.restype = [ctypes.c_int], ctypes.c_int
-    return lapack.dpotrf, lapack.dpotrs, set_threads
+    return set_threads
 
 
 _dpotrf, _dpotrs, _set_blas_threads = _bind_lapack()
 
+# the same symbol in the OpenBLAS behind numpy's products
+_set_numpy_blas_threads = _thread_setter(_multiarray_umath.__file__)
 
-# scipy's BLAS pool is process-wide, and so is the one-thread scope over it:
-# LAPACK calls in flight, and the pool's thread count before the first of them
-_scope_lock = threading.Lock()
-_scope_calls = 0
-_scope_saved = None
+
+class _OneThreadScope:
+    # a reentrant scope in which an OpenBLAS pool runs on one thread. The
+    # pool's count is process-wide, so scopes overlapping in several Python
+    # threads share one: the first saves the count and sets 1, the last
+    # restores it, so no scope restores another's 1.
+
+    def __init__(self, set_threads):
+        self._set_threads = set_threads
+        self._lock = threading.Lock()
+        self._open = 0
+        self._saved = None
+
+    def __enter__(self):
+        with self._lock:
+            if self._open == 0:
+                self._saved = self._set_threads(1)
+            self._open += 1
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._open -= 1
+            if self._open == 0:
+                self._set_threads(self._saved)
+
+
+_scipy_scope = _OneThreadScope(_set_blas_threads)
+_numpy_scope = _OneThreadScope(_set_numpy_blas_threads)
 
 
 def _one_thread(routine, *args, **kwargs):
-    # a LAPACK call on one thread of scipy's pool, whose thread count is then
-    # restored: numpy runs its products in a pool of its own, and two pools
-    # taking turns on the same cores slow each other down. Calls overlapping
-    # in several Python threads share one scope: the first saves the count and
-    # sets 1, the last restores it, so no call restores another's 1.
-    global _scope_calls, _scope_saved
+    # a LAPACK call on one thread of scipy's pool: numpy runs its products in
+    # a pool of its own, and two pools taking turns on the same cores slow
+    # each other down
     if _set_blas_threads is None:
         return routine(*args, **kwargs)
-    with _scope_lock:
-        if _scope_calls == 0:
-            _scope_saved = _set_blas_threads(1)
-        _scope_calls += 1
-    try:
+    with _scipy_scope:
         return routine(*args, **kwargs)
-    finally:
-        with _scope_lock:
-            _scope_calls -= 1
-            if _scope_calls == 0:
-                _set_blas_threads(_scope_saved)
+
+
+def one_numpy_blas_thread():
+    """A scope in which numpy's OpenBLAS pool runs on one thread.
+
+    Scopes may nest and overlap across Python threads; the pool gets its
+    thread count back when the last one ends. Where numpy's BLAS exports no
+    ``openblas_set_num_threads_local``, the scope changes nothing.
+    """
+    return _numpy_scope if _set_numpy_blas_threads is not None else contextlib.nullcontext()
 
 
 def cholesky_spd(M):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import json
 import math
@@ -26,7 +27,6 @@ from prsqp.cli import (
     SWEEP_HEADER,
     TRACE_HEADER,
     ConfigError,
-    _blas_threads_per_worker,
     _parse_problem,
     _summarize,
     build_problem,
@@ -298,11 +298,14 @@ def test_run_sweep_deterministic_across_invocations_and_workers(tmp_path):
     assert _strip_times(rows_a) == _strip_times(rows_b) == _strip_times(rows_c)
 
 
-_UNPINNED_SWEEP = """
-import os
-for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.pop(var, None)
-import json, sys
+_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+_SWEEP_WITH_THREADS = """
+import os, sys
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "GOTO_NUM_THREADS"):
+    os.environ.pop(var, None)  # before numpy and scipy load their BLAS
+os.environ.update(dict(var.split("=") for var in sys.argv[2:]))
+import json
 from prsqp.cli import parse_sweep, run_sweep
 obj = json.loads(sys.argv[1])
 environ = dict(os.environ)
@@ -315,35 +318,59 @@ print(json.dumps(rows))
 
 
 def test_run_sweep_without_thread_variables_gives_the_serial_rows(tmp_path):
-    # workers spawned with none of the BLAS thread variables set, which the
-    # sweep then sets for them alone; the 20 x 20 instance is too small for
-    # OpenBLAS to split a product between threads, so the rows are bit-equal
-    obj = _sweep_config(tmp_path, "unused", [[0.1, 1.0], [-0.1, -0.1]], [0.0, 0.5])
-    obj["base"]["problem"] = {"type": "classification", "n": 20, "T": 20}
-    done = fresh_python(_UNPINNED_SWEEP, json.dumps(obj))
-    assert done.returncode == 0, done.stderr
-    rows = json.loads(done.stdout)
-    assert len(rows["1"]) == 4
-    assert _strip_times(rows["2"]) == _strip_times(rows["1"])
+    # the benchmark's sweep_regimes grid, on whose 100 x 100 instance a serial
+    # sweep on a full BLAS pool rounds differently from one-thread workers;
+    # every row, serial or pooled, equals the rows with every pool pinned
+    obj = _sweep_config(tmp_path, "unused", [[0.1, 1.0], [-0.1, 1.0], [-0.1, -0.1]], [0.0, 0.5])
+    obj["base"].update(problem={"type": "classification", "n": 100, "T": 100}, seed=1)
+    obj["base"]["params"] = {"max_iter": 1000, "tol_step": 0.0}
+    rows = {}
+    for pinned in (False, True):
+        done = fresh_python(_SWEEP_WITH_THREADS, json.dumps(obj), *(f"{var}=1" for var in _BLAS_THREAD_VARS if pinned))
+        assert done.returncode == 0, done.stderr
+        rows[pinned] = {workers: _strip_times(r) for workers, r in json.loads(done.stdout).items()}
+    assert len(rows[True]["1"]) == 6
+    assert rows[False]["1"] == rows[False]["2"] == rows[True]["1"] == rows[True]["2"]
 
 
-def test_sweep_workers_split_the_cores_unless_a_thread_variable_is_set(monkeypatch):
-    variables = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-    for var in variables:
-        monkeypatch.delenv(var, raising=False)
-    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    environ = dict(os.environ)
-    for workers in (1, 2, cores, cores + 1):
-        with _blas_threads_per_worker(workers):
-            assert [os.environ[var] for var in variables] == [str(max(1, cores // workers))] * 3
-        assert dict(os.environ) == environ
-    for var in variables:
-        monkeypatch.setenv(var, "3")
+def test_sweep_workers_start_with_one_blas_thread_where_no_variable_is_set(tmp_path, monkeypatch):
+    starts = []
+
+    class RecordingPool:
+        # stands in for the process pool: records how its workers would start
+        # and the thread variables they would inherit, and runs the rows here
+        def __init__(self, max_workers, mp_context=None):
+            method = mp_context.get_start_method() if mp_context else None
+            starts.append((method, {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    problem_file, _ = _quadratic_file(tmp_path)
+    cfg = parse_sweep(_sweep_config(tmp_path, problem_file, [[0.1, 1.0]], [0.0], max_workers=2))
+    omp, openblas, mkl = _BLAS_THREAD_VARS
+    cases = [
+        ({}, ("spawn", {omp: "1", openblas: "1", mkl: "1"})),
+        ({mkl: "4"}, ("spawn", {omp: "1", openblas: "1", mkl: "4"})),
+        ({openblas: "3", omp: "2"}, ("spawn", {omp: "2", openblas: "3", mkl: "1"})),
+        ({omp: "2", openblas: "2", mkl: "2"}, (None, {omp: "2", openblas: "2", mkl: "2"})),
+    ]
+    for set_by_caller, start in cases:
+        for var in _BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        for var, value in set_by_caller.items():
+            monkeypatch.setenv(var, value)
         environ = dict(os.environ)
-        with _blas_threads_per_worker(2):
-            assert dict(os.environ) == environ
+        assert run_sweep(cfg)[0]["status"] in ("Converged", "IterLimit")
+        assert starts[-1] == start
         assert dict(os.environ) == environ
-        monkeypatch.delenv(var)
 
 
 def test_sweep_csv_rows_round_trip_exactly(tmp_path):

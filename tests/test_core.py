@@ -261,6 +261,43 @@ def test_lapack_scopes_overlapping_in_threads_restore_the_pools_thread_count():
     assert out["after"] == out["before"]
 
 
+_NUMPY_POOL_SCOPE = """
+import os
+for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "GOTO_NUM_THREADS"):
+    os.environ.pop(var, None)  # before numpy loads its BLAS
+import ctypes, json
+import numpy as np
+import prsqp.core as core
+if core._set_numpy_blas_threads is None:
+    raise SystemExit(3)
+try:
+    from numpy._core import _multiarray_umath
+except ImportError:
+    from numpy.core import _multiarray_umath
+blas = ctypes.CDLL(_multiarray_umath.__file__)
+names = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads")
+count = next(getattr(blas, name) for name in names if hasattr(blas, name))
+counts = [count()]
+with core.one_numpy_blas_thread():
+    with core.one_numpy_blas_thread():
+        counts.append(count())
+    counts.append(count())
+counts.append(count())
+print(json.dumps(counts))
+"""
+
+
+def test_numpy_blas_scope_runs_numpys_pool_on_one_thread():
+    done = fresh_python(_NUMPY_POOL_SCOPE)
+    if done.returncode == 3:
+        pytest.skip("numpy's BLAS exports no openblas_set_num_threads_local")
+    assert done.returncode == 0, done.stderr
+    before, nested, inner_left, after = json.loads(done.stdout)
+    # a nested scope leaves the pool at one thread; the outer one restores it
+    assert before >= 1 and after == before
+    assert nested == inner_left == 1
+
+
 def test_lapack_calls_run_unscoped_without_the_thread_symbol(monkeypatch):
     expected = [(M, b, np.linalg.solve(M, b)) for M, b in _spd_cases()]
     monkeypatch.setattr(prsqp.core, "_set_blas_threads", None)
