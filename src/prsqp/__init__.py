@@ -45,12 +45,9 @@ from .problems import (
     composite_objective,
     forward_difference,
     hessian_pair,
-    huber,
     make_classification,
     make_huber_lasso,
     make_quadratic,
-    matrix_from_json,
-    matrix_to_json,
     problem_from_json,
     problem_to_json,
     quadratic_kkt_point,
@@ -59,7 +56,6 @@ from .problems import (
 from .solver import (
     LineSearchFailed,
     NumericalError,
-    ProximalNotPD,
     SolveResult,
     SolveStatus,
     SolverParams,
@@ -91,7 +87,6 @@ __all__ = [
     "NotPositiveDefinite",
     "NumericalError",
     "PointEval",
-    "ProximalNotPD",
     "SCHEMA_VERSION",
     "SolveResult",
     "SolveStatus",
@@ -114,7 +109,6 @@ __all__ = [
     "grad_alf",
     "gradient_descent",
     "hessian_pair",
-    "huber",
     "hybrid_accelerate",
     "initial_state",
     "iterate_once",
@@ -124,8 +118,6 @@ __all__ = [
     "make_huber_lasso",
     "make_quadratic",
     "make_rng",
-    "matrix_from_json",
-    "matrix_to_json",
     "max_eigenvalue",
     "min_eigenvalue",
     "normal_sample",

@@ -70,13 +70,14 @@ def gradient_descent(P, x0, gd):
     objective and gradient norm after the step it logs.
     """
     at = PointEval(P, as_vector(x0, n=P.n1, name="x0"))
-    # F and grad F of the current iterate, evaluated through its one record
+    # F, grad F and ||grad F||_inf of the current iterate, evaluated through its one record
     F, g = composite_objective(P, at), composite_gradient(P, at)
+    g_inf = float(np.max(np.abs(g)))
     trace: List[GdRecord] = []
     status = SolveStatus.ITER_LIMIT
     for k in range(gd.max_iter):
         t_start = time.perf_counter()
-        if float(np.max(np.abs(g))) <= gd.tol:
+        if g_inf <= gd.tol:
             status = SolveStatus.CONVERGED
             break
         # no float slack here: an accept-on-noise bias would put a floor on
@@ -94,13 +95,6 @@ def gradient_descent(P, x0, gd):
             status = SolveStatus.LINE_SEARCH_FAILED
             break
         g = composite_gradient(P, at)
-        trace.append(
-            GdRecord(
-                k=k,
-                objective=F,
-                grad_inf=float(np.max(np.abs(g))),
-                t=t,
-                elapsed=time.perf_counter() - t_start,
-            )
-        )
+        g_inf = float(np.max(np.abs(g)))
+        trace.append(GdRecord(k=k, objective=F, grad_inf=g_inf, t=t, elapsed=time.perf_counter() - t_start))
     return GdResult(final_x=at.x, status=status, trace=trace)

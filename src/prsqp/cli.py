@@ -16,7 +16,8 @@ check-params --config c.json
     curvature bounds) for the configured problem/parameters as JSON.
 gen-data --problem quadratic|classification|huber_lasso --seed N --out f.json
     Persist a sampled instance to the JSON problem container understood by
-    ``solve`` configs with ``{"type": "quadratic", "file": ...}``.
+    ``solve`` configs with ``{"type": "quadratic", "file": ...}``, which loads
+    a problem file of any kind: the file's own ``kind`` picks the family built.
 
 Exit codes: 0 success; 1 config error (:class:`ConfigError`, raised while the
 configuration is read and its problem built, or when an output path cannot be
@@ -415,13 +416,15 @@ def run_sweep(cfg):
     points = [(r, s, alpha) for alpha in cfg.alpha_grid for r, s in cfg.rs_grid]
     jobs = [(cfg.base, r, s, alpha, cfg.base.seed ^ idx) for idx, (r, s, alpha) in enumerate(points)]
     unset = [var for var in _BLAS_THREAD_VARS if var not in os.environ]
-    if cfg.max_workers == 1:
+    # a forking pool starts all its workers at the first submit, so it gets no more than there are rows
+    workers = min(cfg.max_workers, len(jobs))
+    if workers <= 1:
         scope = one_numpy_blas_thread() if "OPENBLAS_NUM_THREADS" in unset else contextlib.nullcontext()
         with scope:
             return [_sweep_row(*job) for job in jobs]
     context = multiprocessing.get_context("spawn") if unset else None
     with _environ_for_workers(unset), concurrent.futures.ProcessPoolExecutor(
-        max_workers=cfg.max_workers, mp_context=context
+        max_workers=workers, mp_context=context
     ) as pool:
         return list(pool.map(_sweep_row, *zip(*jobs)))
 

@@ -136,6 +136,18 @@ def _bounds(P, params, spectrum_x, spectrum_y):
     )
 
 
+def _floor_factor(rho, alpha):
+    # c = 1/(1 + alpha) - rho, the factor of the step floor gamma
+    return 1.0 / (1.0 + alpha) - rho
+
+
+def _alpha_supported(rho, alpha):
+    # the acceleration range of the theory, c > 0: gamma and the recipes are
+    # built on c. In exact arithmetic this is alpha < 1/rho - 1, but the two
+    # forms round apart at the boundary, so every site tests this one.
+    return _floor_factor(rho, alpha) > 0.0
+
+
 def compute_gamma(P, params, bounds):
     """Uniform lower bound on every accepted Armijo step:
 
@@ -148,12 +160,12 @@ def compute_gamma(P, params, bounds):
     """
     if P.lipschitz_f is None or P.lipschitz_g is None:
         raise UnknownLipschitz("compute_gamma needs lipschitz_f and lipschitz_g on the problem")
-    c = 1.0 / (1.0 + params.alpha) - params.rho
-    if c <= 0:
+    if not _alpha_supported(params.rho, params.alpha):
         warnings.warn(
             "step floor degenerates for alpha >= 1/rho - 1; reporting gamma = 0", stacklevel=2
         )
         return 0.0
+    c = _floor_factor(params.rho, params.alpha)
     return params.nu * min(
         1.0,
         c * bounds.eta1_x / (P.lipschitz_f + params.beta * P.max_eig_AtA),
@@ -259,9 +271,9 @@ def suggest_params(direction, P, base=None, s=None):
 
     base = base if base is not None else SolverParams()
     rho, nu, alpha, beta = base.rho, base.nu, base.alpha, base.beta
-    c = 1.0 / (1.0 + alpha) - rho
-    if c <= 0:
+    if not _alpha_supported(rho, alpha):
         raise ValueError("recipes need alpha < 1/rho - 1 (positive step-floor factor)")
+    c = _floor_factor(rho, alpha)
     if direction == "alda":
         s_val = 1.0
     else:

@@ -137,27 +137,14 @@ class LassoData:
 # ----- scalar pieces --------------------------------------------------------
 
 
-def huber(z, mu):
-    """Huber value/derivative pair: quadratic ``z^2 / (2 mu)`` for ``|z| < mu``,
-    linear ``|z| - mu/2`` outside, with matching derivative ``z / mu`` resp. ``sign(z)``.
-
-    Accepts scalars or arrays (elementwise).
-    """
-    if not mu > 0:
-        raise ValueError(f"mu must be positive, got {mu}")
-    z = np.asarray(z, dtype=float)
-    value, deriv = _huber_value(z, mu), _huber_deriv(z, mu)
-    if value.ndim == 0:
-        return float(value), float(deriv)
-    return value, deriv
-
-
 def _huber_value(z, mu):
+    # elementwise Huber value: z^2 / (2 mu) for |z| < mu, |z| - mu/2 outside
     a = np.abs(z)
     return np.where(a < mu, z * z / (2.0 * mu), a - mu / 2.0)
 
 
 def _huber_deriv(z, mu):
+    # its derivative: z / mu for |z| < mu, sign(z) outside
     return np.where(np.abs(z) < mu, z / mu, np.sign(z))
 
 
@@ -392,7 +379,7 @@ def _model(H, n, name):
 # ----- JSON (de)serialization --------------------------------------------------
 
 
-def matrix_to_json(M):
+def _matrix_to_json(M):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D array, got shape {M.shape}")
@@ -425,7 +412,7 @@ def _json_vector(obj, key):
     return np.array([_json_real(value, f"each entry of {key}") for value in obj[key]], dtype=float)
 
 
-def matrix_from_json(obj):
+def _matrix_from_json(obj):
     keys = set(obj)
     if keys != {"rows", "cols", "data"}:
         raise ValueError(f"matrix object must have keys rows/cols/data, got {sorted(keys)}")
@@ -444,14 +431,14 @@ def problem_to_json(P):
             "kind": "quadratic",
             "c_f": [float(v) for v in P.data.c_f],
             "c_g": [float(v) for v in P.data.c_g],
-            "A": matrix_to_json(P.A),
+            "A": _matrix_to_json(P.A),
         }
     if isinstance(P.data, ClassificationData):
         return {
             "schema_version": SCHEMA_VERSION,
             "kind": "classification",
             "mu": float(P.data.mu),
-            "D": matrix_to_json(P.data.D),
+            "D": _matrix_to_json(P.data.D),
             "labels": [float(v) for v in P.data.labels],
         }
     if isinstance(P.data, LassoData):
@@ -461,7 +448,7 @@ def problem_to_json(P):
             "tau": float(P.data.tau),
             "mu": float(P.data.mu),
             "density": float(P.data.density),
-            "A": matrix_to_json(P.A),
+            "A": _matrix_to_json(P.A),
             "u": [float(v) for v in P.data.u],
         }
     raise TypeError(f"cannot serialize problem {P.name!r}")
@@ -494,8 +481,8 @@ def problem_from_json(obj):
     if missing:
         raise ValueError(f"missing keys in problem object: {sorted(missing)}")
     if kind == "quadratic":
-        return make_quadratic(_json_vector(obj, "c_f"), _json_vector(obj, "c_g"), matrix_from_json(obj["A"]))
+        return make_quadratic(_json_vector(obj, "c_f"), _json_vector(obj, "c_g"), _matrix_from_json(obj["A"]))
     if kind == "classification":
-        return _classification_problem(matrix_from_json(obj["D"]), _json_vector(obj, "labels"), _json_weight(obj, "mu"))
+        return _classification_problem(_matrix_from_json(obj["D"]), _json_vector(obj, "labels"), _json_weight(obj, "mu"))
     tau, mu, density = (_json_weight(obj, key) for key in ("tau", "mu", "density"))
-    return _lasso_problem(matrix_from_json(obj["A"]), _json_vector(obj, "u"), tau, mu, density)
+    return _lasso_problem(_matrix_from_json(obj["A"]), _json_vector(obj, "u"), tau, mu, density)

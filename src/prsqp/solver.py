@@ -78,12 +78,8 @@ import numpy as np
 
 from .alf import Iterate, PointEval, YPointEval, _alf_value, eval_alf, eval_merit_hat, grad_alf
 from .core import DimensionMismatch, NotPositiveDefinite, as_vector, cholesky_solve, cholesky_spd, spectral_norm
-from .diagnostics import KktResidual, _max_or_nan, kkt_residual
+from .diagnostics import KktResidual, _alpha_supported, _max_or_nan, kkt_residual
 from .problems import composite_objective, hessian_pair
-
-
-class ProximalNotPD(NotPositiveDefinite):
-    """A subproblem metric failed to factor; raise ell (x block) or sigma (y block)."""
 
 
 class LineSearchFailed(RuntimeError):
@@ -105,7 +101,8 @@ class SolveStatus(str, Enum):
 class SolverParams:
     """Algorithm parameters, fixed for a run; ranges are enforced at construction.
 
-    ``alpha`` must satisfy ``-1 < alpha < 1/rho - 1`` unless ``relaxed_alpha``
+    ``alpha`` must exceed -1 and satisfy ``1/(1 + alpha) - rho > 0`` (that is,
+    ``alpha < 1/rho - 1``, tested in the first form) unless ``relaxed_alpha``
     is set, in which case only ``alpha > -1`` is required and runs are tagged
     as outside the supported theory. ``r`` and ``s`` are the two dual step
     scales (positive = ascent, negative = descent) with ``r + s != 0``.
@@ -139,7 +136,7 @@ def validate_params(params):
     attributes; a :class:`SolverParams` always gives ``[]``, as its
     constructor raises on the violations listed here. Unless the set's
     ``relaxed_alpha`` is true, the upper acceleration bound
-    ``alpha < 1/rho - 1`` is enforced.
+    ``1/(1 + alpha) - rho > 0`` (``alpha < 1/rho - 1``) is enforced.
     """
     p = params
     out = _field_violations(p, SolverParams)
@@ -150,7 +147,8 @@ def validate_params(params):
         # a string such as "false" is truthy; it must not relax the range
         out.append(f"relaxed_alpha must be a boolean, got {relaxed!r}")
         relaxed = False
-    if not relaxed and 0.0 < p.rho < 1.0 and not p.alpha < 1.0 / p.rho - 1.0:
+    # alpha <= -1 is flagged above (1 + alpha would divide by zero); a NaN alpha is flagged here too
+    if not relaxed and 0.0 < p.rho < 1.0 and not p.alpha <= -1.0 and not _alpha_supported(p.rho, p.alpha):
         out.append(f"alpha = {p.alpha} is not below 1/rho - 1 = {1.0 / p.rho - 1.0} (set relaxed_alpha to override)")
     for name in ("beta", "ell", "sigma"):
         if not 0.0 < getattr(p, name) < math.inf:
@@ -248,10 +246,6 @@ class BlockMetric(NamedTuple):
         """``Hcal^{-1} g``."""
         return cholesky_solve(self.factor, g)
 
-    def matvec(self, d):
-        """``Hcal d``."""
-        return self.Hcal @ d
-
     def quad(self, d):
         """``d^T Hcal d``."""
         return float(d.dot(self.Hcal @ d))
@@ -281,9 +275,6 @@ class LowRankMetric(NamedTuple):
         z = cholesky_solve(self.factor, self.A @ u)
         return u - (self.A.T @ z) / self.D
 
-    def matvec(self, d):
-        return self.D * d + self.beta * (self.A.T @ (self.A @ d))
-
     def quad(self, d):
         Ad = self.A @ d
         return float(d.dot(self.D * d) + self.beta * Ad.dot(Ad))
@@ -305,9 +296,6 @@ class DiagonalMetric(NamedTuple):
 
     def solve(self, g):
         return (g * self.r) * self.r
-
-    def matvec(self, d):
-        return self.D * d
 
     def quad(self, d):
         return float(d.dot(self.D * d))
@@ -361,17 +349,11 @@ def _read_only(*arrays):
         a.flags.writeable = False
 
 
-def _scaled_eye(n, c):
-    out = np.eye(n)
-    out *= c
-    return out
-
-
 def _cholesky(M, failure):
     try:
         return cholesky_spd(M)
     except NotPositiveDefinite as exc:
-        raise ProximalNotPD(f"{failure}: {exc}") from None
+        raise NotPositiveDefinite(f"{failure}: {exc}") from None
 
 
 def _capacitance(P, D, ell, beta, cached):
@@ -432,9 +414,10 @@ def _metric_y(P, model, sigma, beta):
     if model.ndim == 1:
         D = model + (beta + sigma)
         if not (D > 0.0).all():
-            raise ProximalNotPD(f"y-metric not positive definite at sigma = {sigma}")
+            raise NotPositiveDefinite(f"y-metric not positive definite at sigma = {sigma}")
         return DiagonalMetric(model, sigma, D, 1.0 / np.sqrt(D))
-    Hcal = _scaled_eye(P.n2, beta + sigma)
+    Hcal = np.eye(P.n2)
+    Hcal *= beta + sigma
     Hcal += model
     factor = _cholesky(Hcal, f"y-metric not positive definite at sigma = {sigma}")
     return BlockMetric(model, sigma, Hcal, factor)
@@ -461,13 +444,12 @@ def _metric(H, weight, kept, metric_at):
             weight *= 2.0
 
 
-def _state(P, params, k, w, d_y_prev, x_eval, y_eval, L_beta, H_x=None, H_y=None, prev=None):
-    # the SolverState at w with the metrics of the Hessian models H_x, H_y at
-    # w (by default the problem's), each kept from ``prev``, the previous
-    # state, where it fits (see _metric); its params hold the weights used and
-    # its eta_y grows with a new y-model only
-    if H_x is None:
-        H_x, H_y = hessian_pair(P, w.x, w.y)
+def _state(P, params, k, w, d_y_prev, x_eval, y_eval, L_beta, prev=None):
+    # the SolverState at w with the metrics of the problem's Hessian models at
+    # w, each kept from ``prev``, the previous state, where it fits (see
+    # _metric); its params hold the weights used and its eta_y grows with a
+    # new y-model only
+    H_x, H_y = hessian_pair(P, w.x, w.y)
     kept_x, kept_y = (None, None) if prev is None else (prev.metric_x, prev.metric_y)
     metric_x = _metric(H_x, params.ell, kept_x, lambda model, ell: _metric_x(P, model, ell, params.beta, kept_x))
     metric_y = _metric(H_y, params.sigma, kept_y, lambda model, sigma: _metric_y(P, model, sigma, params.beta))
@@ -589,19 +571,18 @@ def _quiet_numerics(fn):
     return wrapper
 
 
-def initial_state(P, w0, params, H_x=None, H_y=None):
+def initial_state(P, w0, params):
     """The :class:`SolverState` at ``w0`` that :func:`iterate_once` starts from.
 
-    ``H_x`` / ``H_y`` are the Hessian models at ``w0``, given together, each an
-    ``(n, n)`` matrix or the ``(n,)`` diagonal of a diagonal model; by default
-    they come from :func:`~prsqp.problems.hessian_pair`, in the shapes the
-    problem returns. The shape picks the metric (see the module docstring), so
-    a diagonal model given as a matrix takes the dense path. The solver works
-    on read-only copies of the models and of ``w0``'s arrays, so the caller's
-    stay writable and no later write to them reaches the state. Both metrics
-    are factored, ``ell`` / ``sigma`` doubled until each factors; the state's
-    ``params`` is then a copy holding the weights used. ``params`` itself is
-    never changed.
+    The Hessian models at ``w0`` come from
+    :func:`~prsqp.problems.hessian_pair`, in the shapes the problem returns:
+    each an ``(n, n)`` matrix or the ``(n,)`` diagonal of a diagonal model. The
+    shape picks the metric (see the module docstring), so a diagonal model
+    given as a matrix takes the dense path. The solver works on read-only
+    copies of the models and of ``w0``'s arrays, so the caller's stay writable
+    and no later write to them reaches the state. Both metrics are factored,
+    ``ell`` / ``sigma`` doubled until each factors; the state's ``params`` is
+    then a copy holding the weights used. ``params`` itself is never changed.
 
     Raises ``TypeError`` when ``params`` is no :class:`SolverParams` or ``w0``
     no :class:`~prsqp.alf.Iterate`, :class:`~prsqp.core.DimensionMismatch`
@@ -616,12 +597,10 @@ def initial_state(P, w0, params, H_x=None, H_y=None):
         raise DimensionMismatch(
             f"w0 has shapes x:{w0.x.shape}, y:{w0.y.shape}; problem expects {P.n1}/{P.n2}"
         )
-    if (H_x is None) != (H_y is None):
-        raise TypeError("give both Hessian models or neither")
     w = Iterate(w0.x.copy(), w0.y.copy(), w0.lam.copy())
     d_y_prev = np.zeros(P.n2)
     _read_only(w.x, w.y, w.lam, d_y_prev)
-    return _state(P, params, 0, w, d_y_prev, PointEval(P, w.x), YPointEval(P, w.y), None, H_x, H_y)
+    return _state(P, params, 0, w, d_y_prev, PointEval(P, w.x), YPointEval(P, w.y), None)
 
 
 @_quiet_numerics
@@ -699,13 +678,11 @@ def iterate_once(state, keep_internals=False):
             d_x=d_x,
             quad_x=state.metric_x.quad(d_x),
             gx_dot_dx=float(gx @ d_x),
-            model_residual_x=float(np.abs(gx + state.metric_x.matvec(x_tilde - w.x)).max()),
             x_tilde=x_tilde,
             gy=gy,
             d_y=d_y,
             quad_y=state.metric_y.quad(d_y),
             gy_dot_dy=float(gy @ d_y),
-            model_residual_y=float(np.abs(gy + state.metric_y.matvec(y_tilde - w.y)).max()),
             y_tilde=y_tilde,
             lam_half=lam_half,
         )
@@ -729,7 +706,7 @@ def run(P, w0, params, callback: Optional[Callable[[IterationOutcome], None]] = 
     repaired weight lives in the states, and the result reports the last
     state's weights. ``callback``, when given, receives each
     :class:`IterationOutcome` (with internals attached). The result is
-    ``theory_supported`` when ``alpha < 1/rho - 1``. Errors in the inputs propagate.
+    ``theory_supported`` when ``1/(1 + alpha) - rho > 0``. Errors in the inputs propagate.
     """
     trace: List[StepRecord] = []
     state = None
@@ -762,7 +739,7 @@ def run(P, w0, params, callback: Optional[Callable[[IterationOutcome], None]] = 
         final=w0 if state is None else state.w,
         status=status,
         trace=trace,
-        theory_supported=bool(params.alpha < 1.0 / params.rho - 1.0),
+        theory_supported=bool(_alpha_supported(params.rho, params.alpha)),
         stop_reason=reason,
         ell=last.ell,
         sigma=last.sigma,

@@ -333,15 +333,17 @@ def test_run_sweep_without_thread_variables_gives_the_serial_rows(tmp_path):
     assert rows[False]["1"] == rows[False]["2"] == rows[True]["1"] == rows[True]["2"]
 
 
-def test_sweep_workers_start_with_one_blas_thread_where_no_variable_is_set(tmp_path, monkeypatch):
+@pytest.fixture
+def pool_starts(monkeypatch):
+    # stands in for the process pool: records the worker count it is asked
+    # for, how its workers would start and the thread variables they would
+    # inherit, and runs the rows here
     starts = []
 
     class RecordingPool:
-        # stands in for the process pool: records how its workers would start
-        # and the thread variables they would inherit, and runs the rows here
         def __init__(self, max_workers, mp_context=None):
             method = mp_context.get_start_method() if mp_context else None
-            starts.append((method, {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}))
+            starts.append((max_workers, method, {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}))
 
         def __enter__(self):
             return self
@@ -353,14 +355,18 @@ def test_sweep_workers_start_with_one_blas_thread_where_no_variable_is_set(tmp_p
             return map(fn, *iterables)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return starts
+
+
+def test_sweep_workers_start_with_one_blas_thread_where_no_variable_is_set(tmp_path, monkeypatch, pool_starts):
     problem_file, _ = _quadratic_file(tmp_path)
-    cfg = parse_sweep(_sweep_config(tmp_path, problem_file, [[0.1, 1.0]], [0.0], max_workers=2))
+    cfg = parse_sweep(_sweep_config(tmp_path, problem_file, [[0.1, 1.0], [-0.1, 1.0]], [0.0], max_workers=2))
     omp, openblas, mkl = _BLAS_THREAD_VARS
     cases = [
-        ({}, ("spawn", {omp: "1", openblas: "1", mkl: "1"})),
-        ({mkl: "4"}, ("spawn", {omp: "1", openblas: "1", mkl: "4"})),
-        ({openblas: "3", omp: "2"}, ("spawn", {omp: "2", openblas: "3", mkl: "1"})),
-        ({omp: "2", openblas: "2", mkl: "2"}, (None, {omp: "2", openblas: "2", mkl: "2"})),
+        ({}, (2, "spawn", {omp: "1", openblas: "1", mkl: "1"})),
+        ({mkl: "4"}, (2, "spawn", {omp: "1", openblas: "1", mkl: "4"})),
+        ({openblas: "3", omp: "2"}, (2, "spawn", {omp: "2", openblas: "3", mkl: "1"})),
+        ({omp: "2", openblas: "2", mkl: "2"}, (2, None, {omp: "2", openblas: "2", mkl: "2"})),
     ]
     for set_by_caller, start in cases:
         for var in _BLAS_THREAD_VARS:
@@ -368,9 +374,22 @@ def test_sweep_workers_start_with_one_blas_thread_where_no_variable_is_set(tmp_p
         for var, value in set_by_caller.items():
             monkeypatch.setenv(var, value)
         environ = dict(os.environ)
-        assert run_sweep(cfg)[0]["status"] in ("Converged", "IterLimit")
-        assert starts[-1] == start
+        assert all(row["status"] in ("Converged", "IterLimit") for row in run_sweep(cfg))
+        assert pool_starts[-1] == start
         assert dict(os.environ) == environ
+
+
+def test_run_sweep_starts_at_most_one_worker_per_row(tmp_path, monkeypatch, pool_starts):
+    # a forking pool starts every worker it is given at the first submit
+    for var in _BLAS_THREAD_VARS:
+        monkeypatch.setenv(var, "1")  # the fork path
+    problem_file, _ = _quadratic_file(tmp_path)
+    rs_grid = [[0.1, 1.0], [-0.1, 1.0], [0.5, 0.5]]
+    for rows, max_workers, pool in ((3, 64, 3), (2, 64, 2), (3, 2, 2), (1, 64, None), (3, 1, None)):
+        pool_starts.clear()
+        cfg = parse_sweep(_sweep_config(tmp_path, problem_file, rs_grid[:rows], [0.0], max_workers=max_workers))
+        assert len(run_sweep(cfg)) == rows
+        assert [workers for workers, *_ in pool_starts] == ([] if pool is None else [pool])
 
 
 def test_sweep_csv_rows_round_trip_exactly(tmp_path):

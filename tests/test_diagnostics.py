@@ -15,7 +15,6 @@ from prsqp import (
     compute_deltas,
     compute_gamma,
     diagnostics_report,
-    hessian_pair,
     initial_state,
     iterate_once,
     kkt_residual,
@@ -110,8 +109,7 @@ def test_spectral_bounds_accept_the_models_iterate_once_returns():
     P = make_classification(20, 20, rng=make_rng(31))
     params = SolverParams()
     w0 = Iterate(np.zeros(P.n1), np.zeros(P.n2), np.zeros(P.n2))
-    H_x, H_y = hessian_pair(P, w0.x, w0.y)
-    state = iterate_once(initial_state(P, w0, params, H_x, H_y)).state
+    state = iterate_once(initial_state(P, w0, params)).state
     h_x, h_y = state.metric_x.model, state.metric_y.model
     assert h_y.shape == (P.n2,)
     dense = spectral_bounds(P, params, h_x, np.diag(h_y))

@@ -13,13 +13,10 @@ from prsqp import (
     diagnostics_report,
     forward_difference,
     hessian_pair,
-    huber,
     make_classification,
     make_huber_lasso,
     make_quadratic,
     make_rng,
-    matrix_from_json,
-    matrix_to_json,
     max_eigenvalue,
     min_eigenvalue,
     normal_sample,
@@ -30,39 +27,50 @@ from prsqp import (
     run,
 )
 from prsqp.cli import _summarize
+from prsqp.problems import _huber_deriv, _huber_value, _matrix_from_json, _matrix_to_json
 from toys import central_diff, rel_err
 
 
 # ----- huber ------------------------------------------------------------------
 
 
+def _huber(z, mu):
+    # the Huber-LASSO's value and derivative kernels at z
+    return _huber_value(z, mu), _huber_deriv(z, mu)
+
+
 def test_huber_frozen_values():
-    assert huber(0.0, 0.1) == (0.0, 0.0)
-    v, d = huber(0.05, 0.1)
+    assert _huber(0.0, 0.1) == (0.0, 0.0)
+    v, d = _huber(0.05, 0.1)
     assert abs(v - 0.0125) <= 1e-15 and d == 0.5
-    assert huber(1.0, 0.1) == (0.95, 1.0)
+    assert _huber(1.0, 0.1) == (0.95, 1.0)
 
 
 def test_huber_elementwise_and_odd_symmetry():
     z = np.array([-1.0, -0.05, 0.0, 0.05, 1.0])
-    value, deriv = huber(z, 0.1)
+    value, deriv = _huber(z, 0.1)
     assert np.allclose(value, [0.95, 0.0125, 0.0, 0.0125, 0.95])
     assert np.allclose(deriv, [-1.0, -0.5, 0.0, 0.5, 1.0])
+    # the problem's f and grad f are tau times their sum and their values
+    P = make_huber_lasso(2, 5, tau=0.5, mu=0.1, rng=make_rng(6))
+    assert P.eval_f(z) == 0.5 * float(value.sum())
+    assert np.array_equal(P.grad_f(z), 0.5 * deriv)
 
 
 def test_huber_boundary_continuity():
     mu = 0.3
     eps = 1e-9
-    v_in, d_in = huber(mu - eps, mu)
-    v_at, d_at = huber(mu, mu)
+    v_in, d_in = _huber(mu - eps, mu)
+    v_at, d_at = _huber(mu, mu)
     assert abs(v_in - v_at) <= 1e-8
     assert abs(d_in - d_at) <= 1e-8
     assert v_at == mu / 2.0 and d_at == 1.0
 
 
 def test_huber_requires_positive_knee():
-    with pytest.raises(ValueError):
-        huber(1.0, 0.0)
+    for mu in (0.0, -0.1):
+        with pytest.raises(ValueError, match="tau and mu must be positive"):
+            make_huber_lasso(3, 6, mu=mu, rng=make_rng(6))
 
 
 # ----- forward difference -----------------------------------------------------
@@ -182,8 +190,8 @@ def test_lasso_values_at_zero_and_planted_signal():
     assert P.eval_f(np.zeros(64)) == 0.0
     assert np.max(np.abs(P.grad_f(np.zeros(64)))) == 0.0
     # at the planted signal the residual term vanishes, leaving the smoothed-L1 part
-    value, _ = huber(P.data.u, P.data.mu)
-    expected = P.data.tau * float(np.sum(value))
+    u, mu = P.data.u, P.data.mu
+    expected = P.data.tau * float(np.sum(np.where(np.abs(u) < mu, u * u / (2.0 * mu), np.abs(u) - mu / 2.0)))
     assert abs(composite_objective(P, P.data.u) - expected) <= 1e-12
 
 
@@ -384,7 +392,7 @@ def test_lasso_solve_and_summary_leave_spectra_and_gram_matrix_unformed(monkeypa
 
 def test_matrix_json_round_trip():
     M = np.array([[1.5, -2.0], [0.0, 3.25], [1e-17, 7.0]])
-    back = matrix_from_json(matrix_to_json(M))
+    back = _matrix_from_json(_matrix_to_json(M))
     assert np.array_equal(M, back)
 
 
@@ -420,11 +428,11 @@ def test_problem_json_rejects_non_number_weights_and_non_integer_sizes():
     ):
         with pytest.raises(ValueError, match=f"{key} must be a finite real number, got {bad!r}"):
             problem_from_json({**obj, key: bad})
-    row, column = matrix_to_json(np.ones((1, 3))), matrix_to_json(np.ones((3, 1)))
+    row, column = _matrix_to_json(np.ones((1, 3))), _matrix_to_json(np.ones((3, 1)))
     for obj, key, bad in ((row, "rows", 1.5), (row, "rows", True), (column, "cols", 1.0), (column, "cols", "1")):
         with pytest.raises(ValueError, match=f"{key} must be an integer, got {bad!r}"):
-            matrix_from_json({**obj, key: bad})
-    assert matrix_from_json({**row, "rows": np.int64(1)}).shape == (1, 3)
+            _matrix_from_json({**obj, key: bad})
+    assert _matrix_from_json({**row, "rows": np.int64(1)}).shape == (1, 3)
 
 
 def _with_first_entry(obj, key, value):
@@ -452,7 +460,7 @@ def test_problem_json_rejects_non_number_and_non_finite_array_entries():
             with pytest.raises(ValueError, match=f"{key} must be a list of numbers, got str"):
                 problem_from_json({**obj, key: "1.0"})
     # JSON integers are numbers
-    assert np.array_equal(matrix_from_json({"rows": 1, "cols": 2, "data": [1, np.int64(2)]}), [[1.0, 2.0]])
+    assert np.array_equal(_matrix_from_json({"rows": 1, "cols": 2, "data": [1, np.int64(2)]}), [[1.0, 2.0]])
     assert problem_from_json(_with_first_entry(cls, "labels", 1)).data.labels[0] == 1.0
 
 
@@ -463,5 +471,3 @@ def test_builders_reject_nan_weights():
     for tau, mu in ((float("nan"), 0.1), (1e-3, float("nan"))):
         with pytest.raises(ValueError, match="tau and mu must be positive"):
             make_huber_lasso(3, 6, tau=tau, mu=mu, rng=rng)
-    with pytest.raises(ValueError, match="mu must be positive"):
-        huber(1.0, float("nan"))

@@ -1,4 +1,5 @@
-"""Names and configs other code looks up at run time must keep resolving.
+"""Names and configs other code looks up at run time must keep resolving, and
+every public name must have a user.
 
 ``perfbench/tracer.py`` fetches prsqp's layer functions, and the callables of
 the problems it traces, with ``getattr``, so deleting or renaming one in
@@ -7,8 +8,13 @@ the problems it traces, with ``getattr``, so deleting or renaming one in
 ``cli.build_problem``, so a stricter config parser or a changed builder must
 still accept them, and it drives ``solver.run`` and ``cli.run_sweep`` through
 entry points that must keep running.
+
+A name in ``prsqp.__all__`` that only the unit tests call is a wrapper kept
+for its tests; :func:`test_every_public_name_has_a_user_outside_the_unit_tests`
+reads the code with ``ast`` to find one.
 """
 
+import ast
 import importlib
 import importlib.util
 import sys
@@ -18,7 +24,9 @@ from pathlib import Path
 import prsqp
 from prsqp.cli import _parse_problem, build_problem, run_sweep
 
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+PACKAGE = ROOT / "src" / "prsqp"
 
 
 def _load(name):
@@ -84,3 +92,62 @@ def test_bench_entry_points_run_on_small_instances(monkeypatch):
     rows = run_sweep(harness.sweep_config(wl, 1, 1))
     assert harness.sweep_gate(wl, rows) == []
     assert all(1 <= row["iter"] <= 50 for row in rows)
+
+
+def _parse(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _exported(tree):
+    # the names a module's ``from ... import`` statements bind, and its __all__
+    imported = [
+        alias.asname or alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names
+    ]
+    (listed,) = [
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["__all__"]
+    ]
+    return imported, listed
+
+
+def _uses(tree):
+    # (name, names of the enclosing definitions) for each name and attribute
+    # read in tree; an assignment target is a definition, not a read
+    out = []
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.append((node.id, inside))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            out.append((node.attr, inside))
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(tree, frozenset())
+    return out
+
+
+def test_init_imports_exactly_the_public_names():
+    imported, listed = _exported(_parse(PACKAGE / "__init__.py"))
+    assert sorted(imported) == sorted(listed) == sorted(prsqp.__all__)
+
+
+def test_every_public_name_has_a_user_outside_the_unit_tests():
+    # used: read in src/ outside its own definition and __init__, read in
+    # demos/ or perfbench/, or named by a string in perfbench/ (the tracer
+    # looks names up by string); or imported by the acceptance tests
+    used = set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name != "__init__.py":
+            used |= {name for name, inside in _uses(_parse(path)) if name not in inside}
+    for path in [*(ROOT / "demos").glob("*.py"), *PERFBENCH.glob("*.py")]:
+        tree = _parse(path)
+        used |= {name for name, _ in _uses(tree)}
+        if path.parent == PERFBENCH:
+            used |= {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
+    acceptance = _parse(ROOT / "tests" / "test_acceptance.py")
+    used |= {a.name for n in ast.walk(acceptance) if isinstance(n, ast.ImportFrom) for a in n.names}
+    assert sorted(set(prsqp.__all__) - used) == []

@@ -21,7 +21,6 @@ from prsqp import (
     dual_update,
     eval_alf,
     eval_merit_hat,
-    hessian_pair,
     hybrid_accelerate,
     initial_state,
     iterate_once,
@@ -147,6 +146,31 @@ def test_validate_params_requires_a_boolean_relaxed_alpha():
     assert SolverParams(alpha=2.0, relaxed_alpha=np.True_).alpha == 2.0
 
 
+def test_acceleration_range_is_one_rule_at_its_boundary():
+    # alpha < 1/rho - 1 and c = 1/(1 + alpha) - rho > 0 round apart on these
+    # pairs; validation, run's theory tag, the step floor and the recipes all
+    # test c > 0
+    P = make_quadratic([1.0], [0.0], [[1.0]])
+    w0 = _w(0.0, 0.0, 0.0)
+    rho, alpha = 0.6342224535750253, 0.5767338326846309  # alpha < 1/rho - 1 holds, c = 0
+    assert alpha < 1.0 / rho - 1.0 and not 1.0 / (1.0 + alpha) - rho > 0.0
+    assert any(v.startswith(f"alpha = {alpha} is not below 1/rho - 1") for v in _violations(rho=rho, alpha=alpha))
+    relaxed = SolverParams(rho=rho, alpha=alpha, relaxed_alpha=True, max_iter=3)
+    assert not run(P, w0, relaxed).theory_supported
+    with pytest.warns(UserWarning, match="step floor degenerates"):
+        assert diagnostics_report(P, relaxed).gamma == 0.0
+    with pytest.raises(ValueError, match="recipes need alpha < 1/rho - 1"):
+        suggest_params("alda", P, base=relaxed)
+    rho, alpha = 0.02619708281795851, 37.17218913071055  # alpha < 1/rho - 1 fails, c = 3.5e-18
+    assert not alpha < 1.0 / rho - 1.0 and 1.0 / (1.0 + alpha) - rho > 0.0
+    params = SolverParams(rho=rho, alpha=alpha, max_iter=3)
+    assert validate_params(params) == [] and run(P, w0, params).theory_supported
+    assert diagnostics_report(P, params).gamma > 0.0
+    # past the range test, the recipe cannot certify margins on so small a floor
+    with pytest.raises(ValueError, match="recipe failed to certify positive margins"):
+        suggest_params("alda", P, base=params)
+
+
 def test_params_cannot_change_under_a_state():
     # a state's metrics are factored at its params' weights, so a write to the
     # params would leave them stale; a changed set is a new object and a new state
@@ -172,9 +196,16 @@ def _half_square_problem():
     return make_quadratic([0.0], [0.0], [[1.0]])
 
 
-def _internals(P, w, params, H_x=None, H_y=None):
-    # the per-block internals of one iteration from w, at the models given or at w's
-    return iterate_once(initial_state(P, w, params, H_x, H_y), keep_internals=True).internals
+def _internals(P, w, params):
+    # the per-block internals of one iteration from w
+    return iterate_once(initial_state(P, w, params), keep_internals=True).internals
+
+
+def _matrix_models(P):
+    # the same problem with both Hessian models given as matrices, so the
+    # solver forms and factors both metrics densely
+    dense = lambda H: np.diag(H) if H.ndim == 1 else H
+    return replace(P, hess_f_at=lambda x: dense(P.hess_f_at(x)), hess_g_at=lambda y: dense(P.hess_g_at(y)))
 
 
 def test_solve_x_stationary_input_is_fixed():
@@ -221,18 +252,17 @@ def test_subproblem_model_stationarity_random():
     rng = make_rng(30)
     params = SolverParams()
     for _ in range(10):
-        P = random_quadratic(5, 4, rng)
+        P = _matrix_models(random_quadratic(5, 4, rng))  # H_x = I and H_y = I, as matrices
         w = Iterate(normal_sample(rng, 5), normal_sample(rng, 4), normal_sample(rng, 4))
         H_x = np.eye(5)
         H_y = np.eye(4)
-        out = iterate_once(initial_state(P, w, params, H_x, H_y), keep_internals=True)
+        out = iterate_once(initial_state(P, w, params), keep_internals=True)
         it = out.internals
         Hcal_x = H_x + params.beta * P.AtA + params.ell * np.eye(5)
         resid = P.apply_A(w.x) - w.y
         gx = P.grad_f(w.x) - P.apply_At(w.lam - params.beta * resid)
         tol_x = 1e-12 * (1.0 + np.max(np.abs(gx)))
         assert np.max(np.abs(gx + Hcal_x @ (it["x_tilde"] - w.x))) <= tol_x
-        assert it["model_residual_x"] <= tol_x
 
         # the y step runs at the accepted x and the half-step multiplier
         lam_half = it["lam_half"]
@@ -241,7 +271,6 @@ def test_subproblem_model_stationarity_random():
         gy = P.grad_g(w.y) + lam_half - params.beta * (P.apply_A(x_next) - w.y)
         tol_y = 1e-10 * (1.0 + np.max(np.abs(gy)))
         assert np.max(np.abs(gy + Hcal_y @ (it["y_tilde"] - w.y))) <= tol_y
-        assert it["model_residual_y"] <= tol_y
 
 
 # ----- acceleration ----------------------------------------------------------------
@@ -266,9 +295,9 @@ def test_hybrid_accelerate_rejects_alpha_at_minus_one():
 # ----- line search -------------------------------------------------------------------
 
 
-def _search(P, w, d, params, block="x", H_x=None, H_y=None):
+def _search(P, w, d, params, block="x"):
     # line_search from the state at w, in its metric and with its records of w.x and w.y
-    state = initial_state(P, w, params, H_x, H_y)
+    state = initial_state(P, w, params)
     metric = state.metric_x if block == "x" else state.metric_y
     return line_search(P, w, d, metric, params, block, state.x_eval, state.y_eval)
 
@@ -295,20 +324,25 @@ def test_line_search_accepts_unit_step_on_quadratic():
     assert np.allclose(step.x_eval.x, [1.0], atol=1e-14)
 
 
+def _quartic_with_unit_model():
+    # f = x^4, searched in the metric of the model H = 1 (Hcal = 2) instead of its Hessian 12 x^2
+    return decoupled_problem(lambda x: x**4, lambda x: 4.0 * x**3, lambda x: 1.0)
+
+
 def test_line_search_backtracks_on_quartic():
-    P = decoupled_problem(lambda x: x**4, lambda x: 4.0 * x**3, lambda x: 12.0 * x * x)
+    P = _quartic_with_unit_model()
     params = SolverParams(rho=0.4, nu=0.6, beta=1.0, ell=1.0)
     d = np.array([-2.0])  # model step from H = 1 (Hcal = 2): 1 - 4/2 = -1, direction -2
-    step = _search(P, _w(1.0, 0.0, 0.0), d, params, H_x=np.eye(1), H_y=np.zeros(1))
+    step = _search(P, _w(1.0, 0.0, 0.0), d, params)
     assert step.backtracks == 3
     assert abs(step.t - 0.6**3) <= 1e-15
 
 
 def test_line_search_exhausts_budget():
-    P = decoupled_problem(lambda x: x**4, lambda x: 4.0 * x**3, lambda x: 12.0 * x * x)
+    P = _quartic_with_unit_model()
     params = SolverParams(rho=0.4, nu=0.6, beta=1.0, ell=1.0, max_backtracks=2)
     with pytest.raises(LineSearchFailed):
-        _search(P, _w(1.0, 0.0, 0.0), np.array([-2.0]), params, H_x=np.eye(1), H_y=np.zeros(1))
+        _search(P, _w(1.0, 0.0, 0.0), np.array([-2.0]), params)
 
 
 def test_line_search_rejects_unknown_block():
@@ -338,7 +372,7 @@ def test_dual_update_dimension_check():
 def test_iterate_once_is_fixed_at_first_order_point():
     P = make_quadratic([1.0], [0.0], [[1.0]])
     x, y, lam = quadratic_kkt_point(P)
-    state = initial_state(P, Iterate(x, y, lam), SolverParams(), np.eye(1), np.eye(1))
+    state = initial_state(_matrix_models(P), Iterate(x, y, lam), SolverParams())
     out = iterate_once(state)
     assert np.max(np.abs(out.state.w.concat() - state.w.concat())) <= 1e-14
     assert out.record.norm_dx == 0.0 and out.record.norm_dy == 0.0
@@ -350,9 +384,8 @@ def test_iterate_once_decreases_merit_under_certified_margins():
     params = suggest_params("alda", P)
     report = diagnostics_report(P, params)
     assert report.delta_x > 0 and report.delta_y > 0
-    H_x, H_y = np.eye(1), np.eye(1)
-    eta2_y = spectral_bounds(P, params, H_x, H_y).eta2_y
-    state = initial_state(P, _w(2.0, -1.0, 0.5), params, H_x, H_y)
+    eta2_y = spectral_bounds(P, params, np.eye(1), np.eye(1)).eta2_y
+    state = initial_state(_matrix_models(P), _w(2.0, -1.0, 0.5), params)
     assert state.eta_y + params.beta + params.sigma == eta2_y  # the bound of the record's L_hat
     before = eval_merit_hat(P, state, params, eta2_y)
     out = iterate_once(state)
@@ -386,7 +419,7 @@ def _concave_scalar():
 def test_iterate_once_repairs_indefinite_metric():
     P = _concave_scalar()
     params = SolverParams(beta=1.0, ell=1.0, sigma=1.0)
-    state = initial_state(P, _w(0.3, 0.0, 0.0), params, np.array([[-5.0]]), np.eye(1))
+    state = initial_state(P, _w(0.3, 0.0, 0.0), params)  # H_x = -5
     # -5 + 1 + ell must exceed 0: 1 -> 2 -> 4 -> 8, in the state's params only
     assert state.params.ell == 8.0 and params.ell == 1.0
     out = iterate_once(state)
@@ -397,10 +430,10 @@ def test_iterate_once_repairs_indefinite_metric():
 def test_iterate_once_direction_descent_identity():
     rng = make_rng(32)
     for alpha in (-0.5, 0.0, 1.0):
-        P = random_quadratic(4, 3, rng)
+        P = _matrix_models(random_quadratic(4, 3, rng))
         params = SolverParams(alpha=alpha)
         w = Iterate(normal_sample(rng, 4), normal_sample(rng, 3), normal_sample(rng, 3))
-        out = iterate_once(initial_state(P, w, params, np.eye(4), np.eye(3)), keep_internals=True)
+        out = iterate_once(initial_state(P, w, params), keep_internals=True)
         it = out.internals
         scale = 1.0 / (1.0 + alpha)
         assert abs(it["gx_dot_dx"] + scale * it["quad_x"]) <= 1e-9 * max(1.0, abs(it["quad_x"]))
@@ -591,16 +624,16 @@ def test_run_names_the_stop_rule_that_fired_or_the_breakdown():
 
 def _run_refactoring_every_step(P, w0, params):
     # reference for run(): the same loop over iterate_once, but each iteration
-    # starts from a fresh initial_state at the iterate and the models of the
-    # previous state, so every metric is built and factored afresh and every
-    # value at the iterate is evaluated again; k, d_y_prev and eta_y are kept
+    # starts from a fresh initial_state at the iterate, so every model is
+    # evaluated, every metric built and factored and every value at the
+    # iterate evaluated afresh; k, d_y_prev and eta_y are kept
     state = initial_state(P, w0, params)
     trace = []
     status = SolveStatus.ITER_LIMIT
     for k in range(params.max_iter):
         prev = state.w.concat()
         try:
-            fresh = initial_state(P, state.w, state.params, state.metric_x.model, state.metric_y.model)
+            fresh = initial_state(P, state.w, state.params)
             out = iterate_once(fresh._replace(k=state.k, d_y_prev=state.d_y_prev, eta_y=state.eta_y))
         except LineSearchFailed:
             status = SolveStatus.LINE_SEARCH_FAILED
@@ -905,7 +938,9 @@ def _assert_traces_close(result, reference):
 
 def test_structured_x_step_matches_dense_metric():
     for P, w, params in _structured_cases():
-        out, dense = (iterate_once(initial_state(Q, w, params), keep_internals=True) for Q in (P, _dense_twin(P)))
+        start = initial_state(P, w, params)
+        out = iterate_once(start, keep_internals=True)
+        dense = iterate_once(initial_state(_dense_twin(P), w, params), keep_internals=True)
         it, dense_it = out.internals, dense.internals
         metric, dense_metric = out.state.metric_x, dense.state.metric_x
         assert isinstance(metric, prsqp.solver.LowRankMetric)
@@ -913,11 +948,14 @@ def test_structured_x_step_matches_dense_metric():
         assert np.array_equal(np.diag(metric.model), dense_metric.model)  # the refreshed model, as its diagonal
         assert _close(it["x_tilde"], dense_it["x_tilde"])
         assert _close(it["quad_x"], dense_it["quad_x"])
-        assert it["model_residual_x"] <= 1e-10 * (1.0 + np.max(np.abs(it["gx"])))
+        # x_tilde solves the x-model in the dense metric at w
+        Hcal = np.diag(start.metric_x.model + start.metric_x.weight) + params.beta * (P.A.T @ P.A)
+        model_residual = np.max(np.abs(it["gx"] + Hcal @ (it["x_tilde"] - w.x)))
+        assert model_residual <= 1e-10 * (1.0 + np.max(np.abs(it["gx"])))
         # the next state's metrics at the refreshed model agree as operators
+        assert _close(np.diag(metric.D) + metric.beta * (P.A.T @ P.A), dense_metric.Hcal)
         for d in (it["d_x"], normal_sample(make_rng(55), P.n1)):
             assert _close(metric.quad(d), dense_metric.quad(d))
-            assert _close(metric.matvec(d), dense_metric.matvec(d))
             assert _close(metric.solve(d), dense_metric.solve(d))
 
 
@@ -964,17 +1002,23 @@ def test_structured_metric_factors_only_capacitance_matrices(monkeypatch):
         run(_dense_twin(P), _zero_start(P), SolverParams(tol_step=0.0, max_iter=100))
         assert (P.n1, P.n1) in shapes
     # the shape of H_x, not its entries, picks the metric: a diagonal H_x
-    # given as a matrix is factored densely, and the refresh from the problem's
-    # own (64,) model is structured again
+    # given as a matrix at w is factored densely, and the refresh from the
+    # problem's own (64,) model is structured again
     P = make_huber_lasso(16, 64, rng=make_rng(56))
     rng = make_rng(58)
     w = Iterate(0.1 * normal_sample(rng, 64), normal_sample(rng, 16), normal_sample(rng, 16))
-    h, H_y = hessian_pair(P, w.x, w.y)
+    models = []
+
+    def matrix_at_w(x):  # hess f, as a matrix on its first call only
+        models.append(P.hess_f_at(x))
+        return np.diag(models[-1]) if len(models) == 1 else models[-1]
+
     outcomes = []
-    for H_x, factored in ((h, {(16, 16)}), (np.diag(h), {(64, 64), (16, 16)})):
+    for Q, factored in ((P, {(16, 16)}), (replace(P, hess_f_at=matrix_at_w), {(64, 64), (16, 16)})):
         shapes.clear()
-        outcomes.append(iterate_once(initial_state(P, w, SolverParams(), H_x, H_y), keep_internals=True))
+        outcomes.append(iterate_once(initial_state(Q, w, SolverParams()), keep_internals=True))
         assert set(shapes) == factored
+    assert len(models) == 2 and outcomes[1].state.metric_x.model.tobytes() == models[1].tobytes()
     diagonal, matrix = outcomes
     assert isinstance(matrix.state.metric_x, prsqp.solver.LowRankMetric)
     assert matrix.state.metric_x.model.shape == diagonal.state.metric_x.model.shape == (64,)
@@ -1002,8 +1046,8 @@ def test_diagonal_y_metric_matches_the_dense_metric_of_its_diagonal():
         assert isinstance(dense, prsqp.solver.BlockMetric)
         for v in (normal_sample(rng, n), 1e-3 * normal_sample(rng, n)):
             assert _close(diagonal.solve(v), dense.solve(v), 1e-14)
-            assert _close(diagonal.matvec(v), dense.matvec(v), 1e-14)
             assert _close(diagonal.quad(v), dense.quad(v), 1e-14)
+        assert np.array_equal(np.diag(diagonal.D), dense.Hcal)  # the same operator
 
 
 def _separable_g(c):
