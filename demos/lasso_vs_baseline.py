@@ -30,12 +30,12 @@ def main():
 
     # where the default stop would land on this instance, and where the
     # relative-step test alone would have ended the run
-    default_stop = run(P, w0, SolverParams(beta=10.0, alpha=0.5, relaxed_alpha=True))
-    step_only = run(P, w0, SolverParams(beta=10.0, alpha=0.5, relaxed_alpha=True, tol_kkt=np.inf))
+    default_stop = run(P, w0, SolverParams(beta=10.0, alpha=0.5))
+    step_only = run(P, w0, SolverParams(beta=10.0, alpha=0.5, tol_kkt=np.inf))
 
     # tol_step=0-like horizon: run both methods to the last milestone
     horizon = MILESTONES[-1]
-    params = SolverParams(beta=10.0, alpha=0.5, relaxed_alpha=True, max_iter=horizon, tol_step=1e-12)
+    params = SolverParams(beta=10.0, alpha=0.5, max_iter=horizon, tol_step=1e-12)
     result = run(P, w0, params)
     gd = gradient_descent(P, x0, GdParams(max_iter=horizon, tol=0.0))
 

@@ -141,11 +141,15 @@ def _floor_factor(rho, alpha):
     return 1.0 / (1.0 + alpha) - rho
 
 
-def _alpha_supported(rho, alpha):
-    # the acceleration range of the theory, c > 0: gamma and the recipes are
-    # built on c. In exact arithmetic this is alpha < 1/rho - 1, but the two
-    # forms round apart at the boundary, so every site tests this one.
-    return _floor_factor(rho, alpha) > 0.0
+def _outside_range(rho, alpha):
+    # "" inside the acceleration range of the theory, c > 0, on which gamma
+    # and the recipes are built; else the message that says so. In exact
+    # arithmetic c > 0 is alpha < 1/rho - 1, but the two forms round apart at
+    # the boundary, so every site tests and words this one.
+    c = _floor_factor(rho, alpha)
+    if c > 0.0:
+        return ""
+    return f"alpha = {alpha} is outside the supported range: 1/(1 + alpha) - rho = {c} must be positive"
 
 
 def compute_gamma(P, params, bounds):
@@ -160,10 +164,9 @@ def compute_gamma(P, params, bounds):
     """
     if P.lipschitz_f is None or P.lipschitz_g is None:
         raise UnknownLipschitz("compute_gamma needs lipschitz_f and lipschitz_g on the problem")
-    if not _alpha_supported(params.rho, params.alpha):
-        warnings.warn(
-            "step floor degenerates for alpha >= 1/rho - 1; reporting gamma = 0", stacklevel=2
-        )
+    outside = _outside_range(params.rho, params.alpha)
+    if outside:
+        warnings.warn(f"step floor degenerates: {outside}; reporting gamma = 0", stacklevel=2)
         return 0.0
     c = _floor_factor(params.rho, params.alpha)
     return params.nu * min(
@@ -270,10 +273,10 @@ def suggest_params(direction, P, base=None, s=None):
     from .solver import SolverParams  # solver imports this module
 
     base = base if base is not None else SolverParams()
-    rho, nu, alpha, beta = base.rho, base.nu, base.alpha, base.beta
-    if not _alpha_supported(rho, alpha):
-        raise ValueError("recipes need alpha < 1/rho - 1 (positive step-floor factor)")
-    c = _floor_factor(rho, alpha)
+    rho, alpha, beta = base.rho, base.alpha, base.beta
+    outside = _outside_range(rho, alpha)
+    if outside:
+        raise ValueError(f"recipes need a positive step-floor factor: {outside}")
     if direction == "alda":
         s_val = 1.0
     else:
@@ -283,8 +286,7 @@ def suggest_params(direction, P, base=None, s=None):
 
     H_x, H_y = hessian_pair(P, np.zeros(P.n1), np.zeros(P.n2))
     spectrum_x, spectrum_y = _spectrum(H_x), _spectrum(H_y)
-    (_, lo_x), (eta_y, lo_y) = spectrum_x, spectrum_y
-    L_f, L_g = P.lipschitz_f, P.lipschitz_g
+    (_, lo_x), (_, lo_y) = spectrum_x, spectrum_y
 
     factor = 1.0 + _RECIPE_MARGIN
     floor = _RECIPE_MARGIN * beta
@@ -292,12 +294,9 @@ def suggest_params(direction, P, base=None, s=None):
     sigma = max(factor * (-lo_y - beta), floor)
     r_val = None
     for _ in range(_RECIPE_ROUNDS):
-        eta1_x = lo_x + beta * P.min_eig_AtA + ell
-        eta1_y = lo_y + beta + sigma
-        eta2_y = eta_y + beta + sigma
-        gamma = nu * min(
-            1.0, c * eta1_x / (L_f + beta * P.max_eig_AtA), c * eta1_y / (L_g + beta)
-        )
+        weights = replace(base, ell=ell, sigma=sigma)
+        bounds = _bounds(P, weights, spectrum_x, spectrum_y)
+        gamma = compute_gamma(P, weights, bounds)
         # sigma must keep the r-denominator positive: rho gamma eta1_y > beta (alda)
         # resp. > -s beta (aldd)
         dual_scale = beta if direction == "alda" else -s_val * beta
@@ -305,8 +304,8 @@ def suggest_params(direction, P, base=None, s=None):
         if sigma_req > sigma * (1.0 + 1e-12):
             sigma = sigma_req
             continue
-        numer = 6.0 * (L_g * L_g + 2.0 * beta * beta + 2.0 * (eta2_y / (1.0 + alpha)) ** 2)
-        denom = beta * (rho * gamma * eta1_y - dual_scale)
+        numer = 6.0 * (P.lipschitz_g * P.lipschitz_g + 2.0 * beta * beta + 2.0 * (bounds.eta2_y / (1.0 + alpha)) ** 2)
+        denom = beta * (rho * gamma * bounds.eta1_y - dual_scale)
         r_val = numer / denom if direction == "alda" else -numer / denom
         if direction == "aldd":
             ell_bound = (

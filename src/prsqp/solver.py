@@ -78,7 +78,7 @@ import numpy as np
 
 from .alf import Iterate, PointEval, YPointEval, _alf_value, eval_alf, eval_merit_hat, grad_alf
 from .core import DimensionMismatch, NotPositiveDefinite, as_vector, cholesky_solve, cholesky_spd, spectral_norm
-from .diagnostics import KktResidual, _alpha_supported, _max_or_nan, kkt_residual
+from .diagnostics import KktResidual, _max_or_nan, _outside_range, kkt_residual
 from .problems import composite_objective, hessian_pair
 
 
@@ -103,8 +103,8 @@ class SolverParams:
 
     ``alpha`` must exceed -1 and satisfy ``1/(1 + alpha) - rho > 0`` (that is,
     ``alpha < 1/rho - 1``, tested in the first form) unless ``relaxed_alpha``
-    is set, in which case only ``alpha > -1`` is required and runs are tagged
-    as outside the supported theory. ``r`` and ``s`` are the two dual step
+    is set, in which case only ``alpha > -1`` is required and the step floor
+    of the theory does not hold. ``r`` and ``s`` are the two dual step
     scales (positive = ascent, negative = descent) with ``r + s != 0``.
     ``tol_step`` (relative) and ``tol_kkt`` (absolute) are the two tolerances
     that must both hold for :func:`run` to report Converged. A set is frozen:
@@ -148,8 +148,8 @@ def validate_params(params):
         out.append(f"relaxed_alpha must be a boolean, got {relaxed!r}")
         relaxed = False
     # alpha <= -1 is flagged above (1 + alpha would divide by zero); a NaN alpha is flagged here too
-    if not relaxed and 0.0 < p.rho < 1.0 and not p.alpha <= -1.0 and not _alpha_supported(p.rho, p.alpha):
-        out.append(f"alpha = {p.alpha} is not below 1/rho - 1 = {1.0 / p.rho - 1.0} (set relaxed_alpha to override)")
+    if not relaxed and 0.0 < p.rho < 1.0 and not p.alpha <= -1.0 and (outside := _outside_range(p.rho, p.alpha)):
+        out.append(f"{outside} (set relaxed_alpha to override)")
     for name in ("beta", "ell", "sigma"):
         if not 0.0 < getattr(p, name) < math.inf:
             out.append(f"{name} must be positive and finite, got {getattr(p, name)}")
@@ -224,7 +224,6 @@ class SolveResult:
     final: Iterate
     status: SolveStatus
     trace: List[StepRecord] = field(default_factory=list)
-    theory_supported: bool = True
     stop_reason: str = ""
     ell: Optional[float] = None
     sigma: Optional[float] = None
@@ -337,7 +336,7 @@ class IterationOutcome(NamedTuple):
 
     state: SolverState
     record: StepRecord
-    internals: Optional[dict]
+    internals: dict
     kkt: KktResidual  # residuals at the new iterate; ``record.kkt_inf`` is its total
 
 
@@ -476,14 +475,16 @@ def hybrid_accelerate(tilde, current, alpha):
 
 class SearchStep(NamedTuple):
     """What :func:`line_search` returns: the accepted step ``t``, the
-    ``backtracks`` before it, and the records ``x_eval`` / ``y_eval`` of the
-    accepted point's x and y, the searched block's being the accepted trial's.
+    ``backtracks`` before it, the records ``x_eval`` / ``y_eval`` of the
+    accepted point's x and y, the searched block's being the accepted trial's,
+    and the ``quad = d^T Hcal d`` that the Armijo test used (0 for ``d = 0``).
     """
 
     t: float
     backtracks: int
     x_eval: PointEval
     y_eval: YPointEval
+    quad: float
 
 
 def line_search(P, point, d, metric, params, block, x_eval, y_eval, L0=None):
@@ -503,7 +504,8 @@ def line_search(P, point, d, metric, params, block, x_eval, y_eval, L0=None):
     L_beta(point)`` is evaluated unless given. An x trial evaluates ``A x`` and
     ``f`` at its own point; a y trial evaluates only ``g`` and the residual.
 
-    Returns a :class:`SearchStep`; ``d = 0`` returns ``t = 1`` at once.
+    Returns a :class:`SearchStep`; ``d = 0`` returns ``t = 1`` and ``quad = 0``
+    at once.
 
     Raises :class:`LineSearchFailed` after ``params.max_backtracks`` shrinks.
     """
@@ -518,7 +520,7 @@ def line_search(P, point, d, metric, params, block, x_eval, y_eval, L0=None):
         return x_eval, YPointEval(P, start + t * d)
 
     if not d.any():
-        return SearchStep(1.0, 0, *records_at(1.0))
+        return SearchStep(1.0, 0, *records_at(1.0), 0.0)
     quad = metric.quad(d)
     beta, lam = params.beta, point.lam
     if L0 is None:
@@ -531,7 +533,7 @@ def line_search(P, point, d, metric, params, block, x_eval, y_eval, L0=None):
         trial_x, trial_y = records_at(t)
         L_t = _alf_value(trial_x.f, trial_y.g, lam, trial_x.Ax - trial_y.y, beta)
         if L_t <= L0 - params.rho * t * quad + slack:
-            return SearchStep(t, i, trial_x, trial_y)
+            return SearchStep(t, i, trial_x, trial_y, quad)
         t *= params.nu
     raise LineSearchFailed(
         f"{block} line search found no acceptable step within {params.max_backtracks} backtracks"
@@ -604,7 +606,7 @@ def initial_state(P, w0, params):
 
 
 @_quiet_numerics
-def iterate_once(state, keep_internals=False):
+def iterate_once(state):
     """One full iteration from the :class:`SolverState` ``state``; returns an :class:`IterationOutcome`.
 
     Both block steps solve in the state's factored metrics, and the line
@@ -615,8 +617,8 @@ def iterate_once(state, keep_internals=False):
     step 6). ``eta_y`` grows only with a new y-model. The record's ``L_hat``
     is the merit value with the state's curvature bound
     ``eta_y + beta + sigma``, NaN when the problem has no ``lipschitz_g``.
-    ``keep_internals`` attaches the per-block gradients, directions and metric
-    quadratic forms to the outcome for invariant checks.
+    The outcome's ``internals`` hold the per-block gradients, directions and
+    the metric quadratic forms of the line searches, for invariant checks.
 
     Raises :class:`LineSearchFailed` or :class:`NumericalError` upward.
     """
@@ -627,7 +629,7 @@ def iterate_once(state, keep_internals=False):
 
     # ----- x block: model step in the state's metric, extrapolation, Armijo
     gx = grad_alf(P, w, beta, x_eval, y_eval).gx
-    x_tilde, d_x, (t_x, bt_x, x_eval, _) = _block_step(state, w, gx, "x", x_eval, y_eval, L0=state.L_beta)
+    x_tilde, d_x, (t_x, bt_x, x_eval, _, quad_x) = _block_step(state, w, gx, "x", x_eval, y_eval, L0=state.L_beta)
     x_next = x_eval.x  # the accepted trial: x_{k+1}, with A x_{k+1} and f(x_{k+1}) in its record
 
     # ----- first dual update on the mixed residual A x_{k+1} - y_k
@@ -637,7 +639,7 @@ def iterate_once(state, keep_internals=False):
     # ----- y block at the updated x and half-step multiplier
     gy = y_eval.grad_g + lam_half - beta * residual_mid
     mid = Iterate(x_next, w.y, lam_half)
-    y_tilde, d_y, (t_y, bt_y, _, y_eval) = _block_step(state, mid, gy, "y", x_eval, y_eval)
+    y_tilde, d_y, (t_y, bt_y, _, y_eval, quad_y) = _block_step(state, mid, gy, "y", x_eval, y_eval)
     y_next = y_eval.y  # the accepted trial: y_{k+1}, with g(y_{k+1}) in its record
 
     # ----- second dual update on the full new residual
@@ -671,21 +673,19 @@ def iterate_once(state, keep_internals=False):
         elapsed=time.perf_counter() - t_start,
     )
 
-    internals = None
-    if keep_internals:
-        internals = dict(
-            gx=gx,
-            d_x=d_x,
-            quad_x=state.metric_x.quad(d_x),
-            gx_dot_dx=float(gx @ d_x),
-            x_tilde=x_tilde,
-            gy=gy,
-            d_y=d_y,
-            quad_y=state.metric_y.quad(d_y),
-            gy_dot_dy=float(gy @ d_y),
-            y_tilde=y_tilde,
-            lam_half=lam_half,
-        )
+    internals = dict(
+        gx=gx,
+        d_x=d_x,
+        quad_x=quad_x,
+        gx_dot_dx=float(gx @ d_x),
+        x_tilde=x_tilde,
+        gy=gy,
+        d_y=d_y,
+        quad_y=quad_y,
+        gy_dot_dy=float(gy @ d_y),
+        y_tilde=y_tilde,
+        lam_half=lam_half,
+    )
     return IterationOutcome(state_next, record, internals, kkt)
 
 
@@ -705,8 +705,7 @@ def run(P, w0, params, callback: Optional[Callable[[IterationOutcome], None]] = 
     ``callback``). The caller's ``params`` and ``w0`` are never changed: a
     repaired weight lives in the states, and the result reports the last
     state's weights. ``callback``, when given, receives each
-    :class:`IterationOutcome` (with internals attached). The result is
-    ``theory_supported`` when ``1/(1 + alpha) - rho > 0``. Errors in the inputs propagate.
+    :class:`IterationOutcome`. Errors in the inputs propagate.
     """
     trace: List[StepRecord] = []
     state = None
@@ -714,7 +713,7 @@ def run(P, w0, params, callback: Optional[Callable[[IterationOutcome], None]] = 
         state = initial_state(P, w0, params)  # raises TypeError before params is read
         status, reason = SolveStatus.ITER_LIMIT, f"max_iter: {params.max_iter} iterations"
         for _ in range(params.max_iter):
-            out = iterate_once(state, keep_internals=callback is not None)
+            out = iterate_once(state)
             prev, state = state.w, out.state
             trace.append(out.record)
             if callback is not None:
@@ -739,7 +738,6 @@ def run(P, w0, params, callback: Optional[Callable[[IterationOutcome], None]] = 
         final=w0 if state is None else state.w,
         status=status,
         trace=trace,
-        theory_supported=bool(_alpha_supported(params.rho, params.alpha)),
         stop_reason=reason,
         ell=last.ell,
         sigma=last.sigma,

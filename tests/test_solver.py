@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import FrozenInstanceError, asdict, astuple, replace
 from types import SimpleNamespace
 
@@ -140,7 +141,10 @@ def test_validate_params_requires_a_boolean_relaxed_alpha():
     for bad in ("false", "true", 1, None):
         violations = _violations(alpha=2.0, relaxed_alpha=bad)
         assert violations[0] == f"relaxed_alpha must be a boolean, got {bad!r}"
-        assert any(v.startswith("alpha = 2.0 is not below") for v in violations)
+        assert violations[1] == (
+            "alpha = 2.0 is outside the supported range: 1/(1 + alpha) - rho = -0.06666666666666671 "
+            "must be positive (set relaxed_alpha to override)"
+        )
     for good in (True, np.True_):
         assert validate_params(SolverParams(alpha=2.0, relaxed_alpha=good)) == []
     assert SolverParams(alpha=2.0, relaxed_alpha=np.True_).alpha == 2.0
@@ -148,23 +152,22 @@ def test_validate_params_requires_a_boolean_relaxed_alpha():
 
 def test_acceleration_range_is_one_rule_at_its_boundary():
     # alpha < 1/rho - 1 and c = 1/(1 + alpha) - rho > 0 round apart on these
-    # pairs; validation, run's theory tag, the step floor and the recipes all
-    # test c > 0
+    # pairs; validation, the step floor and the recipes all test c > 0, and
+    # their messages print c
     P = make_quadratic([1.0], [0.0], [[1.0]])
-    w0 = _w(0.0, 0.0, 0.0)
     rho, alpha = 0.6342224535750253, 0.5767338326846309  # alpha < 1/rho - 1 holds, c = 0
     assert alpha < 1.0 / rho - 1.0 and not 1.0 / (1.0 + alpha) - rho > 0.0
-    assert any(v.startswith(f"alpha = {alpha} is not below 1/rho - 1") for v in _violations(rho=rho, alpha=alpha))
-    relaxed = SolverParams(rho=rho, alpha=alpha, relaxed_alpha=True, max_iter=3)
-    assert not run(P, w0, relaxed).theory_supported
-    with pytest.warns(UserWarning, match="step floor degenerates"):
+    outside = f"alpha = {alpha} is outside the supported range: 1/(1 + alpha) - rho = 0.0 must be positive"
+    assert _violations(rho=rho, alpha=alpha) == [f"{outside} (set relaxed_alpha to override)"]
+    relaxed = SolverParams(rho=rho, alpha=alpha, relaxed_alpha=True)
+    with pytest.warns(UserWarning, match=re.escape(f"step floor degenerates: {outside}; reporting gamma = 0")):
         assert diagnostics_report(P, relaxed).gamma == 0.0
-    with pytest.raises(ValueError, match="recipes need alpha < 1/rho - 1"):
+    with pytest.raises(ValueError, match=re.escape(f"recipes need a positive step-floor factor: {outside}")):
         suggest_params("alda", P, base=relaxed)
     rho, alpha = 0.02619708281795851, 37.17218913071055  # alpha < 1/rho - 1 fails, c = 3.5e-18
     assert not alpha < 1.0 / rho - 1.0 and 1.0 / (1.0 + alpha) - rho > 0.0
-    params = SolverParams(rho=rho, alpha=alpha, max_iter=3)
-    assert validate_params(params) == [] and run(P, w0, params).theory_supported
+    params = SolverParams(rho=rho, alpha=alpha)
+    assert validate_params(params) == []
     assert diagnostics_report(P, params).gamma > 0.0
     # past the range test, the recipe cannot certify margins on so small a floor
     with pytest.raises(ValueError, match="recipe failed to certify positive margins"):
@@ -198,7 +201,7 @@ def _half_square_problem():
 
 def _internals(P, w, params):
     # the per-block internals of one iteration from w
-    return iterate_once(initial_state(P, w, params), keep_internals=True).internals
+    return iterate_once(initial_state(P, w, params)).internals
 
 
 def _matrix_models(P):
@@ -256,7 +259,7 @@ def test_subproblem_model_stationarity_random():
         w = Iterate(normal_sample(rng, 5), normal_sample(rng, 4), normal_sample(rng, 4))
         H_x = np.eye(5)
         H_y = np.eye(4)
-        out = iterate_once(initial_state(P, w, params), keep_internals=True)
+        out = iterate_once(initial_state(P, w, params))
         it = out.internals
         Hcal_x = H_x + params.beta * P.AtA + params.ell * np.eye(5)
         resid = P.apply_A(w.x) - w.y
@@ -433,7 +436,7 @@ def test_iterate_once_direction_descent_identity():
         P = _matrix_models(random_quadratic(4, 3, rng))
         params = SolverParams(alpha=alpha)
         w = Iterate(normal_sample(rng, 4), normal_sample(rng, 3), normal_sample(rng, 3))
-        out = iterate_once(initial_state(P, w, params), keep_internals=True)
+        out = iterate_once(initial_state(P, w, params))
         it = out.internals
         scale = 1.0 / (1.0 + alpha)
         assert abs(it["gx_dot_dx"] + scale * it["quad_x"]) <= 1e-9 * max(1.0, abs(it["quad_x"]))
@@ -581,14 +584,6 @@ def test_run_does_not_mutate_caller_params():
     params = SolverParams(beta=1.0, ell=1.0, sigma=1.0, max_iter=3)
     run(P, Iterate(np.array([0.3]), np.zeros(1), np.zeros(1)), params)
     assert params.ell == 1.0 and params.sigma == 1.0
-
-
-def test_run_tags_relaxed_acceleration_as_unsupported():
-    P = make_quadratic([1.0], [0.0], [[1.0]])
-    w0 = Iterate(np.zeros(1), np.zeros(1), np.zeros(1))
-    assert run(P, w0, SolverParams(max_iter=3)).theory_supported
-    relaxed = SolverParams(alpha=2.0, relaxed_alpha=True, max_iter=3)
-    assert not run(P, w0, relaxed).theory_supported
 
 
 def test_run_reports_line_search_breakdown_in_status():
@@ -859,6 +854,26 @@ def test_trace_records_match_fresh_evaluations():
             assert rec.ofv == composite_objective(P, w.x)
 
 
+def test_internals_carry_the_line_searches_quadratic_forms():
+    # each outcome's quad_x / quad_y is the d^T Hcal d its Armijo test used,
+    # in the metric of the state it stepped from (dense, low-rank or diagonal),
+    # and a callback leaves the run as it is
+    kinds = set()
+    for P, w0, params in _evaluation_cases():
+        state = initial_state(P, w0, params)
+        for _ in range(params.max_iter):
+            kinds |= {type(state.metric_x), type(state.metric_y)}
+            out = iterate_once(state)
+            it = out.internals
+            assert it["quad_x"] == state.metric_x.quad(it["d_x"])
+            assert it["quad_y"] == state.metric_y.quad(it["d_y"])
+            state = out.state
+        outcomes = []
+        _assert_bit_identical(run(P, w0, params, callback=outcomes.append), run(P, w0, params))
+        assert len(outcomes) == params.max_iter
+    assert kinds == {prsqp.solver.BlockMetric, prsqp.solver.LowRankMetric, prsqp.solver.DiagonalMetric}
+
+
 def test_carried_factors_bound_factorizations_per_iteration(monkeypatch):
     calls = []
     factor = prsqp.solver.cholesky_spd
@@ -939,8 +954,8 @@ def _assert_traces_close(result, reference):
 def test_structured_x_step_matches_dense_metric():
     for P, w, params in _structured_cases():
         start = initial_state(P, w, params)
-        out = iterate_once(start, keep_internals=True)
-        dense = iterate_once(initial_state(_dense_twin(P), w, params), keep_internals=True)
+        out = iterate_once(start)
+        dense = iterate_once(initial_state(_dense_twin(P), w, params))
         it, dense_it = out.internals, dense.internals
         metric, dense_metric = out.state.metric_x, dense.state.metric_x
         assert isinstance(metric, prsqp.solver.LowRankMetric)
@@ -1016,7 +1031,7 @@ def test_structured_metric_factors_only_capacitance_matrices(monkeypatch):
     outcomes = []
     for Q, factored in ((P, {(16, 16)}), (replace(P, hess_f_at=matrix_at_w), {(64, 64), (16, 16)})):
         shapes.clear()
-        outcomes.append(iterate_once(initial_state(Q, w, SolverParams()), keep_internals=True))
+        outcomes.append(iterate_once(initial_state(Q, w, SolverParams())))
         assert set(shapes) == factored
     assert len(models) == 2 and outcomes[1].state.metric_x.model.tobytes() == models[1].tobytes()
     diagonal, matrix = outcomes
