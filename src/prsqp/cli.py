@@ -182,11 +182,13 @@ def parse_experiment(obj, context="config"):
     for key in ("relaxed_alpha", "baseline"):
         if not isinstance(obj.get(key, False), bool):
             raise ConfigError(f"{context}: {key} must be true or false, got {obj[key]!r}")
+    if not isinstance(obj["output_dir"], str) or not obj["output_dir"]:
+        raise ConfigError(f"{context}: output_dir must be a non-empty string, got {obj['output_dir']!r}")
     return ExperimentConfig(
         problem=_parse_problem(obj["problem"]),
         seed=obj["seed"],
         params=_parse_params(obj.get("params"), obj.get("relaxed_alpha", False)),
-        output_dir=str(obj["output_dir"]),
+        output_dir=obj["output_dir"],
         baseline=obj.get("baseline", False),
     )
 
@@ -263,7 +265,10 @@ def write_trace(trace, path):
 
 
 def read_trace(path):
-    """Parse a :func:`write_trace` file back into StepRecord objects."""
+    """Parse a :func:`write_trace` file back into StepRecord objects.
+
+    A file or row that does not match the header raises :class:`ConfigError`.
+    """
     types = typing.get_type_hints(StepRecord)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -274,9 +279,14 @@ def read_trace(path):
             raise ConfigError(f"unexpected trace header in {path}")
         out = []
         for row in reader:
-            values = dict(zip(header, row))
-            elapsed = float(values.pop("elapsed_ms")) / 1000.0
-            out.append(StepRecord(**{k: types[k](v) for k, v in values.items()}, elapsed=elapsed))
+            try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} cells, the header has {len(header)}")
+                values = dict(zip(header, row))
+                elapsed = float(values.pop("elapsed_ms")) / 1000.0
+                out.append(StepRecord(**{k: types[k](v) for k, v in values.items()}, elapsed=elapsed))
+            except ValueError as exc:
+                raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from None
         return out
 
 

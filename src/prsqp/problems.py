@@ -1,9 +1,9 @@
 """Composite problem instances: min f(x) + g(y) subject to A x = y.
 
 A :class:`CompositeProblem` packages the two smooth blocks (values, gradients,
-pointwise Hessians), the coupling map ``A``, from which the sizes, ``A^T A``
-and its spectral range are derived, and optional gradient Lipschitz constants
-used by the step-size theory. Three builders are provided:
+pointwise Hessians), the coupling map ``A``, from which the sizes, both Gram
+matrices and their spectral range are derived, and optional gradient Lipschitz
+constants used by the step-size theory. Three builders are provided:
 
 * :func:`make_quadratic`      -- separable quadratics with a closed-form
   first-order point (the test oracle),
@@ -55,12 +55,12 @@ class CompositeProblem:
     when it is diagonal.
 
     Everything else is derived from ``A``: ``(n2, n1)`` is its shape, set on
-    construction. ``AtA`` is ``A^T A``, formed on first read (a dense x-metric
-    reads it), so a problem solved through the capacitance matrix never holds
-    the ``n1 x n1`` array. ``min_eig_AtA`` and ``max_eig_AtA``, the spectral
-    range of ``A^T A`` that only the theory constants of
-    :mod:`prsqp.diagnostics` use, are computed together on the first read of
-    either.
+    construction. ``AtA`` (``A^T A``, read by a dense x-metric) and ``AAt``
+    (``A A^T``, read by a capacitance matrix) are formed on first read, so a
+    problem solved through capacitance matrices never holds the ``n1 x n1``
+    array. ``min_eig_AtA`` and ``max_eig_AtA``, the spectral range of
+    ``A^T A`` that only the theory constants of :mod:`prsqp.diagnostics` use,
+    are computed together, from the smaller of the two, on the first read.
 
     Problems compare by identity. ``dataclasses.replace(P, ...)`` builds a new
     problem, which derives all of these afresh from its own ``A``.
@@ -88,13 +88,16 @@ class CompositeProblem:
         return self.A.T @ self.A
 
     @cached_property
+    def AAt(self):
+        return self.A @ self.A.T
+
+    @cached_property
     def _spectral_range(self):
         # (lambda_min, lambda_max) of A^T A. Its nonzero eigenvalues are those
         # of A A^T, so the smaller of the two Gram matrices gives them; for
         # m < n, A^T A is singular and its smallest eigenvalue is exactly zero.
-        # Only for m >= n is A^T A itself formed here.
         m, n = self.A.shape
-        eigs = np.linalg.eigvalsh(self.A @ self.A.T if m < n else self.AtA)
+        eigs = np.linalg.eigvalsh(self.AAt if m < n else self.AtA)
         return (0.0 if m < n else max(float(eigs[0]), 0.0)), max(float(eigs[-1]), 0.0)
 
     @property

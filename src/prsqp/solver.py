@@ -13,13 +13,14 @@ models ``H_x, H_y``:
    term ``beta A^T A``: only the ``n2 x n2`` capacitance matrix
    ``I / beta + A D^-1 A^T`` is factored, and ``d^T Hcal_x d`` is
    ``d . (D d) + beta ||A d||^2``. Where ``h`` is zero outside fewer than
-   ``n1/2`` coordinates, the capacitance matrix is the carried matrix of
-   ``h = 0`` plus a correction in those coordinates' columns of ``A`` (see
-   :func:`_capacitance`). Otherwise (``D`` not positive, ``n2 >= n1`` or a
-   matrix model) the dense ``Hcal_x`` is formed and factored, so ``ell`` is
-   doubled exactly where the dense metric needs it (the structured one is
-   positive definite whenever it is used). ``A^T A`` is formed for the first
-   dense ``Hcal_x``.
+   ``n1/2`` coordinates, the capacitance matrix is the matrix of ``h = 0``,
+   built from the problem's ``A A^T`` (``P.AAt``), plus a correction in those
+   coordinates' columns of ``A`` (see :func:`_capacitance`). Otherwise (``D``
+   not positive, ``n2 >= n1`` or a matrix model) the dense ``Hcal_x`` is
+   formed and factored, so ``ell`` is doubled exactly where the dense metric
+   needs it (the structured one is positive definite whenever it is used).
+   ``A^T A`` is formed for the first dense ``Hcal_x``. Each metric is built
+   from its model, ``ell`` and ``beta`` alone.
 2. First dual update ``lam_{k+1/2} = lam_k - r beta (A x_{k+1} - y_k)``.
 3. y block at ``(x_{k+1}, lam_{k+1/2})`` in the metric
    ``Hcal_y = H_y + (beta + sigma) I``; extrapolate, backtrack. For a
@@ -37,11 +38,13 @@ models ``H_x, H_y``:
    ``ell`` / ``sigma`` until each admits a Cholesky factorization (factored
    through LAPACK ``potrf``, solved through ``potrs``; :mod:`prsqp.core`
    binds both, in :func:`~prsqp.core.cholesky_spd` and
-   :func:`~prsqp.core.cholesky_solve`). The factors and the weights go into
-   the new :class:`SolverState`, whose block steps solve in them; a block's
-   factor is kept, not rebuilt, while its refreshed model is exactly equal to
-   the previous one and its weight has not doubled. :func:`initial_state`
-   factors the metrics at ``w_0`` in the same way, so no step repairs one.
+   :func:`~prsqp.core.cholesky_solve`); a non-finite model, or a metric
+   indefinite after 60 doublings, raises an error naming its block. The
+   factors and the weights go into the new :class:`SolverState`, whose block
+   steps solve in them; a block's factor is kept, not rebuilt, while its
+   refreshed model is exactly equal to the previous one and its weight has
+   not doubled. :func:`initial_state` factors the metrics at ``w_0`` in the
+   same way, so no step repairs one.
 
 The dual steps ``r, s`` may take either sign (ascent or descent flavors) as
 long as ``r + s != 0``; the diagnostics module computes the decrease margins
@@ -256,9 +259,9 @@ class LowRankMetric(NamedTuple):
 
     By the matrix inversion lemma ``Hcal_x^{-1} g = D^-1 g - D^-1 A^T C^-1 A D^-1 g``
     with the m x m capacitance matrix ``C = I / beta + A D^-1 A^T``, the only
-    matrix factored. ``base`` is the ``C`` of the model ``h = 0``, when ``C``
-    was assembled from it (see :func:`_capacitance`). Same methods as
-    :class:`BlockMetric`.
+    matrix factored. ``C`` is built from ``D``, ``ell`` and ``beta`` alone,
+    on the problem's ``A A^T`` (see :func:`_capacitance`); nothing is taken
+    from another metric. Same methods as :class:`BlockMetric`.
     """
 
     model: np.ndarray  # h, a read-only copy of the model
@@ -266,7 +269,6 @@ class LowRankMetric(NamedTuple):
     D: np.ndarray
     A: np.ndarray
     beta: float
-    base: Optional[np.ndarray]
     factor: tuple  # Cholesky factor of C
 
     def solve(self, g):
@@ -348,51 +350,35 @@ def _read_only(*arrays):
         a.flags.writeable = False
 
 
-def _cholesky(M, failure):
-    try:
-        return cholesky_spd(M)
-    except NotPositiveDefinite as exc:
-        raise NotPositiveDefinite(f"{failure}: {exc}") from None
-
-
-def _capacitance(P, D, ell, beta, cached):
-    # C = I / beta + A D^-1 A^T, and the base it was assembled from (or None).
-    # Where D equals ell (h = 0) outside fewer than n/2 coordinates K, C is
-    # the base I / beta + A A^T / ell plus the symmetric part of
-    # A_K diag(1/D_K - 1/ell) A_K^T: 2 m^2 |K| flops against m^2 n for B B^T.
-    # The base is taken from ``cached`` at the same ell and beta. C depends on
-    # D, ell and beta alone, so a kept metric has the bits of a fresh one.
+def _capacitance(P, D, ell, beta):
+    # C = I / beta + A D^-1 A^T. Where D equals ell (h = 0) outside fewer than
+    # n/2 coordinates K, C is the base I / beta + P.AAt / ell plus the
+    # symmetric part of A_K diag(1/D_K - 1/ell) A_K^T: 2 m^2 |K| flops against
+    # m^2 n for B B^T. C depends on D, ell and beta alone.
     K = np.flatnonzero(D != ell)
     if 2 * K.size >= P.n1:
         B = P.A / np.sqrt(D)
         C = B @ B.T  # B B^T is computed exactly symmetric
         C.flat[:: P.n2 + 1] += 1.0 / beta
-        return C, None
-    same = isinstance(cached, LowRankMetric) and cached.weight == ell and cached.beta == beta
-    if same and cached.base is not None:
-        base = cached.base
-    else:
-        base = P.A @ P.A.T
-        base /= ell
-        base.flat[:: P.n2 + 1] += 1.0 / beta
+        return C
+    base = P.AAt / ell
+    base.flat[:: P.n2 + 1] += 1.0 / beta
     A_K = P.A[:, K]
     U = (A_K * (1.0 / D[K] - 1.0 / ell)) @ A_K.T
     C = U + U.T
     C *= 0.5
     C += base
-    return C, base
+    return C
 
 
-def _metric_x(P, model, ell, beta, cached=None):
-    # factored Hcal_x = H_x + beta A^T A + ell I; ``cached`` (the previous
-    # x-metric) may lend _capacitance its base. A diagonal model (1-D) with
+def _metric_x(P, model, ell, beta):
+    # factored Hcal_x = H_x + beta A^T A + ell I. A diagonal model (1-D) with
     # D = h + ell > 0 and a wide A gets a LowRankMetric.
     if model.ndim == 1:
         D = model + ell
         if P.n2 < P.n1 and (D > 0.0).all():
-            C, base = _capacitance(P, D, ell, beta, cached)
-            factor = _cholesky(C, f"x-metric capacitance matrix not positive definite at ell = {ell}")
-            return LowRankMetric(model, ell, D, P.A, beta, base, factor)
+            factor = cholesky_spd(_capacitance(P, D, ell, beta))
+            return LowRankMetric(model, ell, D, P.A, beta, factor)
     # (model + beta AtA) + ell I summed in place, ell on the diagonal only, so
     # that fewer n1 x n1 arrays are live while the previous iteration's metric
     # is still held
@@ -402,43 +388,44 @@ def _metric_x(P, model, ell, beta, cached=None):
     else:
         Hcal += model
     Hcal.flat[:: P.n1 + 1] += ell
-    factor = _cholesky(Hcal, f"x-metric not positive definite at ell = {ell}")
-    return BlockMetric(model, ell, Hcal, factor)
+    return BlockMetric(model, ell, Hcal, cholesky_spd(Hcal))
 
 
 def _metric_y(P, model, sigma, beta):
     # factored Hcal_y = H_y + (beta + sigma) I. A diagonal model (1-D) gets a
     # DiagonalMetric; it is rejected where the Cholesky factorization of the
-    # dense metric would fail.
+    # dense metric would fail, and named as LAPACK names a leading minor.
     if model.ndim == 1:
         D = model + (beta + sigma)
         if not (D > 0.0).all():
-            raise NotPositiveDefinite(f"y-metric not positive definite at sigma = {sigma}")
+            raise NotPositiveDefinite(f"{int(np.argmin(D > 0.0)) + 1}-th diagonal entry is not positive")
         return DiagonalMetric(model, sigma, D, 1.0 / np.sqrt(D))
     Hcal = np.eye(P.n2)
     Hcal *= beta + sigma
     Hcal += model
-    factor = _cholesky(Hcal, f"y-metric not positive definite at sigma = {sigma}")
-    return BlockMetric(model, sigma, Hcal, factor)
+    return BlockMetric(model, sigma, Hcal, cholesky_spd(Hcal))
 
 
-def _metric(H, weight, kept, metric_at):
-    # the metric of the Hessian model H: ``kept`` (the previous state's metric)
-    # when H is exactly equal to its model and ``weight`` is its weight, else
-    # metric_at(model, weight) on a read-only private copy of H, with the
-    # weight doubled until the metric factors. So no later write to the
-    # caller's array reaches a state's factor.
-    if kept is not None and kept.weight == weight and (H is kept.model or np.array_equal(kept.model, H)):
+def _metric(P, block, H, weight, beta, kept):
+    # the block's metric of the Hessian model H: ``kept``, the previous
+    # state's, when H equals its model exactly and ``weight`` is its weight,
+    # else one built on a read-only private copy of H (no later write to the
+    # caller's array reaches a factor), the weight doubled until it factors
+    if kept is not None and kept.weight == weight and np.array_equal(kept.model, H):
         return kept
     model = np.array(H, dtype=float)
+    if not np.isfinite(model).all():
+        raise NumericalError(f"{block}-model has non-finite entries")
     model.flags.writeable = False
+    build, name = (_metric_x, "ell") if block == "x" else (_metric_y, "sigma")
     for attempt in range(_MAX_METRIC_REPAIR + 1):
         try:
-            return metric_at(model, weight)
-        except NotPositiveDefinite:
+            return build(P, model, weight, beta)
+        except NotPositiveDefinite as exc:
             if attempt == _MAX_METRIC_REPAIR:
                 raise NumericalError(
-                    f"metric stayed indefinite after {_MAX_METRIC_REPAIR} proximal-weight doublings"
+                    f"{block}-metric stayed indefinite after {_MAX_METRIC_REPAIR} doublings of {name}, "
+                    f"the last at {name} = {weight}: {exc}"
                 ) from None
             weight *= 2.0
 
@@ -450,14 +437,13 @@ def _state(P, params, k, w, d_y_prev, x_eval, y_eval, L_beta, prev=None):
     # new y-model only
     H_x, H_y = hessian_pair(P, w.x, w.y)
     kept_x, kept_y = (None, None) if prev is None else (prev.metric_x, prev.metric_y)
-    metric_x = _metric(H_x, params.ell, kept_x, lambda model, ell: _metric_x(P, model, ell, params.beta, kept_x))
-    metric_y = _metric(H_y, params.sigma, kept_y, lambda model, sigma: _metric_y(P, model, sigma, params.beta))
+    metric_x = _metric(P, "x", H_x, params.ell, params.beta, kept_x)
+    metric_y = _metric(P, "y", H_y, params.sigma, params.beta, kept_y)
     if (metric_x.weight, metric_y.weight) != (params.ell, params.sigma):
         params = replace(params, ell=metric_x.weight, sigma=metric_y.weight)
-    # a 1-D model's entries are its eigenvalues
-    eta_y = prev.eta_y if metric_y is kept_y else spectral_norm(metric_y.model)
-    if prev is not None:
-        eta_y = max(prev.eta_y, eta_y)
+    eta_y = 0.0 if prev is None else prev.eta_y
+    if metric_y is not kept_y:  # a 1-D model's entries are its eigenvalues
+        eta_y = max(eta_y, spectral_norm(metric_y.model))
     return SolverState(P, params, k, w, d_y_prev, x_eval, y_eval, L_beta, metric_x, metric_y, eta_y)
 
 
@@ -731,7 +717,7 @@ def run(P, w0, params, callback: Optional[Callable[[IterationOutcome], None]] = 
                     break
     except LineSearchFailed as exc:
         status, reason = SolveStatus.LINE_SEARCH_FAILED, str(exc)
-    except (NumericalError, NotPositiveDefinite) as exc:
+    except NumericalError as exc:
         status, reason = SolveStatus.NUMERICAL_ERROR, str(exc)
     last = params if state is None else state.params
     return SolveResult(

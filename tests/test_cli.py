@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -122,6 +123,18 @@ def test_parse_experiment_rejects_invalid_solver_ranges():
         parse_experiment(_cfg(params={"rho": 1.5}))
 
 
+def test_output_dir_must_be_a_non_empty_string():
+    # null, 5 and ["a"] were written into ./None, ./5 and ./['a'], and "" into
+    # the current directory
+    for bad in (None, 5, ["a"], ""):
+        message = re.escape(f"output_dir must be a non-empty string, got {bad!r}")
+        with pytest.raises(ConfigError, match=f"^config: {message}$"):
+            parse_experiment(_cfg(output_dir=bad))
+        sweep = {"schema_version": 1, "base": _cfg(output_dir=bad), "rs_grid": [[0.1, 1.0]]}
+        with pytest.raises(ConfigError, match=f"^sweep base: {message}$"):
+            parse_sweep(sweep)
+
+
 def test_parse_sweep_rejects_cancelling_pair_grid():
     obj = {
         "schema_version": 1,
@@ -174,6 +187,42 @@ def test_read_trace_rejects_empty_file(tmp_path):
     path.write_bytes(b"")
     with pytest.raises(ConfigError, match="empty trace file"):
         read_trace(path)
+
+
+def _trace_file(tmp_path, last_row):
+    # a written three-row trace whose last row is replaced by ``last_row``
+    P = random_quadratic(3, 2, make_rng(61))
+    result = run(P, Iterate(np.zeros(3), np.zeros(2), np.zeros(2)), SolverParams(max_iter=3, tol_step=0.0))
+    path = tmp_path / "trace.csv"
+    write_trace(result.trace, path)
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(lines[:-1] + [last_row(lines[-1])]) + "\n")
+    return path
+
+
+def _assert_rejects_line_4(path, detail):
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'{path}, line 4: ')}{detail}"):
+        read_trace(path)
+
+
+def test_read_trace_rejects_a_short_row(tmp_path):
+    path = _trace_file(tmp_path, lambda row: row.rsplit(",", 1)[0])
+    _assert_rejects_line_4(path, "12 cells, the header has 13$")
+
+
+def test_read_trace_rejects_a_row_with_an_extra_cell(tmp_path):
+    path = _trace_file(tmp_path, lambda row: row + ",1.0")
+    _assert_rejects_line_4(path, "14 cells, the header has 13$")
+
+
+def test_read_trace_rejects_a_non_numeric_cell(tmp_path):
+    path = _trace_file(tmp_path, lambda row: ",".join(["2", "one"] + row.split(",")[2:]))
+    _assert_rejects_line_4(path, "could not convert string to float: 'one'$")
+
+
+def test_read_trace_rejects_a_blank_line(tmp_path):
+    path = _trace_file(tmp_path, lambda row: "")
+    _assert_rejects_line_4(path, "0 cells, the header has 13$")
 
 
 def test_merit_column_nonincreasing_under_certified_margins(tmp_path):

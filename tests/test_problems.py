@@ -285,7 +285,7 @@ SPECTRA = ("min_eig_AtA", "max_eig_AtA")
 
 def _unformed(P):
     # which of the values cached on first read P holds, read without forming them
-    return {name: name not in vars(P) for name in ("AtA", "_spectral_range")}
+    return {name: name not in vars(P) for name in ("AtA", "AAt", "_spectral_range")}
 
 
 def _count_eigvalsh(monkeypatch):
@@ -350,6 +350,7 @@ def test_first_read_of_spectra_has_the_eager_bits():
         getattr(P, first)
         assert not _unformed(P)["_spectral_range"]
         assert _unformed(P)["AtA"] == (m < n)  # only m >= n forms A^T A, as before
+        assert _unformed(P)["AAt"] == (m >= n)  # and only m < n forms A A^T
         for name, value in zip(SPECTRA, expected):
             assert repr(getattr(P, name)) == repr(value)
     assert quadratic_square.min_eig_AtA > 0.0
@@ -365,6 +366,7 @@ def test_replace_derives_sizes_gram_matrix_and_spectra_from_the_new_A(monkeypatc
     assert all(_unformed(P).values()) and calls == []  # replace forms nothing on P
     assert (R.n1, R.n2) == (5, 6) and R != P
     assert R.AtA.tobytes() == (B.T @ B).tobytes()
+    assert R.AAt.tobytes() == (B @ B.T).tobytes() and R.AAt is R.AAt
     assert (R.min_eig_AtA, R.max_eig_AtA) == _eager_spectra(B)
     assert all(_unformed(P).values())
     # a scaled coupling certifies what a fresh build of the same data does
@@ -383,7 +385,8 @@ def test_lasso_solve_and_summary_leave_spectra_and_gram_matrix_unformed(monkeypa
     result = run(P, Iterate(np.zeros(P.n1), np.zeros(P.n2), np.zeros(P.n2)), params)
     _summarize(P, result, 0.0, params)
     assert result.iterations == 10
-    assert all(_unformed(P).values())
+    # the capacitance matrices read A A^T, which holds no spectrum
+    assert _unformed(P) == {"AtA": True, "AAt": False, "_spectral_range": True}
     assert calls == []
 
 

@@ -698,7 +698,7 @@ def test_run_with_carried_factors_matches_refactoring_every_step():
     lasso = make_huber_lasso(16, 64, rng=make_rng(40))
     classification = make_classification(20, 20, rng=make_rng(31))
     for P, params in (
-        (lasso, SolverParams(beta=10.0, alpha=0.5, relaxed_alpha=True, max_iter=300)),
+        (lasso, SolverParams(beta=10.0, alpha=0.5, max_iter=300)),
         (classification, SolverParams(r=0.1, s=1.0, tol_step=0.0, max_iter=300)),
     ):
         w0 = _zero_start(P)
@@ -790,7 +790,7 @@ def _evaluation_cases():
     short = dict(tol_step=0.0, tol_kkt=0.0, max_iter=40)
     lasso = make_huber_lasso(16, 64, rng=make_rng(40))
     classification = make_classification(20, 20, rng=make_rng(31))
-    yield lasso, _zero_start(lasso), SolverParams(beta=10.0, alpha=0.5, relaxed_alpha=True, **short)
+    yield lasso, _zero_start(lasso), SolverParams(beta=10.0, alpha=0.5, **short)
     yield classification, _zero_start(classification), SolverParams(r=0.1, s=1.0, **short)
     yield _wells(3.0, -1.0), _w(3.0, 0.0, 0.0), SolverParams(ell=0.01, **short)
     yield _wells(-1.0, 3.0), _w(0.5, 3.0, 0.0), SolverParams(sigma=0.5, **short)
@@ -930,7 +930,7 @@ def _structured_cases():
         P = make_huber_lasso(12, 40, rng=make_rng(51 + i))
         # iterates near the origin put some coordinates inside the Huber knee
         w = Iterate(0.1 * normal_sample(rng, 40), normal_sample(rng, 12), normal_sample(rng, 12))
-        yield P, w, SolverParams(beta=10.0, alpha=0.5, relaxed_alpha=True)
+        yield P, w, SolverParams(beta=10.0, alpha=0.5)
         P = random_quadratic(30, 10, make_rng(54 + i))
         w = Iterate(normal_sample(rng, 30), normal_sample(rng, 10), normal_sample(rng, 10))
         yield P, w, SolverParams(beta=0.5 + i, ell=0.1)
@@ -1116,30 +1116,74 @@ def test_diagonal_y_model_given_as_a_matrix_takes_the_dense_metric():
 def test_capacitance_matrix_depends_on_the_model_alone():
     # support changes of the Huber model, on both sides of the n/2 switch
     # between the base-plus-correction and the direct assembly, and changes of
-    # ell and beta: the metric built from the previous one is bit-equal to a
-    # fresh one, and solves as the dense x-metric does
+    # ell and beta: each metric, built on the problem's cached A A^T, is
+    # bit-equal to one built on a new problem that forms its own, and solves
+    # as the dense x-metric does
     P = make_huber_lasso(16, 64, rng=make_rng(59))
     rng = make_rng(60)
     knee = P.data.tau / P.data.mu
-    cached = None
     steps = [(3, 5.0, 10.0), (5, 5.0, 10.0), (0, 5.0, 10.0), (31, 5.0, 10.0), (32, 5.0, 10.0)]
     steps += [(64, 5.0, 10.0), (10, 5.0, 10.0), (12, 10.0, 10.0), (12, 10.0, 1.0), (9, 10.0, 1.0)]
     for size, ell, beta in steps:
         h = np.zeros(64)
         h[rng.choice(64, size, replace=False)] = knee
         h.flags.writeable = False
-        metric = prsqp.solver._metric_x(P, h, ell, beta, cached)
-        fresh = prsqp.solver._metric_x(P, h, ell, beta)
+        metric = prsqp.solver._metric_x(P, h, ell, beta)
+        fresh = prsqp.solver._metric_x(replace(P), h, ell, beta)
         assert isinstance(metric, prsqp.solver.LowRankMetric)
-        assert (metric.base is None) == (2 * size >= 64)
-        if metric.base is not None and cached is not None and cached.base is not None:
-            # the base is carried at the same ell and beta, and rebuilt otherwise
-            assert (metric.base is cached.base) == ((cached.weight, cached.beta) == (ell, beta))
         Hcal = np.diag(h + ell) + beta * (P.A.T @ P.A)
         for g in (normal_sample(rng, 64), 1e3 * normal_sample(rng, 64)):
             assert metric.solve(g).tobytes() == fresh.solve(g).tobytes()
             assert _close(metric.solve(g), np.linalg.solve(Hcal, g), 1e-10)
-        cached = metric
+    assert P.AAt.tobytes() == (P.A @ P.A.T).tobytes()
+
+
+def _nan_from_call(hess, calls):
+    # the Hessian callable hess, returning NaN in every entry from call ``calls`` on
+    count = [0]
+
+    def at(z):
+        count[0] += 1
+        H = np.array(hess(z), dtype=float)
+        return H * np.nan if count[0] >= calls else H
+
+    return at
+
+
+def test_run_ends_at_the_refresh_that_returns_a_non_finite_model():
+    # the fourth Hessian read is the refresh of the third iteration: the run
+    # ends there, naming the block, with the two earlier iterations traced
+    problems = (make_classification(20, 20, rng=make_rng(31)), make_huber_lasso(8, 16, rng=make_rng(40)))
+    for P in problems:
+        for block, name in (("x", "hess_f_at"), ("y", "hess_g_at")):
+            Q = replace(P, **{name: _nan_from_call(getattr(P, name), 4)})
+            result = run(Q, _zero_start(Q), SolverParams(tol_step=0.0, max_iter=20))
+            assert result.status is SolveStatus.NUMERICAL_ERROR
+            assert result.stop_reason == f"{block}-model has non-finite entries"
+            assert result.iterations == 2
+            assert (result.ell, result.sigma) == (5.0, 10.0)
+
+
+def test_metric_that_stays_indefinite_names_its_block_weight_and_factorization():
+    # a finite model too negative for 60 doublings of the weight, diagonal and
+    # matrix, in each block
+    P = random_quadratic(3, 2, make_rng(63))
+    lapack = "1-th leading minor of the array is not positive definite"
+    cases = (
+        ("hess_f_at", np.full(3, -1e30), "x", "ell = 5.764607523034235e+18", lapack),
+        ("hess_f_at", -1e30 * np.eye(3), "x", "ell = 5.764607523034235e+18", lapack),
+        ("hess_g_at", np.array([1.0, -1e30]), "y", "sigma = 1.152921504606847e+19", "2-th diagonal entry is not positive"),
+        ("hess_g_at", -1e30 * np.eye(2), "y", "sigma = 1.152921504606847e+19", lapack),
+    )
+    for name, model, block, last, why in cases:
+        Q = replace(P, **{name: lambda z, model=model: model})
+        weight = last.split()[0]
+        expected = f"{block}-metric stayed indefinite after 60 doublings of {weight}, the last at {last}: {why}"
+        with pytest.raises(NumericalError) as raised:
+            initial_state(Q, _zero_start(Q), SolverParams())
+        assert str(raised.value) == expected
+        result = run(Q, _zero_start(Q), SolverParams())
+        assert (result.status, result.stop_reason, result.iterations) == (SolveStatus.NUMERICAL_ERROR, expected, 0)
 
 
 def test_constant_diagonal_y_model_is_never_factored(monkeypatch):

@@ -9,18 +9,21 @@ run. A change that leaves the maths alone should print the same lines as its
 parent: make a ``git worktree`` of the parent and diff the two outputs (see
 README, Reproducibility). A run's digest covers every trace row but its
 ``elapsed``, the status, the stop reason, the final weights and the bytes of
-the final iterate; a recipe's covers every field of the returned params.
+the final iterate; a recipe's covers every field of the returned params, and
+a report's every field of :func:`~prsqp.diagnostics_report` at the default
+params, the spectral bounds included.
 
 The BLAS thread variables are set to 1 before numpy loads, so products round
 alike from run to run. Only API that stays stable across design changes is
-used (``run``, ``SolverParams``, ``suggest_params``, ``cli.build_problem``),
-so the script also runs on older checkouts. pytest does not collect it.
+used (``run``, ``SolverParams``, ``suggest_params``, ``diagnostics_report``,
+``cli.build_problem``), so the script also runs on older checkouts. pytest
+does not collect it.
 """
 
 import hashlib
 import os
 import sys
-from dataclasses import astuple, replace
+from dataclasses import asdict, astuple, replace
 from pathlib import Path
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -32,7 +35,17 @@ sys.path.insert(0, str(Path(sys.argv[1]).resolve() / "src"))  # before this dire
 
 import numpy as np  # noqa: E402
 
-from prsqp import Iterate, SolverParams, cli, make_quadratic, make_rng, random_quadratic, run, suggest_params  # noqa: E402
+from prsqp import (  # noqa: E402
+    Iterate,
+    SolverParams,
+    cli,
+    diagnostics_report,
+    make_quadratic,
+    make_rng,
+    random_quadratic,
+    run,
+    suggest_params,
+)
 from toys import scalar_problem  # noqa: E402
 
 LASSO_DESK = {"type": "huber_lasso", "m": 128, "n": 512, "density": 0.5, "tau": 1e-3, "mu": 0.1}
@@ -98,6 +111,13 @@ def digests():
     for name, P in recipe_problems:
         for direction in ("alda", "aldd"):
             yield f"suggest_params-{direction}-{name}", _digest(astuple(suggest_params(direction, P)))
+    report_problems = (
+        ("lasso_desk-s1", cli.build_problem(LASSO_DESK, 1)),
+        ("classification-s1", cli.build_problem(CLASSIFICATION, 1)),
+        ("quadratic6x4", random_quadratic(6, 4, make_rng(0))),
+    )
+    for name, P in report_problems:
+        yield f"diagnostics_report-{name}", _digest(asdict(diagnostics_report(P, SolverParams())))
 
 
 if __name__ == "__main__":
