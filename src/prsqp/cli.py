@@ -30,12 +30,9 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import contextlib
 import csv
 import json
 import math
-import multiprocessing
-import os
 import sys
 import time
 import typing
@@ -177,8 +174,8 @@ def parse_experiment(obj, context="config"):
     for key in ("problem", "seed", "output_dir"):
         if key not in obj:
             raise ConfigError(f"{context} is missing required key {key!r}")
-    if isinstance(obj["seed"], bool) or not isinstance(obj["seed"], int):
-        raise ConfigError(f"{context}: seed must be an integer")
+    if isinstance(obj["seed"], bool) or not isinstance(obj["seed"], int) or obj["seed"] < 0:
+        raise ConfigError(f"{context}: seed must be an integer >= 0, got {obj['seed']!r}")
     for key in ("relaxed_alpha", "baseline"):
         if not isinstance(obj.get(key, False), bool):
             raise ConfigError(f"{context}: {key} must be true or false, got {obj[key]!r}")
@@ -369,6 +366,8 @@ def parse_sweep(obj):
     if "base" not in obj or "rs_grid" not in obj:
         raise ConfigError("sweep config needs 'base' and 'rs_grid'")
     base = parse_experiment(obj["base"], context="sweep base")
+    if base.baseline:
+        raise ConfigError("sweep base: baseline must be false or absent, a sweep runs no baseline")
     rs_grid = obj["rs_grid"]
     if not isinstance(rs_grid, list) or not rs_grid:
         raise ConfigError("rs_grid must be a nonempty list of [r, s] pairs")
@@ -404,7 +403,8 @@ def _sweep_row(base, r, s, alpha, seed):
         params = replace(base.params, r=r, s=s, alpha=alpha)
     except ValueError:
         return row
-    summary = _solve(base.problem, seed, params)[2]
+    with one_numpy_blas_thread():
+        summary = _solve(base.problem, seed, params)[2]
     row.update({key: summary[key] for key in ("iter", "tcpu_s", "ofv", "fea", "kkt", "status")})
     return row
 
@@ -417,42 +417,21 @@ def run_sweep(cfg):
     completion order. Rows whose parameters fail validation are recorded with
     status InvalidParams and the sweep continues.
 
-    Each row runs its BLAS on one thread unless ``OPENBLAS_NUM_THREADS`` is
-    set, so that serial and pooled rows round alike (README, ``prsqp sweep``).
-    Workers that need a thread variable set are spawned, and a spawned worker
-    imports the caller's main module, so a script that sweeps with several
-    workers must guard its entry point with ``if __name__ == "__main__"``.
+    Each row runs its solve inside :func:`~prsqp.core.one_numpy_blas_thread`,
+    in whichever process runs it, so that serial and pooled rows round alike
+    (README, ``prsqp sweep``). Workers start the platform's default way; where
+    that is not fork, a worker imports the caller's main module, so a script
+    that sweeps with several workers must guard its entry point with
+    ``if __name__ == "__main__"``.
     """
     points = [(r, s, alpha) for alpha in cfg.alpha_grid for r, s in cfg.rs_grid]
     jobs = [(cfg.base, r, s, alpha, cfg.base.seed ^ idx) for idx, (r, s, alpha) in enumerate(points)]
-    unset = [var for var in _BLAS_THREAD_VARS if var not in os.environ]
     # a forking pool starts all its workers at the first submit, so it gets no more than there are rows
     workers = min(cfg.max_workers, len(jobs))
     if workers <= 1:
-        scope = one_numpy_blas_thread() if "OPENBLAS_NUM_THREADS" in unset else contextlib.nullcontext()
-        with scope:
-            return [_sweep_row(*job) for job in jobs]
-    context = multiprocessing.get_context("spawn") if unset else None
-    with _environ_for_workers(unset), concurrent.futures.ProcessPoolExecutor(
-        max_workers=workers, mp_context=context
-    ) as pool:
+        return [_sweep_row(*job) for job in jobs]
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_sweep_row, *zip(*jobs)))
-
-
-_BLAS_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-@contextlib.contextmanager
-def _environ_for_workers(unset):
-    # the BLAS thread variables in unset are 1 for the workers, which would
-    # otherwise each run a full BLAS pool on the same cores; os.environ is
-    # restored on exit
-    os.environ.update(dict.fromkeys(unset, "1"))
-    try:
-        yield
-    finally:
-        for var in unset:
-            os.environ.pop(var, None)
 
 
 def write_sweep(rows, path):
@@ -493,6 +472,8 @@ def _cmd_check_params(args):
 
 
 def _cmd_gen_data(args):
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be an integer >= 0, got {args.seed}")
     if args.problem == "quadratic":
         try:
             P = random_quadratic(args.n1, args.n2, make_rng(args.seed))

@@ -6,7 +6,8 @@ handling and reproducibility live in one place. It is the only module that
 imports scipy, and from scipy it binds two LAPACK routines, ``dpotrf`` and
 ``dpotrs``, which run on one thread of scipy's BLAS pool (see
 :func:`_bind_lapack`). numpy's BLAS pool runs on one thread only inside
-:func:`one_numpy_blas_thread`.
+:func:`one_numpy_blas_thread`, and there only unless ``OPENBLAS_NUM_THREADS``
+is set.
 """
 
 from __future__ import annotations
@@ -145,10 +146,13 @@ def one_numpy_blas_thread():
     """A scope in which numpy's OpenBLAS pool runs on one thread.
 
     Scopes may nest and overlap across Python threads; the pool gets its
-    thread count back when the last one ends. Where numpy's BLAS exports no
-    ``openblas_set_num_threads_local``, the scope changes nothing.
+    thread count back when the last one ends. The scope changes nothing where
+    ``OPENBLAS_NUM_THREADS`` is set, since the caller has then chosen the
+    count, or where numpy's BLAS exports no ``openblas_set_num_threads_local``.
     """
-    return _numpy_scope if _set_numpy_blas_threads is not None else contextlib.nullcontext()
+    if _set_numpy_blas_threads is None or "OPENBLAS_NUM_THREADS" in os.environ:
+        return contextlib.nullcontext()
+    return _numpy_scope
 
 
 def cholesky_spd(M):

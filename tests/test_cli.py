@@ -107,8 +107,11 @@ def test_parse_experiment_rejects_misspelled_parameter():
 def test_parse_experiment_rejects_bad_schema_and_seed():
     with pytest.raises(ConfigError, match="schema_version"):
         parse_experiment(_cfg(schema_version=2))
-    with pytest.raises(ConfigError, match="seed"):
-        parse_experiment(_cfg(seed="one"))
+    for bad in ("one", True, 1.0, -5):
+        message = re.escape(f"config: seed must be an integer >= 0, got {bad!r}")
+        with pytest.raises(ConfigError, match=f"^{message}$"):
+            parse_experiment(_cfg(seed=bad))
+    assert parse_experiment(_cfg(seed=0)).seed == 0
 
 
 def test_parse_experiment_requires_problem_fields():
@@ -356,26 +359,32 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "GOTO_
 os.environ.update(dict(var.split("=") for var in sys.argv[2:]))
 import json
 from prsqp.cli import parse_sweep, run_sweep
-obj = json.loads(sys.argv[1])
-environ = dict(os.environ)
-rows = {}
-for workers in (1, 2):
-    rows[workers] = run_sweep(parse_sweep({**obj, "max_workers": workers}))
-    assert dict(os.environ) == environ
-print(json.dumps(rows))
+
+if __name__ == "__main__":
+    obj = json.loads(sys.argv[1])
+    environ = dict(os.environ)
+    rows = {}
+    for workers in (1, 2):
+        rows[workers] = run_sweep(parse_sweep({**obj, "max_workers": workers}))
+        assert dict(os.environ) == environ
+    print(json.dumps(rows))
 """
 
 
 def test_run_sweep_without_thread_variables_gives_the_serial_rows(tmp_path):
     # the benchmark's sweep_regimes grid, on whose 100 x 100 instance a serial
     # sweep on a full BLAS pool rounds differently from one-thread workers;
-    # every row, serial or pooled, equals the rows with every pool pinned
+    # every row, serial or pooled, equals the rows with every pool pinned. The
+    # script clears the thread variables at module level, which a worker that
+    # re-imports the main module would run again before loading its BLAS.
     obj = _sweep_config(tmp_path, "unused", [[0.1, 1.0], [-0.1, 1.0], [-0.1, -0.1]], [0.0, 0.5])
     obj["base"].update(problem={"type": "classification", "n": 100, "T": 100}, seed=1)
     obj["base"]["params"] = {"max_iter": 1000, "tol_step": 0.0}
+    script = tmp_path / "sweep_with_threads.py"
+    script.write_text(_SWEEP_WITH_THREADS)
     rows = {}
     for pinned in (False, True):
-        done = fresh_python(_SWEEP_WITH_THREADS, json.dumps(obj), *(f"{var}=1" for var in _BLAS_THREAD_VARS if pinned))
+        done = fresh_python(script, json.dumps(obj), *(f"{var}=1" for var in _BLAS_THREAD_VARS if pinned))
         assert done.returncode == 0, done.stderr
         rows[pinned] = {workers: _strip_times(r) for workers, r in json.loads(done.stdout).items()}
     assert len(rows[True]["1"]) == 6
@@ -384,15 +393,14 @@ def test_run_sweep_without_thread_variables_gives_the_serial_rows(tmp_path):
 
 @pytest.fixture
 def pool_starts(monkeypatch):
-    # stands in for the process pool: records the worker count it is asked
-    # for, how its workers would start and the thread variables they would
-    # inherit, and runs the rows here
+    # stands in for the process pool: records the worker count and start
+    # context it is given and the environment it would start its workers
+    # in, and runs the rows here
     starts = []
 
     class RecordingPool:
         def __init__(self, max_workers, mp_context=None):
-            method = mp_context.get_start_method() if mp_context else None
-            starts.append((max_workers, method, {var: os.environ.get(var) for var in _BLAS_THREAD_VARS}))
+            starts.append((max_workers, mp_context, dict(os.environ)))
 
         def __enter__(self):
             return self
@@ -407,31 +415,25 @@ def pool_starts(monkeypatch):
     return starts
 
 
-def test_sweep_workers_start_with_one_blas_thread_where_no_variable_is_set(tmp_path, monkeypatch, pool_starts):
+def test_sweep_workers_start_the_default_way_in_the_callers_environment(tmp_path, monkeypatch, pool_starts):
+    # whatever thread variables the caller sets, the pool gets no start
+    # context and the workers inherit os.environ as it is
     problem_file, _ = _quadratic_file(tmp_path)
     cfg = parse_sweep(_sweep_config(tmp_path, problem_file, [[0.1, 1.0], [-0.1, 1.0]], [0.0], max_workers=2))
     omp, openblas, mkl = _BLAS_THREAD_VARS
-    cases = [
-        ({}, (2, "spawn", {omp: "1", openblas: "1", mkl: "1"})),
-        ({mkl: "4"}, (2, "spawn", {omp: "1", openblas: "1", mkl: "4"})),
-        ({openblas: "3", omp: "2"}, (2, "spawn", {omp: "2", openblas: "3", mkl: "1"})),
-        ({omp: "2", openblas: "2", mkl: "2"}, (2, None, {omp: "2", openblas: "2", mkl: "2"})),
-    ]
-    for set_by_caller, start in cases:
+    for set_by_caller in ({}, {mkl: "4"}, {openblas: "3", omp: "2"}, {omp: "2", openblas: "2", mkl: "2"}):
         for var in _BLAS_THREAD_VARS:
             monkeypatch.delenv(var, raising=False)
         for var, value in set_by_caller.items():
             monkeypatch.setenv(var, value)
         environ = dict(os.environ)
         assert all(row["status"] in ("Converged", "IterLimit") for row in run_sweep(cfg))
-        assert pool_starts[-1] == start
+        assert pool_starts[-1] == (2, None, environ)
         assert dict(os.environ) == environ
 
 
-def test_run_sweep_starts_at_most_one_worker_per_row(tmp_path, monkeypatch, pool_starts):
+def test_run_sweep_starts_at_most_one_worker_per_row(tmp_path, pool_starts):
     # a forking pool starts every worker it is given at the first submit
-    for var in _BLAS_THREAD_VARS:
-        monkeypatch.setenv(var, "1")  # the fork path
     problem_file, _ = _quadratic_file(tmp_path)
     rs_grid = [[0.1, 1.0], [-0.1, 1.0], [0.5, 0.5]]
     for rows, max_workers, pool in ((3, 64, 3), (2, 64, 2), (3, 2, 2), (1, 64, None), (3, 1, None)):
@@ -628,9 +630,12 @@ def test_parse_sweep_rejects_non_numbers_in_grids_and_worker_count():
         ("alpha_grid", [False], "alpha_grid"),
         ("alpha_grid", ["0.5"], "alpha_grid"),
         ("max_workers", True, "max_workers"),
+        ("base", {**base, "baseline": True}, "^sweep base: baseline must be false or absent"),
+        ("base", {**base, "seed": -5}, "^sweep base: seed must be an integer >= 0, got -5$"),
     ):
         with pytest.raises(ConfigError, match=message):
             parse_sweep({**good, key: bad})
+    assert not parse_sweep({**good, "base": {**base, "baseline": False}}).base.baseline
 
 
 def test_cli_rejects_non_finite_weights(tmp_path, capsys):
@@ -674,6 +679,15 @@ def test_cli_gen_data_rejects_invalid_size(tmp_path, capsys):
     assert code == 1
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_gen_data_rejects_a_negative_seed(tmp_path, capsys):
+    out = tmp_path / "data.json"
+    for problem in ("quadratic", "classification", "huber_lasso"):
+        code = main(["gen-data", "--problem", problem, "--seed", "-5", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "config error: --seed must be an integer >= 0, got -5\n"
+        assert not out.exists()
 
 
 def test_cli_gen_data_rejects_non_finite_weights(tmp_path, capsys):

@@ -262,9 +262,10 @@ def test_lapack_scopes_overlapping_in_threads_restore_the_pools_thread_count():
 
 
 _NUMPY_POOL_SCOPE = """
-import os
+import os, sys
 for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "GOTO_NUM_THREADS"):
     os.environ.pop(var, None)  # before numpy loads its BLAS
+os.environ.update(dict(var.split("=") for var in sys.argv[1:]))
 import ctypes, json
 import numpy as np
 import prsqp.core as core
@@ -296,6 +297,11 @@ def test_numpy_blas_scope_runs_numpys_pool_on_one_thread():
     # a nested scope leaves the pool at one thread; the outer one restores it
     assert before >= 1 and after == before
     assert nested == inner_left == 1
+    # a count the caller chose through OPENBLAS_NUM_THREADS stands
+    done = fresh_python(_NUMPY_POOL_SCOPE, "OPENBLAS_NUM_THREADS=2")
+    assert done.returncode == 0, done.stderr
+    before, nested, inner_left, after = json.loads(done.stdout)
+    assert before >= 1 and nested == inner_left == after == before
 
 
 def test_lapack_calls_run_unscoped_without_the_thread_symbol(monkeypatch):

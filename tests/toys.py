@@ -14,13 +14,16 @@ from prsqp import CompositeProblem
 def fresh_python(code, *args):
     """Run ``code`` in a new interpreter that imports this checkout's prsqp; return its result.
 
-    For checks on what a process loads, which the test process itself (having
-    imported scipy.linalg for reference values) cannot show.
+    ``code`` is source text, or the :class:`~pathlib.Path` of a script to run
+    as the main module. For checks on what a process loads, which the test
+    process itself (having imported scipy.linalg for reference values) cannot
+    show.
     """
     src = str(Path(prsqp.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    program = [str(code)] if isinstance(code, Path) else ["-c", code]
     return subprocess.run(
-        [sys.executable, "-c", code, *map(str, args)],
+        [sys.executable, *program, *map(str, args)],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
