@@ -85,20 +85,15 @@ class ExperimentConfig:
     baseline: bool = False
 
 
+# each problem type's keys besides "type": (required, optional)
 _PROBLEM_KEYS = {
-    "classification": {"type", "n", "T", "mu"},
-    "huber_lasso": {"type", "m", "n", "density", "tau", "mu"},
-    "quadratic": {"type", "file"},
+    "classification": ({"n", "T"}, {"mu"}),
+    "huber_lasso": ({"m", "n"}, {"density", "tau", "mu"}),
+    "quadratic": ({"file"}, set()),
 }
 
 # sizes and weights are read as the same fields of a problem file are
 _PROBLEM_READERS = dict.fromkeys(("m", "n", "T"), _json_size) | dict.fromkeys(("density", "tau", "mu"), _json_weight)
-
-_PROBLEM_REQUIRED = {
-    "classification": {"n", "T"},
-    "huber_lasso": {"m", "n"},
-    "quadratic": {"file"},
-}
 
 
 def _is_number(value):
@@ -130,9 +125,9 @@ def _parse_problem(obj):
         raise ConfigError(
             f"unknown problem type {kind!r} (expected one of {sorted(_PROBLEM_KEYS)})"
         )
-    _check_keys(obj, _PROBLEM_KEYS[kind], f"problem ({kind})")
-    missing = _PROBLEM_REQUIRED[kind] - set(obj)
-    if missing:
+    required, optional = _PROBLEM_KEYS[kind]
+    _check_keys(obj, {"type"} | required | optional, f"problem ({kind})")
+    if missing := required - set(obj):
         raise ConfigError(f"problem ({kind}) is missing keys: {sorted(missing)}")
     out = dict(obj)
     if "file" in obj and not isinstance(obj["file"], str):
@@ -480,12 +475,11 @@ def _cmd_gen_data(args):
         except ValueError as exc:
             raise ConfigError(f"cannot build the quadratic problem: {exc}") from None
     else:  # argparse restricts the choices
-        if args.problem == "classification":
-            flags = dict(n=args.n, T=args.T, mu=args.mu)
-        else:
-            flags = dict(m=args.m, n=args.n, density=args.density, tau=args.tau, mu=args.mu_huber)
-        # the flags given, read as a config's problem is; the builders hold the defaults
-        problem = {"type": args.problem} | {key: value for key, value in flags.items() if value is not None}
+        # the flags of the type's keys (huber_lasso's mu is --mu-huber), read as a
+        # config's problem is; the builders hold the defaults of the flags not given
+        required, optional = _PROBLEM_KEYS[args.problem]
+        flags = vars(args) | ({"mu": args.mu_huber} if args.problem == "huber_lasso" else {})
+        problem = {"type": args.problem} | {k: flags[k] for k in sorted(required | optional) if flags[k] is not None}
         P = build_problem(_parse_problem(problem), args.seed)
     with _open_output(args.out) as fh:
         json.dump(problem_to_json(P), fh)

@@ -10,6 +10,11 @@ constants used by the step-size theory. Three builders are provided:
 * :func:`make_classification` -- smoothed nonconvex classification loss with a
   forward-difference regularizer,
 * :func:`make_huber_lasso`    -- Huber-smoothed sparse recovery.
+
+Each family's JSON container (data record, builder, keys in file order) is
+declared once, in ``_CONTAINERS``. The builders reject non-finite inputs, so
+every instance they build round-trips; a classification container must hold
+unit-norm feature columns, which its ``lipschitz_f`` assumes.
 """
 
 from __future__ import annotations
@@ -176,6 +181,9 @@ def make_quadratic(c_f, c_g, A):
     c_g = as_vector(c_g, name="c_g")
     n1, n2 = c_f.shape[0], c_g.shape[0]
     A = as_matrix(A, shape=(n2, n1), name="A")
+    for name, array in (("c_f", c_f), ("c_g", c_g), ("A", A)):
+        if not np.isfinite(array).all():
+            raise ValueError(f"{name} must hold finite numbers only")
     ones1, ones2 = np.ones(n1), np.ones(n2)  # both Hessians are identities, given as diagonals
     return CompositeProblem(
         name="quadratic",
@@ -228,8 +236,8 @@ def _classification_problem(D, labels, mu):
     labels = as_vector(labels, n=T, name="labels")
     if not np.all(np.abs(labels) == 1.0):
         raise ValueError("labels must be +1 or -1")
-    if not mu > 0:
-        raise ValueError(f"mu must be positive, got {mu}")
+    if not 0 < mu < math.inf:
+        raise ValueError(f"mu must be positive and finite, got {mu}")
     A = forward_difference(n)
     h_g = np.full(n - 1, mu)  # hess g = mu I, given as its diagonal
 
@@ -286,13 +294,13 @@ def make_classification(n, T, mu=0.001, rng=None):
     return _classification_problem(D, labels, mu)
 
 
-def _lasso_problem(Amat, u, tau, mu, density):
-    Amat = as_matrix(Amat, name="Amat")
-    m, n = Amat.shape
+def _lasso_problem(A, u, tau, mu, density):
+    A = as_matrix(A, name="A")
+    m, n = A.shape
     u = as_vector(u, n=n, name="u")
-    if not (tau > 0 and mu > 0):
-        raise ValueError(f"tau and mu must be positive, got tau={tau}, mu={mu}")
-    d = Amat @ u
+    if not (0 < tau < math.inf and 0 < mu < math.inf):
+        raise ValueError(f"tau and mu must be positive and finite, got tau={tau}, mu={mu}")
+    d = A @ u
     ones2 = np.ones(m)  # hess g = I, given as its diagonal
 
     def eval_f(x):
@@ -307,7 +315,7 @@ def _lasso_problem(Amat, u, tau, mu, density):
 
     return CompositeProblem(
         name="huber_lasso",
-        A=Amat,
+        A=A,
         eval_f=eval_f,
         grad_f=grad_f,
         hess_f_at=hess_f_at,
@@ -331,9 +339,9 @@ def make_huber_lasso(m, n, density=0.5, tau=1e-3, mu=0.1, rng=None):
         raise ValueError("rng is required to sample the instance")
     if not m < n:
         raise ValueError(f"need m < n (underdetermined recovery), got m={m}, n={n}")
-    Amat = normal_sample(rng, m * n).reshape(m, n)
+    A = normal_sample(rng, m * n).reshape(m, n)
     u = sparse_normal_sample(rng, n, density)
-    return _lasso_problem(Amat, u, tau, mu, density)
+    return _lasso_problem(A, u, tau, mu, density)
 
 
 # ----- shared evaluations -----------------------------------------------------
@@ -426,34 +434,37 @@ def _matrix_from_json(obj):
     return data.reshape(rows, cols)
 
 
+def _json_unit_columns(obj, key):
+    # a classification's lipschitz_f = 4 / (3 sqrt 3) holds for unit-norm feature columns only
+    D = _matrix_from_json(obj[key])
+    norms = np.linalg.norm(D, axis=0)
+    if np.any(np.abs(norms - 1.0) > 1e-12):
+        raise ValueError(f"{key} must have unit-norm columns, got norms {norms.min()!r} to {norms.max()!r}")
+    return D
+
+
+# how a container key is (read, written)
+_WEIGHT = (_json_weight, float)
+_VECTOR = (_json_vector, lambda v: [float(x) for x in v])
+_MATRIX = (lambda obj, key: _matrix_from_json(obj[key]), _matrix_to_json)
+_UNIT_COLS = (_json_unit_columns, _matrix_to_json)
+
+# Each family's container: kind -> (data record, builder, keys in file order).
+# The builder takes the keys as its arguments. ``A`` is written off the
+# problem, every other key off its data record.
+_CONTAINERS = {
+    "quadratic": (QuadraticData, make_quadratic, dict(c_f=_VECTOR, c_g=_VECTOR, A=_MATRIX)),
+    "classification": (ClassificationData, _classification_problem, dict(mu=_WEIGHT, D=_UNIT_COLS, labels=_VECTOR)),
+    "huber_lasso": (LassoData, _lasso_problem, dict(tau=_WEIGHT, mu=_WEIGHT, density=_WEIGHT, A=_MATRIX, u=_VECTOR)),
+}
+
+
 def problem_to_json(P):
     """Serialize a built instance (arrays included) to a plain-JSON dict."""
-    if isinstance(P.data, QuadraticData):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "quadratic",
-            "c_f": [float(v) for v in P.data.c_f],
-            "c_g": [float(v) for v in P.data.c_g],
-            "A": _matrix_to_json(P.A),
-        }
-    if isinstance(P.data, ClassificationData):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "classification",
-            "mu": float(P.data.mu),
-            "D": _matrix_to_json(P.data.D),
-            "labels": [float(v) for v in P.data.labels],
-        }
-    if isinstance(P.data, LassoData):
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "huber_lasso",
-            "tau": float(P.data.tau),
-            "mu": float(P.data.mu),
-            "density": float(P.data.density),
-            "A": _matrix_to_json(P.A),
-            "u": [float(v) for v in P.data.u],
-        }
+    for kind, (record, _, keys) in _CONTAINERS.items():
+        if isinstance(P.data, record):
+            stored = {key: write(P.A if key == "A" else getattr(P.data, key)) for key, (_, write) in keys.items()}
+            return {"schema_version": SCHEMA_VERSION, "kind": kind, **stored}
     raise TypeError(f"cannot serialize problem {P.name!r}")
 
 
@@ -462,7 +473,9 @@ def problem_from_json(obj):
 
     Raises ``ValueError`` for a malformed object, among them a weight (``mu``,
     ``tau``, ``density``) or an array entry that is no finite number (a
-    boolean or a string included) and a matrix size that is no integer.
+    boolean or a string included), a matrix size that is no integer and a
+    classification ``D`` whose columns are not unit-norm (to 1e-12). Keys are
+    read in file order.
     """
     if not isinstance(obj, dict):
         raise ValueError("problem object must be a JSON object")
@@ -470,22 +483,12 @@ def problem_from_json(obj):
     if version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
     kind = obj.get("kind")
-    allowed = {
-        "quadratic": {"schema_version", "kind", "c_f", "c_g", "A"},
-        "classification": {"schema_version", "kind", "mu", "D", "labels"},
-        "huber_lasso": {"schema_version", "kind", "tau", "mu", "density", "A", "u"},
-    }
-    if kind not in allowed:
+    if kind not in _CONTAINERS:
         raise ValueError(f"unknown problem kind {kind!r}")
-    extra = set(obj) - allowed[kind]
-    if extra:
+    _, build, keys = _CONTAINERS[kind]
+    allowed = {"schema_version", "kind", *keys}
+    if extra := set(obj) - allowed:
         raise ValueError(f"unknown keys in problem object: {sorted(extra)}")
-    missing = allowed[kind] - set(obj)
-    if missing:
+    if missing := allowed - set(obj):
         raise ValueError(f"missing keys in problem object: {sorted(missing)}")
-    if kind == "quadratic":
-        return make_quadratic(_json_vector(obj, "c_f"), _json_vector(obj, "c_g"), _matrix_from_json(obj["A"]))
-    if kind == "classification":
-        return _classification_problem(_matrix_from_json(obj["D"]), _json_vector(obj, "labels"), _json_weight(obj, "mu"))
-    tau, mu, density = (_json_weight(obj, key) for key in ("tau", "mu", "density"))
-    return _lasso_problem(_matrix_from_json(obj["A"]), _json_vector(obj, "u"), tau, mu, density)
+    return build(**{key: read(obj, key) for key, (read, _) in keys.items()})

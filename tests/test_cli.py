@@ -593,6 +593,20 @@ def test_cli_rejects_non_number_weights_and_non_integer_sizes_in_the_problem_fil
         assert not (tmp_path / "out").exists()
 
 
+def test_cli_rejects_a_classification_file_without_unit_norm_columns(tmp_path, capsys):
+    # its diagnostics would certify margins with a Lipschitz constant that does not hold
+    obj = problem_to_json(make_classification(6, 5, rng=make_rng(3)))
+    problem_file = tmp_path / "problem.json"
+    problem_file.write_text(json.dumps({**obj, "D": {**obj["D"], "data": [10.0 * v for v in obj["D"]["data"]]}}))
+    for command in ("solve", "check-params"):
+        code = main([command, "--config", str(_solve_config(tmp_path, problem_file))])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        message = "config error: cannot build the quadratic problem: D must have unit-norm columns, got norms "
+        assert captured.err.startswith(message)
+    assert not (tmp_path / "out").exists()
+
+
 def test_build_problem_passes_only_the_given_options_to_the_builders():
     # the defaults are the builders' own, and integer weights are read as floats
     P = build_problem(_parse_problem({"type": "classification", "n": 6, "T": 5}), 3)

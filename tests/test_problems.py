@@ -1,3 +1,4 @@
+import json
 import re
 from dataclasses import asdict, fields, replace
 
@@ -468,9 +469,50 @@ def test_problem_json_rejects_non_number_and_non_finite_array_entries():
 
 
 def test_builders_reject_nan_weights():
+    # and infinite weights and non-finite arrays: every instance built can be saved and read back
     rng = make_rng(17)
-    with pytest.raises(ValueError, match="mu must be positive"):
-        make_classification(5, 4, mu=float("nan"), rng=rng)
-    for tau, mu in ((float("nan"), 0.1), (1e-3, float("nan"))):
+    nan, inf = float("nan"), float("inf")
+    for mu in (nan, inf):
+        with pytest.raises(ValueError, match="mu must be positive"):
+            make_classification(5, 4, mu=mu, rng=rng)
+    for tau, mu in ((nan, 0.1), (1e-3, nan), (inf, 0.1), (1e-3, inf)):
         with pytest.raises(ValueError, match="tau and mu must be positive"):
             make_huber_lasso(3, 6, tau=tau, mu=mu, rng=rng)
+    for name, args in (
+        ("c_f", ([nan, 1.0], [0.0], [[1.0, 1.0]])),
+        ("c_g", ([0.0, 1.0], [-inf], [[1.0, 1.0]])),
+        ("A", ([0.0, 1.0], [0.0], [[1.0, inf]])),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must hold finite numbers only$"):
+            make_quadratic(*args)
+
+
+def test_classification_container_requires_unit_norm_columns():
+    # its lipschitz_f = 4 / (3 sqrt 3) holds for unit-norm feature columns only
+    obj = problem_to_json(make_classification(6, 5, rng=make_rng(3)))
+    D = obj["D"]
+    first_column_halved = [v / 2 if i % D["cols"] == 0 else v for i, v in enumerate(D["data"])]
+    for data in ([10.0 * v for v in D["data"]], [(1 + 1e-11) * v for v in D["data"]], first_column_halved):
+        with pytest.raises(ValueError, match="^D must have unit-norm columns, got norms "):
+            problem_from_json({**obj, "D": {**D, "data": data}})
+    assert problem_from_json(obj).lipschitz_f == 4.0 / (3.0 * np.sqrt(3.0))
+    # sampled columns are unit-norm to rounding, well inside the tolerance
+    problem_from_json(problem_to_json(make_classification(100, 100, rng=make_rng(1))))
+
+
+def test_containers_pin_their_key_order_and_round_trip_byte_for_byte():
+    rng = make_rng(18)
+    matrix_keys = ["rows", "cols", "data"]
+    for P, keys, matrix in (
+        (random_quadratic(4, 3, rng), ["schema_version", "kind", "c_f", "c_g", "A"], "A"),
+        (make_classification(6, 5, rng=rng), ["schema_version", "kind", "mu", "D", "labels"], "D"),
+        (make_huber_lasso(4, 9, rng=rng), ["schema_version", "kind", "tau", "mu", "density", "A", "u"], "A"),
+    ):
+        obj = problem_to_json(P)
+        assert list(obj) == keys and list(obj[matrix]) == matrix_keys
+        text = json.dumps(obj)
+        assert json.dumps(problem_to_json(problem_from_json(json.loads(text)))) == text
+    # keys are read in file order: a bad mu is named before a bad entry of D
+    cls = problem_to_json(make_classification(6, 5, rng=rng))
+    with pytest.raises(ValueError, match="^mu must be a finite real number"):
+        problem_from_json({**_with_first_entry(cls, "D", True), "mu": True})

@@ -11,16 +11,20 @@ README, Reproducibility). A run's digest covers every trace row but its
 ``elapsed``, the status, the stop reason, the final weights and the bytes of
 the final iterate; a recipe's covers every field of the returned params, and
 a report's every field of :func:`~prsqp.diagnostics_report` at the default
-params, the spectral bounds included.
+params, the spectral bounds included; a container's the ``json.dumps`` text
+of :func:`~prsqp.problem_to_json` for seeds 0-4, and of the problem that
+:func:`~prsqp.problem_from_json` reads back from it.
 
 The BLAS thread variables are set to 1 before numpy loads, so products round
 alike from run to run. Only API that stays stable across design changes is
 used (``run``, ``SolverParams``, ``suggest_params``, ``diagnostics_report``,
-``cli.build_problem``), so the script also runs on older checkouts. pytest
+``cli.build_problem``, the builders, ``problem_to_json``,
+``problem_from_json``), so the script also runs on older checkouts. pytest
 does not collect it.
 """
 
 import hashlib
+import json
 import os
 import sys
 from dataclasses import asdict, astuple, replace
@@ -40,8 +44,12 @@ from prsqp import (  # noqa: E402
     SolverParams,
     cli,
     diagnostics_report,
+    make_classification,
+    make_huber_lasso,
     make_quadratic,
     make_rng,
+    problem_from_json,
+    problem_to_json,
     random_quadratic,
     run,
     suggest_params,
@@ -118,6 +126,16 @@ def digests():
     )
     for name, P in report_problems:
         yield f"diagnostics_report-{name}", _digest(asdict(diagnostics_report(P, SolverParams())))
+    containers = (
+        ("quadratic4x3", lambda rng: random_quadratic(3, 4, rng)),
+        ("classification6x5", lambda rng: make_classification(6, 5, rng=rng)),
+        ("lasso4x9", lambda rng: make_huber_lasso(4, 9, rng=rng)),
+    )
+    for name, build in containers:
+        texts = [json.dumps(problem_to_json(build(make_rng(seed)))) for seed in range(5)]
+        yield f"problem_to_json-{name}-s0-4", _digest(*texts)
+        back = [json.dumps(problem_to_json(problem_from_json(json.loads(text)))) for text in texts]
+        yield f"problem_from_json-{name}-s0-4", _digest(*back)
 
 
 if __name__ == "__main__":
