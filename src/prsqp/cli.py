@@ -20,8 +20,8 @@ gen-data --problem quadratic|classification|huber_lasso --seed N --out f.json
     a problem file of any kind: the file's own ``kind`` picks the family built.
 
 Exit codes: 0 success; 1 config error (:class:`ConfigError`, raised while the
-configuration is read and its problem built, or when an output path cannot be
-written); 2 solver failure (a breakdown status, or any other exception during
+configuration is read, its problem built or its diagnostics computed, or when
+an output path cannot be written); 2 solver failure (a breakdown status, or any other exception during
 the run). All numeric output uses '.' as the decimal separator regardless of
 locale (plain ``repr``/JSON).
 """
@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import csv
 import json
 import math
@@ -107,13 +108,34 @@ def _check_keys(obj, allowed, context):
         raise ConfigError(f"unknown keys in {context}: {sorted(extra)}")
 
 
+def _envelope(obj, allowed, context):
+    # what both config objects are: a JSON object of known keys at the schema version
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{context} must be a JSON object")
+    _check_keys(obj, allowed | {"schema_version"}, context)
+    if obj.get("schema_version") != CONFIG_SCHEMA_VERSION:
+        raise ConfigError(
+            f"{context}: schema_version must be {CONFIG_SCHEMA_VERSION}, got {obj.get('schema_version')!r}"
+        )
+
+
+@contextlib.contextmanager
+def _config_errors(prefix):
+    # the one boundary from bad input to a config error: a check that rejects a read value raises ValueError
+    # (ConfigError and DimensionMismatch among them), TypeError or ArithmeticError (a number no float holds)
+    try:
+        yield
+    except (ValueError, TypeError, ArithmeticError) as exc:
+        raise ConfigError(f"{prefix}: {exc}") from None
+
+
 def _load_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, bytes that are no UTF-8, an integer past 4300 digits
         raise ConfigError(f"malformed JSON in {path}: {exc}") from None
 
 
@@ -132,12 +154,8 @@ def _parse_problem(obj):
     out = dict(obj)
     if "file" in obj and not isinstance(obj["file"], str):
         raise ConfigError(f"problem ({kind}): file must be a path string, got {obj['file']!r}")
-    for key, read in _PROBLEM_READERS.items():
-        if key in obj:
-            try:
-                out[key] = read(obj, key)
-            except ValueError as exc:
-                raise ConfigError(f"problem ({kind}): {exc}") from None
+    with _config_errors(f"problem ({kind})"):
+        out.update({key: read(obj, key) for key, read in _PROBLEM_READERS.items() if key in obj})
     return out
 
 
@@ -150,22 +168,13 @@ def _parse_params(obj, relaxed_alpha):
     if not isinstance(obj, dict):
         raise ConfigError("params must be an object")
     _check_keys(obj, _PARAM_FIELD_NAMES, "params")
-    try:
+    with _config_errors("invalid params"):
         return SolverParams(**obj, relaxed_alpha=relaxed_alpha)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid params: {exc}") from None
 
 
 def parse_experiment(obj, context="config"):
     """Validate and materialize an ExperimentConfig from a parsed JSON object."""
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{context} must be a JSON object")
-    allowed = {"schema_version", "problem", "seed", "params", "relaxed_alpha", "output_dir", "baseline"}
-    _check_keys(obj, allowed, context)
-    if obj.get("schema_version") != CONFIG_SCHEMA_VERSION:
-        raise ConfigError(
-            f"{context}: schema_version must be {CONFIG_SCHEMA_VERSION}, got {obj.get('schema_version')!r}"
-        )
+    _envelope(obj, {"problem", "seed", "params", "relaxed_alpha", "output_dir", "baseline"}, context)
     for key in ("problem", "seed", "output_dir"):
         if key not in obj:
             raise ConfigError(f"{context} is missing required key {key!r}")
@@ -192,7 +201,7 @@ def build_problem(problem_cfg, seed):
     a malformed or inconsistent problem file) raises :class:`ConfigError`.
     """
     kind = problem_cfg["type"]
-    try:
+    with _config_errors(f"cannot build the {kind} problem"):
         if kind == "quadratic":
             return problem_from_json(_load_json(problem_cfg["file"]))
         # the sizes and weights the config gives; the builders hold the defaults
@@ -201,8 +210,6 @@ def build_problem(problem_cfg, seed):
         if kind == "classification":
             return make_classification(**given, rng=rng)
         return make_huber_lasso(**given, rng=rng)
-    except (TypeError, ValueError) as exc:  # ValueError covers ConfigError and DimensionMismatch
-        raise ConfigError(f"cannot build the {kind} problem: {exc}") from None
 
 
 # ----- CSV files ----------------------------------------------------------------
@@ -271,14 +278,12 @@ def read_trace(path):
             raise ConfigError(f"unexpected trace header in {path}")
         out = []
         for row in reader:
-            try:
+            with _config_errors(f"{path}, line {reader.line_num}"):
                 if len(row) != len(header):
                     raise ValueError(f"{len(row)} cells, the header has {len(header)}")
                 values = dict(zip(header, row))
                 elapsed = float(values.pop("elapsed_ms")) / 1000.0
                 out.append(StepRecord(**{k: types[k](v) for k, v in values.items()}, elapsed=elapsed))
-            except ValueError as exc:
-                raise ConfigError(f"{path}, line {reader.line_num}: {exc}") from None
         return out
 
 
@@ -350,14 +355,7 @@ class SweepConfig:
 
 
 def parse_sweep(obj):
-    if not isinstance(obj, dict):
-        raise ConfigError("sweep config must be a JSON object")
-    allowed = {"schema_version", "base", "rs_grid", "alpha_grid", "max_workers"}
-    _check_keys(obj, allowed, "sweep config")
-    if obj.get("schema_version") != CONFIG_SCHEMA_VERSION:
-        raise ConfigError(
-            f"sweep config: schema_version must be {CONFIG_SCHEMA_VERSION}, got {obj.get('schema_version')!r}"
-        )
+    _envelope(obj, {"base", "rs_grid", "alpha_grid", "max_workers"}, "sweep config")
     if "base" not in obj or "rs_grid" not in obj:
         raise ConfigError("sweep config needs 'base' and 'rs_grid'")
     base = parse_experiment(obj["base"], context="sweep base")
@@ -366,18 +364,18 @@ def parse_sweep(obj):
     rs_grid = obj["rs_grid"]
     if not isinstance(rs_grid, list) or not rs_grid:
         raise ConfigError("rs_grid must be a nonempty list of [r, s] pairs")
-    pairs = []
     for entry in rs_grid:
         if not (isinstance(entry, list) and len(entry) == 2 and all(map(_is_number, entry))):
             raise ConfigError(f"rs_grid entries must be [r, s] pairs of numbers, got {entry!r}")
-        pairs.append((float(entry[0]), float(entry[1])))
     alpha_grid = obj.get("alpha_grid", [base.params.alpha])
     if not isinstance(alpha_grid, list) or not alpha_grid or not all(map(_is_number, alpha_grid)):
         raise ConfigError("alpha_grid must be a nonempty list of numbers")
     workers = obj.get("max_workers", 1)
     if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
         raise ConfigError("max_workers must be a positive integer")
-    return SweepConfig(base=base, rs_grid=pairs, alpha_grid=[float(a) for a in alpha_grid], max_workers=workers)
+    with _config_errors("sweep grids"):
+        pairs, alphas = [(float(r), float(s)) for r, s in rs_grid], [float(a) for a in alpha_grid]
+    return SweepConfig(base=base, rs_grid=pairs, alpha_grid=alphas, max_workers=workers)
 
 
 def _sweep_row(base, r, s, alpha, seed):
@@ -458,10 +456,8 @@ def _cmd_sweep(args):
 def _cmd_check_params(args):
     cfg = parse_experiment(_load_json(args.config))
     P = build_problem(cfg.problem, cfg.seed)
-    try:
+    with _config_errors("diagnostics unavailable for this configuration"):
         report = diagnostics_report(P, cfg.params)
-    except ValueError as exc:
-        raise ConfigError(f"diagnostics unavailable for this configuration: {exc}") from None
     print(json.dumps(asdict(report), indent=2))
     return 0
 
@@ -470,10 +466,8 @@ def _cmd_gen_data(args):
     if args.seed < 0:
         raise ConfigError(f"--seed must be an integer >= 0, got {args.seed}")
     if args.problem == "quadratic":
-        try:
+        with _config_errors("cannot build the quadratic problem"):
             P = random_quadratic(args.n1, args.n2, make_rng(args.seed))
-        except ValueError as exc:
-            raise ConfigError(f"cannot build the quadratic problem: {exc}") from None
     else:  # argparse restricts the choices
         # the flags of the type's keys (huber_lasso's mu is --mu-huber), read as a
         # config's problem is; the builders hold the defaults of the flags not given

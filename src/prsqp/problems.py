@@ -13,8 +13,9 @@ constants used by the step-size theory. Three builders are provided:
 
 Each family's JSON container (data record, builder, keys in file order) is
 declared once, in ``_CONTAINERS``. The builders reject non-finite inputs, so
-every instance they build round-trips; a classification container must hold
-unit-norm feature columns, which its ``lipschitz_f`` assumes.
+every instance they build round-trips, and a loaded problem passes the checks
+a sampled one does; a classification container must also hold unit-norm
+feature columns, which its ``lipschitz_f`` assumes.
 """
 
 from __future__ import annotations
@@ -230,9 +231,15 @@ def random_quadratic(n1, n2, rng):
     return make_quadratic(c_f, c_g, A)
 
 
+def _classification_sizes(n, T):
+    if n < 2 or T < 1:
+        raise ValueError(f"need n >= 2 and T >= 1, got n={n}, T={T}")
+
+
 def _classification_problem(D, labels, mu):
     D = as_matrix(D, name="D")
     n, T = D.shape
+    _classification_sizes(n, T)
     labels = as_vector(labels, n=T, name="labels")
     if not np.all(np.abs(labels) == 1.0):
         raise ValueError("labels must be +1 or -1")
@@ -283,8 +290,7 @@ def make_classification(n, T, mu=0.001, rng=None):
     """
     if rng is None:
         raise ValueError("rng is required to sample the instance")
-    if n < 2 or T < 1:
-        raise ValueError(f"need n >= 2 and T >= 1, got n={n}, T={T}")
+    _classification_sizes(n, T)
     D = normal_sample(rng, n * T).reshape(n, T)
     norms = np.linalg.norm(D, axis=0)
     if np.any(norms == 0.0):
@@ -297,9 +303,13 @@ def make_classification(n, T, mu=0.001, rng=None):
 def _lasso_problem(A, u, tau, mu, density):
     A = as_matrix(A, name="A")
     m, n = A.shape
+    if not m < n:
+        raise ValueError(f"need m < n (underdetermined recovery), got m={m}, n={n}")
     u = as_vector(u, n=n, name="u")
     if not (0 < tau < math.inf and 0 < mu < math.inf):
         raise ValueError(f"tau and mu must be positive and finite, got tau={tau}, mu={mu}")
+    if not 0.0 < density <= 1.0:
+        raise ValueError(f"density must lie in (0, 1], got {density}")
     d = A @ u
     ones2 = np.ones(m)  # hess g = I, given as its diagonal
 
@@ -337,8 +347,6 @@ def make_huber_lasso(m, n, density=0.5, tau=1e-3, mu=0.1, rng=None):
     """
     if rng is None:
         raise ValueError("rng is required to sample the instance")
-    if not m < n:
-        raise ValueError(f"need m < n (underdetermined recovery), got m={m}, n={n}")
     A = normal_sample(rng, m * n).reshape(m, n)
     u = sparse_normal_sample(rng, n, density)
     return _lasso_problem(A, u, tau, mu, density)
@@ -405,9 +413,20 @@ def _json_size(obj, key):
     return int(value)
 
 
+def _past_float_range(value):
+    # a real number that no float can hold, such as an int of 400 digits
+    if isinstance(value, numbers.Real):
+        try:
+            float(value)
+        except OverflowError:
+            return True
+    return False
+
+
 def _json_real(value, name):
-    # a finite JSON number, as a float; true, false and strings are not numbers
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    # a finite JSON number, as a float; true, false, strings and integers no float holds are not
+    real = not isinstance(value, bool) and isinstance(value, numbers.Real) and not _past_float_range(value)
+    if not (real and math.isfinite(value)):
         raise ValueError(f"{name} must be a finite real number, got {value!r}")
     return float(value)
 
@@ -460,10 +479,19 @@ _CONTAINERS = {
 
 
 def problem_to_json(P):
-    """Serialize a built instance (arrays included) to a plain-JSON dict."""
+    """Serialize a built instance (arrays included) to a plain-JSON dict.
+
+    Raises ``ValueError`` for a problem its container would not rebuild, as
+    a classification or Huber-LASSO is after ``dataclasses.replace(P, A=...)``.
+    """
+    data = P.data
+    if isinstance(data, ClassificationData) and not np.array_equal(P.A, forward_difference(data.D.shape[0])):
+        raise ValueError(f"cannot serialize problem {P.name!r}: A is not the forward-difference matrix")
+    if isinstance(data, LassoData) and not np.array_equal(P.A @ data.u, data.d):
+        raise ValueError(f"cannot serialize problem {P.name!r}: d is not A @ u")
     for kind, (record, _, keys) in _CONTAINERS.items():
-        if isinstance(P.data, record):
-            stored = {key: write(P.A if key == "A" else getattr(P.data, key)) for key, (_, write) in keys.items()}
+        if isinstance(data, record):
+            stored = {key: write(P.A if key == "A" else getattr(data, key)) for key, (_, write) in keys.items()}
             return {"schema_version": SCHEMA_VERSION, "kind": kind, **stored}
     raise TypeError(f"cannot serialize problem {P.name!r}")
 
@@ -473,9 +501,11 @@ def problem_from_json(obj):
 
     Raises ``ValueError`` for a malformed object, among them a weight (``mu``,
     ``tau``, ``density``) or an array entry that is no finite number (a
-    boolean or a string included), a matrix size that is no integer and a
-    classification ``D`` whose columns are not unit-norm (to 1e-12). Keys are
-    read in file order.
+    boolean, a string or an integer no float holds included), a matrix size
+    that is no integer, a classification ``D`` whose columns are not unit-norm
+    (to 1e-12), and sizes or weights the family's sampler rejects (a
+    Huber-LASSO ``A`` with ``m >= n`` or a ``density`` outside (0, 1], a
+    classification with no samples). Keys are read in file order.
     """
     if not isinstance(obj, dict):
         raise ValueError("problem object must be a JSON object")

@@ -82,7 +82,7 @@ import numpy as np
 from .alf import Iterate, PointEval, YPointEval, _alf_value, eval_alf, eval_merit_hat, grad_alf
 from .core import DimensionMismatch, NotPositiveDefinite, as_vector, cholesky_solve, cholesky_spd, spectral_norm
 from .diagnostics import KktResidual, _max_or_nan, _outside_range, kkt_residual
-from .problems import composite_objective, hessian_pair
+from .problems import _past_float_range, composite_objective, hessian_pair
 
 
 class LineSearchFailed(RuntimeError):
@@ -143,6 +143,8 @@ def validate_params(params):
     """
     p = params
     out = _field_violations(p, SolverParams)
+    if any(map(_past_float_range, (p.alpha, p.r, p.s))):
+        return out  # flagged above; the checks below do float arithmetic on these
     if not -1.0 < p.alpha < math.inf:
         out.append(f"alpha must be finite and exceed -1, got {p.alpha}")
     relaxed = p.relaxed_alpha
@@ -167,14 +169,18 @@ def validate_params(params):
 def _field_violations(p, cls):
     # the checks SolverParams and GdParams share, over the fields of cls read
     # from p: a float field is a real, not a bool (a JSON true is no weight of
-    # 1); rho and nu lie in (0, 1); tol* is >= 0, which NaN is not; an int
-    # field is an integer >= 1, where numpy integers count and bools do not
+    # 1), that a float can hold; rho and nu lie in (0, 1); tol* is >= 0, which
+    # NaN is not; an int field is an integer >= 1, where numpy integers count
+    # and bools do not
     out = []
     for f in fields(cls):
         name, value = f.name, getattr(p, f.name)
         if type(f.default) is float:
             if isinstance(value, (bool, np.bool_)):
                 out.append(f"{name} must be a real number, got {value!r}")
+            elif _past_float_range(value):
+                out.append(f"{name} must be a real number a float can hold, got one past float range")
+                continue
             if name in ("rho", "nu") and not 0.0 < value < 1.0:
                 out.append(f"{name} must lie in (0, 1), got {value}")
             if name.startswith("tol") and not value >= 0.0:

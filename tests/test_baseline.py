@@ -76,6 +76,8 @@ def test_gd_params_validation():
                 GdParams(**{name: bad})
     with pytest.raises(ValueError, match="^tol must be a real number, got True$"):
         GdParams(tol=True)
+    with pytest.raises(ValueError, match="^tol must be a real number a float can hold, got one past float range$"):
+        GdParams(tol=10**400)
     assert GdParams(tol=2.5).tol == 2.5
 
 

@@ -105,8 +105,13 @@ def test_parse_experiment_rejects_misspelled_parameter():
 
 
 def test_parse_experiment_rejects_bad_schema_and_seed():
-    with pytest.raises(ConfigError, match="schema_version"):
+    with pytest.raises(ConfigError, match="^config: schema_version must be 1, got 2$"):
         parse_experiment(_cfg(schema_version=2))
+    with pytest.raises(ConfigError, match="^config must be a JSON object$"):
+        parse_experiment([_cfg()])
+    for key in ("problem", "seed", "output_dir"):
+        with pytest.raises(ConfigError, match=f"^config is missing required key '{key}'$"):
+            parse_experiment({k: v for k, v in _cfg().items() if k != key})
     for bad in ("one", True, 1.0, -5):
         message = re.escape(f"config: seed must be an integer >= 0, got {bad!r}")
         with pytest.raises(ConfigError, match=f"^{message}$"):
@@ -119,11 +124,16 @@ def test_parse_experiment_requires_problem_fields():
         parse_experiment(_cfg(problem={"type": "classification", "n": 10}))
     with pytest.raises(ConfigError, match="sudoku"):
         parse_experiment(_cfg(problem={"type": "sudoku"}))
+    for bad in ({"n": 10, "T": 10}, "classification", None):
+        with pytest.raises(ConfigError, match="^problem must be an object with a 'type' key$"):
+            parse_experiment(_cfg(problem=bad))
 
 
 def test_parse_experiment_rejects_invalid_solver_ranges():
     with pytest.raises(ConfigError, match="rho"):
         parse_experiment(_cfg(params={"rho": 1.5}))
+    with pytest.raises(ConfigError, match="^params must be an object$"):
+        parse_experiment(_cfg(params=[1.5]))
 
 
 def test_output_dir_must_be_a_non_empty_string():
@@ -492,13 +502,15 @@ def test_cli_solve_exit_two_on_breakdown(tmp_path, capsys):
 
 
 def test_cli_rejects_malformed_json_without_partial_outputs(tmp_path, capsys):
+    # bytes that are no UTF-8 and an integer past Python's 4300 digits exited 2 as solver errors
     cfg_path = tmp_path / "broken.json"
-    cfg_path.write_text("{not json")
-    code = main(["solve", "--config", str(cfg_path)])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "config error" in err
-    assert not (tmp_path / "out").exists()
+    for text in (b"{not json", b'{"seed": "\xff"}', b"[" + b"1" * 5000 + b"]"):
+        cfg_path.write_bytes(text)
+        code = main(["solve", "--config", str(cfg_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"config error: malformed JSON in {cfg_path}: ")
+        assert not (tmp_path / "out").exists()
 
 
 def test_cli_rejects_unknown_key(tmp_path, capsys):
@@ -575,17 +587,24 @@ def test_cli_rejects_non_integer_sizes_and_non_number_weights_in_the_problem(tmp
 
 
 def test_cli_rejects_non_number_weights_and_non_integer_sizes_in_the_problem_file(tmp_path, capsys):
-    # a quadratic config's file may hold any family; its weights and matrix sizes are checked too
+    # a quadratic config's file may hold any family; its weights and matrix sizes are checked too,
+    # and it must pass its sampler's checks: a LASSO density of 5, a tall LASSO A and a
+    # classification with no samples, whose f read 0/0, were loaded and solved
     obj = problem_to_json(make_classification(5, 4, rng=make_rng(3)))
+    lasso = problem_to_json(make_huber_lasso(3, 6, rng=make_rng(3)))
+    tall = {"A": {"rows": 6, "cols": 3, "data": [float(v) for v in range(1, 19)]}, "u": [1.0, 0.0, -1.0]}
     problem_file = tmp_path / "problem.json"
-    for changed, message in (
-        ({"mu": True}, "mu must be a finite real number"),
-        ({"mu": "0.1"}, "mu must be a finite real number"),
-        ({"mu": float("nan")}, "mu must be a finite real number"),
-        ({"D": {**obj["D"], "rows": 5.0}}, "rows must be an integer"),
-        ({"D": {**obj["D"], "cols": True}}, "cols must be an integer"),
+    for contents, message in (
+        ({**obj, "mu": True}, "mu must be a finite real number"),
+        ({**obj, "mu": "0.1"}, "mu must be a finite real number"),
+        ({**obj, "mu": float("nan")}, "mu must be a finite real number"),
+        ({**obj, "D": {**obj["D"], "rows": 5.0}}, "rows must be an integer"),
+        ({**obj, "D": {**obj["D"], "cols": True}}, "cols must be an integer"),
+        ({**obj, "D": {"rows": 5, "cols": 0, "data": []}, "labels": []}, "need n >= 2 and T >= 1, got n=5, T=0"),
+        ({**lasso, "density": 5.0}, "density must lie in (0, 1], got 5.0"),
+        ({**lasso, **tall}, "need m < n (underdetermined recovery), got m=6, n=3"),
     ):
-        problem_file.write_text(json.dumps({**obj, **changed}))
+        problem_file.write_text(json.dumps(contents))
         code = main(["solve", "--config", str(_solve_config(tmp_path, problem_file))])
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
@@ -646,9 +665,16 @@ def test_parse_sweep_rejects_non_numbers_in_grids_and_worker_count():
         ("max_workers", True, "max_workers"),
         ("base", {**base, "baseline": True}, "^sweep base: baseline must be false or absent"),
         ("base", {**base, "seed": -5}, "^sweep base: seed must be an integer >= 0, got -5$"),
+        ("rs_grid", [], r"^rs_grid must be a nonempty list of \[r, s\] pairs$"),
+        ("schema_version", 2, "^sweep config: schema_version must be 1, got 2$"),
     ):
         with pytest.raises(ConfigError, match=message):
             parse_sweep({**good, key: bad})
+    with pytest.raises(ConfigError, match="^sweep config must be a JSON object$"):
+        parse_sweep([good])
+    for key in ("base", "rs_grid"):
+        with pytest.raises(ConfigError, match="^sweep config needs 'base' and 'rs_grid'$"):
+            parse_sweep({k: v for k, v in good.items() if k != key})
     assert not parse_sweep({**good, "base": {**base, "baseline": False}}).base.baseline
 
 
@@ -676,6 +702,38 @@ def test_cli_solver_fault_exits_two_without_config_error(tmp_path, capsys, monke
     assert "config error" not in err
 
 
+def test_cli_rejects_numbers_no_float_can_hold(tmp_path, capsys):
+    # each exited 2 as a solver error, though no solver ran: an OverflowError
+    # while reading, or a beta accepted that overflowed the solve
+    big = 10**400  # a JSON integer that no float holds
+    problem_file, P = _quadratic_file(tmp_path)
+    big_c_f = tmp_path / "big_c_f.json"
+    big_c_f.write_text(json.dumps({**problem_to_json(P), "c_f": [big, 0.0]}))
+    from_file = {"type": "quadratic", "file": str(problem_file)}
+    big_mu = {"type": "classification", "n": 10, "T": 10, "mu": big}
+    sweep = _sweep_config(tmp_path, problem_file, [[big, 1.0]], [0.0])
+    sweep["base"]["output_dir"] = str(tmp_path / "out")
+
+    def config(problem=big_mu, **params):
+        return {**_cfg(problem=problem, output_dir=str(tmp_path / "out")), "params": params}
+
+    for command, cfg, message in (
+        ("solve", config(), "problem (classification): mu must be a finite real number, got 1000"),
+        ("solve", config(from_file, r=big), "invalid params: r must be a real number a float can hold"),
+        ("solve", config(from_file, beta=big), "invalid params: beta must be a real number a float can hold"),
+        ("solve", config(from_file | {"file": str(big_c_f)}), "cannot build the quadratic problem: each entry of c_f"),
+        ("sweep", sweep, "sweep grids: int too large to convert to float"),
+        ("check-params", config(from_file, beta=1e300), "diagnostics unavailable for this configuration: "),
+    ):
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code = main([command, "--config", str(cfg_path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.startswith(f"config error: {message}")
+        assert not (tmp_path / "out").exists()
+
+
 def test_cli_rejects_problem_file_with_misshapen_coupling(tmp_path, capsys):
     problem_file, P = _quadratic_file(tmp_path)
     obj = problem_to_json(P)
@@ -688,11 +746,15 @@ def test_cli_rejects_problem_file_with_misshapen_coupling(tmp_path, capsys):
 
 
 def test_cli_gen_data_rejects_invalid_size(tmp_path, capsys):
-    out = tmp_path / "cls.json"
-    code = main(["gen-data", "--problem", "classification", "--n", "1", "--seed", "1", "--out", str(out)])
-    assert code == 1
-    assert "config error" in capsys.readouterr().err
-    assert not out.exists()
+    out = tmp_path / "data.json"
+    for problem, flags, message in (
+        ("classification", ["--n", "1"], "cannot build the classification problem: need n >= 2 and T >= 1, got n=1"),
+        ("quadratic", ["--n1", "0"], "cannot build the quadratic problem: n must be >= 1, got 0"),
+    ):
+        code = main(["gen-data", "--problem", problem, *flags, "--seed", "1", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert not out.exists()
 
 
 def test_cli_gen_data_rejects_a_negative_seed(tmp_path, capsys):

@@ -429,6 +429,7 @@ def test_problem_json_rejects_non_number_weights_and_non_integer_sizes():
         (lasso, "mu", float("nan")),
         (lasso, "density", False),
         (lasso, "density", None),
+        (lasso, "tau", 10**400),
     ):
         with pytest.raises(ValueError, match=f"{key} must be a finite real number, got {bad!r}"):
             problem_from_json({**obj, key: bad})
@@ -456,7 +457,7 @@ def test_problem_json_rejects_non_number_and_non_finite_array_entries():
     arrays = ((quad, "c_f"), (quad, "c_g"), (quad, "A"), (cls, "D"), (cls, "labels"), (lasso, "A"), (lasso, "u"))
     for obj, key in arrays:
         name = "data" if isinstance(obj[key], dict) else key
-        for bad in (True, False, "2.5", None, [1.0], float("nan"), float("inf")):
+        for bad in (True, False, "2.5", None, [1.0], float("nan"), float("inf"), 10**400):
             message = f"each entry of {name} must be a finite real number, got {bad!r}"
             with pytest.raises(ValueError, match=re.escape(message)):
                 problem_from_json(_with_first_entry(obj, key, bad))
@@ -485,6 +486,65 @@ def test_builders_reject_nan_weights():
     ):
         with pytest.raises(ValueError, match=f"^{name} must hold finite numbers only$"):
             make_quadratic(*args)
+
+
+def test_problem_from_json_rejects_malformed_objects():
+    rng = make_rng(19)
+    cls = problem_to_json(make_classification(5, 4, rng=rng))
+    lasso = problem_to_json(make_huber_lasso(3, 6, rng=rng))
+    without_mu = {key: value for key, value in cls.items() if key != "mu"}
+    keys = "['cols', 'data', 'order', 'rows']"
+    for obj, message in (
+        ([cls], "problem object must be a JSON object"),
+        ({**cls, "schema_version": 2}, "unsupported schema_version 2 (expected 1)"),
+        ({**cls, "kind": "sudoku"}, "unknown problem kind 'sudoku'"),
+        ({**cls, "A": lasso["A"]}, "unknown keys in problem object: ['A']"),
+        (without_mu, "missing keys in problem object: ['mu']"),
+        ({**cls, "D": {**cls["D"], "order": "C"}}, f"matrix object must have keys rows/cols/data, got {keys}"),
+        ({**cls, "D": {**cls["D"], "rows": 4}}, "matrix data length 20 != rows*cols = 16"),
+        ({**cls, "labels": [0.5, *cls["labels"][1:]]}, "labels must be +1 or -1"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            problem_from_json(obj)
+
+
+def test_containers_reject_what_their_samplers_reject():
+    # a loaded problem passes the checks a sampled one does: the LASSO's density
+    # and m < n, and the classification's T >= 1, whose f would read 0/0
+    rng = make_rng(20)
+    cls = problem_to_json(make_classification(5, 4, rng=rng))
+    lasso = problem_to_json(make_huber_lasso(3, 6, rng=rng))
+    tall = {"rows": 6, "cols": 3, "data": [float(v) for v in range(1, 19)]}
+    for obj, message in (
+        ({**lasso, "density": 5.0}, "density must lie in (0, 1], got 5.0"),
+        ({**lasso, "density": 0.0}, "density must lie in (0, 1], got 0.0"),
+        ({**lasso, "A": tall, "u": [1.0, 0.0, -1.0]}, "need m < n (underdetermined recovery), got m=6, n=3"),
+        ({**cls, "D": {"rows": 5, "cols": 0, "data": []}, "labels": []}, "need n >= 2 and T >= 1, got n=5, T=0"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            problem_from_json(obj)
+    # the samplers give the same messages
+    for build, message in (
+        (lambda: make_huber_lasso(3, 6, density=5.0, rng=rng), "density must lie in (0, 1], got 5.0"),
+        (lambda: make_huber_lasso(6, 3, rng=rng), "need m < n (underdetermined recovery), got m=6, n=3"),
+        (lambda: make_classification(5, 0, rng=rng), "need n >= 2 and T >= 1, got n=5, T=0"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+
+
+def test_problem_to_json_refuses_problems_its_container_would_not_rebuild():
+    # a classification container stores no A, and a LASSO one no d = A u
+    rng = make_rng(21)
+    cls, lasso = make_classification(5, 4, rng=rng), make_huber_lasso(3, 6, rng=rng)
+    for P, message in (
+        (replace(cls, A=2 * cls.A), "'classification': A is not the forward-difference matrix"),
+        (replace(lasso, A=2 * lasso.A), "'huber_lasso': d is not A @ u"),
+    ):
+        with pytest.raises(ValueError, match=f"^cannot serialize problem {re.escape(message)}$"):
+            problem_to_json(P)
+    with pytest.raises(TypeError, match="^cannot serialize problem 'custom'$"):
+        problem_to_json(replace(cls, name="custom", data=None))
 
 
 def test_classification_container_requires_unit_norm_columns():

@@ -136,6 +136,15 @@ def test_validate_params_rejects_bools_for_real_parameters():
     assert validate_params(SolverParams(beta=1, ell=np.float64(2.0), sigma=np.int64(3))) == []
 
 
+def test_validate_params_rejects_reals_no_float_can_hold():
+    # a JSON integer of 400 digits: beta was accepted and overflowed the solve, r raised OverflowError
+    for name in ("rho", "nu", "alpha", "beta", "ell", "sigma", "r", "s", "tol_step", "tol_kkt"):
+        for big in (10**400, -(10**400)):
+            message = f"{name} must be a real number a float can hold, got one past float range"
+            assert message in _violations(**{name: big})
+    assert validate_params(SolverParams(beta=10**300, r=-(10**300))) == []
+
+
 def test_validate_params_requires_a_boolean_relaxed_alpha():
     # a truthy string must neither pass nor relax the acceleration range
     for bad in ("false", "true", 1, None):

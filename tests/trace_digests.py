@@ -15,18 +15,30 @@ params, the spectral bounds included; a container's the ``json.dumps`` text
 of :func:`~prsqp.problem_to_json` for seeds 0-4, and of the problem that
 :func:`~prsqp.problem_from_json` reads back from it.
 
+The ``cli-`` lines run ``prsqp.cli.main`` in a temporary directory: the
+files and output of ``solve`` (``trace.csv`` without ``elapsed_ms``,
+``summary.json`` without ``tcpu_s``), of a two-row ``sweep`` (``sweep.csv``
+without ``tcpu_s``), of ``check-params`` and of ``gen-data``; and, for each
+of a fixed list of malformed configurations, the exit code, the number of
+files written and a digest of stderr, in which the directory reads ``<tmp>``.
+
 The BLAS thread variables are set to 1 before numpy loads, so products round
 alike from run to run. Only API that stays stable across design changes is
 used (``run``, ``SolverParams``, ``suggest_params``, ``diagnostics_report``,
-``cli.build_problem``, the builders, ``problem_to_json``,
+``cli.build_problem``, ``cli.main``, the builders, ``problem_to_json``,
 ``problem_from_json``), so the script also runs on older checkouts. pytest
 does not collect it.
 """
 
+import contextlib
+import csv
 import hashlib
+import io
 import json
 import os
+import shutil
 import sys
+import tempfile
 from dataclasses import asdict, astuple, replace
 from pathlib import Path
 
@@ -138,6 +150,100 @@ def digests():
         yield f"problem_from_json-{name}-s0-4", _digest(*back)
 
 
+def _main(tmp, *argv):
+    # cli.main's exit code, stdout and stderr, with the directory written as <tmp>
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([str(arg) for arg in argv])
+    return code, out.getvalue().replace(str(tmp), "<tmp>"), err.getvalue().replace(str(tmp), "<tmp>")
+
+
+def _write_json(path, obj):
+    # bytes are written as they are
+    path.write_bytes(obj if isinstance(obj, bytes) else json.dumps(obj).encode())
+    return path
+
+
+def _csv_without(path, column):
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    drop = rows[0].index(column)
+    return [row[:drop] + row[drop + 1 :] for row in rows]
+
+
+SMALL_CLASSIFICATION = {"type": "classification", "n": 20, "T": 20}
+BIG = 10**400  # a JSON integer that no float holds
+
+
+def _config(tmp, problem=SMALL_CLASSIFICATION, **extra):
+    return {"schema_version": 1, "problem": problem, "seed": 1, "output_dir": str(tmp / "out"), **extra}
+
+
+def _sweep(tmp, **extra):
+    base = _config(tmp, params={"max_iter": 100})
+    return {"schema_version": 1, "base": base, "rs_grid": [[0.1, 1.0], [-0.1, 1.0]], "max_workers": 1, **extra}
+
+
+def _container(tmp, build, **changed):
+    return _write_json(tmp / "problem.json", {**problem_to_json(build(make_rng(5))), **changed})
+
+
+def _malformed(tmp):
+    # (name, subcommand, config); a problem file a case needs is written when the case is reached
+    quadratic = lambda rng: random_quadratic(3, 2, rng)
+    lasso = lambda rng: make_huber_lasso(4, 9, rng=rng)
+    cls = lambda rng: make_classification(5, 4, rng=rng)
+    from_file = lambda path: _config(tmp, problem={"type": "quadratic", "file": str(path)})
+    yield "solve-problem-mu-past-float", "solve", _config(tmp, problem={**SMALL_CLASSIFICATION, "mu": BIG})
+    yield "solve-params-r-past-float", "solve", _config(tmp, params={"r": BIG})
+    yield "solve-params-beta-past-float", "solve", _config(tmp, params={"beta": BIG})
+    yield "solve-file-c_f-past-float", "solve", from_file(_container(tmp, quadratic, c_f=[BIG, 0.0, 0.0]))
+    yield "sweep-rs_grid-past-float", "sweep", _sweep(tmp, rs_grid=[[BIG, 1.0]])
+    yield "check-params-beta-1e300", "check-params", _config(tmp, params={"beta": 1e300})
+    yield "solve-file-lasso-density-5", "solve", from_file(_container(tmp, lasso, density=5.0))
+    tall = {"rows": 6, "cols": 3, "data": [float(v) for v in range(1, 19)]}
+    yield "solve-file-lasso-tall-A", "solve", from_file(_container(tmp, lasso, A=tall, u=[1.0, 0.0, -1.0]))
+    no_samples = {"rows": 5, "cols": 0, "data": []}
+    yield "solve-file-classification-T0", "solve", from_file(_container(tmp, cls, D=no_samples, labels=[]))
+    yield "solve-not-an-object", "solve", [1]
+    yield "solve-not-utf-8", "solve", b'{"seed": "\xff"}'
+    yield "solve-integer-of-5000-digits", "solve", b"[" + b"1" * 5000 + b"]"
+    yield "solve-schema-version-2", "solve", _config(tmp, schema_version=2)
+    yield "solve-missing-output_dir", "solve", {k: v for k, v in _config(tmp).items() if k != "output_dir"}
+    yield "solve-unknown-key", "solve", _config(tmp, colour=1)
+    yield "solve-params-not-an-object", "solve", _config(tmp, params=[1])
+    yield "solve-problem-without-type", "solve", _config(tmp, problem={"n": 20})
+    yield "solve-params-rho-1.5", "solve", _config(tmp, params={"rho": 1.5})
+    yield "solve-classification-n-1", "solve", _config(tmp, problem={**SMALL_CLASSIFICATION, "n": 1})
+    yield "solve-missing-file", "solve", from_file(tmp / "missing.json")
+    yield "sweep-not-an-object", "sweep", "sweep"
+    yield "sweep-missing-rs_grid", "sweep", {k: v for k, v in _sweep(tmp).items() if k != "rs_grid"}
+    yield "sweep-empty-rs_grid", "sweep", _sweep(tmp, rs_grid=[])
+    yield "sweep-rs_grid-bool", "sweep", _sweep(tmp, rs_grid=[[True, 1.0]])
+
+
+def cli_digests():
+    with tempfile.TemporaryDirectory() as name:
+        tmp, out = Path(name), Path(name) / "out"
+        config = _write_json(tmp / "c.json", _config(tmp, params={"max_iter": 300}))
+        code, _, err = _main(tmp, "solve", "--config", config)
+        summary = json.loads((out / "summary.json").read_text())
+        summary.pop("tcpu_s")
+        trace = _csv_without(out / "trace.csv", "elapsed_ms")
+        yield "cli-solve-classification20x20-k300", _digest(code, err, trace, sorted(summary.items()))
+        code, stdout, err = _main(tmp, "sweep", "--config", _write_json(tmp / "s.json", _sweep(tmp)))
+        yield "cli-sweep-2rows-k100", _digest(code, stdout, err, _csv_without(out / "sweep.csv", "tcpu_s"))
+        yield "cli-check-params-classification20x20", _digest(*_main(tmp, "check-params", "--config", config))
+        gen = ("gen-data", "--problem", "huber_lasso", "--m", 8, "--n", 16, "--seed", 2, "--out", tmp / "gen.json")
+        yield "cli-gen-data-lasso8x16-s2", _digest(*_main(tmp, *gen), (tmp / "gen.json").read_text())
+        shutil.rmtree(out)
+        for case, command, config in _malformed(tmp):
+            code, _, err = _main(tmp, command, "--config", _write_json(tmp / "bad.json", config))
+            written = len(list(out.rglob("*"))) if out.exists() else 0
+            shutil.rmtree(out, ignore_errors=True)
+            yield f"cli-error-{case}", f"exit={code} written={written} {_digest(err)}"
+
+
 if __name__ == "__main__":
-    for name, digest in digests():
+    for name, digest in (*digests(), *cli_digests()):
         print(name, digest, flush=True)
