@@ -60,11 +60,8 @@ from .solver import (
     SolveStatus,
     SolverParams,
     StepRecord,
-    dual_update,
-    hybrid_accelerate,
     initial_state,
     iterate_once,
-    line_search,
     run,
     validate_params,
 )
@@ -102,18 +99,15 @@ __all__ = [
     "compute_deltas",
     "compute_gamma",
     "diagnostics_report",
-    "dual_update",
     "eval_alf",
     "eval_merit_hat",
     "forward_difference",
     "grad_alf",
     "gradient_descent",
     "hessian_pair",
-    "hybrid_accelerate",
     "initial_state",
     "iterate_once",
     "kkt_residual",
-    "line_search",
     "make_classification",
     "make_huber_lasso",
     "make_quadratic",

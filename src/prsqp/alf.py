@@ -171,7 +171,8 @@ def eval_merit_hat(P, what, params, eta2_y, L_beta=None):
     ``g`` and ``eta2_y`` the uniform upper curvature bound of the y-subproblem
     metric. Requires ``lipschitz_g`` on the problem and ``r + s != 0``.
     ``L_beta`` is the value of ``L_beta(w)`` when the caller already has it;
-    it is evaluated otherwise.
+    it is evaluated otherwise. A square past float range in the weight raises
+    ``OverflowError`` naming the merit weight.
     """
     if P.lipschitz_g is None:
         raise UnknownLipschitz("eval_merit_hat needs lipschitz_g on the problem")
@@ -180,9 +181,10 @@ def eval_merit_hat(P, what, params, eta2_y, L_beta=None):
         raise ValueError("merit weight undefined for r + s = 0")
     L_g = P.lipschitz_g
     beta = params.beta
-    weight = (6.0 / (abs(rs) * beta)) * (
-        L_g * L_g + beta * beta + (eta2_y / (1.0 + params.alpha)) ** 2
-    )
+    try:
+        weight = (6.0 / (abs(rs) * beta)) * (L_g * L_g + beta * beta + (eta2_y / (1.0 + params.alpha)) ** 2)
+    except OverflowError:
+        raise OverflowError(f"merit weight overflows float range at eta2_y = {eta2_y}") from None
     if L_beta is None:
         L_beta = eval_alf(P, what.w, beta)
     d = what.d_y_prev

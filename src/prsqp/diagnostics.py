@@ -185,7 +185,8 @@ def compute_deltas(P, params, bounds, gamma):
                 - |r s| beta / |r + s|``
 
     Both positive certifies a monotone merit decrease of at least
-    ``delta_x ||d_x||^2 + delta_y ||d_y||^2`` per iteration.
+    ``delta_x ||d_x||^2 + delta_y ||d_y||^2`` per iteration. A square past
+    float range raises ``OverflowError`` naming the margins.
     """
     if P.lipschitz_g is None:
         raise UnknownLipschitz("compute_deltas needs lipschitz_g on the problem")
@@ -193,17 +194,12 @@ def compute_deltas(P, params, bounds, gamma):
     rs = abs(r + s)
     if rs == 0:
         raise ValueError("decrease margins undefined for r + s = 0")
-    delta_x = params.rho * gamma * bounds.eta1_x - 6.0 * (1.0 - s) ** 2 * beta * P.max_eig_AtA / rs
-    delta_y = (
-        params.rho * gamma * bounds.eta1_y
-        - (6.0 / (rs * beta))
-        * (
-            P.lipschitz_g**2
-            + (1.0 + s * s) * beta * beta
-            + 2.0 * (bounds.eta2_y / (1.0 + alpha)) ** 2
-        )
-        - abs(r * s) * beta / rs
-    )
+    try:
+        delta_x = params.rho * gamma * bounds.eta1_x - 6.0 * (1.0 - s) ** 2 * beta * P.max_eig_AtA / rs
+        curvature = P.lipschitz_g**2 + (1.0 + s * s) * beta * beta + 2.0 * (bounds.eta2_y / (1.0 + alpha)) ** 2
+    except OverflowError:
+        raise OverflowError("decrease margins delta_x, delta_y overflow float range in a squared term") from None
+    delta_y = params.rho * gamma * bounds.eta1_y - (6.0 / (rs * beta)) * curvature - abs(r * s) * beta / rs
     return delta_x, delta_y
 
 

@@ -80,7 +80,7 @@ from typing import Callable, List, NamedTuple, Optional
 import numpy as np
 
 from .alf import Iterate, PointEval, YPointEval, _alf_value, eval_alf, eval_merit_hat, grad_alf
-from .core import DimensionMismatch, NotPositiveDefinite, as_vector, cholesky_solve, cholesky_spd, spectral_norm
+from .core import DimensionMismatch, NotPositiveDefinite, cholesky_solve, cholesky_spd, spectral_norm
 from .diagnostics import KktResidual, _max_or_nan, _outside_range, kkt_residual
 from .problems import _past_float_range, composite_objective, hessian_pair
 
@@ -454,15 +454,12 @@ def _state(P, params, k, w, d_y_prev, x_eval, y_eval, L_beta, prev=None):
 
 
 def hybrid_accelerate(tilde, current, alpha):
-    """Search direction of one block after extrapolation by ``alpha``.
-
-    The extrapolated target is ``tilde + alpha (tilde - current)``, so the
-    direction from the current point is ``d = (1 + alpha)(tilde - current)``.
-    Requires ``alpha > -1`` so ``d`` keeps the orientation of the model step.
+    """Search direction ``d = (1 + alpha)(tilde - current)`` of one block, the
+    step to the extrapolated target ``tilde + alpha (tilde - current)``. As
+    ``alpha > -1`` (:class:`SolverParams` enforces it), ``d`` keeps the
+    orientation of the model step.
     """
-    if not alpha > -1.0:
-        raise ValueError(f"alpha must exceed -1, got {alpha}")
-    return (1.0 + alpha) * (np.asarray(tilde, dtype=float) - np.asarray(current, dtype=float))
+    return (1.0 + alpha) * (tilde - current)
 
 
 class SearchStep(NamedTuple):
@@ -479,44 +476,40 @@ class SearchStep(NamedTuple):
     quad: float
 
 
-def line_search(P, point, d, metric, params, block, x_eval, y_eval, L0=None):
+def line_search(P, lam, d, metric, params, block, x_eval, y_eval, L0=None):
     """Armijo backtracking for one block of ``L_beta`` at fixed other blocks.
 
-    Accepts the largest ``t = nu^i`` (``i = 0, 1, ...``) with
+    The search starts at ``(x_eval.x, y_eval.y, lam)``, where ``x_eval`` /
+    ``y_eval`` are a :class:`~prsqp.alf.PointEval` and a
+    :class:`~prsqp.alf.YPointEval`, and accepts the largest ``t = nu^i``
+    (``i = 0, 1, ...``) with
 
-        ``L_beta(moved) <= L_beta(point) - rho * t * d^T Hcal d``
+        ``L_beta(moved) <= L0 - rho * t * d^T Hcal d``
 
-    where ``metric`` is the block's metric in a :class:`SolverState`, whose
-    ``quad`` gives ``d^T Hcal d``, and ``moved`` shifts the ``block``
-    coordinate ("x" or "y") of ``point`` by ``t d``. The comparison carries a
-    ``1e-12 (1 + |L|)`` float slack so a vanishing direction near a stationary
-    point is not rejected on rounding noise. ``x_eval`` / ``y_eval`` are the
-    :class:`~prsqp.alf.PointEval` of ``point.x`` and the
-    :class:`~prsqp.alf.YPointEval` of ``point.y``, from which ``L0 =
-    L_beta(point)`` is evaluated unless given. An x trial evaluates ``A x`` and
-    ``f`` at its own point; a y trial evaluates only ``g`` and the residual.
+    where ``metric``, a block's metric in a :class:`SolverState`, gives
+    ``d^T Hcal d`` as ``quad`` and ``moved`` shifts the ``block`` ("x" or "y")
+    of the start by ``t d``. ``L0 = L_beta(start)`` is evaluated from the
+    records unless given. The comparison carries a ``1e-12 (1 + |L0|)`` float
+    slack so a vanishing direction near a stationary point is not rejected on
+    rounding noise. An x trial evaluates ``A x`` and ``f`` at its own point; a
+    y trial evaluates only ``g`` and the residual.
 
-    Returns a :class:`SearchStep`; ``d = 0`` returns ``t = 1`` and ``quad = 0``
-    at once.
-
-    Raises :class:`LineSearchFailed` after ``params.max_backtracks`` shrinks.
+    Returns a :class:`SearchStep` (``t = 1`` and ``quad = 0`` at once for
+    ``d = 0``). Raises :class:`LineSearchFailed` after ``params.max_backtracks``
+    shrinks.
     """
-    if block not in ("x", "y"):
-        raise ValueError(f"block must be 'x' or 'y', got {block!r}")
-    d = as_vector(d, name="d")
-    start = getattr(point, block)
 
-    def records_at(t):  # the records of the point moved by t d; the other block's is fixed
+    def records_at(t):  # the records of the start moved by t d; the other block's is fixed
         if block == "x":
-            return PointEval(P, start + t * d), y_eval
-        return x_eval, YPointEval(P, start + t * d)
+            return PointEval(P, x_eval.x + t * d), y_eval
+        return x_eval, YPointEval(P, y_eval.y + t * d)
 
     if not d.any():
         return SearchStep(1.0, 0, *records_at(1.0), 0.0)
     quad = metric.quad(d)
-    beta, lam = params.beta, point.lam
+    beta = params.beta
     if L0 is None:
-        L0 = _alf_value(x_eval.f, y_eval.g, lam, x_eval.Ax - point.y, beta)
+        L0 = _alf_value(x_eval.f, y_eval.g, lam, x_eval.Ax - y_eval.y, beta)
     if not (math.isfinite(L0) and math.isfinite(quad)):
         raise NumericalError(f"non-finite quantities entering the {block} line search")
     slack = 1e-12 * (1.0 + abs(L0))
@@ -527,30 +520,25 @@ def line_search(P, point, d, metric, params, block, x_eval, y_eval, L0=None):
         if L_t <= L0 - params.rho * t * quad + slack:
             return SearchStep(t, i, trial_x, trial_y, quad)
         t *= params.nu
-    raise LineSearchFailed(
-        f"{block} line search found no acceptable step within {params.max_backtracks} backtracks"
-    )
+    raise LineSearchFailed(f"{block} line search found no acceptable step within {params.max_backtracks} backtracks")
 
 
-def _block_step(state, point, g, block, x_eval, y_eval, L0=None):
-    # one block's step from ``point`` for the ``block`` gradient g of L_beta:
-    # the model step in the state's metric, its extrapolation by alpha and the
-    # Armijo search along it; returns (tilde, d, SearchStep)
+def _block_step(state, lam, g, block, x_eval, y_eval, L0=None):
+    # one block's step from (x_eval.x, y_eval.y, lam) for the block gradient g
+    # of L_beta: the model step in the state's metric, its extrapolation by
+    # alpha and the Armijo search along it; returns (tilde, d, SearchStep)
     if not np.isfinite(g).all():
         raise NumericalError(f"non-finite {block}-gradient")
-    metric = state.metric_x if block == "x" else state.metric_y
-    current = getattr(point, block)
+    metric, current = (state.metric_x, x_eval.x) if block == "x" else (state.metric_y, y_eval.y)
     tilde = current - metric.solve(g)
     if not np.isfinite(tilde).all():
         raise NumericalError(f"{block}-subproblem produced non-finite values")
     d = hybrid_accelerate(tilde, current, state.params.alpha)
-    return tilde, d, line_search(state.P, point, d, metric, state.params, block, x_eval, y_eval, L0=L0)
+    return tilde, d, line_search(state.P, lam, d, metric, state.params, block, x_eval, y_eval, L0=L0)
 
 
 def dual_update(lam, step, beta, residual):
     """Scaled multiplier move ``lam - step * beta * residual`` (residual = A x - y)."""
-    lam = as_vector(lam, name="lam")
-    residual = as_vector(residual, n=lam.shape[0], name="residual")
     return lam - step * beta * residual
 
 
@@ -621,7 +609,7 @@ def iterate_once(state):
 
     # ----- x block: model step in the state's metric, extrapolation, Armijo
     gx = grad_alf(P, w, beta, x_eval, y_eval).gx
-    x_tilde, d_x, (t_x, bt_x, x_eval, _, quad_x) = _block_step(state, w, gx, "x", x_eval, y_eval, L0=state.L_beta)
+    x_tilde, d_x, (t_x, bt_x, x_eval, _, quad_x) = _block_step(state, w.lam, gx, "x", x_eval, y_eval, state.L_beta)
     x_next = x_eval.x  # the accepted trial: x_{k+1}, with A x_{k+1} and f(x_{k+1}) in its record
 
     # ----- first dual update on the mixed residual A x_{k+1} - y_k
@@ -630,8 +618,7 @@ def iterate_once(state):
 
     # ----- y block at the updated x and half-step multiplier
     gy = y_eval.grad_g + lam_half - beta * residual_mid
-    mid = Iterate(x_next, w.y, lam_half)
-    y_tilde, d_y, (t_y, bt_y, _, y_eval, quad_y) = _block_step(state, mid, gy, "y", x_eval, y_eval)
+    y_tilde, d_y, (t_y, bt_y, _, y_eval, quad_y) = _block_step(state, lam_half, gy, "y", x_eval, y_eval)
     y_next = y_eval.y  # the accepted trial: y_{k+1}, with g(y_{k+1}) in its record
 
     # ----- second dual update on the full new residual
@@ -645,7 +632,10 @@ def iterate_once(state):
     L_beta = eval_alf(P, w_next, beta, x_eval, y_eval)
     state_next = _state(P, params, state.k + 1, w_next, d_y, x_eval, y_eval, L_beta, prev=state)
     if P.lipschitz_g is not None:
-        L_hat = eval_merit_hat(P, state_next, params, state.eta_y + beta + params.sigma, L_beta=L_beta)
+        try:
+            L_hat = eval_merit_hat(P, state_next, params, state.eta_y + beta + params.sigma, L_beta=L_beta)
+        except OverflowError as exc:  # the merit weight squares the curvature bound
+            raise NumericalError(str(exc)) from None
     else:
         L_hat = float("nan")
     kkt = kkt_residual(P, w_next, x_eval, y_eval)

@@ -148,15 +148,9 @@ def test_output_dir_must_be_a_non_empty_string():
             parse_sweep(sweep)
 
 
-def test_parse_sweep_rejects_cancelling_pair_grid():
-    obj = {
-        "schema_version": 1,
-        "base": {"schema_version": 1, "problem": {"type": "quadratic", "file": "f"}, "seed": 1},
-        "rs_grid": [[0.1, 1.0]],
-        "alpha_grid": [0.0],
-        "unknown": True,
-    }
-    with pytest.raises(ConfigError):
+def test_parse_sweep_rejects_unknown_keys():
+    obj = {"schema_version": 1, "base": _cfg(), "rs_grid": [[0.1, 1.0]], "alpha_grid": [0.0], "unknown": True}
+    with pytest.raises(ConfigError, match=re.escape("unknown keys in sweep config: ['unknown']")):
         parse_sweep(obj)
 
 
@@ -501,6 +495,19 @@ def test_cli_solve_exit_two_on_breakdown(tmp_path, capsys):
     assert "line search found no acceptable step" in summary["stop_reason"]
 
 
+def test_cli_solve_writes_its_outputs_and_exits_two_when_the_merit_weight_overflows(tmp_path, capsys):
+    # the OverflowError escaped run: solve exited 2 as a solver error and wrote nothing
+    problem_file, _ = _quadratic_file(tmp_path)
+    code = main(["solve", "--config", str(_solve_config(tmp_path, problem_file, params={"sigma": 1e160}))])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == ""
+    summary = json.loads(captured.out)
+    assert summary["status"] == "NumericalError"
+    assert summary["stop_reason"].startswith("merit weight overflows float range at eta2_y = 1")
+    assert json.loads((tmp_path / "out" / "summary.json").read_text()) == summary
+    assert read_trace(tmp_path / "out" / "trace.csv") == []
+
+
 def test_cli_rejects_malformed_json_without_partial_outputs(tmp_path, capsys):
     # bytes that are no UTF-8 and an integer past Python's 4300 digits exited 2 as solver errors
     cfg_path = tmp_path / "broken.json"
@@ -717,13 +724,15 @@ def test_cli_rejects_numbers_no_float_can_hold(tmp_path, capsys):
     def config(problem=big_mu, **params):
         return {**_cfg(problem=problem, output_dir=str(tmp_path / "out")), "params": params}
 
+    margins_overflow = "diagnostics unavailable for this configuration: decrease margins delta_x, delta_y overflow"
     for command, cfg, message in (
         ("solve", config(), "problem (classification): mu must be a finite real number, got 1000"),
         ("solve", config(from_file, r=big), "invalid params: r must be a real number a float can hold"),
         ("solve", config(from_file, beta=big), "invalid params: beta must be a real number a float can hold"),
         ("solve", config(from_file | {"file": str(big_c_f)}), "cannot build the quadratic problem: each entry of c_f"),
         ("sweep", sweep, "sweep grids: int too large to convert to float"),
-        ("check-params", config(from_file, beta=1e300), "diagnostics unavailable for this configuration: "),
+        ("check-params", config(from_file, beta=1e300), margins_overflow),
+        ("check-params", config(from_file, sigma=1e308, beta=1e-300), margins_overflow),
     ):
         cfg_path = tmp_path / "config.json"
         cfg_path.write_text(json.dumps(cfg))

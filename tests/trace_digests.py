@@ -13,7 +13,10 @@ the final iterate; a recipe's covers every field of the returned params, and
 a report's every field of :func:`~prsqp.diagnostics_report` at the default
 params, the spectral bounds included; a container's the ``json.dumps`` text
 of :func:`~prsqp.problem_to_json` for seeds 0-4, and of the problem that
-:func:`~prsqp.problem_from_json` reads back from it.
+:func:`~prsqp.problem_from_json` reads back from it. An ``internals-`` line
+covers the first 60 iteration outcomes that ``run`` hands its ``callback``:
+each entry of ``internals`` in sorted key order (an array's bytes, a float's
+repr) and every field of ``kkt``.
 
 The ``cli-`` lines run ``prsqp.cli.main`` in a temporary directory: the
 files and output of ``solve`` (``trace.csv`` without ``elapsed_ms``,
@@ -24,10 +27,10 @@ files written and a digest of stderr, in which the directory reads ``<tmp>``.
 
 The BLAS thread variables are set to 1 before numpy loads, so products round
 alike from run to run. Only API that stays stable across design changes is
-used (``run``, ``SolverParams``, ``suggest_params``, ``diagnostics_report``,
-``cli.build_problem``, ``cli.main``, the builders, ``problem_to_json``,
-``problem_from_json``), so the script also runs on older checkouts. pytest
-does not collect it.
+used (``run`` and its ``callback``, ``SolverParams``, ``suggest_params``,
+``diagnostics_report``, ``cli.build_problem``, ``cli.main``, the builders,
+``problem_to_json``, ``problem_from_json``), so the script also runs on older
+checkouts. pytest does not collect it.
 """
 
 import contextlib
@@ -91,6 +94,18 @@ def run_digest(P, w0, params):
     return _digest(rows, result.status.value, result.stop_reason, result.ell, result.sigma, final)
 
 
+def internals_digest(P, params, iterations=60):
+    parts = []
+
+    def record(out):
+        for _, value in sorted(out.internals.items()):
+            parts.append(value.tobytes() if isinstance(value, np.ndarray) else value)
+        parts.append(astuple(out.kkt))
+
+    run(P, _zero_start(P), replace(params, max_iter=iterations), callback=record)
+    return _digest(*parts)
+
+
 def _wells(c_f, c_g):
     # t^4 / 4 - c t^2 / 2 in f and in g, concave near zero for c > 0
     well = lambda c: (lambda t: t**4 / 4 - c * t * t / 2, lambda t: t**3 - c * t, lambda t: 3 * t * t - c)
@@ -110,6 +125,11 @@ def digests():
         P = cli.build_problem(CLASSIFICATION, seed)
         params = SolverParams(r=0.1, s=1.0, alpha=0.0, max_iter=700)
         yield f"classification-s{seed}-k700", run_digest(P, _zero_start(P), params)
+    for name, problem, params in (
+        ("lasso_desk", LASSO_DESK, SolverParams(beta=10.0, alpha=0.5, relaxed_alpha=True)),
+        ("classification", CLASSIFICATION, SolverParams(r=0.1, s=1.0, alpha=0.0)),
+    ):
+        yield f"internals-{name}-s1-k60", internals_digest(cli.build_problem(problem, 1), params)
     # the sweep_regimes grid, row by row as cli.run_sweep seeds it (seed XOR row index)
     rows = [(r, s, alpha) for alpha in (0.0, 0.5) for r, s in ((0.1, 1.0), (-0.1, 1.0), (-0.1, -0.1))]
     for idx, (r, s, alpha) in enumerate(rows):
