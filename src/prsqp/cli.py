@@ -122,21 +122,19 @@ def _envelope(obj, allowed, context):
 @contextlib.contextmanager
 def _config_errors(prefix):
     # the one boundary from bad input to a config error: a check that rejects a read value raises ValueError
-    # (ConfigError and DimensionMismatch among them), TypeError or ArithmeticError (a number no float holds)
+    # (ConfigError and DimensionMismatch among them), TypeError or ArithmeticError (a number no float holds),
+    # and a path that cannot be read or written raises OSError
     try:
         yield
-    except (ValueError, TypeError, ArithmeticError) as exc:
+    except (ValueError, TypeError, ArithmeticError, OSError) as exc:
         raise ConfigError(f"{prefix}: {exc}") from None
 
 
 def _load_json(path):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from None
-    except ValueError as exc:  # a JSONDecodeError, bytes that are no UTF-8, an integer past 4300 digits
-        raise ConfigError(f"malformed JSON in {path}: {exc}") from None
+    with _config_errors(f"cannot read {path}"):
+        fh = open(path, "r", encoding="utf-8")
+    with fh, _config_errors(f"malformed JSON in {path}"):  # bytes that are no UTF-8, an integer past 4300 digits
+        return json.load(fh)
 
 
 def _parse_problem(obj):
@@ -228,19 +226,15 @@ def _cell(row, column):
 
 def _open_output(path):
     # an output file that cannot be written is a configuration error, not a solver fault
-    try:
+    with _config_errors(f"cannot write {path}"):
         return open(path, "w", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from None
 
 
 def _output_dir(path):
     # the output directory, created before anything is written to it
     out = Path(path)
-    try:
+    with _config_errors(f"cannot write {path}"):
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from None
     return out
 
 

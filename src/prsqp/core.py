@@ -128,18 +128,14 @@ class _OneThreadScope:
                 self._set_threads(self._saved)
 
 
-_scipy_scope = _OneThreadScope(_set_blas_threads)
-_numpy_scope = _OneThreadScope(_set_numpy_blas_threads)
+def _one_thread_scope(set_threads):
+    # the scope of set_threads' pool, or one that changes nothing where there is no setter
+    return contextlib.nullcontext() if set_threads is None else _OneThreadScope(set_threads)
 
 
-def _one_thread(routine, *args, **kwargs):
-    # a LAPACK call on one thread of scipy's pool: numpy runs its products in
-    # a pool of its own, and two pools taking turns on the same cores slow
-    # each other down
-    if _set_blas_threads is None:
-        return routine(*args, **kwargs)
-    with _scipy_scope:
-        return routine(*args, **kwargs)
+# LAPACK runs on one thread of scipy's pool: it and numpy's pool, taking turns on the same cores, slow each other down
+_scipy_scope = _one_thread_scope(_set_blas_threads)
+_numpy_scope = _one_thread_scope(_set_numpy_blas_threads)
 
 
 def one_numpy_blas_thread():
@@ -150,9 +146,7 @@ def one_numpy_blas_thread():
     ``OPENBLAS_NUM_THREADS`` is set, since the caller has then chosen the
     count, or where numpy's BLAS exports no ``openblas_set_num_threads_local``.
     """
-    if _set_numpy_blas_threads is None or "OPENBLAS_NUM_THREADS" in os.environ:
-        return contextlib.nullcontext()
-    return _numpy_scope
+    return contextlib.nullcontext() if "OPENBLAS_NUM_THREADS" in os.environ else _numpy_scope
 
 
 def cholesky_spd(M):
@@ -173,7 +167,8 @@ def cholesky_spd(M):
         scale = max(1.0, float(np.abs(M).max()))
         if float(np.abs(M - M.T).max()) > 1e-10 * scale:
             raise ValueError("M must be symmetric (relative tolerance 1e-10)")
-    c, info = _one_thread(_dpotrf, M, lower=1, clean=0)
+    with _scipy_scope:
+        c, info = _dpotrf(M, lower=1, clean=0)
     if info > 0:
         raise NotPositiveDefinite(f"{info}-th leading minor of the array is not positive definite")
     if info < 0:
@@ -183,7 +178,8 @@ def cholesky_spd(M):
 
 def cholesky_solve(factor, b):
     """``M^{-1} b`` through LAPACK ``dpotrs``, for the ``(c, lower)`` factor of ``M`` from :func:`cholesky_spd`."""
-    x, info = _one_thread(_dpotrs, factor[0], b, lower=1)
+    with _scipy_scope:
+        x, info = _dpotrs(factor[0], b, lower=1)
     if info != 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrs")
     return x

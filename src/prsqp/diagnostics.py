@@ -260,7 +260,8 @@ def suggest_params(direction, P, base=None, s=None):
     with a 10% margin, positive floors at ``0.1 beta``) and
     then verifies ``delta_x, delta_y > 0`` via :func:`compute_deltas`, raising
     ``ValueError`` if certification fails. The coupling enters through the
-    spectral range of ``A^T A``, with ``||A^T A|| = lambda_max(A^T A)``.
+    spectral range of ``A^T A``, with ``||A^T A|| = lambda_max(A^T A)``. A
+    square past float range raises ``OverflowError`` naming ``r``.
     """
     if direction not in ("alda", "aldd"):
         raise ValueError(f"direction must be 'alda' or 'aldd', got {direction!r}")
@@ -300,7 +301,10 @@ def suggest_params(direction, P, base=None, s=None):
         if sigma_req > sigma * (1.0 + 1e-12):
             sigma = sigma_req
             continue
-        numer = 6.0 * (P.lipschitz_g * P.lipschitz_g + 2.0 * beta * beta + 2.0 * (bounds.eta2_y / (1.0 + alpha)) ** 2)
+        try:
+            numer = 6.0 * (P.lipschitz_g * P.lipschitz_g + 2.0 * beta * beta + 2.0 * (bounds.eta2_y / (1.0 + alpha)) ** 2)
+        except OverflowError:
+            raise OverflowError(f"recipe dual step r overflows float range at eta2_y = {bounds.eta2_y}") from None
         denom = beta * (rho * gamma * bounds.eta1_y - dual_scale)
         r_val = numer / denom if direction == "alda" else -numer / denom
         if direction == "aldd":

@@ -494,18 +494,13 @@ def line_search(P, lam, d, metric, params, block, x_eval, y_eval, L0=None):
     rounding noise. An x trial evaluates ``A x`` and ``f`` at its own point; a
     y trial evaluates only ``g`` and the residual.
 
-    Returns a :class:`SearchStep` (``t = 1`` and ``quad = 0`` at once for
-    ``d = 0``). Raises :class:`LineSearchFailed` after ``params.max_backtracks``
-    shrinks.
+    Returns a :class:`SearchStep` (``t = 1``, the start's own records and
+    ``quad = 0`` at once for ``d = 0``). Raises :class:`LineSearchFailed`
+    after ``params.max_backtracks`` shrinks.
     """
 
-    def records_at(t):  # the records of the start moved by t d; the other block's is fixed
-        if block == "x":
-            return PointEval(P, x_eval.x + t * d), y_eval
-        return x_eval, YPointEval(P, y_eval.y + t * d)
-
     if not d.any():
-        return SearchStep(1.0, 0, *records_at(1.0), 0.0)
+        return SearchStep(1.0, 0, x_eval, y_eval, 0.0)
     quad = metric.quad(d)
     beta = params.beta
     if L0 is None:
@@ -515,7 +510,8 @@ def line_search(P, lam, d, metric, params, block, x_eval, y_eval, L0=None):
     slack = 1e-12 * (1.0 + abs(L0))
     t = 1.0
     for i in range(params.max_backtracks + 1):
-        trial_x, trial_y = records_at(t)
+        trial_x = PointEval(P, x_eval.x + t * d) if block == "x" else x_eval
+        trial_y = y_eval if block == "x" else YPointEval(P, y_eval.y + t * d)
         L_t = _alf_value(trial_x.f, trial_y.g, lam, trial_x.Ax - trial_y.y, beta)
         if L_t <= L0 - params.rho * t * quad + slack:
             return SearchStep(t, i, trial_x, trial_y, quad)

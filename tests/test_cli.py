@@ -838,6 +838,21 @@ def test_cli_sweep_to_an_uncreatable_output_dir_is_a_config_error(tmp_path, caps
     _assert_cannot_write(main(["sweep", "--config", str(cfg_path)]), capsys, out_dir)
 
 
+def test_cli_output_dir_with_a_nul_byte_is_a_config_error(tmp_path, capsys):
+    # mkdir raised ValueError past the output-path wrapper: exit 2 as a solver error
+    problem_file, _ = _quadratic_file(tmp_path)
+    out_dir = str(tmp_path / "a\0b")
+    code = main(["solve", "--config", str(_solve_config(tmp_path, problem_file, output_dir=out_dir))])
+    _assert_cannot_write(code, capsys, out_dir)
+
+
+def test_cli_config_that_cannot_be_opened_is_a_read_error(tmp_path, capsys):
+    # a directory, and a path with a NUL byte, which read as malformed JSON
+    for path in (tmp_path, str(tmp_path / "a\0b")):
+        assert main(["check-params", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"config error: cannot read {path}: ")
+
+
 def test_cli_sweep_writes_csv(tmp_path, capsys):
     problem_file, _ = _quadratic_file(tmp_path)
     obj = _sweep_config(tmp_path, problem_file, [[0.1, 1.0], [1.0, -1.0]], [0.0])

@@ -1,3 +1,4 @@
+import contextlib
 import importlib.machinery
 import json
 
@@ -100,12 +101,12 @@ def test_lapack_binding_matches_scipy_linalg_lapack_bit_for_bit():
     # loaded on its own, not taken from scipy.linalg; compared on one thread of
     # scipy's pool, as the binding runs (a multi-threaded dpotrf rounds otherwise)
     assert prsqp.core._dpotrf is not scipy.linalg.lapack.dpotrf
-    one_thread = prsqp.core._one_thread
     for M, b in _spd_cases():
         factor = cholesky_spd(M)
-        c, info = one_thread(scipy.linalg.lapack.dpotrf, M, lower=1, clean=0)
-        assert info == 0 and _bits(factor[0]) == _bits(c)
-        x, info = one_thread(scipy.linalg.lapack.dpotrs, c, b, lower=1)
+        with prsqp.core._scipy_scope:
+            c, info = scipy.linalg.lapack.dpotrf(M, lower=1, clean=0)
+            assert info == 0 and _bits(factor[0]) == _bits(c)
+            x, info = scipy.linalg.lapack.dpotrs(c, b, lower=1)
         assert info == 0 and _bits(cholesky_solve(factor, b)) == _bits(x)
 
 
@@ -305,10 +306,25 @@ def test_numpy_blas_scope_runs_numpys_pool_on_one_thread():
 
 
 def test_lapack_calls_run_unscoped_without_the_thread_symbol(monkeypatch):
+    # a library that exports no openblas_set_num_threads_local gets a scope that
+    # changes nothing, and the factor and the solve run through it as they are
     expected = [(M, b, np.linalg.solve(M, b)) for M, b in _spd_cases()]
-    monkeypatch.setattr(prsqp.core, "_set_blas_threads", None)
+    scope = prsqp.core._one_thread_scope(None)
+    assert isinstance(scope, contextlib.nullcontext)
+    entered = []
+
+    class Counted:  # the scope, counting the calls that enter it
+        def __enter__(self):
+            entered.append(1)
+            return scope.__enter__()
+
+        def __exit__(self, *exc):
+            return scope.__exit__(*exc)
+
+    monkeypatch.setattr(prsqp.core, "_scipy_scope", Counted())
     for M, b, x in expected:
         assert np.max(np.abs(cholesky_solve(cholesky_spd(M), b) - x)) <= 1e-10 * max(1.0, np.max(np.abs(x)))
+    assert len(entered) == 2 * len(expected)
 
 
 # ----- seeded sampling -------------------------------------------------------

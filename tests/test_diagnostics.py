@@ -267,6 +267,15 @@ def test_recipe_rejects_unknown_direction_and_missing_constants():
         suggest_params("alda", P)
 
 
+def test_recipes_name_r_when_its_square_overflows():
+    # (eta2_y / (1 + alpha)) ** 2 in r's numerator raised Python's bare errno tuple
+    P = random_quadratic(4, 3, make_rng(1))
+    for beta in (1e160, 1e300):
+        for direction in ("alda", "aldd"):
+            with pytest.raises(OverflowError, match="^recipe dual step r overflows float range at eta2_y = "):
+                suggest_params(direction, P, base=SolverParams(beta=beta))
+
+
 def test_report_margins_flag_tracks_deltas():
     P = make_quadratic([1.0], [0.0], [[1.0]])
     report = diagnostics_report(P, SolverParams())

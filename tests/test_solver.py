@@ -373,6 +373,20 @@ def test_iterate_once_is_fixed_at_first_order_point():
     assert out.record.feas_inf <= 1e-14
 
 
+def test_zero_directions_keep_the_starts_records(monkeypatch):
+    # at its KKT point w0 = 0 both directions vanish: the iteration evaluates
+    # A x, f and grad f once, at the start, and g and grad g at y0 and at A x
+    # for the composite terms; each block's new record is the start's
+    P = make_quadratic([0.0, 0.0], [0.0], [[1.0, 1.0]])
+    state = initial_state(P, _zero_start(P), SolverParams())
+    calls = _counting(P, monkeypatch)
+    out = iterate_once(state)
+    assert out.record.norm_dx == out.record.norm_dy == 0.0
+    assert out.state.x_eval is state.x_eval and out.state.y_eval is state.y_eval
+    evaluations = {name: calls[name] for name in ("apply_A", "eval_f", "grad_f", "eval_g", "grad_g")}
+    assert evaluations == dict(apply_A=1, eval_f=1, grad_f=1, eval_g=2, grad_g=2)
+
+
 def test_iterate_once_decreases_merit_under_certified_margins():
     P = make_quadratic([1.0], [0.0], [[1.0]])
     params = suggest_params("alda", P)
@@ -795,36 +809,36 @@ def _evaluation_cases():
 
 
 def test_run_evaluates_each_x_point_once(monkeypatch):
-    # A x and f are evaluated at each x trial and at w0, grad f at w0 and at
-    # each new iterate: every other use reads the point's record. f(w0) enters
-    # only the first x search's L_beta(w0), which a zero direction skips (the
-    # LASSO from zero, whose x-gradient vanishes there).
+    # A x and f are evaluated at w0 and at each x trial, grad f at w0 and at
+    # each new iterate: every other use reads the point's record. A zero
+    # direction (the LASSO from zero, whose x-gradient vanishes there) tries
+    # no point, and its iterate keeps the start's record.
     for P, w0, params in list(_evaluation_cases())[:2]:
         calls = _counting(P, monkeypatch)
         result = run(P, w0, params)
         assert result.iterations == params.max_iter
-        trials = sum(rec.backtracks_x + 1 for rec in result.trace)
-        f_w0 = int(result.trace[0].norm_dx > 0.0)
+        moved = [rec for rec in result.trace if rec.norm_dx > 0.0]
+        trials = sum(rec.backtracks_x + 1 for rec in moved)
         x_calls = {name: calls[name] for name in ("apply_A", "eval_f", "grad_f")}
-        assert x_calls == dict(apply_A=trials + 1, eval_f=trials + f_w0, grad_f=result.iterations + 1)
+        assert x_calls == dict(apply_A=trials + 1, eval_f=trials + 1, grad_f=len(moved) + 1)
         # A^T enters the x-gradient and the two first-order residuals
         assert calls["apply_At"] == 3 * result.iterations
 
 
 def test_run_evaluates_each_y_point_once(monkeypatch):
-    # g is evaluated at each y trial and at A x_{k+1} for the objective, and at
-    # y0 when the first iteration moves; grad g at y0, at each new iterate and
-    # at A x_{k+1} for the composite residual. Every other use reads the
-    # point's record, so on the Huber-LASSO (the first case) grad g costs two
-    # evaluations per iteration after the first.
+    # g is evaluated at y0, at each y trial and at A x_{k+1} for the objective;
+    # grad g at y0, at each new iterate and at A x_{k+1} for the composite
+    # residual. Every other use reads the point's record, so on the
+    # Huber-LASSO (the first case) grad g costs two evaluations per iteration
+    # after the first.
     for P, w0, params in _evaluation_cases():
         calls = _counting(P, monkeypatch)
         result = run(P, w0, params)
         assert result.iterations == params.max_iter
-        trials = sum(rec.backtracks_y + 1 for rec in result.trace)
-        g_y0 = int(result.trace[0].norm_dx > 0.0 or result.trace[0].norm_dy > 0.0)
-        assert calls["eval_g"] == trials + result.iterations + g_y0
-        assert calls["grad_g"] == 2 * result.iterations + 1
+        moved = [rec for rec in result.trace if rec.norm_dy > 0.0]
+        trials = sum(rec.backtracks_y + 1 for rec in moved)
+        assert calls["eval_g"] == 1 + trials + result.iterations
+        assert calls["grad_g"] == 1 + len(moved) + result.iterations
 
 
 def test_run_refreshes_each_hessian_once_per_iteration(monkeypatch):

@@ -22,8 +22,9 @@ The ``cli-`` lines run ``prsqp.cli.main`` in a temporary directory: the
 files and output of ``solve`` (``trace.csv`` without ``elapsed_ms``,
 ``summary.json`` without ``tcpu_s``), of a two-row ``sweep`` (``sweep.csv``
 without ``tcpu_s``), of ``check-params`` and of ``gen-data``; and, for each
-of a fixed list of malformed configurations, the exit code, the number of
-files written and a digest of stderr, in which the directory reads ``<tmp>``.
+of a fixed list of malformed configurations and of paths that cannot be read
+or written, the exit code, the number of files written and a digest of
+stderr, in which the directory reads ``<tmp>``.
 
 The BLAS thread variables are set to 1 before numpy loads, so products round
 alike from run to run. Only API that stays stable across design changes is
@@ -242,6 +243,18 @@ def _malformed(tmp):
     yield "sweep-rs_grid-bool", "sweep", _sweep(tmp, rs_grid=[[True, 1.0]])
 
 
+def _path_cases(tmp):
+    # (name, argv) of commands given a path that cannot be read or written
+    blocked = str(_write_json(tmp / "regular", {}) / "out")  # under a regular file
+    solve = _config(tmp, params={"max_iter": 10}, output_dir=blocked)
+    yield "solve-output_dir-under-a-file", ("solve", "--config", _write_json(tmp / "bad.json", solve))
+    sweep = _sweep(tmp, base=_config(tmp, params={"max_iter": 10}, output_dir=blocked))
+    yield "sweep-output_dir-under-a-file", ("sweep", "--config", _write_json(tmp / "bad.json", sweep))
+    yield "solve-config-a-directory", ("solve", "--config", tmp)
+    missing = tmp / "missing" / "q.json"
+    yield "gen-data-out-in-a-missing-directory", ("gen-data", "--problem", "quadratic", "--seed", 1, "--out", missing)
+
+
 def cli_digests():
     with tempfile.TemporaryDirectory() as name:
         tmp, out = Path(name), Path(name) / "out"
@@ -261,6 +274,11 @@ def cli_digests():
             code, _, err = _main(tmp, command, "--config", _write_json(tmp / "bad.json", config))
             written = len(list(out.rglob("*"))) if out.exists() else 0
             shutil.rmtree(out, ignore_errors=True)
+            yield f"cli-error-{case}", f"exit={code} written={written} {_digest(err)}"
+        for case, argv in _path_cases(tmp):
+            before = set(tmp.rglob("*"))
+            code, _, err = _main(tmp, *argv)
+            written = len(set(tmp.rglob("*")) - before)
             yield f"cli-error-{case}", f"exit={code} written={written} {_digest(err)}"
 
 
