@@ -263,7 +263,9 @@ def read_trace(path):
     A file or row that does not match the header raises :class:`ConfigError`.
     """
     types = typing.get_type_hints(StepRecord)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with _config_errors(f"cannot read {path}"):
+        fh = open(path, "r", encoding="utf-8", newline="")
+    with fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None:

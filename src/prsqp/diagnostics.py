@@ -7,8 +7,8 @@
 * :func:`compute_gamma` -- the uniform Armijo step floor.
 * :func:`compute_deltas` -- per-block merit decrease margins; both positive
   certifies monotone merit descent for the chosen dual steps.
-* :func:`suggest_params` -- feasible parameter recipes for the all-ascent and
-  all-descent dual regimes.
+* :func:`suggest_params` -- feasible parameter recipes, one over the second
+  dual step ``s``, from all-descent (``s < 0``) to all-ascent (``s = 1``).
 """
 
 from __future__ import annotations
@@ -247,21 +247,24 @@ _RECIPE_ROUNDS = 50  # fixed-point rounds of the coupled bounds on ell, sigma an
 def suggest_params(direction, P, base=None, s=None):
     """Feasible dual steps and proximal weights with certified positive margins.
 
-    ``direction`` selects the regime: ``"alda"`` (both dual updates ascent,
-    ``s = 1``) or ``"aldd"`` (both descent, default ``s = -0.5``; any
-    ``s in [-1, 0)`` is accepted). ``base`` supplies ``rho, nu, alpha, beta``
-    and the loop controls (defaults otherwise); the returned
-    :class:`SolverParams` keeps those and replaces ``ell, sigma, r, s``. The
-    curvature is that of the Hessian models at ``x = 0``, ``y = 0``.
+    One recipe over the second dual step ``s``, of which ``r`` takes the sign:
+    ``direction`` ``"alda"`` (both dual updates ascent) is its ``s = 1`` end,
+    and passing ``s`` with it raises ``ValueError``; ``"aldd"`` (both descent)
+    takes any ``s in [-1, 0)``, by default ``-0.5``. ``base`` supplies
+    ``rho, nu, alpha, beta`` and the loop controls (defaults otherwise); the
+    returned :class:`SolverParams` keeps those and replaces ``ell, sigma, r,
+    s``. The curvature is that of the Hessian models at ``x = 0``, ``y = 0``.
 
     The strict bounds on ``ell`` and ``sigma`` are coupled to the step floor
     ``gamma``, which itself depends on ``ell`` and ``sigma``; the recipe
     iterates the bound system to a fixed point (each strict inequality realized
-    with a 10% margin, positive floors at ``0.1 beta``) and
-    then verifies ``delta_x, delta_y > 0`` via :func:`compute_deltas`, raising
-    ``ValueError`` if certification fails. The coupling enters through the
-    spectral range of ``A^T A``, with ``||A^T A|| = lambda_max(A^T A)``. A
-    square past float range raises ``OverflowError`` naming ``r``.
+    with a 10% margin, positive floors at ``0.1 beta``), raising ``ValueError``
+    if it does not settle, and then verifies ``delta_x, delta_y > 0`` via
+    :func:`compute_deltas`, raising ``ValueError`` if certification fails. At
+    ``s = 1`` the bound on ``ell`` is the starting one, as ``(1 - s)^2 = 0``.
+    The coupling enters through the spectral range of ``A^T A``, with
+    ``||A^T A|| = lambda_max(A^T A)``. A square past float range raises
+    ``OverflowError`` naming ``r``.
     """
     if direction not in ("alda", "aldd"):
         raise ValueError(f"direction must be 'alda' or 'aldd', got {direction!r}")
@@ -271,32 +274,29 @@ def suggest_params(direction, P, base=None, s=None):
 
     base = base if base is not None else SolverParams()
     rho, alpha, beta = base.rho, base.alpha, base.beta
-    outside = _outside_range(rho, alpha)
-    if outside:
+    if outside := _outside_range(rho, alpha):
         raise ValueError(f"recipes need a positive step-floor factor: {outside}")
     if direction == "alda":
-        s_val = 1.0
+        if s is not None:
+            raise ValueError(f"alda fixes s = 1, got s = {s}")
+        s = 1.0
     else:
-        s_val = -0.5 if s is None else float(s)
-        if not -1.0 <= s_val < 0.0:
-            raise ValueError(f"aldd needs s in [-1, 0), got {s_val}")
+        s = -0.5 if s is None else float(s)
+        if not -1.0 <= s < 0.0:
+            raise ValueError(f"aldd needs s in [-1, 0), got {s}")
 
-    H_x, H_y = hessian_pair(P, np.zeros(P.n1), np.zeros(P.n2))
-    spectrum_x, spectrum_y = _spectrum(H_x), _spectrum(H_y)
+    spectrum_x, spectrum_y = map(_spectrum, hessian_pair(P, np.zeros(P.n1), np.zeros(P.n2)))
     (_, lo_x), (_, lo_y) = spectrum_x, spectrum_y
 
     factor = 1.0 + _RECIPE_MARGIN
     floor = _RECIPE_MARGIN * beta
     ell = max(factor * (-lo_x - beta * P.min_eig_AtA), floor)
     sigma = max(factor * (-lo_y - beta), floor)
-    r_val = None
+    dual_scale = abs(s) * beta  # sigma keeps the r-denominator rho gamma eta1_y - |s| beta positive
     for _ in range(_RECIPE_ROUNDS):
-        weights = replace(base, ell=ell, sigma=sigma)
-        bounds = _bounds(P, weights, spectrum_x, spectrum_y)
-        gamma = compute_gamma(P, weights, bounds)
-        # sigma must keep the r-denominator positive: rho gamma eta1_y > beta (alda)
-        # resp. > -s beta (aldd)
-        dual_scale = beta if direction == "alda" else -s_val * beta
+        params = replace(base, ell=ell, sigma=sigma)
+        bounds = _bounds(P, params, spectrum_x, spectrum_y)
+        gamma = compute_gamma(P, params, bounds)
         sigma_req = max(factor * (dual_scale / (rho * gamma) - lo_y - beta), floor)
         if sigma_req > sigma * (1.0 + 1e-12):
             sigma = sigma_req
@@ -305,28 +305,17 @@ def suggest_params(direction, P, base=None, s=None):
             numer = 6.0 * (P.lipschitz_g * P.lipschitz_g + 2.0 * beta * beta + 2.0 * (bounds.eta2_y / (1.0 + alpha)) ** 2)
         except OverflowError:
             raise OverflowError(f"recipe dual step r overflows float range at eta2_y = {bounds.eta2_y}") from None
-        denom = beta * (rho * gamma * bounds.eta1_y - dual_scale)
-        r_val = numer / denom if direction == "alda" else -numer / denom
-        if direction == "aldd":
-            ell_bound = (
-                -6.0 * (1.0 - s_val) ** 2 * beta * P.max_eig_AtA / (rho * gamma * (r_val + s_val))
-                - lo_x
-                - beta * P.min_eig_AtA
-            )
-            ell_req = max(factor * ell_bound, floor)
-            if ell_req > ell * (1.0 + 1e-12):
-                ell = ell_req
-                continue
-        break
-    if r_val is None:
+        r = math.copysign(1.0, s) * numer / (beta * (rho * gamma * bounds.eta1_y - dual_scale))
+        ell_bound = -6.0 * (1.0 - s) ** 2 * beta * P.max_eig_AtA / (rho * gamma * (r + s)) - lo_x - beta * P.min_eig_AtA
+        ell_req = max(factor * ell_bound, floor)
+        if not ell_req > ell * (1.0 + 1e-12):  # a NaN requirement stops the rounds too
+            break
+        ell = ell_req
+    else:
         raise ValueError(f"recipe did not stabilize within {_RECIPE_ROUNDS} rounds")
 
-    params = replace(base, ell=ell, sigma=sigma, r=r_val, s=s_val)
-    bounds = _bounds(P, params, spectrum_x, spectrum_y)
-    gamma = compute_gamma(P, params, bounds)
+    params = replace(params, r=r, s=s)
     delta_x, delta_y = compute_deltas(P, params, bounds, gamma)
     if not (delta_x > 0 and delta_y > 0):
-        raise ValueError(
-            f"recipe failed to certify positive margins: delta_x = {delta_x}, delta_y = {delta_y}"
-        )
+        raise ValueError(f"recipe failed to certify positive margins: delta_x = {delta_x}, delta_y = {delta_y}")
     return params

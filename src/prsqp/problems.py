@@ -12,10 +12,10 @@ constants used by the step-size theory. Three builders are provided:
 * :func:`make_huber_lasso`    -- Huber-smoothed sparse recovery.
 
 Each family's JSON container (data record, builder, keys in file order) is
-declared once, in ``_CONTAINERS``. The builders reject non-finite inputs, so
-every instance they build round-trips, and a loaded problem passes the checks
-a sampled one does; a classification container must also hold unit-norm
-feature columns, which its ``lipschitz_f`` assumes.
+declared once, in ``_CONTAINERS``. The JSON readers and :func:`make_quadratic`
+reject non-finite entries; the classification and Huber-LASSO builders take
+the arrays they are handed, finite as their samplers draw them. A classification
+container must hold unit-norm feature columns, which its ``lipschitz_f`` assumes.
 """
 
 from __future__ import annotations

@@ -143,7 +143,7 @@ def validate_params(params):
     """
     p = params
     out = _field_violations(p, SolverParams)
-    if any(map(_past_float_range, (p.alpha, p.r, p.s))):
+    if not all(_real(v) and not _past_float_range(v) for v in (p.alpha, p.r, p.s)):
         return out  # flagged above; the checks below do float arithmetic on these
     if not -1.0 < p.alpha < math.inf:
         out.append(f"alpha must be finite and exceed -1, got {p.alpha}")
@@ -153,10 +153,11 @@ def validate_params(params):
         out.append(f"relaxed_alpha must be a boolean, got {relaxed!r}")
         relaxed = False
     # alpha <= -1 is flagged above (1 + alpha would divide by zero); a NaN alpha is flagged here too
-    if not relaxed and 0.0 < p.rho < 1.0 and not p.alpha <= -1.0 and (outside := _outside_range(p.rho, p.alpha)):
-        out.append(f"{outside} (set relaxed_alpha to override)")
+    if not relaxed and _real(p.rho) and 0.0 < p.rho < 1.0 and not p.alpha <= -1.0:
+        if outside := _outside_range(p.rho, p.alpha):
+            out.append(f"{outside} (set relaxed_alpha to override)")
     for name in ("beta", "ell", "sigma"):
-        if not 0.0 < getattr(p, name) < math.inf:
+        if _real(getattr(p, name)) and not 0.0 < getattr(p, name) < math.inf:
             out.append(f"{name} must be positive and finite, got {getattr(p, name)}")
     for name in ("r", "s"):
         if not math.isfinite(getattr(p, name)):
@@ -166,18 +167,26 @@ def validate_params(params):
     return out
 
 
+def _real(value):
+    # a number the range rules can compare: a bool is flagged as no weight but still compared
+    return isinstance(value, (numbers.Real, np.bool_))
+
+
 def _field_violations(p, cls):
     # the checks SolverParams and GdParams share, over the fields of cls read
     # from p: a float field is a real, not a bool (a JSON true is no weight of
     # 1), that a float can hold; rho and nu lie in (0, 1); tol* is >= 0, which
     # NaN is not; an int field is an integer >= 1, where numpy integers count
-    # and bools do not
+    # and bools do not. A float field that is no number, such as a string or
+    # None, enters no range rule here or in validate_params
     out = []
     for f in fields(cls):
         name, value = f.name, getattr(p, f.name)
         if type(f.default) is float:
-            if isinstance(value, (bool, np.bool_)):
+            if isinstance(value, (bool, np.bool_)) or not _real(value):
                 out.append(f"{name} must be a real number, got {value!r}")
+                if not _real(value):
+                    continue
             elif _past_float_range(value):
                 out.append(f"{name} must be a real number a float can hold, got one past float range")
                 continue

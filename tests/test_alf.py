@@ -48,8 +48,10 @@ def test_eval_alf_feasible_point_ignores_multiplier():
 
 def test_eval_alf_requires_positive_beta():
     P = zero_problem()
-    with pytest.raises(ValueError):
-        eval_alf(P, _w(0.0, 0.0, 0.0), 0.0)
+    for evaluate in (eval_alf, grad_alf):
+        for beta in (0.0, -1.0):
+            with pytest.raises(ValueError, match=f"^beta must be positive, got {beta}$"):
+                evaluate(P, _w(0.0, 0.0, 0.0), beta)
 
 
 # ----- augmented Lagrangian gradients ------------------------------------------

@@ -196,6 +196,13 @@ def test_read_trace_rejects_empty_file(tmp_path):
         read_trace(path)
 
 
+def test_read_trace_names_a_path_it_cannot_open(tmp_path):
+    # a missing file and a directory raised FileNotFoundError / IsADirectoryError
+    for path in (tmp_path / "missing.csv", tmp_path):
+        with pytest.raises(ConfigError, match=f"^{re.escape(f'cannot read {path}: ')}"):
+            read_trace(path)
+
+
 def _trace_file(tmp_path, last_row):
     # a written three-row trace whose last row is replaced by ``last_row``
     P = random_quadratic(3, 2, make_rng(61))
@@ -566,6 +573,20 @@ def test_cli_rejects_booleans_where_numbers_or_flags_belong(tmp_path, capsys):
         assert code == 1
         assert "config error" in err and message in err
         assert not (tmp_path / "out").exists()
+
+
+def test_cli_names_a_param_that_is_no_number(tmp_path, capsys):
+    # a string or null reached a comparison and printed Python's TypeError, naming no field
+    problem_file, _ = _quadratic_file(tmp_path)
+    for params, message in (
+        ({"beta": "10"}, "beta must be a real number, got '10'"),
+        ({"r": None}, "r must be a real number, got None"),
+    ):
+        for command in ("solve", "check-params"):
+            code = main([command, "--config", str(_solve_config(tmp_path, problem_file, params=params))])
+            assert code == 1
+            assert capsys.readouterr().err == f"config error: invalid params: {message}\n"
+            assert not (tmp_path / "out").exists()
 
 
 def test_cli_rejects_non_integer_sizes_and_non_number_weights_in_the_problem(tmp_path, capsys):

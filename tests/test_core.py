@@ -371,6 +371,12 @@ def test_sparse_sample_density_range():
         sparse_normal_sample(make_rng(0), 10, 1.5)
 
 
+def test_sparse_sample_needs_a_positive_length():
+    for n in (0, -3):
+        with pytest.raises(ValueError, match=f"^n must be >= 1, got {n}$"):
+            sparse_normal_sample(make_rng(0), n, 0.5)
+
+
 # ----- spectral estimates ----------------------------------------------------
 
 

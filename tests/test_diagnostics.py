@@ -1,10 +1,12 @@
 import math
+import re
 from dataclasses import asdict, replace
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import prsqp.diagnostics
 from prsqp import (
     Iterate,
     NonPositiveEta1,
@@ -203,6 +205,13 @@ def test_deltas_reject_cancelling_dual_steps():
         compute_deltas(P, params, _unit_bounds(), gamma=0.1)
 
 
+def test_deltas_need_lipschitz_g():
+    P = make_quadratic([0.0], [0.0], [[1.0]])
+    P.lipschitz_g = None
+    with pytest.raises(UnknownLipschitz, match="^compute_deltas needs lipschitz_g on the problem$"):
+        compute_deltas(P, SolverParams(), _unit_bounds(), gamma=0.1)
+
+
 def test_deltas_name_the_margins_when_a_square_overflows():
     # (eta2_y / (1 + alpha)) ** 2 and (1 - s) ** 2 raised Python's bare errno tuple
     P = make_quadratic([0.0], [0.0], [[1.0]])
@@ -265,6 +274,48 @@ def test_recipe_rejects_unknown_direction_and_missing_constants():
     P.lipschitz_g = None
     with pytest.raises(UnknownLipschitz):
         suggest_params("alda", P)
+
+
+def test_alda_recipe_rejects_a_second_dual_step():
+    # alda is the s = 1 end of the recipe; an s passed with it was dropped without a word
+    P = make_quadratic([1.0], [0.0], [[1.0]])
+    for s in (-0.3, 1.0):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'alda fixes s = 1, got s = {s}')}$"):
+            suggest_params("alda", P, s=s)
+
+
+def test_aldd_recipe_rejects_s_outside_its_range():
+    P = make_quadratic([1.0], [0.0], [[1.0]])
+    for s in (-1.5, 0.0, 0.5):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'aldd needs s in [-1, 0), got {s}')}$"):
+            suggest_params("aldd", P, s=s)
+    assert suggest_params("aldd", P, s=-1.0).s == -1.0
+
+
+def _recipe_wells():
+    # t^4 / 4 - c t^2 / 2 in f (c = 2) and in g (c = 0.5), nonconvex at zero,
+    # with both Lipschitz constants: the input found where aldd raises ell
+    well = lambda c: (lambda t: t**4 / 4 - c * t * t / 2, lambda t: t**3 - c * t, lambda t: 3 * t * t - c)
+    return scalar_problem(*well(2.0), *well(0.5), a=1.0, lipschitz_f=10.0, lipschitz_g=10.0)
+
+
+def test_aldd_recipe_raises_ell_on_wells_nonconvex_at_zero():
+    P = _recipe_wells()
+    start = 1.1 * (2.0 - 1.0)  # 1.1 (-lambda_min(H_x(0)) - beta lambda_min(A^T A)) at beta = 1
+    descent = suggest_params("aldd", P)
+    assert descent.ell > start and descent.r < 0.0
+    assert diagnostics_report(P, descent).margins_ok
+    # at s = 1 the bound on ell is its start, as (1 - s)^2 = 0
+    ascent = suggest_params("alda", P)
+    assert ascent.ell == start and ascent.r > 0.0
+    assert diagnostics_report(P, ascent).margins_ok
+
+
+def test_recipe_raises_when_its_rounds_run_out(monkeypatch):
+    # two rounds end on a raised ell: the recipe returned an r computed for the previous ell
+    monkeypatch.setattr(prsqp.diagnostics, "_RECIPE_ROUNDS", 2)
+    with pytest.raises(ValueError, match="^recipe did not stabilize within 2 rounds$"):
+        suggest_params("aldd", _recipe_wells())
 
 
 def test_recipes_name_r_when_its_square_overflows():

@@ -125,6 +125,17 @@ def test_quadratic_oracle_decoupled_map():
     assert np.allclose(lam, [0.7], atol=1e-12)
 
 
+def test_quadratic_oracle_rejects_other_families():
+    P = make_huber_lasso(2, 5, rng=make_rng(6))
+    with pytest.raises(TypeError, match="only available for quadratic instances"):
+        quadratic_kkt_point(P)
+
+
+def test_huber_lasso_needs_an_rng():
+    with pytest.raises(ValueError, match="^rng is required to sample the instance$"):
+        make_huber_lasso(2, 5)
+
+
 def test_quadratic_oracle_satisfies_first_order_system():
     rng = make_rng(3)
     for _ in range(10):

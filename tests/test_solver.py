@@ -10,6 +10,7 @@ import prsqp.solver
 from prsqp import (
     CompositeProblem,
     DimensionMismatch,
+    GdParams,
     Iterate,
     LineSearchFailed,
     NotPositiveDefinite,
@@ -38,7 +39,7 @@ from prsqp import (
     validate_params,
 )
 from prsqp.solver import dual_update, hybrid_accelerate, line_search
-from toys import decoupled_problem, scalar_problem
+from toys import decoupled_problem, scalar_problem, zero_problem
 
 
 def _w(x, y, lam):
@@ -132,6 +133,19 @@ def test_validate_params_rejects_bools_for_real_parameters():
         for bad in (True, False, np.True_):
             assert f"{name} must be a real number, got {bad!r}" in _violations(**{name: bad})
     assert validate_params(SolverParams(beta=1, ell=np.float64(2.0), sigma=np.int64(3))) == []
+
+
+def test_validate_params_rejects_values_that_are_no_number():
+    # a string or None in a real field escaped as a bare TypeError that named no field
+    for name in ("rho", "nu", "alpha", "beta", "ell", "sigma", "r", "s", "tol_step", "tol_kkt"):
+        for bad in ("10", None, [1.0]):
+            assert _violations(**{name: bad}) == [f"{name} must be a real number, got {bad!r}"]
+    assert _violations(beta="10", ell=-1.0) == [
+        "beta must be a real number, got '10'",
+        "ell must be positive and finite, got -1.0",
+    ]
+    with pytest.raises(ValueError, match=re.escape("tol must be a real number, got '1'")):
+        GdParams(tol="1")
 
 
 def test_validate_params_rejects_reals_no_float_can_hold():
@@ -624,6 +638,21 @@ def test_run_names_the_stop_rule_that_fired_or_the_breakdown():
     assert overflowed.stop_reason.startswith("merit weight overflows float range at eta2_y = 1")
     with pytest.raises(NumericalError, match="^merit weight overflows float range at eta2_y = 1"):
         iterate_once(initial_state(P, w0, SolverParams(sigma=1e160)))
+
+
+def test_iteration_names_the_non_finite_values_it_produced():
+    # finite gradients of 1e308 whose metric solves (weight 0.2) overflow, and
+    # a second dual step whose update of lam overflows
+    linear = lambda c: (lambda t: c * t, lambda t: c, lambda t: 0.0)
+    w0 = _w(0.0, 0.0, 0.0)
+    for P, params, block in (
+        (scalar_problem(*linear(1e308), *linear(0.0)), SolverParams(beta=0.1, ell=0.1), "x"),
+        (scalar_problem(*linear(0.0), *linear(1e308)), SolverParams(beta=0.1, sigma=0.1), "y"),
+    ):
+        with pytest.raises(NumericalError, match=f"^{block}-subproblem produced non-finite values$"):
+            iterate_once(initial_state(P, w0, params))
+    with pytest.raises(NumericalError, match="^iteration produced non-finite iterate$"):
+        iterate_once(initial_state(zero_problem(), _w(10.0, 0.0, 0.0), SolverParams(s=1e308)))
 
 
 # ----- factorizations carried across iterations ------------------------------------------

@@ -107,10 +107,10 @@ def internals_digest(P, params, iterations=60):
     return _digest(*parts)
 
 
-def _wells(c_f, c_g):
+def _wells(c_f, c_g, lipschitz_f=None):
     # t^4 / 4 - c t^2 / 2 in f and in g, concave near zero for c > 0
     well = lambda c: (lambda t: t**4 / 4 - c * t * t / 2, lambda t: t**3 - c * t, lambda t: 3 * t * t - c)
-    return scalar_problem(*well(c_f), *well(c_g), a=1.0, lipschitz_g=10.0)
+    return scalar_problem(*well(c_f), *well(c_g), a=1.0, lipschitz_f=lipschitz_f, lipschitz_g=10.0)
 
 
 def _w(x, y, lam):
@@ -148,6 +148,7 @@ def digests():
         ("quadratic4x4", random_quadratic(4, 4, make_rng(90))),
         ("classification20x20", cli.build_problem({"type": "classification", "n": 20, "T": 20}, 1)),
         ("lasso16x64", cli.build_problem({"type": "huber_lasso", "m": 16, "n": 64}, 1)),
+        ("wells", _wells(2.0, 0.5, lipschitz_f=10.0)),  # nonconvex at zero: aldd raises ell
     )
     for name, P in recipe_problems:
         for direction in ("alda", "aldd"):
@@ -218,6 +219,7 @@ def _malformed(tmp):
     yield "solve-problem-mu-past-float", "solve", _config(tmp, problem={**SMALL_CLASSIFICATION, "mu": BIG})
     yield "solve-params-r-past-float", "solve", _config(tmp, params={"r": BIG})
     yield "solve-params-beta-past-float", "solve", _config(tmp, params={"beta": BIG})
+    yield "solve-params-beta-string", "solve", _config(tmp, params={"beta": "10"})
     yield "solve-file-c_f-past-float", "solve", from_file(_container(tmp, quadratic, c_f=[BIG, 0.0, 0.0]))
     yield "sweep-rs_grid-past-float", "sweep", _sweep(tmp, rs_grid=[[BIG, 1.0]])
     yield "check-params-beta-1e300", "check-params", _config(tmp, params={"beta": 1e300})
