@@ -32,6 +32,7 @@ import argparse
 import concurrent.futures
 import contextlib
 import csv
+import io
 import json
 import math
 import sys
@@ -260,27 +261,27 @@ def write_trace(trace, path):
 def read_trace(path):
     """Parse a :func:`write_trace` file back into StepRecord objects.
 
-    A file or row that does not match the header raises :class:`ConfigError`.
+    A file that cannot be opened or is no UTF-8, or a row that does not match
+    the header, raises :class:`ConfigError`.
     """
     types = typing.get_type_hints(StepRecord)
-    with _config_errors(f"cannot read {path}"):
-        fh = open(path, "r", encoding="utf-8", newline="")
-    with fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ConfigError(f"empty trace file {path}")
-        if ",".join(header) != TRACE_HEADER:
-            raise ConfigError(f"unexpected trace header in {path}")
-        out = []
-        for row in reader:
-            with _config_errors(f"{path}, line {reader.line_num}"):
-                if len(row) != len(header):
-                    raise ValueError(f"{len(row)} cells, the header has {len(header)}")
-                values = dict(zip(header, row))
-                elapsed = float(values.pop("elapsed_ms")) / 1000.0
-                out.append(StepRecord(**{k: types[k](v) for k, v in values.items()}, elapsed=elapsed))
-        return out
+    with _config_errors(f"cannot read {path}"), open(path, "r", encoding="utf-8", newline="") as fh:
+        text = fh.read()  # bytes that are no UTF-8 fail here, before any row is parsed
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise ConfigError(f"empty trace file {path}")
+    if ",".join(header) != TRACE_HEADER:
+        raise ConfigError(f"unexpected trace header in {path}")
+    out = []
+    for row in reader:
+        with _config_errors(f"{path}, line {reader.line_num}"):
+            if len(row) != len(header):
+                raise ValueError(f"{len(row)} cells, the header has {len(header)}")
+            values = dict(zip(header, row))
+            elapsed = float(values.pop("elapsed_ms")) / 1000.0
+            out.append(StepRecord(**{k: types[k](v) for k, v in values.items()}, elapsed=elapsed))
+    return out
 
 
 # ----- solve ------------------------------------------------------------------

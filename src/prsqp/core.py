@@ -201,23 +201,31 @@ def normal_sample(rng, n):
     """Draw ``n`` standard normal variates via the Box-Muller transform.
 
     The transform is fixed so streams are reproducible independent of numpy's
-    internal normal algorithm: with ``m = ceil(n/2)`` uniforms ``u1, u2`` drawn
-    in that order, ``u1`` is mapped to ``(0, 1]`` as ``1 - u1`` (avoiding
-    ``log 0``) and the output is
+    internal normal algorithm: with ``m = ceil(n/2)``, ``u1`` and ``u2`` are
+    the first and second halves of one draw of ``2m`` uniforms (the stream of
+    two draws of ``m``), ``u1`` is mapped to ``(0, 1]`` as ``1 - u1``
+    (avoiding ``log 0``) and the output is
 
         ``r = sqrt(-2 log(1 - u1))``,
-        ``z = [r cos(2 pi u2), r sin(2 pi u2)][:n]``.
+        ``z = [r cos(2 pi u2), r sin(2 pi u2)][:n]``,
+
+    computed in the buffer of the draw, which is returned.
     """
     n = int(n)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     half = (n + 1) // 2
-    u1 = 1.0 - rng.random(half)
-    u2 = rng.random(half)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    z = np.empty(2 * half)
-    z[:half] = radius * np.cos(2.0 * np.pi * u2)
-    z[half:] = radius * np.sin(2.0 * np.pi * u2)
+    z = rng.random(2 * half)
+    radius, angle = z[:half], z[half:]  # u1 and u2, overwritten in place
+    np.subtract(1.0, radius, out=radius)
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    angle *= 2.0 * np.pi
+    cos = np.cos(angle)
+    np.sin(angle, out=angle)
+    angle *= radius
+    radius *= cos
     return z[:n]
 
 

@@ -14,6 +14,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
@@ -250,10 +251,11 @@ def suggest_params(direction, P, base=None, s=None):
     One recipe over the second dual step ``s``, of which ``r`` takes the sign:
     ``direction`` ``"alda"`` (both dual updates ascent) is its ``s = 1`` end,
     and passing ``s`` with it raises ``ValueError``; ``"aldd"`` (both descent)
-    takes any ``s in [-1, 0)``, by default ``-0.5``. ``base`` supplies
-    ``rho, nu, alpha, beta`` and the loop controls (defaults otherwise); the
-    returned :class:`SolverParams` keeps those and replaces ``ell, sigma, r,
-    s``. The curvature is that of the Hessian models at ``x = 0``, ``y = 0``.
+    takes any real ``s in [-1, 0)`` (a bool is none), by default ``-0.5``.
+    ``base`` supplies ``rho, nu, alpha, beta`` and the loop controls (defaults
+    otherwise); the returned :class:`SolverParams` keeps those and replaces
+    ``ell, sigma, r, s``. The curvature is that of the Hessian models at
+    ``x = 0``, ``y = 0``.
 
     The strict bounds on ``ell`` and ``sigma`` are coupled to the step floor
     ``gamma``, which itself depends on ``ell`` and ``sigma``; the recipe
@@ -281,9 +283,12 @@ def suggest_params(direction, P, base=None, s=None):
             raise ValueError(f"alda fixes s = 1, got s = {s}")
         s = 1.0
     else:
-        s = -0.5 if s is None else float(s)
+        s = -0.5 if s is None else s
+        if isinstance(s, bool) or not isinstance(s, numbers.Real):  # a bool is no step of 1
+            raise ValueError(f"aldd needs a real number s, got s = {s!r}")
         if not -1.0 <= s < 0.0:
             raise ValueError(f"aldd needs s in [-1, 0), got {s}")
+        s = float(s)
 
     spectrum_x, spectrum_y = map(_spectrum, hessian_pair(P, np.zeros(P.n1), np.zeros(P.n2)))
     (_, lo_x), (_, lo_y) = spectrum_x, spectrum_y

@@ -203,6 +203,14 @@ def test_read_trace_names_a_path_it_cannot_open(tmp_path):
             read_trace(path)
 
 
+def test_read_trace_names_a_file_that_is_no_utf_8(tmp_path):
+    # the bytes were decoded outside every config-error scope: a bare UnicodeDecodeError named no path
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"k,t_x\xff")
+    with pytest.raises(ConfigError, match=f"^{re.escape(f'cannot read {path}: ')}'utf-8' codec can't decode"):
+        read_trace(path)
+
+
 def _trace_file(tmp_path, last_row):
     # a written three-row trace whose last row is replaced by ``last_row``
     P = random_quadratic(3, 2, make_rng(61))

@@ -348,6 +348,29 @@ def test_normal_sample_moments():
     assert abs(float(np.var(z)) - 1.0) <= 0.05
 
 
+def _two_draw_box_muller(rng, n):
+    # the transform as first written: two draws of m uniforms, one temporary per operation
+    half = (n + 1) // 2
+    u1 = 1.0 - rng.random(half)
+    u2 = rng.random(half)
+    radius = np.sqrt(-2.0 * np.log(u1))
+    z = np.empty(2 * half)
+    z[:half] = radius * np.cos(2.0 * np.pi * u2)
+    z[half:] = radius * np.sin(2.0 * np.pi * u2)
+    return z[:n]
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("n", [1, 2, 7, 10_000, 65_536])
+def test_normal_sample_keeps_the_bits_and_the_stream_position(seed, n):
+    # later draws (a LASSO support, classification labels) read on from where the sampler leaves the stream
+    rng, ref_rng = make_rng(seed), make_rng(seed)
+    z, ref = normal_sample(rng, n), _two_draw_box_muller(ref_rng, n)
+    assert z.shape == (n,)
+    assert z.tobytes() == ref.tobytes()
+    assert rng.random() == ref_rng.random()
+
+
 def test_normal_sample_rejects_empty():
     with pytest.raises(ValueError):
         normal_sample(make_rng(0), 0)

@@ -292,6 +292,15 @@ def test_aldd_recipe_rejects_s_outside_its_range():
     assert suggest_params("aldd", P, s=-1.0).s == -1.0
 
 
+def test_aldd_recipe_names_an_s_that_is_no_real_number():
+    # a string raised float()'s message, which names no argument, and True was read as s = 1.0
+    P = make_quadratic([1.0], [0.0], [[1.0]])
+    for s in ("x", "-0.5", True, np.bool_(True), [-0.5]):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'aldd needs a real number s, got s = {s!r}')}$"):
+            suggest_params("aldd", P, s=s)
+    assert suggest_params("aldd", P, s=np.float64(-0.5)) == suggest_params("aldd", P)
+
+
 def _recipe_wells():
     # t^4 / 4 - c t^2 / 2 in f (c = 2) and in g (c = 0.5), nonconvex at zero,
     # with both Lipschitz constants: the input found where aldd raises ell

@@ -16,7 +16,9 @@ of :func:`~prsqp.problem_to_json` for seeds 0-4, and of the problem that
 :func:`~prsqp.problem_from_json` reads back from it. An ``internals-`` line
 covers the first 60 iteration outcomes that ``run`` hands its ``callback``:
 each entry of ``internals`` in sorted key order (an array's bytes, a float's
-repr) and every field of ``kkt``.
+repr) and every field of ``kkt``. A ``normal_sample-<n>`` line is the
+sha256 of the bytes of :func:`~prsqp.normal_sample` of ``n`` variates at
+seed 1.
 
 The ``cli-`` lines run ``prsqp.cli.main`` in a temporary directory: the
 files and output of ``solve`` (``trace.csv`` without ``elapsed_ms``,
@@ -30,7 +32,7 @@ The BLAS thread variables are set to 1 before numpy loads, so products round
 alike from run to run. Only API that stays stable across design changes is
 used (``run`` and its ``callback``, ``SolverParams``, ``suggest_params``,
 ``diagnostics_report``, ``cli.build_problem``, ``cli.main``, the builders,
-``problem_to_json``, ``problem_from_json``), so the script also runs on older
+``normal_sample``, ``problem_to_json``, ``problem_from_json``), so the script also runs on older
 checkouts. pytest does not collect it.
 """
 
@@ -64,6 +66,7 @@ from prsqp import (  # noqa: E402
     make_huber_lasso,
     make_quadratic,
     make_rng,
+    normal_sample,
     problem_from_json,
     problem_to_json,
     random_quadratic,
@@ -118,6 +121,8 @@ def _w(x, y, lam):
 
 
 def digests():
+    for n in (1, 7, 10_000, 65_536, 1_048_576):
+        yield f"normal_sample-{n}", hashlib.sha256(normal_sample(make_rng(1), n).tobytes()).hexdigest()
     for seed in (1, 2):
         P = cli.build_problem(LASSO_DESK, seed)
         params = SolverParams(beta=10.0, alpha=0.5, relaxed_alpha=True, max_iter=260)
