@@ -19,22 +19,22 @@ from .problems import composite_gradient, composite_objective
 from .solver import SolveStatus, _field_violations, _quiet_numerics, _raise_violations
 
 
+_RHO, _NU, _MAX_BACKTRACKS = 1e-4, 0.5, 60  # the fixed Armijo rule that GdParams states
+
+
 @dataclass(frozen=True)
 class GdParams:
-    """Armijo step rule and loop controls for :func:`gradient_descent`.
+    """Loop controls for :func:`gradient_descent`; its Armijo rule is fixed.
 
-    Each step backtracks from 1 with ratio ``nu`` until
-    ``F(x - t g) <= F(x) - rho t ||g||^2``. ``tol`` stops on the sup-norm of
+    Each step backtracks from 1 by halving, at most 60 times, until
+    ``F(x - t g) <= F(x) - 1e-4 t ||g||^2``. ``tol`` stops on the sup-norm of
     the gradient. Ranges are enforced at construction, by the checks
     :class:`~prsqp.solver.SolverParams` makes of the same fields; a set is
     frozen.
     """
 
-    rho: float = 1e-4
-    nu: float = 0.5
     max_iter: int = 1000
     tol: float = 1e-6
-    max_backtracks: int = 60
 
     def __post_init__(self):
         _raise_violations(_field_violations(self, GdParams))
@@ -84,13 +84,13 @@ def gradient_descent(P, x0, gd):
         # the reachable gradient norm and break the tol contract
         gg = float(g @ g)
         t = 1.0
-        for _ in range(gd.max_backtracks + 1):
+        for _ in range(_MAX_BACKTRACKS + 1):
             cand = PointEval(P, at.x - t * g)
             F_cand = composite_objective(P, cand)
-            if F_cand <= F - gd.rho * t * gg:
+            if F_cand <= F - _RHO * t * gg:
                 at, F = cand, F_cand
                 break
-            t *= gd.nu
+            t *= _NU
         else:
             status = SolveStatus.LINE_SEARCH_FAILED
             break

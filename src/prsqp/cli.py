@@ -31,13 +31,10 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import contextlib
-import csv
-import io
 import json
 import math
 import sys
 import time
-import typing
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -57,7 +54,7 @@ from .problems import (
     problem_to_json,
     random_quadratic,
 )
-from .solver import SolveStatus, SolverParams, StepRecord, run
+from .solver import SolveStatus, SolverParams, run
 
 CONFIG_SCHEMA_VERSION = 1
 
@@ -256,32 +253,6 @@ def write_trace(trace, path):
     elapsed column is converted to milliseconds.
     """
     _write_csv(TRACE_HEADER, (vars(rec) for rec in trace), path)
-
-
-def read_trace(path):
-    """Parse a :func:`write_trace` file back into StepRecord objects.
-
-    A file that cannot be opened or is no UTF-8, or a row that does not match
-    the header, raises :class:`ConfigError`.
-    """
-    types = typing.get_type_hints(StepRecord)
-    with _config_errors(f"cannot read {path}"), open(path, "r", encoding="utf-8", newline="") as fh:
-        text = fh.read()  # bytes that are no UTF-8 fail here, before any row is parsed
-    reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    if header is None:
-        raise ConfigError(f"empty trace file {path}")
-    if ",".join(header) != TRACE_HEADER:
-        raise ConfigError(f"unexpected trace header in {path}")
-    out = []
-    for row in reader:
-        with _config_errors(f"{path}, line {reader.line_num}"):
-            if len(row) != len(header):
-                raise ValueError(f"{len(row)} cells, the header has {len(header)}")
-            values = dict(zip(header, row))
-            elapsed = float(values.pop("elapsed_ms")) / 1000.0
-            out.append(StepRecord(**{k: types[k](v) for k, v in values.items()}, elapsed=elapsed))
-    return out
 
 
 # ----- solve ------------------------------------------------------------------

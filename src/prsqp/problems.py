@@ -280,16 +280,14 @@ def _classification_problem(D, labels, mu):
     )
 
 
-def make_classification(n, T, mu=0.001, rng=None):
+def make_classification(n, T, mu=0.001, *, rng):
     """Smoothed classification loss with forward-difference coupling.
 
     ``f(x) = mean_i [1 - tanh(b_i a_i^T x)]`` over ``T`` unit-norm feature
     columns ``a_i`` with labels ``b_i`` in {-1, +1}, and
     ``g(y) = (mu/2) ||y||^2`` acting on the forward differences ``y = A x``.
-    Features are sampled column-normalized normal; ``rng`` is required.
+    Features are sampled column-normalized normal from the required ``rng``.
     """
-    if rng is None:
-        raise ValueError("rng is required to sample the instance")
     _classification_sizes(n, T)
     D = normal_sample(rng, n * T).reshape(n, T)
     norms = np.linalg.norm(D, axis=0)
@@ -338,15 +336,13 @@ def _lasso_problem(A, u, tau, mu, density):
     )
 
 
-def make_huber_lasso(m, n, density=0.5, tau=1e-3, mu=0.1, rng=None):
+def make_huber_lasso(m, n, density=0.5, tau=1e-3, mu=0.1, *, rng):
     """Huber-smoothed sparse recovery: ``f(x) = tau * sum_i huber(x_i)``,
     ``g(y) = 0.5 ||y - d||^2`` with ``d = A u`` for a planted sparse ``u``.
 
     ``A`` is m x n normal with ``m < n``; ``u`` has ``round(density * n)``
-    normal entries. ``rng`` is required.
+    normal entries, both sampled from the required ``rng``.
     """
-    if rng is None:
-        raise ValueError("rng is required to sample the instance")
     A = normal_sample(rng, m * n).reshape(m, n)
     u = sparse_normal_sample(rng, n, density)
     return _lasso_problem(A, u, tau, mu, density)

@@ -143,9 +143,11 @@ def validate_params(params):
     """
     p = params
     out = _field_violations(p, SolverParams)
-    if not all(_real(v) and not _past_float_range(v) for v in (p.alpha, p.r, p.s)):
-        return out  # flagged above; the checks below do float arithmetic on these
-    if not -1.0 < p.alpha < math.inf:
+    # the rules below do float arithmetic on their fields, so a field that is
+    # no _real, or one past float range (both flagged above), enters none of them
+    names = ("rho", "alpha", "beta", "ell", "sigma", "r", "s")
+    ok = {name for name in names if _real(v := getattr(p, name)) and not _past_float_range(v)}
+    if "alpha" in ok and not -1.0 < p.alpha < math.inf:
         out.append(f"alpha must be finite and exceed -1, got {p.alpha}")
     relaxed = p.relaxed_alpha
     if not isinstance(relaxed, (bool, np.bool_)):
@@ -153,16 +155,16 @@ def validate_params(params):
         out.append(f"relaxed_alpha must be a boolean, got {relaxed!r}")
         relaxed = False
     # alpha <= -1 is flagged above (1 + alpha would divide by zero); a NaN alpha is flagged here too
-    if not relaxed and _real(p.rho) and 0.0 < p.rho < 1.0 and not p.alpha <= -1.0:
+    if not relaxed and {"rho", "alpha"} <= ok and 0.0 < p.rho < 1.0 and not p.alpha <= -1.0:
         if outside := _outside_range(p.rho, p.alpha):
             out.append(f"{outside} (set relaxed_alpha to override)")
     for name in ("beta", "ell", "sigma"):
-        if _real(getattr(p, name)) and not 0.0 < getattr(p, name) < math.inf:
+        if name in ok and not 0.0 < getattr(p, name) < math.inf:
             out.append(f"{name} must be positive and finite, got {getattr(p, name)}")
     for name in ("r", "s"):
-        if not math.isfinite(getattr(p, name)):
+        if name in ok and not math.isfinite(getattr(p, name)):
             out.append(f"{name} must be finite, got {getattr(p, name)}")
-    if p.r + p.s == 0.0:
+    if {"r", "s"} <= ok and p.r + p.s == 0.0:
         out.append(f"r + s must be nonzero, got r = {p.r}, s = {p.s}")
     return out
 

@@ -11,9 +11,11 @@ call the step helpers it traces through ``prsqp.solver``'s globals.
 still accept them, and it drives ``solver.run`` and ``cli.run_sweep`` through
 entry points that must keep running.
 
-A name in ``prsqp.__all__`` that only the unit tests call is a wrapper kept
+A name in ``prsqp.__all__``, or a public function or class defined at the top
+of a module in ``src/prsqp``, that only the unit tests call is a wrapper kept
 for its tests; :func:`test_every_public_name_has_a_user_outside_the_unit_tests`
-reads the code with ``ast`` to find one.
+and :func:`test_every_public_definition_has_a_user_outside_the_unit_tests` read
+the code with ``ast`` to find one.
 """
 
 import ast
@@ -161,10 +163,10 @@ def test_init_imports_exactly_the_public_names():
     assert sorted(imported) == sorted(listed) == sorted(prsqp.__all__)
 
 
-def test_every_public_name_has_a_user_outside_the_unit_tests():
-    # used: read in src/ outside its own definition and __init__, read in
-    # demos/ or perfbench/, or named by a string in perfbench/ (the tracer
-    # looks names up by string); or imported by the acceptance tests
+def _used_outside_the_unit_tests():
+    # read in src/ outside its own definition and __init__, read in demos/ or
+    # perfbench/, or named by a string in perfbench/ (the tracer looks names
+    # up by string); or imported by the acceptance tests
     used = set()
     for path in PACKAGE.glob("*.py"):
         if path.name != "__init__.py":
@@ -176,4 +178,21 @@ def test_every_public_name_has_a_user_outside_the_unit_tests():
             used |= {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant) and isinstance(n.value, str)}
     acceptance = _parse(ROOT / "tests" / "test_acceptance.py")
     used |= {a.name for n in ast.walk(acceptance) if isinstance(n, ast.ImportFrom) for a in n.names}
-    assert sorted(set(prsqp.__all__) - used) == []
+    return used
+
+
+def test_every_public_name_has_a_user_outside_the_unit_tests():
+    assert sorted(set(prsqp.__all__) - _used_outside_the_unit_tests()) == []
+
+
+def test_every_public_definition_has_a_user_outside_the_unit_tests():
+    # the public functions and classes at the top of each module, exported or not
+    used = _used_outside_the_unit_tests()
+    defined = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in _parse(path).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    ]
+    assert defined
+    assert [name for name in defined if name.split(".")[1] not in used] == []

@@ -157,6 +157,28 @@ def test_validate_params_rejects_reals_no_float_can_hold():
     assert validate_params(SolverParams(beta=10**300, r=-(10**300))) == []
 
 
+def test_validate_params_names_every_violation_after_a_field_that_is_no_number():
+    # a non-number or unrepresentable alpha, r or s ended the checks: only that field was named
+    assert _violations(r=None, ell=0.0, sigma=-2.0) == [
+        "r must be a real number, got None",
+        "ell must be positive and finite, got 0.0",
+        "sigma must be positive and finite, got -2.0",
+    ]
+    assert _violations(alpha="x", beta=-1.0) == [
+        "alpha must be a real number, got 'x'",
+        "beta must be positive and finite, got -1.0",
+    ]
+    assert _violations(s=10**400, beta=0.0) == [
+        "s must be a real number a float can hold, got one past float range",
+        "beta must be positive and finite, got 0.0",
+    ]
+    assert _violations(alpha=[1.0], relaxed_alpha="false", r=None, s=0.0) == [
+        "alpha must be a real number, got [1.0]",
+        "r must be a real number, got None",
+        "relaxed_alpha must be a boolean, got 'false'",
+    ]
+
+
 def test_validate_params_requires_a_boolean_relaxed_alpha():
     # a truthy string must neither pass nor relax the acceleration range
     for bad in ("false", "true", 1, None):

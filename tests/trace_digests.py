@@ -22,7 +22,9 @@ seed 1.
 
 The ``cli-`` lines run ``prsqp.cli.main`` in a temporary directory: the
 files and output of ``solve`` (``trace.csv`` without ``elapsed_ms``,
-``summary.json`` without ``tcpu_s``), of a two-row ``sweep`` (``sweep.csv``
+``summary.json`` without ``tcpu_s``), of ``solve`` with the baseline
+(``baseline_trace.csv`` without ``elapsed_ms``, the summary's ``baseline``
+without ``tcpu_s``), of a two-row ``sweep`` (``sweep.csv``
 without ``tcpu_s``), of ``check-params`` and of ``gen-data``; and, for each
 of a fixed list of malformed configurations and of paths that cannot be read
 or written, the exit code, the number of files written and a digest of
@@ -271,6 +273,14 @@ def cli_digests():
         summary.pop("tcpu_s")
         trace = _csv_without(out / "trace.csv", "elapsed_ms")
         yield "cli-solve-classification20x20-k300", _digest(code, err, trace, sorted(summary.items()))
+        # on the LASSO the baseline backtracks, so its step rule enters the digest
+        lasso = {"type": "huber_lasso", "m": 16, "n": 64}
+        with_baseline = _write_json(tmp / "b.json", _config(tmp, lasso, params={"max_iter": 300}, baseline=True))
+        code, _, err = _main(tmp, "solve", "--config", with_baseline)
+        baseline = json.loads((out / "summary.json").read_text())["baseline"]
+        baseline.pop("tcpu_s")
+        trace = _csv_without(out / "baseline_trace.csv", "elapsed_ms")
+        yield "cli-solve-baseline-lasso16x64-k300", _digest(code, err, trace, sorted(baseline.items()))
         code, stdout, err = _main(tmp, "sweep", "--config", _write_json(tmp / "s.json", _sweep(tmp)))
         yield "cli-sweep-2rows-k100", _digest(code, stdout, err, _csv_without(out / "sweep.csv", "tcpu_s"))
         yield "cli-check-params-classification20x20", _digest(*_main(tmp, "check-params", "--config", config))
