@@ -1,9 +1,11 @@
 """How the two dual step signs (r, s) shape convergence on the classification problem.
 
-One shared instance, one shared start, a grid of dual settings. Ascent and
-mixed settings converge to the same objective; descent settings only survive
-at tiny magnitudes — moderate double-descent pulses amplify the constraint
-residual every sweep until the iterates overflow.
+One shared instance, one shared start, a grid of dual settings. Settings with
+r + s > 0, ascent or mixed, converge to about the same objective. Settings
+with r + s < 0 are repelled from the first-order point: moderate descent
+pulses amplify the constraint residual every sweep until the iterates
+overflow, and at |r + s| ~ 1e-4 the repulsion is too slow to overflow within
+the run, which ends at IterLimit far from feasible.
 """
 
 import numpy as np
@@ -22,10 +24,10 @@ from prsqp import (
 SETTINGS = [
     (0.1, 1.0),  # ascent on both pulses
     (0.5, 1.0),
-    (0.9999, -1.0),  # near-boundary mixed: second pulse cancels most of the first
+    (0.9999, -1.0),  # near-boundary mixed: r + s = -1e-4, so it repels, slowly
     (-0.1, 1.0),  # mixed: descent half-step, ascent full step
     (-0.5, 1.0),
-    (-1e-4, -1e-4),  # descent at tiny magnitude: slow but survives
+    (-1e-4, -1e-4),  # descent at tiny magnitude: repels too slowly to overflow
     (-0.1, -0.1),  # descent at moderate magnitude: residual amplifies, overflows
 ]
 
@@ -47,8 +49,8 @@ def main():
         )
 
     print(
-        "\nThe sign pattern picks the regime; the magnitude decides whether the"
-        "\ndescent regime is merely slow (|r|, |s| ~ 1e-4) or unstable (~ 0.1)."
+        "\nThe sign of r + s decides convergence; for r + s < 0 the magnitude only sets"
+        "\nhow fast the iterates are repelled: slowly at ~1e-4, to overflow at ~0.1."
     )
 
 

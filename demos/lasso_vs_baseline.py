@@ -37,7 +37,7 @@ def main():
     horizon = MILESTONES[-1]
     params = SolverParams(beta=10.0, alpha=0.5, max_iter=horizon, tol_step=1e-12)
     result = run(P, w0, params)
-    gd = gradient_descent(P, x0, GdParams(max_iter=horizon, tol=0.0))
+    gd = gradient_descent(P, x0, GdParams(max_iter=horizon))
 
     print(f"huber-lasso m=96 n=384, beta=10, alpha=0.5 vs armijo gradient descent\n")
     print(f"{'k':>5} {'solver ofv':>12} {'baseline ofv':>13} {'solver feas':>12}")

@@ -19,8 +19,6 @@ from .core import (
     UnknownLipschitz,
     cholesky_spd,
     make_rng,
-    max_eigenvalue,
-    min_eigenvalue,
     normal_sample,
     sparse_normal_sample,
     spectral_norm,
@@ -112,8 +110,6 @@ __all__ = [
     "make_huber_lasso",
     "make_quadratic",
     "make_rng",
-    "max_eigenvalue",
-    "min_eigenvalue",
     "normal_sample",
     "problem_from_json",
     "problem_to_json",

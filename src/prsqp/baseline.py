@@ -16,25 +16,23 @@ import numpy as np
 from .alf import PointEval
 from .core import as_vector
 from .problems import composite_gradient, composite_objective
-from .solver import SolveStatus, _field_violations, _quiet_numerics, _raise_violations
+from .solver import _MAX_BACKTRACKS, SolveStatus, _field_violations, _quiet_numerics, _raise_violations
 
 
-_RHO, _NU, _MAX_BACKTRACKS = 1e-4, 0.5, 60  # the fixed Armijo rule that GdParams states
+_RHO, _NU = 1e-4, 0.5  # with _MAX_BACKTRACKS, the fixed Armijo rule that GdParams states
 
 
 @dataclass(frozen=True)
 class GdParams:
-    """Loop controls for :func:`gradient_descent`; its Armijo rule is fixed.
+    """The iteration budget of :func:`gradient_descent`; its step and stop rules are fixed.
 
     Each step backtracks from 1 by halving, at most 60 times, until
-    ``F(x - t g) <= F(x) - 1e-4 t ||g||^2``. ``tol`` stops on the sup-norm of
-    the gradient. Ranges are enforced at construction, by the checks
-    :class:`~prsqp.solver.SolverParams` makes of the same fields; a set is
-    frozen.
+    ``F(x - t g) <= F(x) - 1e-4 t ||g||^2``, and the run stops Converged only
+    at an exactly zero gradient. ``max_iter`` is checked at construction as
+    :class:`~prsqp.solver.SolverParams` checks its own; a set is frozen.
     """
 
     max_iter: int = 1000
-    tol: float = 1e-6
 
     def __post_init__(self):
         _raise_violations(_field_violations(self, GdParams))
@@ -64,7 +62,7 @@ class GdResult:
 def gradient_descent(P, x0, gd):
     """Minimize ``F = f + g o A`` by steepest descent from ``x0``.
 
-    Stops when ``||grad F||_inf <= gd.tol`` (Converged), after ``max_iter``
+    Stops at an exactly zero ``grad F`` (Converged), after ``gd.max_iter``
     steps (IterLimit), or when Armijo backtracking exhausts its budget
     (LineSearchFailed, captured in the status). Each trace record carries the
     objective and gradient norm after the step it logs.
@@ -77,11 +75,11 @@ def gradient_descent(P, x0, gd):
     status = SolveStatus.ITER_LIMIT
     for k in range(gd.max_iter):
         t_start = time.perf_counter()
-        if g_inf <= gd.tol:
+        if g_inf == 0.0:
             status = SolveStatus.CONVERGED
             break
         # no float slack here: an accept-on-noise bias would put a floor on
-        # the reachable gradient norm and break the tol contract
+        # the reachable gradient norm
         gg = float(g @ g)
         t = 1.0
         for _ in range(_MAX_BACKTRACKS + 1):

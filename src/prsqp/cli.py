@@ -294,7 +294,7 @@ def run_experiment(cfg):
 
     if cfg.baseline:
         iters = max(result.iterations, 1)
-        gd = GdParams(max_iter=iters, tol=0.0)
+        gd = GdParams(max_iter=iters)
         t0 = time.perf_counter()
         base = gradient_descent(P, np.zeros(P.n1), gd)
         summary["baseline"] = {

@@ -270,6 +270,7 @@ def spectral_norm(M):
     return float(np.max(np.abs(_eigenvalues(M))))
 
 
+# not exported: only perfbench/tracer.py reads these two, by name from this module
 def min_eigenvalue(M):
     """Smallest eigenvalue of symmetric ``M``."""
     return float(_eigenvalues(M)[0])

@@ -46,9 +46,12 @@ models ``H_x, H_y``:
    not doubled. :func:`initial_state` factors the metrics at ``w_0`` in the
    same way, so no step repairs one.
 
-The dual steps ``r, s`` may take either sign (ascent or descent flavors) as
-long as ``r + s != 0``; the diagnostics module computes the decrease margins
-that certify monotonicity of the merit function for a given choice.
+The dual steps ``r, s`` may each take either sign (ascent or descent
+flavors), with ``r + s != 0``; but at ``r + s < 0`` the iteration map's
+Jacobian has a real eigenvalue above 1 at a strict local minimum, so that
+point repels the iterates (proved in 1-D, measured beyond: README, Known
+limitations). The diagnostics module computes the decrease margins that
+certify monotonicity of the merit function for a given choice.
 
 Each x-point is evaluated once, through its :class:`~prsqp.alf.PointEval`,
 and so is each y-point, through its :class:`~prsqp.alf.YPointEval`. An x
@@ -86,7 +89,7 @@ from .problems import _past_float_range, composite_objective, hessian_pair
 
 
 class LineSearchFailed(RuntimeError):
-    """Armijo backtracking exhausted max_backtracks without an acceptable step."""
+    """Armijo backtracking exhausted its 60 shrinks without an acceptable step."""
 
 
 class NumericalError(ArithmeticError):
@@ -125,7 +128,6 @@ class SolverParams:
     max_iter: int = 10_000
     tol_step: float = 1e-4
     tol_kkt: float = 1e-2
-    max_backtracks: int = 60
     relaxed_alpha: bool = False
 
     def __post_init__(self):
@@ -360,6 +362,7 @@ class IterationOutcome(NamedTuple):
 
 
 _MAX_METRIC_REPAIR = 60  # doublings of ell / sigma before giving up
+_MAX_BACKTRACKS = 60  # shrinks of an Armijo step before the search fails
 
 
 def _read_only(*arrays):
@@ -507,7 +510,7 @@ def line_search(P, lam, d, metric, params, block, x_eval, y_eval, L0=None):
 
     Returns a :class:`SearchStep` (``t = 1``, the start's own records and
     ``quad = 0`` at once for ``d = 0``). Raises :class:`LineSearchFailed`
-    after ``params.max_backtracks`` shrinks.
+    after 60 shrinks.
     """
 
     if not d.any():
@@ -520,14 +523,14 @@ def line_search(P, lam, d, metric, params, block, x_eval, y_eval, L0=None):
         raise NumericalError(f"non-finite quantities entering the {block} line search")
     slack = 1e-12 * (1.0 + abs(L0))
     t = 1.0
-    for i in range(params.max_backtracks + 1):
+    for i in range(_MAX_BACKTRACKS + 1):
         trial_x = PointEval(P, x_eval.x + t * d) if block == "x" else x_eval
         trial_y = y_eval if block == "x" else YPointEval(P, y_eval.y + t * d)
         L_t = _alf_value(trial_x.f, trial_y.g, lam, trial_x.Ax - trial_y.y, beta)
         if L_t <= L0 - params.rho * t * quad + slack:
             return SearchStep(t, i, trial_x, trial_y, quad)
         t *= params.nu
-    raise LineSearchFailed(f"{block} line search found no acceptable step within {params.max_backtracks} backtracks")
+    raise LineSearchFailed(f"{block} line search found no acceptable step within {_MAX_BACKTRACKS} backtracks")
 
 
 def _block_step(state, lam, g, block, x_eval, y_eval, L0=None):

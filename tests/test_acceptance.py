@@ -331,7 +331,7 @@ def test_criterion_08_desk_scale_lasso_versus_gradient_baseline():
         ofv = composite_objective(P, result.final.x)
         comp = kkt_residual(P, result.final).composite
         gd = gradient_descent(
-            P, np.zeros(P.n1), GdParams(max_iter=max(result.iterations, 1), tol=0.0)
+            P, np.zeros(P.n1), GdParams(max_iter=max(result.iterations, 1))
         )
         gd_ofv = composite_objective(P, gd.final_x)
         good = (

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
@@ -21,10 +22,25 @@ from toys import central_diff, decoupled_problem, rel_err
 
 
 def test_armijo_converges_on_quadratic():
+    # no iterate's gradient is exactly zero here, so the run spends its budget
     P = random_quadratic(5, 3, make_rng(50))
-    result = gradient_descent(P, np.zeros(5), GdParams(max_iter=10_000, tol=1e-6))
-    assert result.status is SolveStatus.CONVERGED
-    assert np.max(np.abs(composite_gradient(P, result.final_x))) <= 1e-6
+    result = gradient_descent(P, np.zeros(5), GdParams(max_iter=100))
+    assert result.status is SolveStatus.ITER_LIMIT
+    grad_inf = np.max(np.abs(composite_gradient(P, result.final_x)))
+    assert grad_inf == result.trace[-1].grad_inf and grad_inf <= 1e-6
+
+
+def test_converged_means_an_exactly_zero_gradient():
+    # F = 0.5 ||x - c_f||^2 + 0.5 (0 - c_g)^2: the unit step from zero lands on c_f exactly
+    P = make_quadratic([1.0, -2.0], [0.5], [[0.0, 0.0]])
+    result = gradient_descent(P, np.zeros(2), GdParams())
+    assert result.status is SolveStatus.CONVERGED and result.iterations == 1
+    assert result.trace[0].grad_inf == 0.0 and np.array_equal(result.final_x, [1.0, -2.0])
+    at_rest = gradient_descent(P, np.array([1.0, -2.0]), GdParams())
+    assert at_rest.status is SolveStatus.CONVERGED and at_rest.iterations == 0
+    # a NaN gradient is no zero one: no trial decreases F
+    nan_gradient = decoupled_problem(lambda x: x * x, lambda x: math.nan, lambda x: 2.0)
+    assert gradient_descent(nan_gradient, np.zeros(1), GdParams()).status is SolveStatus.LINE_SEARCH_FAILED
 
 
 def test_composite_gradient_matches_finite_differences():
@@ -57,23 +73,21 @@ def test_armijo_exhaustion_is_reported():
 
 
 def test_gd_params_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^max_iter must be >= 1, got 0$"):
         GdParams(max_iter=0)
     with pytest.raises(FrozenInstanceError):
-        GdParams().tol = 0.0
-    # the checks SolverParams makes of the same fields: a count is an integer,
-    # a real no bool, and tol >= 0, which NaN is not
-    for bad in (2.5, float("nan"), True):
-        with pytest.raises(ValueError, match=f"^max_iter must be an integer, got {bad!r}$"):
+        GdParams().max_iter = 5
+    # the check SolverParams makes of the same field: a count is an integer, and no bool
+    for bad in (2.5, float("nan"), True, "1"):
+        with pytest.raises(ValueError, match=f"^max_iter must be an integer, got {re.escape(repr(bad))}$"):
             GdParams(max_iter=bad)
-    for bad in (float("nan"), -1.0):
-        with pytest.raises(ValueError, match="^tol must be >= 0, got "):
-            GdParams(tol=bad)
-    with pytest.raises(ValueError, match="^tol must be a real number, got True$"):
-        GdParams(tol=True)
-    with pytest.raises(ValueError, match="^tol must be a real number a float can hold, got one past float range$"):
-        GdParams(tol=10**400)
-    assert GdParams(tol=2.5).tol == 2.5
+    assert GdParams(max_iter=np.int64(3)).max_iter == 3
+
+
+def test_gd_params_take_no_tolerance():
+    # the stop is fixed at an exactly zero gradient, the one value every caller set
+    with pytest.raises(TypeError, match="tol"):
+        GdParams(tol=0.0)
 
 
 def test_trace_records_carry_post_step_measurements():
@@ -109,7 +123,7 @@ def test_each_iterate_is_evaluated_once():
     # that made it to the trace record and the next iteration, so grad f runs
     # once per iteration and once at x0
     P, calls = _counting(make_huber_lasso(16, 64, rng=make_rng(40)))
-    result = gradient_descent(P, np.zeros(P.n1), GdParams(max_iter=50, tol=0.0))
+    result = gradient_descent(P, np.zeros(P.n1), GdParams(max_iter=50))
     trials = sum(round(math.log(rec.t, 0.5)) + 1 for rec in result.trace)
     assert result.iterations == 50 and trials == 350
     assert calls == {"eval_f": 1 + trials, "grad_f": 51, "apply_A": 1 + trials}

@@ -438,13 +438,13 @@ def test_cli_solve_exit_two_on_breakdown(tmp_path, capsys):
         tmp_path,
         problem_file,
         relaxed_alpha=True,
-        params={"alpha": 10.0, "max_iter": 20, "max_backtracks": 40},
+        params={"alpha": 10.0, "nu": 0.9, "max_iter": 20},  # nu = 0.9 keeps the 60th shrink above the float slack
     )
     code = main(["solve", "--config", str(cfg_path)])
     summary = json.loads(capsys.readouterr().out)
     assert code == 2
     assert summary["status"] == "LineSearchFailed"
-    assert "line search found no acceptable step" in summary["stop_reason"]
+    assert summary["stop_reason"] == "x line search found no acceptable step within 60 backtracks"
 
 
 def test_cli_solve_writes_its_outputs_and_exits_two_when_the_merit_weight_overflows(tmp_path, capsys):
@@ -491,13 +491,23 @@ def test_cli_rejects_negative_kkt_tolerance(tmp_path, capsys):
 
 def test_cli_rejects_non_integer_loop_limits(tmp_path, capsys):
     problem_file, _ = _quadratic_file(tmp_path)
-    for name, bad in (("max_iter", 20.5), ("max_backtracks", 2.5), ("max_iter", True), ("max_backtracks", 3.0)):
-        cfg_path = _solve_config(tmp_path, problem_file, params={name: bad})
+    for bad in (20.5, True, 3.0):
+        cfg_path = _solve_config(tmp_path, problem_file, params={"max_iter": bad})
         code = main(["solve", "--config", str(cfg_path)])
         err = capsys.readouterr().err
         assert code == 1
-        assert "config error: invalid params" in err and f"{name} must be an integer" in err
+        assert "config error: invalid params" in err and "max_iter must be an integer" in err
         assert not (tmp_path / "out").exists()
+
+
+def test_cli_rejects_the_fixed_backtrack_budget_as_an_unknown_key(tmp_path, capsys):
+    # the line search's 60 shrinks are a constant: a config that sets them names an unknown key
+    problem_file, _ = _quadratic_file(tmp_path)
+    cfg_path = _solve_config(tmp_path, problem_file, params={"max_backtracks": 60})
+    code = main(["solve", "--config", str(cfg_path)])
+    assert code == 1
+    assert capsys.readouterr().err == "config error: unknown keys in params: ['max_backtracks']\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_rejects_booleans_where_numbers_or_flags_belong(tmp_path, capsys):

@@ -10,14 +10,12 @@ from prsqp import (
     DimensionMismatch,
     NotPositiveDefinite,
     make_rng,
-    max_eigenvalue,
-    min_eigenvalue,
     normal_sample,
     sparse_normal_sample,
     spectral_norm,
 )
 import prsqp.core
-from prsqp.core import as_matrix, as_vector, cholesky_solve, cholesky_spd
+from prsqp.core import as_matrix, as_vector, cholesky_solve, cholesky_spd, max_eigenvalue, min_eigenvalue
 from toys import fresh_python
 
 

@@ -18,8 +18,6 @@ from prsqp import (
     make_huber_lasso,
     make_quadratic,
     make_rng,
-    max_eigenvalue,
-    min_eigenvalue,
     normal_sample,
     problem_from_json,
     problem_to_json,
@@ -28,6 +26,7 @@ from prsqp import (
     run,
 )
 from prsqp.cli import _summarize
+from prsqp.core import max_eigenvalue, min_eigenvalue
 from prsqp.problems import _huber_deriv, _huber_value, _matrix_from_json, _matrix_to_json
 from toys import central_diff, rel_err
 

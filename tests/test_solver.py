@@ -10,7 +10,6 @@ import prsqp.solver
 from prsqp import (
     CompositeProblem,
     DimensionMismatch,
-    GdParams,
     Iterate,
     LineSearchFailed,
     NotPositiveDefinite,
@@ -113,14 +112,13 @@ def test_validate_params_rejects_non_finite_weights():
 def test_validate_params_requires_integer_loop_limits():
     P = make_quadratic([1.0, 2.0], [0.0], [[1.0, 1.0]])
     w0 = _w(np.zeros(2), 0.0, 0.0)
-    for name in ("max_iter", "max_backtracks"):
-        for bad in (20.5, 2.0, True, False, "3"):
-            assert _violations(**{name: bad}) == [f"{name} must be an integer, got {bad!r}"]
-        assert _violations(**{name: 0}) == [f"{name} must be >= 1, got 0"]
-        assert getattr(SolverParams(**{name: np.int64(3)}), name) == 3
-        with pytest.raises(FrozenInstanceError):
-            setattr(SolverParams(), name, 2.5)
-    result = run(P, w0, SolverParams(max_iter=np.int64(3), max_backtracks=np.int32(5), tol_step=0.0))
+    for bad in (20.5, 2.0, True, False, "3"):
+        assert _violations(max_iter=bad) == [f"max_iter must be an integer, got {bad!r}"]
+    assert _violations(max_iter=0) == ["max_iter must be >= 1, got 0"]
+    assert SolverParams(max_iter=np.int64(3)).max_iter == 3
+    with pytest.raises(FrozenInstanceError):
+        SolverParams().max_iter = 2.5
+    result = run(P, w0, SolverParams(max_iter=np.int64(3), tol_step=0.0))
     assert result.iterations == 3
 
 
@@ -144,8 +142,6 @@ def test_validate_params_rejects_values_that_are_no_number():
         "beta must be a real number, got '10'",
         "ell must be positive and finite, got -1.0",
     ]
-    with pytest.raises(ValueError, match=re.escape("tol must be a real number, got '1'")):
-        GdParams(tol="1")
 
 
 def test_validate_params_rejects_reals_no_float_can_hold():
@@ -380,10 +376,14 @@ def test_line_search_backtracks_on_quartic():
 
 
 def test_line_search_exhausts_budget():
-    P = _quartic_with_unit_model()
-    params = SolverParams(rho=0.4, nu=0.6, beta=1.0, ell=1.0, max_backtracks=2)
-    with pytest.raises(LineSearchFailed):
-        _search(P, _w(1.0, 0.0, 0.0), np.array([-2.0]), params)
+    # every trial along the uphill d = +2 raises L_beta; with nu = 0.9 the
+    # 60th shrink leaves t = 0.9^60 = 1.8e-3, far above the float slack, which
+    # accepts the same search at nu = 0.6 after 58 shrinks (t = 1.4e-13)
+    P, w, uphill = _quartic_with_unit_model(), _w(1.0, 0.0, 0.0), np.array([2.0])
+    params = SolverParams(rho=0.4, nu=0.9, beta=1.0, ell=1.0)
+    with pytest.raises(LineSearchFailed, match="^x line search found no acceptable step within 60 backtracks$"):
+        _search(P, w, uphill, params)
+    assert _search(P, w, uphill, replace(params, nu=0.6)).backtracks == 58
 
 
 # ----- multiplier updates --------------------------------------------------------------
@@ -631,12 +631,14 @@ def test_run_reports_line_search_breakdown_in_status():
     P = make_quadratic([1.0], [0.0], [[1.0]])
     w0 = Iterate(np.zeros(1), np.zeros(1), np.zeros(1))
     # far beyond the supported acceleration range the Armijo slope test is
-    # unsatisfiable; a moderate backtrack budget keeps the step above the
-    # float slack so the failure actually surfaces
-    params = SolverParams(alpha=10.0, relaxed_alpha=True, rho=0.4, max_iter=50, max_backtracks=40)
+    # unsatisfiable; nu = 0.9 keeps the last of the 60 shrinks (t = 1.8e-3)
+    # above the float slack, so the failure actually surfaces (at nu = 0.6
+    # the slack accepts a step of t = 0.6^k and the run goes on)
+    params = SolverParams(alpha=10.0, relaxed_alpha=True, rho=0.4, nu=0.9, max_iter=50)
     result = run(P, w0, params)
     assert result.status is SolveStatus.LINE_SEARCH_FAILED
-    assert result.stop_reason.endswith("line search found no acceptable step within 40 backtracks")
+    assert result.stop_reason == "x line search found no acceptable step within 60 backtracks"
+    assert run(P, w0, replace(params, nu=0.6)).status is SolveStatus.ITER_LIMIT
 
 
 def test_run_names_the_stop_rule_that_fired_or_the_breakdown():
@@ -675,6 +677,55 @@ def test_iteration_names_the_non_finite_values_it_produced():
             iterate_once(initial_state(P, w0, params))
     with pytest.raises(NumericalError, match="^iteration produced non-finite iterate$"):
         iterate_once(initial_state(zero_problem(), _w(10.0, 0.0, 0.0), SolverParams(s=1e308)))
+
+
+# ----- the dual-sign rule ------------------------------------------------------------------
+
+
+def _map_jacobian(P, w, params, h=1e-6):
+    # central differences of T(w) = iterate_once(initial_state(P, w, params)).state.w
+    def T(v):
+        x, y, lam = np.split(v, [P.n1, P.n1 + P.n2])
+        return iterate_once(initial_state(P, Iterate(x, y, lam), params)).state.w.concat()
+
+    v = w.concat()
+    return np.column_stack([(T(v + e) - T(v - e)) / (2 * h) for e in h * np.eye(v.size)])
+
+
+def test_scalar_fixed_point_determinant_has_the_sign_of_r_plus_s():
+    # the closed form for unit steps: det(I - J) = beta (1 + alpha)^2 (r + s)
+    # (h_f + a^2 h_g) / ((h_f + beta a^2 + ell)(h_g + beta + sigma)), with
+    # h_f = h_g = 1 here; r + s < 0 makes it negative, so a real eigenvalue of J
+    # exceeds 1 (in these r + s > 0 cases, as measured, no eigenvalue reaches 1)
+    for a, alpha, beta, ell, sigma, r, s in (
+        (1.0, 0.0, 1.0, 5.0, 10.0, -0.1, -0.1),
+        (0.7, 0.5, 2.0, 1.0, 3.0, 0.1, 1.0),
+        (-1.3, 0.3, 0.5, 2.0, 1.0, 0.5, -0.6),
+        (2.0, 0.0, 10.0, 0.5, 0.5, -1.0, 0.3),
+    ):
+        P = make_quadratic([0.3], [-0.8], [[a]])
+        params = SolverParams(alpha=alpha, beta=beta, ell=ell, sigma=sigma, r=r, s=s)
+        J = _map_jacobian(P, Iterate(*quadratic_kkt_point(P)), params)
+        closed = beta * (1 + alpha) ** 2 * (r + s) * (1 + a * a) / ((1 + beta * a * a + ell) * (1 + beta + sigma))
+        assert abs(np.linalg.det(np.eye(3) - J) - closed) <= 1e-8 * abs(closed)
+        assert (np.max(np.abs(np.linalg.eigvals(J))) > 1.0) == (r + s < 0.0)
+
+
+def test_descent_sum_repels_at_every_quadratic_fixed_point():
+    # measured, not proved: r + s < 0 gives the map's Jacobian exactly n2 real
+    # eigenvalues above 1 (radius 1.058-2.761 here), r + s > 0 none and a
+    # spectral radius below 1 (0.907-0.945)
+    for n1, n2 in ((3, 2), (4, 3), (5, 3), (6, 4), (7, 3), (9, 4)):
+        for seed in (1, 2):
+            P = random_quadratic(n1, n2, make_rng(seed))
+            kkt = Iterate(*quadratic_kkt_point(P))
+            for r, s in ((-0.1, -0.1), (-1.0, -1.0), (0.5, -0.6), (0.1, 1.0), (-0.1, 1.0), (0.6, -0.5)):
+                eig = np.linalg.eigvals(_map_jacobian(P, kkt, SolverParams(r=r, s=s)))
+                case = f"({n1}, {n2}) seed {seed}, (r, s) = ({r}, {s})"
+                if r + s < 0.0:
+                    assert np.count_nonzero((eig.imag == 0.0) & (eig.real > 1.0)) == n2, case
+                else:
+                    assert np.max(np.abs(eig)) < 1.0, case
 
 
 # ----- factorizations carried across iterations ------------------------------------------

@@ -9,10 +9,11 @@ run. A change that leaves the maths alone should print the same lines as its
 parent: make a ``git worktree`` of the parent and diff the two outputs (see
 README, Reproducibility). A run's digest covers every trace row but its
 ``elapsed``, the status, the stop reason, the final weights and the bytes of
-the final iterate; a recipe's covers every field of the returned params, and
-a report's every field of :func:`~prsqp.diagnostics_report` at the default
-params, the spectral bounds included; a container's the ``json.dumps`` text
-of :func:`~prsqp.problem_to_json` for seeds 0-4, and of the problem that
+the final iterate; a recipe's covers the returned params' fields named in
+``RECIPE_FIELDS``, and a report's every field of
+:func:`~prsqp.diagnostics_report` at the default params, the spectral bounds
+included; a container's the ``json.dumps`` text of
+:func:`~prsqp.problem_to_json` for seeds 0-4, and of the problem that
 :func:`~prsqp.problem_from_json` reads back from it. An ``internals-`` line
 covers the first 60 iteration outcomes that ``run`` hands its ``callback``:
 each entry of ``internals`` in sorted key order (an array's bytes, a float's
@@ -78,6 +79,9 @@ from prsqp import (  # noqa: E402
 from toys import scalar_problem  # noqa: E402
 
 LASSO_DESK = {"type": "huber_lasso", "m": 128, "n": 512, "density": 0.5, "tau": 1e-3, "mu": 0.1}
+# the params fields a recipe line digests, named, so that a checkout whose
+# SolverParams still has max_backtracks prints the same line
+RECIPE_FIELDS = "rho nu alpha beta ell sigma r s max_iter tol_step tol_kkt relaxed_alpha".split()
 CLASSIFICATION = {"type": "classification", "n": 100, "T": 100}
 
 
@@ -159,7 +163,8 @@ def digests():
     )
     for name, P in recipe_problems:
         for direction in ("alda", "aldd"):
-            yield f"suggest_params-{direction}-{name}", _digest(astuple(suggest_params(direction, P)))
+            params = suggest_params(direction, P)
+            yield f"suggest_params-{direction}-{name}", _digest([getattr(params, f) for f in RECIPE_FIELDS])
     report_problems = (
         ("lasso_desk-s1", cli.build_problem(LASSO_DESK, 1)),
         ("classification-s1", cli.build_problem(CLASSIFICATION, 1)),
@@ -227,6 +232,7 @@ def _malformed(tmp):
     yield "solve-params-r-past-float", "solve", _config(tmp, params={"r": BIG})
     yield "solve-params-beta-past-float", "solve", _config(tmp, params={"beta": BIG})
     yield "solve-params-beta-string", "solve", _config(tmp, params={"beta": "10"})
+    yield "solve-params-max_backtracks", "solve", _config(tmp, params={"max_iter": 10, "max_backtracks": 60})
     yield "solve-file-c_f-past-float", "solve", from_file(_container(tmp, quadratic, c_f=[BIG, 0.0, 0.0]))
     yield "sweep-rs_grid-past-float", "sweep", _sweep(tmp, rs_grid=[[BIG, 1.0]])
     yield "check-params-beta-1e300", "check-params", _config(tmp, params={"beta": 1e300})
