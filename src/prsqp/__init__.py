@@ -13,20 +13,10 @@ out the experiment harness.
 
 from .alf import AlfGradient, AugmentedIterate, Iterate, PointEval, YPointEval, eval_alf, eval_merit_hat, grad_alf
 from .baseline import GdParams, GdRecord, GdResult, gradient_descent
-from .core import (
-    DimensionMismatch,
-    NotPositiveDefinite,
-    UnknownLipschitz,
-    cholesky_spd,
-    make_rng,
-    normal_sample,
-    sparse_normal_sample,
-    spectral_norm,
-)
+from .core import NotPositiveDefinite, make_rng, normal_sample, sparse_normal_sample, spectral_norm
 from .diagnostics import (
     DiagnosticsReport,
     KktResidual,
-    NonPositiveEta1,
     SpectralBounds,
     classify_regime,
     compute_deltas,
@@ -71,14 +61,12 @@ __all__ = [
     "AugmentedIterate",
     "CompositeProblem",
     "DiagnosticsReport",
-    "DimensionMismatch",
     "GdParams",
     "GdRecord",
     "GdResult",
     "Iterate",
     "KktResidual",
     "LineSearchFailed",
-    "NonPositiveEta1",
     "NotPositiveDefinite",
     "NumericalError",
     "PointEval",
@@ -88,9 +76,7 @@ __all__ = [
     "SolverParams",
     "SpectralBounds",
     "StepRecord",
-    "UnknownLipschitz",
     "YPointEval",
-    "cholesky_spd",
     "classify_regime",
     "composite_gradient",
     "composite_objective",

@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import UnknownLipschitz, as_vector
+from .core import as_vector
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,7 @@ def eval_merit_hat(P, what, params, eta2_y, L_beta=None):
     ``OverflowError`` naming the merit weight.
     """
     if P.lipschitz_g is None:
-        raise UnknownLipschitz("eval_merit_hat needs lipschitz_g on the problem")
+        raise ValueError("eval_merit_hat needs lipschitz_g on the problem")
     rs = params.r + params.s
     if rs == 0:
         raise ValueError("merit weight undefined for r + s = 0")

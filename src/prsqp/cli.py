@@ -120,7 +120,7 @@ def _envelope(obj, allowed, context):
 @contextlib.contextmanager
 def _config_errors(prefix):
     # the one boundary from bad input to a config error: a check that rejects a read value raises ValueError
-    # (ConfigError and DimensionMismatch among them), TypeError or ArithmeticError (a number no float holds),
+    # (ConfigError and a wrong array shape among them), TypeError or ArithmeticError (a number no float holds),
     # and a path that cannot be read or written raises OSError
     try:
         yield

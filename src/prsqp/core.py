@@ -28,16 +28,8 @@ except ImportError:  # numpy < 2
     from numpy.core import _multiarray_umath
 
 
-class DimensionMismatch(ValueError):
-    """An array argument has the wrong shape for the requested operation."""
-
-
 class NotPositiveDefinite(np.linalg.LinAlgError):
     """A matrix required to be symmetric positive definite failed its Cholesky factorization."""
-
-
-class UnknownLipschitz(ValueError):
-    """A computation needs a gradient Lipschitz constant the problem does not provide."""
 
 
 # ----- array validation ---------------------------------------------------
@@ -47,9 +39,9 @@ def as_vector(v, n=None, name="vector"):
     """Coerce to a float64 1-D array, optionally checking its length."""
     out = np.asarray(v, dtype=float)
     if out.ndim != 1:
-        raise DimensionMismatch(f"{name} must be 1-D, got shape {out.shape}")
+        raise ValueError(f"{name} must be 1-D, got shape {out.shape}")
     if n is not None and out.shape[0] != n:
-        raise DimensionMismatch(f"{name} must have length {n}, got {out.shape[0]}")
+        raise ValueError(f"{name} must have length {n}, got {out.shape[0]}")
     return out
 
 
@@ -57,9 +49,9 @@ def as_matrix(M, shape=None, name="matrix"):
     """Coerce to a float64 2-D array, optionally checking its shape."""
     out = np.asarray(M, dtype=float)
     if out.ndim != 2:
-        raise DimensionMismatch(f"{name} must be 2-D, got shape {out.shape}")
+        raise ValueError(f"{name} must be 2-D, got shape {out.shape}")
     if shape is not None and out.shape != tuple(shape):
-        raise DimensionMismatch(f"{name} must have shape {tuple(shape)}, got {out.shape}")
+        raise ValueError(f"{name} must have shape {tuple(shape)}, got {out.shape}")
     return out
 
 
@@ -161,7 +153,7 @@ def cholesky_spd(M):
     M = as_matrix(M, name="M")
     n = M.shape[0]
     if M.shape[1] != n:
-        raise DimensionMismatch(f"M must be square, got shape {M.shape}")
+        raise ValueError(f"M must be square, got shape {M.shape}")
     # an exactly symmetric M (the common case) skips the tolerance scan's temporaries
     if M.size and not np.array_equal(M, M.T):
         scale = max(1.0, float(np.abs(M).max()))

@@ -7,26 +7,21 @@
 * :func:`compute_gamma` -- the uniform Armijo step floor.
 * :func:`compute_deltas` -- per-block merit decrease margins; both positive
   certifies monotone merit descent for the chosen dual steps.
-* :func:`suggest_params` -- feasible parameter recipes, one over the second
-  dual step ``s``, from all-descent (``s < 0``) to all-ascent (``s = 1``).
+* :func:`suggest_params` -- two feasible parameter recipes: all-ascent
+  (``s = 1``) and all-descent (``s = -0.5``).
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .alf import PointEval, YPointEval
-from .core import UnknownLipschitz, _eigenvalues
+from .core import _eigenvalues
 from .problems import composite_gradient, hessian_pair
-
-
-class NonPositiveEta1(ValueError):
-    """A subproblem metric lower bound came out nonpositive; raise ell / sigma."""
 
 
 @dataclass
@@ -101,7 +96,7 @@ def spectral_bounds(P, params, H_x, H_y):
 
     ``eta1_x = lambda_lo_x + beta lambda_min(A^T A) + ell`` and
     ``eta1_y = lambda_lo_y + beta + sigma`` must come out positive (else
-    :class:`NonPositiveEta1`); ``eta2_*`` add the norms instead, with
+    ``ValueError``); ``eta2_*`` add the norms instead, with
     ``||A^T A|| = lambda_max(A^T A)`` as ``A^T A`` is PSD. ``eta_*`` and
     ``lambda_lo_*`` are the largest ``|eigenvalue|`` and the smallest
     eigenvalue of each model.
@@ -121,7 +116,7 @@ def _bounds(P, params, spectrum_x, spectrum_y):
     eta1_x = lo_x + params.beta * P.min_eig_AtA + params.ell
     eta1_y = lo_y + params.beta + params.sigma
     if eta1_x <= 0 or eta1_y <= 0:
-        raise NonPositiveEta1(
+        raise ValueError(
             f"metric lower bounds must be positive, got eta1_x = {eta1_x}, eta1_y = {eta1_y}; "
             "increase ell / sigma"
         )
@@ -164,7 +159,7 @@ def compute_gamma(P, params, bounds):
     which is reported as 0 with a warning.
     """
     if P.lipschitz_f is None or P.lipschitz_g is None:
-        raise UnknownLipschitz("compute_gamma needs lipschitz_f and lipschitz_g on the problem")
+        raise ValueError("compute_gamma needs lipschitz_f and lipschitz_g on the problem")
     outside = _outside_range(params.rho, params.alpha)
     if outside:
         warnings.warn(f"step floor degenerates: {outside}; reporting gamma = 0", stacklevel=2)
@@ -190,7 +185,7 @@ def compute_deltas(P, params, bounds, gamma):
     float range raises ``OverflowError`` naming the margins.
     """
     if P.lipschitz_g is None:
-        raise UnknownLipschitz("compute_deltas needs lipschitz_g on the problem")
+        raise ValueError("compute_deltas needs lipschitz_g on the problem")
     r, s, beta, alpha = params.r, params.s, params.beta, params.alpha
     rs = abs(r + s)
     if rs == 0:
@@ -245,15 +240,17 @@ _RECIPE_MARGIN = 0.1  # each strict bound is met with a factor 1 + margin; floor
 _RECIPE_ROUNDS = 50  # fixed-point rounds of the coupled bounds on ell, sigma and gamma
 
 
-def suggest_params(direction, P, base=None, s=None):
+def suggest_params(direction, P, base=None):
     """Feasible dual steps and proximal weights with certified positive margins.
 
-    One recipe over the second dual step ``s``, of which ``r`` takes the sign:
-    ``direction`` ``"alda"`` (both dual updates ascent) is its ``s = 1`` end,
-    and passing ``s`` with it raises ``ValueError``; ``"aldd"`` (both descent)
-    takes any real ``s in [-1, 0)`` (a bool is none), by default ``-0.5``.
-    ``base`` supplies ``rho, nu, alpha, beta`` and the loop controls (defaults
-    otherwise); the returned :class:`SolverParams` keeps those and replaces
+    Two recipes, each with a fixed second dual step ``s``, of which ``r``
+    takes the sign: ``direction`` ``"alda"`` (both dual updates ascent) has
+    ``s = 1``, and ``"aldd"`` (both descent) has ``s = -0.5``, so
+    ``r + s < 0``. By the sign rule (module docstring of :mod:`prsqp.solver`)
+    the fixed points of an ``"aldd"`` run repel, so its certificate is one of
+    merit decrease per iteration, not of convergence. ``base`` supplies
+    ``rho, nu, alpha, beta`` and the loop controls (defaults otherwise); the
+    returned :class:`SolverParams` keeps those and replaces
     ``ell, sigma, r, s``. The curvature is that of the Hessian models at
     ``x = 0``, ``y = 0``.
 
@@ -271,24 +268,14 @@ def suggest_params(direction, P, base=None, s=None):
     if direction not in ("alda", "aldd"):
         raise ValueError(f"direction must be 'alda' or 'aldd', got {direction!r}")
     if P.lipschitz_f is None or P.lipschitz_g is None:
-        raise UnknownLipschitz("suggest_params needs both Lipschitz constants on the problem")
+        raise ValueError("suggest_params needs both Lipschitz constants on the problem")
     from .solver import SolverParams  # solver imports this module
 
     base = base if base is not None else SolverParams()
     rho, alpha, beta = base.rho, base.alpha, base.beta
     if outside := _outside_range(rho, alpha):
         raise ValueError(f"recipes need a positive step-floor factor: {outside}")
-    if direction == "alda":
-        if s is not None:
-            raise ValueError(f"alda fixes s = 1, got s = {s}")
-        s = 1.0
-    else:
-        s = -0.5 if s is None else s
-        if isinstance(s, bool) or not isinstance(s, numbers.Real):  # a bool is no step of 1
-            raise ValueError(f"aldd needs a real number s, got s = {s!r}")
-        if not -1.0 <= s < 0.0:
-            raise ValueError(f"aldd needs s in [-1, 0), got {s}")
-        s = float(s)
+    s = 1.0 if direction == "alda" else -0.5
 
     spectrum_x, spectrum_y = map(_spectrum, hessian_pair(P, np.zeros(P.n1), np.zeros(P.n2)))
     (_, lo_x), (_, lo_y) = spectrum_x, spectrum_y

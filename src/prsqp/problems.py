@@ -29,13 +29,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .alf import PointEval
-from .core import (
-    DimensionMismatch,
-    as_matrix,
-    as_vector,
-    normal_sample,
-    sparse_normal_sample,
-)
+from .core import as_matrix, as_vector, normal_sample, sparse_normal_sample
 
 SCHEMA_VERSION = 1
 
@@ -397,7 +391,7 @@ def _model(H, n, name):
 def _matrix_to_json(M):
     M = np.asarray(M, dtype=float)
     if M.ndim != 2:
-        raise DimensionMismatch(f"expected a 2-D array, got shape {M.shape}")
+        raise ValueError(f"expected a 2-D array, got shape {M.shape}")
     return {"rows": int(M.shape[0]), "cols": int(M.shape[1]), "data": [float(v) for v in M.ravel()]}
 
 

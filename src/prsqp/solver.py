@@ -83,13 +83,17 @@ from typing import Callable, List, NamedTuple, Optional
 import numpy as np
 
 from .alf import Iterate, PointEval, YPointEval, _alf_value, eval_alf, eval_merit_hat, grad_alf
-from .core import DimensionMismatch, NotPositiveDefinite, cholesky_solve, cholesky_spd, spectral_norm
+from .core import NotPositiveDefinite, cholesky_solve, cholesky_spd, spectral_norm
 from .diagnostics import KktResidual, _max_or_nan, _outside_range, kkt_residual
 from .problems import _past_float_range, composite_objective, hessian_pair
 
 
 class LineSearchFailed(RuntimeError):
-    """Armijo backtracking exhausted its 60 shrinks without an acceptable step."""
+    """Armijo backtracking exhausted its 60 shrinks without an acceptable step.
+
+    Only the full step ``t = 1`` is tested with a float slack, so a search
+    along an uphill direction fails rather than accepting a tiny ``t``.
+    """
 
 
 class NumericalError(ArithmeticError):
@@ -330,7 +334,7 @@ class SolverState(NamedTuple):
     start), the two parts the merit function reads. ``x_eval`` / ``y_eval``
     are the :class:`~prsqp.alf.PointEval` of ``w.x`` and the
     :class:`~prsqp.alf.YPointEval` of ``w.y``, and ``L_beta`` is
-    ``L_beta(w)``, ``None`` until evaluated. ``metric_x`` / ``metric_y`` are
+    ``L_beta(w)``, summed from those records. ``metric_x`` / ``metric_y`` are
     the factored metrics at the Hessian models at ``w``. Each holds its model
     as ``.model``, a read-only array in the shape the problem's Hessian
     callable returns (a matrix, or the diagonal of a diagonal model), and its
@@ -346,7 +350,7 @@ class SolverState(NamedTuple):
     d_y_prev: np.ndarray
     x_eval: PointEval
     y_eval: YPointEval
-    L_beta: Optional[float]
+    L_beta: float
     metric_x: BlockMetric | LowRankMetric
     metric_y: BlockMetric | DiagonalMetric
     eta_y: float
@@ -490,7 +494,7 @@ class SearchStep(NamedTuple):
     quad: float
 
 
-def line_search(P, lam, d, metric, params, block, x_eval, y_eval, L0=None):
+def line_search(P, lam, d, metric, params, block, x_eval, y_eval, L0):
     """Armijo backtracking for one block of ``L_beta`` at fixed other blocks.
 
     The search starts at ``(x_eval.x, y_eval.y, lam)``, where ``x_eval`` /
@@ -502,11 +506,12 @@ def line_search(P, lam, d, metric, params, block, x_eval, y_eval, L0=None):
 
     where ``metric``, a block's metric in a :class:`SolverState`, gives
     ``d^T Hcal d`` as ``quad`` and ``moved`` shifts the ``block`` ("x" or "y")
-    of the start by ``t d``. ``L0 = L_beta(start)`` is evaluated from the
-    records unless given. The comparison carries a ``1e-12 (1 + |L0|)`` float
-    slack so a vanishing direction near a stationary point is not rejected on
-    rounding noise. An x trial evaluates ``A x`` and ``f`` at its own point; a
-    y trial evaluates only ``g`` and the residual.
+    of the start by ``t d``. ``L0`` is ``L_beta(start)``, which the caller
+    has. The test of the full step ``t = 1`` carries a ``1e-12 (1 + |L0|)``
+    float slack, so a vanishing direction near a stationary point is not
+    rejected on rounding noise; a shorter step gets none, so a search along
+    an uphill direction fails. An x trial evaluates ``A x`` and ``f`` at its
+    own point; a y trial evaluates only ``g`` and the residual.
 
     Returns a :class:`SearchStep` (``t = 1``, the start's own records and
     ``quad = 0`` at once for ``d = 0``). Raises :class:`LineSearchFailed`
@@ -517,8 +522,6 @@ def line_search(P, lam, d, metric, params, block, x_eval, y_eval, L0=None):
         return SearchStep(1.0, 0, x_eval, y_eval, 0.0)
     quad = metric.quad(d)
     beta = params.beta
-    if L0 is None:
-        L0 = _alf_value(x_eval.f, y_eval.g, lam, x_eval.Ax - y_eval.y, beta)
     if not (math.isfinite(L0) and math.isfinite(quad)):
         raise NumericalError(f"non-finite quantities entering the {block} line search")
     slack = 1e-12 * (1.0 + abs(L0))
@@ -530,13 +533,15 @@ def line_search(P, lam, d, metric, params, block, x_eval, y_eval, L0=None):
         if L_t <= L0 - params.rho * t * quad + slack:
             return SearchStep(t, i, trial_x, trial_y, quad)
         t *= params.nu
+        slack = 0.0  # rounding noise is forgiven at the full step only
     raise LineSearchFailed(f"{block} line search found no acceptable step within {_MAX_BACKTRACKS} backtracks")
 
 
-def _block_step(state, lam, g, block, x_eval, y_eval, L0=None):
-    # one block's step from (x_eval.x, y_eval.y, lam) for the block gradient g
-    # of L_beta: the model step in the state's metric, its extrapolation by
-    # alpha and the Armijo search along it; returns (tilde, d, SearchStep)
+def _block_step(state, lam, g, block, x_eval, y_eval, L0):
+    # one block's step from (x_eval.x, y_eval.y, lam), where L_beta is L0,
+    # for the block gradient g of L_beta: the model step in the state's
+    # metric, its extrapolation by alpha and the Armijo search along it;
+    # returns (tilde, d, SearchStep)
     if not np.isfinite(g).all():
         raise NumericalError(f"non-finite {block}-gradient")
     metric, current = (state.metric_x, x_eval.x) if block == "x" else (state.metric_y, y_eval.y)
@@ -544,7 +549,7 @@ def _block_step(state, lam, g, block, x_eval, y_eval, L0=None):
     if not np.isfinite(tilde).all():
         raise NumericalError(f"{block}-subproblem produced non-finite values")
     d = hybrid_accelerate(tilde, current, state.params.alpha)
-    return tilde, d, line_search(state.P, lam, d, metric, state.params, block, x_eval, y_eval, L0=L0)
+    return tilde, d, line_search(state.P, lam, d, metric, state.params, block, x_eval, y_eval, L0)
 
 
 def dual_update(lam, step, beta, residual):
@@ -575,24 +580,28 @@ def initial_state(P, w0, params):
     and no later write to them reaches the state. Both metrics are factored,
     ``ell`` / ``sigma`` doubled until each factors; the state's ``params`` is
     then a copy holding the weights used. ``params`` itself is never changed.
+    The state's ``L_beta`` is summed from ``A x0``, ``f(x0)`` and ``g(y0)``,
+    which its records keep.
 
     Raises ``TypeError`` when ``params`` is no :class:`SolverParams` or ``w0``
-    no :class:`~prsqp.alf.Iterate`, :class:`~prsqp.core.DimensionMismatch`
-    when its sizes are not the problem's, and :class:`NumericalError` when a
-    metric stays indefinite after 60 doublings.
+    no :class:`~prsqp.alf.Iterate`, ``ValueError`` when its sizes are not the
+    problem's, and :class:`NumericalError` when a metric stays indefinite
+    after 60 doublings.
     """
     if not isinstance(params, SolverParams):
         raise TypeError("params must be a SolverParams")
     if not isinstance(w0, Iterate):
         raise TypeError("w0 must be an Iterate")
     if w0.x.shape[0] != P.n1 or w0.y.shape[0] != P.n2:
-        raise DimensionMismatch(
+        raise ValueError(
             f"w0 has shapes x:{w0.x.shape}, y:{w0.y.shape}; problem expects {P.n1}/{P.n2}"
         )
     w = Iterate(w0.x.copy(), w0.y.copy(), w0.lam.copy())
     d_y_prev = np.zeros(P.n2)
     _read_only(w.x, w.y, w.lam, d_y_prev)
-    return _state(P, params, 0, w, d_y_prev, PointEval(P, w.x), YPointEval(P, w.y), None)
+    x_eval, y_eval = PointEval(P, w.x), YPointEval(P, w.y)
+    L_beta = _alf_value(x_eval.f, y_eval.g, w.lam, x_eval.Ax - w.y, params.beta)
+    return _state(P, params, 0, w, d_y_prev, x_eval, y_eval, L_beta)
 
 
 @_quiet_numerics
@@ -600,7 +609,8 @@ def iterate_once(state):
     """One full iteration from the :class:`SolverState` ``state``; returns an :class:`IterationOutcome`.
 
     Both block steps solve in the state's factored metrics, and the line
-    searches start from its ``L_beta`` and its records of ``w.x`` and ``w.y``.
+    searches start from its records of ``w.x`` and ``w.y``: the x search from
+    its ``L_beta``, the y search from ``L_beta(x_{k+1}, y_k, lam_{k+1/2})``.
     The Hessian models are then refreshed at ``w_{k+1}``: a metric whose
     refreshed model is exactly equal to its model is kept, and any other is
     factored afresh, its weight doubled until it factors (module docstring,
@@ -628,7 +638,8 @@ def iterate_once(state):
 
     # ----- y block at the updated x and half-step multiplier
     gy = y_eval.grad_g + lam_half - beta * residual_mid
-    y_tilde, d_y, (t_y, bt_y, _, y_eval, quad_y) = _block_step(state, lam_half, gy, "y", x_eval, y_eval)
+    L_mid = _alf_value(x_eval.f, y_eval.g, lam_half, residual_mid, beta)
+    y_tilde, d_y, (t_y, bt_y, _, y_eval, quad_y) = _block_step(state, lam_half, gy, "y", x_eval, y_eval, L_mid)
     y_next = y_eval.y  # the accepted trial: y_{k+1}, with g(y_{k+1}) in its record
 
     # ----- second dual update on the full new residual

@@ -8,7 +8,6 @@ from prsqp import (
     AugmentedIterate,
     Iterate,
     SolverParams,
-    UnknownLipschitz,
     eval_alf,
     eval_merit_hat,
     grad_alf,
@@ -153,7 +152,7 @@ def test_merit_needs_lipschitz_and_nonzero_dual_steps():
         eval_merit_hat(P, what, cancelling, eta2_y=1.0)
     Q = zero_problem()
     Q.lipschitz_g = None
-    with pytest.raises(UnknownLipschitz):
+    with pytest.raises(ValueError, match="^eval_merit_hat needs lipschitz_g on the problem$"):
         eval_merit_hat(Q, what, SolverParams(), eta2_y=1.0)
 
 

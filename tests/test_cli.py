@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from prsqp import (
-    DimensionMismatch,
     Iterate,
     SolverParams,
     StepRecord,
@@ -674,7 +673,7 @@ def test_cli_rejects_non_finite_weights(tmp_path, capsys):
 
 def test_cli_solver_fault_exits_two_without_config_error(tmp_path, capsys, monkeypatch):
     def broken_run(*args, **kwargs):
-        raise DimensionMismatch("custom problem returned a gradient of the wrong length")
+        raise ValueError("custom problem returned a gradient of the wrong length")
 
     monkeypatch.setattr("prsqp.cli.run", broken_run)
     problem_file, _ = _quadratic_file(tmp_path)

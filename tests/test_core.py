@@ -7,7 +7,6 @@ import pytest
 import scipy.linalg
 
 from prsqp import (
-    DimensionMismatch,
     NotPositiveDefinite,
     make_rng,
     normal_sample,
@@ -44,7 +43,7 @@ def test_solve_spd_indefinite_rejected():
 
 
 def test_solve_spd_dimension_checks():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match=r"^M must be square, got shape \(2, 3\)$"):
         cholesky_spd(np.ones((2, 3)))
 
 
@@ -437,12 +436,12 @@ def test_spectral_estimates_match_dense_eigensolver():
 
 
 def test_as_vector_rejects_wrong_rank_and_length():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match=r"^vector must be 1-D, got shape \(2, 2\)$"):
         as_vector(np.ones((2, 2)))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match="^vector must have length 2, got 3$"):
         as_vector(np.ones(3), n=2)
 
 
 def test_as_matrix_rejects_wrong_shape():
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match=r"^matrix must have shape \(2, 3\), got \(2, 2\)$"):
         as_matrix(np.ones((2, 2)), shape=(2, 3))

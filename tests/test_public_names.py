@@ -15,7 +15,10 @@ A name in ``prsqp.__all__``, or a public function or class defined at the top
 of a module in ``src/prsqp``, that only the unit tests call is a wrapper kept
 for its tests; :func:`test_every_public_name_has_a_user_outside_the_unit_tests`
 and :func:`test_every_public_definition_has_a_user_outside_the_unit_tests` read
-the code with ``ast`` to find one.
+the code with ``ast`` to find one. Likewise an exception class that no
+``except`` clause outside the tests names tells its callers nothing a
+``ValueError`` would not, which
+:func:`test_every_exception_class_is_caught_by_name_outside_the_tests` finds.
 """
 
 import ast
@@ -196,3 +199,21 @@ def test_every_public_definition_has_a_user_outside_the_unit_tests():
     ]
     assert defined
     assert [name for name in defined if name.split(".")[1] not in used] == []
+
+
+def test_every_exception_class_is_caught_by_name_outside_the_tests():
+    caught = set()
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py"), *PERFBENCH.glob("*.py")]:
+        for handler in ast.walk(_parse(path)):
+            if isinstance(handler, ast.ExceptHandler) and handler.type is not None:
+                names = [n for n in ast.walk(handler.type) if isinstance(n, (ast.Name, ast.Attribute))]
+                caught |= {n.id if isinstance(n, ast.Name) else n.attr for n in names}
+    defined = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in _parse(path).body
+        if isinstance(node, ast.ClassDef)
+        and issubclass(getattr(importlib.import_module(f"prsqp.{path.stem}"), node.name), BaseException)
+    ]
+    assert defined
+    assert [name for name in defined if name.split(".")[1] not in caught] == []

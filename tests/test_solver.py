@@ -9,7 +9,6 @@ import pytest
 import prsqp.solver
 from prsqp import (
     CompositeProblem,
-    DimensionMismatch,
     Iterate,
     LineSearchFailed,
     NotPositiveDefinite,
@@ -336,7 +335,7 @@ def _search(P, w, d, params, block="x"):
     # line_search from the state at w, in its metric and from its records of w.x and w.y
     state = initial_state(P, w, params)
     metric = state.metric_x if block == "x" else state.metric_y
-    return line_search(P, w.lam, d, metric, params, block, state.x_eval, state.y_eval)
+    return line_search(P, w.lam, d, metric, params, block, state.x_eval, state.y_eval, state.L_beta)
 
 
 def test_line_search_zero_direction_short_circuits():
@@ -376,14 +375,15 @@ def test_line_search_backtracks_on_quartic():
 
 
 def test_line_search_exhausts_budget():
-    # every trial along the uphill d = +2 raises L_beta; with nu = 0.9 the
-    # 60th shrink leaves t = 0.9^60 = 1.8e-3, far above the float slack, which
-    # accepts the same search at nu = 0.6 after 58 shrinks (t = 1.4e-13)
+    # every trial along the uphill d = +2 raises L_beta. Only the full step
+    # gets the float slack, so the search fails both where the 60th shrink
+    # leaves t = 0.9^60 = 1.8e-3 and where it leaves t = 0.6^60 = 4.9e-14,
+    # below the slack's 1e-12 (1 + |L0|)
     P, w, uphill = _quartic_with_unit_model(), _w(1.0, 0.0, 0.0), np.array([2.0])
-    params = SolverParams(rho=0.4, nu=0.9, beta=1.0, ell=1.0)
-    with pytest.raises(LineSearchFailed, match="^x line search found no acceptable step within 60 backtracks$"):
-        _search(P, w, uphill, params)
-    assert _search(P, w, uphill, replace(params, nu=0.6)).backtracks == 58
+    for nu in (0.9, 0.6):
+        params = SolverParams(rho=0.4, nu=nu, beta=1.0, ell=1.0)
+        with pytest.raises(LineSearchFailed, match="^x line search found no acceptable step within 60 backtracks$"):
+            _search(P, w, uphill, params)
 
 
 # ----- multiplier updates --------------------------------------------------------------
@@ -410,12 +410,13 @@ def test_iterate_once_is_fixed_at_first_order_point():
 
 
 def test_zero_directions_keep_the_starts_records(monkeypatch):
-    # at its KKT point w0 = 0 both directions vanish: the iteration evaluates
-    # A x, f and grad f once, at the start, and g and grad g at y0 and at A x
-    # for the composite terms; each block's new record is the start's
+    # at its KKT point w0 = 0 both directions vanish: the start and the
+    # iteration evaluate A x, f and grad f once, at the start, and g and
+    # grad g at y0 and at A x for the composite terms; each block's new record
+    # is the start's
     P = make_quadratic([0.0, 0.0], [0.0], [[1.0, 1.0]])
-    state = initial_state(P, _zero_start(P), SolverParams())
     calls = _counting(P, monkeypatch)
+    state = initial_state(P, _zero_start(P), SolverParams())
     out = iterate_once(state)
     assert out.record.norm_dx == out.record.norm_dy == 0.0
     assert out.state.x_eval is state.x_eval and out.state.y_eval is state.y_eval
@@ -608,7 +609,7 @@ def test_run_validates_start_and_parameters():
     P = make_quadratic([1.0], [0.0], [[1.0]])
     with pytest.raises(TypeError):
         run(P, np.zeros(3), SolverParams())
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(ValueError, match=r"^w0 has shapes x:\(2,\), y:\(1,\); problem expects 1/1$"):
         run(P, Iterate(np.zeros(2), np.zeros(1), np.zeros(1)), SolverParams())
     w0 = Iterate(np.zeros(1), np.zeros(1), np.zeros(1))
     with pytest.raises(FrozenInstanceError):
@@ -631,14 +632,14 @@ def test_run_reports_line_search_breakdown_in_status():
     P = make_quadratic([1.0], [0.0], [[1.0]])
     w0 = Iterate(np.zeros(1), np.zeros(1), np.zeros(1))
     # far beyond the supported acceleration range the Armijo slope test is
-    # unsatisfiable; nu = 0.9 keeps the last of the 60 shrinks (t = 1.8e-3)
-    # above the float slack, so the failure actually surfaces (at nu = 0.6
-    # the slack accepts a step of t = 0.6^k and the run goes on)
+    # unsatisfiable; only the full step gets the float slack, so the failure
+    # surfaces whether the last of the 60 shrinks leaves t = 1.8e-3 (nu = 0.9)
+    # or t = 4.9e-14 (nu = 0.6)
     params = SolverParams(alpha=10.0, relaxed_alpha=True, rho=0.4, nu=0.9, max_iter=50)
-    result = run(P, w0, params)
-    assert result.status is SolveStatus.LINE_SEARCH_FAILED
-    assert result.stop_reason == "x line search found no acceptable step within 60 backtracks"
-    assert run(P, w0, replace(params, nu=0.6)).status is SolveStatus.ITER_LIMIT
+    for nu in (0.9, 0.6):
+        result = run(P, w0, replace(params, nu=nu))
+        assert result.status is SolveStatus.LINE_SEARCH_FAILED
+        assert result.stop_reason == "x line search found no acceptable step within 60 backtracks"
 
 
 def test_run_names_the_stop_rule_that_fired_or_the_breakdown():
@@ -882,6 +883,16 @@ def test_states_are_read_only_and_leave_the_callers_inputs_alone():
     for a in (result.final.x, result.final.y, result.final.lam):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 1.0
+
+
+def test_initial_state_holds_L_beta_at_the_start():
+    # summed from the start's records, it is the value the first x search compares with
+    rng = make_rng(43)
+    for P in (make_huber_lasso(16, 64, rng=rng), make_classification(20, 20, rng=rng), random_quadratic(5, 3, rng)):
+        w0 = Iterate(normal_sample(rng, P.n1), normal_sample(rng, P.n2), normal_sample(rng, P.n2))
+        state = initial_state(P, w0, SolverParams(beta=2.5))
+        assert type(state.L_beta) is float
+        assert state.L_beta.hex() == eval_alf(P, w0, 2.5).hex()
 
 
 def _counting(P, monkeypatch):

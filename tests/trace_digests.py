@@ -3,16 +3,21 @@
 Usage::
 
     python3 tests/trace_digests.py <checkout>
+    python3 tests/trace_digests.py --against <rev>
 
-imports prsqp from ``<checkout>/src`` and prints one ``name sha256`` line per
-run. A change that leaves the maths alone should print the same lines as its
-parent: make a ``git worktree`` of the parent and diff the two outputs (see
-README, Reproducibility). A run's digest covers every trace row but its
-``elapsed``, the status, the stop reason, the final weights and the bytes of
-the final iterate; a recipe's covers the returned params' fields named in
-``RECIPE_FIELDS``, and a report's every field of
-:func:`~prsqp.diagnostics_report` at the default params, the spectral bounds
-included; a container's the ``json.dumps`` text of
+The first form imports prsqp from ``<checkout>/src`` and prints one
+``name sha256`` line per run. A change that leaves the maths alone should
+print the same lines as its parent, and the second form checks that: it adds
+a temporary ``git worktree`` of ``<rev>``, runs this script on it and on the
+checkout that holds this script, each in its own subprocess, prints the
+``diff`` of the two outputs and exits 1 on any difference; the worktree is
+removed whatever the outcome (see README, Reproducibility).
+
+A run's digest covers every trace row but its ``elapsed``, the status, the
+stop reason, the final weights and the bytes of the final iterate; a
+recipe's covers the returned params' fields named in ``RECIPE_FIELDS``, and a
+report's every field of :func:`~prsqp.diagnostics_report` at the default
+params, the spectral bounds included; a container's the ``json.dumps`` text of
 :func:`~prsqp.problem_to_json` for seeds 0-4, and of the problem that
 :func:`~prsqp.problem_from_json` reads back from it. An ``internals-`` line
 covers the first 60 iteration outcomes that ``run`` hands its ``callback``:
@@ -41,21 +46,48 @@ checkouts. pytest does not collect it.
 
 import contextlib
 import csv
+import difflib
 import hashlib
 import io
 import json
 import os
 import shutil
+import subprocess
 import sys
 import tempfile
 from dataclasses import asdict, astuple, replace
 from pathlib import Path
 
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
 
+def _against(rev):
+    # the diff of this script's output on a temporary worktree of rev and on
+    # this checkout, each run in a subprocess; 0 when they agree, else 1
+    root = Path(__file__).resolve().parents[1]
+    git = ["git", "-C", str(root), "worktree"]
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp) / "rev"
+        subprocess.run([*git, "add", "--detach", "--quiet", str(tree), rev], check=True)
+        try:
+            outputs = [
+                subprocess.run([sys.executable, __file__, str(checkout)], check=True, stdout=subprocess.PIPE, text=True)
+                .stdout.splitlines(keepends=True)
+                for checkout in (tree, root)
+            ]
+        finally:
+            subprocess.run([*git, "remove", "--force", str(tree)], check=True)
+    diff = list(difflib.unified_diff(*outputs, fromfile=rev, tofile=str(root)))
+    sys.stdout.writelines(diff)
+    print(f"{rev}: {len(outputs[0])} lines; {root}: {len(outputs[1])} lines; " + ("differ" if diff else "identical"))
+    return 1 if diff else 0
+
+
+if len(sys.argv) == 3 and sys.argv[1] == "--against":
+    sys.exit(_against(sys.argv[2]))
 if len(sys.argv) != 2:
     sys.exit(__doc__)
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 sys.path.insert(0, str(Path(sys.argv[1]).resolve() / "src"))  # before this directory, which holds toys
 
 import numpy as np  # noqa: E402
