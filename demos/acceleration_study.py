@@ -2,8 +2,9 @@
 
 Negative alpha damps the model step (back substitution), alpha = 0 takes it
 plainly, positive alpha extrapolates past it. On random quadratics the sweet
-spot sits at moderate positive alpha; beyond 1/rho - 1 the step-floor
-certificate degenerates and the solver requires the relaxed_alpha opt-in.
+spot sits at moderate positive alpha; beyond 1/rho - 1 = 1.5 (the line
+search's fixed Armijo constant is rho = 0.4) the step-floor certificate
+degenerates and the solver requires the relaxed_alpha opt-in.
 """
 
 import numpy as np
@@ -34,8 +35,8 @@ def main():
     print(
         "\nmoderate extrapolation shortens the run; overshooting (alpha ~ 1)"
         "\nslows it dramatically even though the line search still accepts most"
-        "\nsteps. Past the certified range (alpha >= 1/rho - 1 = 1.5 at rho ="
-        "\n0.4) construction requires the relaxed_alpha opt-in and the step"
+        "\nsteps. Past the certified range (alpha >= 1/rho - 1 = 1.5 at the fixed"
+        "\nrho = 0.4) construction requires the relaxed_alpha opt-in and the step"
         "\nfloor certificate no longer applies."
     )
 

@@ -111,10 +111,9 @@ def _envelope(obj, allowed, context):
     if not isinstance(obj, dict):
         raise ConfigError(f"{context} must be a JSON object")
     _check_keys(obj, allowed | {"schema_version"}, context)
-    if obj.get("schema_version") != CONFIG_SCHEMA_VERSION:
-        raise ConfigError(
-            f"{context}: schema_version must be {CONFIG_SCHEMA_VERSION}, got {obj.get('schema_version')!r}"
-        )
+    # true and 1.0 equal 1 but are no version
+    if type(version := obj.get("schema_version")) is not int or version != CONFIG_SCHEMA_VERSION:
+        raise ConfigError(f"{context}: schema_version must be {CONFIG_SCHEMA_VERSION}, got {version!r}")
 
 
 @contextlib.contextmanager

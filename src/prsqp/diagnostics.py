@@ -132,17 +132,20 @@ def _bounds(P, params, spectrum_x, spectrum_y):
     )
 
 
-def _floor_factor(rho, alpha):
+_RHO, _NU = 0.4, 0.6  # the line search's Armijo rule: the largest t = _NU^i lowering L_beta by _RHO t d^T Hcal d
+
+
+def _floor_factor(alpha):
     # c = 1/(1 + alpha) - rho, the factor of the step floor gamma
-    return 1.0 / (1.0 + alpha) - rho
+    return 1.0 / (1.0 + alpha) - _RHO
 
 
-def _outside_range(rho, alpha):
+def _outside_range(alpha):
     # "" inside the acceleration range of the theory, c > 0, on which gamma
     # and the recipes are built; else the message that says so. In exact
-    # arithmetic c > 0 is alpha < 1/rho - 1, but the two forms round apart at
-    # the boundary, so every site tests and words this one.
-    c = _floor_factor(rho, alpha)
+    # arithmetic c > 0 is alpha < 1/rho - 1 = 1.5, but the two forms round
+    # apart at the boundary, so every site tests and words this one.
+    c = _floor_factor(alpha)
     if c > 0.0:
         return ""
     return f"alpha = {alpha} is outside the supported range: 1/(1 + alpha) - rho = {c} must be positive"
@@ -153,19 +156,18 @@ def compute_gamma(P, params, bounds):
 
     ``gamma = nu * min(1, c eta1_x / (L_f + beta ||A^T A||), c eta1_y / (L_g + beta))``
 
-    with ``c = 1/(1 + alpha) - rho`` and ``||A^T A|| = lambda_max(A^T A)``
-    (``P.max_eig_AtA``). Requires both Lipschitz constants; when
-    ``c <= 0`` (acceleration beyond the supported range) the floor degenerates,
-    which is reported as 0 with a warning.
+    with ``c = 1/(1 + alpha) - rho``, the line search's ``rho = 0.4, nu = 0.6``
+    and ``||A^T A|| = lambda_max(A^T A)`` (``P.max_eig_AtA``). Requires both
+    Lipschitz constants; when ``c <= 0`` (acceleration beyond the supported
+    range) the floor degenerates, which is reported as 0 with a warning.
     """
     if P.lipschitz_f is None or P.lipschitz_g is None:
         raise ValueError("compute_gamma needs lipschitz_f and lipschitz_g on the problem")
-    outside = _outside_range(params.rho, params.alpha)
-    if outside:
+    if outside := _outside_range(params.alpha):
         warnings.warn(f"step floor degenerates: {outside}; reporting gamma = 0", stacklevel=2)
         return 0.0
-    c = _floor_factor(params.rho, params.alpha)
-    return params.nu * min(
+    c = _floor_factor(params.alpha)
+    return _NU * min(
         1.0,
         c * bounds.eta1_x / (P.lipschitz_f + params.beta * P.max_eig_AtA),
         c * bounds.eta1_y / (P.lipschitz_g + params.beta),
@@ -173,7 +175,7 @@ def compute_gamma(P, params, bounds):
 
 
 def compute_deltas(P, params, bounds, gamma):
-    """Per-block merit decrease margins ``(delta_x, delta_y)``.
+    """Per-block merit decrease margins ``(delta_x, delta_y)``, at ``rho = 0.4``:
 
     ``delta_x = rho gamma eta1_x - 6 (1 - s)^2 beta lambda_max(A^T A) / |r + s|``
     ``delta_y = rho gamma eta1_y
@@ -191,11 +193,11 @@ def compute_deltas(P, params, bounds, gamma):
     if rs == 0:
         raise ValueError("decrease margins undefined for r + s = 0")
     try:
-        delta_x = params.rho * gamma * bounds.eta1_x - 6.0 * (1.0 - s) ** 2 * beta * P.max_eig_AtA / rs
+        delta_x = _RHO * gamma * bounds.eta1_x - 6.0 * (1.0 - s) ** 2 * beta * P.max_eig_AtA / rs
         curvature = P.lipschitz_g**2 + (1.0 + s * s) * beta * beta + 2.0 * (bounds.eta2_y / (1.0 + alpha)) ** 2
     except OverflowError:
         raise OverflowError("decrease margins delta_x, delta_y overflow float range in a squared term") from None
-    delta_y = params.rho * gamma * bounds.eta1_y - (6.0 / (rs * beta)) * curvature - abs(r * s) * beta / rs
+    delta_y = _RHO * gamma * bounds.eta1_y - (6.0 / (rs * beta)) * curvature - abs(r * s) * beta / rs
     return delta_x, delta_y
 
 
@@ -249,7 +251,7 @@ def suggest_params(direction, P, base=None):
     ``r + s < 0``. By the sign rule (module docstring of :mod:`prsqp.solver`)
     the fixed points of an ``"aldd"`` run repel, so its certificate is one of
     merit decrease per iteration, not of convergence. ``base`` supplies
-    ``rho, nu, alpha, beta`` and the loop controls (defaults otherwise); the
+    ``alpha, beta`` and the loop controls (defaults otherwise); the
     returned :class:`SolverParams` keeps those and replaces
     ``ell, sigma, r, s``. The curvature is that of the Hessian models at
     ``x = 0``, ``y = 0``.
@@ -272,8 +274,8 @@ def suggest_params(direction, P, base=None):
     from .solver import SolverParams  # solver imports this module
 
     base = base if base is not None else SolverParams()
-    rho, alpha, beta = base.rho, base.alpha, base.beta
-    if outside := _outside_range(rho, alpha):
+    alpha, beta = base.alpha, base.beta
+    if outside := _outside_range(alpha):
         raise ValueError(f"recipes need a positive step-floor factor: {outside}")
     s = 1.0 if direction == "alda" else -0.5
 
@@ -289,7 +291,7 @@ def suggest_params(direction, P, base=None):
         params = replace(base, ell=ell, sigma=sigma)
         bounds = _bounds(P, params, spectrum_x, spectrum_y)
         gamma = compute_gamma(P, params, bounds)
-        sigma_req = max(factor * (dual_scale / (rho * gamma) - lo_y - beta), floor)
+        sigma_req = max(factor * (dual_scale / (_RHO * gamma) - lo_y - beta), floor)
         if sigma_req > sigma * (1.0 + 1e-12):
             sigma = sigma_req
             continue
@@ -297,8 +299,8 @@ def suggest_params(direction, P, base=None):
             numer = 6.0 * (P.lipschitz_g * P.lipschitz_g + 2.0 * beta * beta + 2.0 * (bounds.eta2_y / (1.0 + alpha)) ** 2)
         except OverflowError:
             raise OverflowError(f"recipe dual step r overflows float range at eta2_y = {bounds.eta2_y}") from None
-        r = math.copysign(1.0, s) * numer / (beta * (rho * gamma * bounds.eta1_y - dual_scale))
-        ell_bound = -6.0 * (1.0 - s) ** 2 * beta * P.max_eig_AtA / (rho * gamma * (r + s)) - lo_x - beta * P.min_eig_AtA
+        r = math.copysign(1.0, s) * numer / (beta * (_RHO * gamma * bounds.eta1_y - dual_scale))
+        ell_bound = -6.0 * (1.0 - s) ** 2 * beta * P.max_eig_AtA / (_RHO * gamma * (r + s)) - lo_x - beta * P.min_eig_AtA
         ell_req = max(factor * ell_bound, floor)
         if not ell_req > ell * (1.0 + 1e-12):  # a NaN requirement stops the rounds too
             break

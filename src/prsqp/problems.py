@@ -54,13 +54,14 @@ class CompositeProblem:
     (see :mod:`prsqp.solver`). A matrix always takes the dense metric, even
     when it is diagonal.
 
-    Everything else is derived from ``A``: ``(n2, n1)`` is its shape, set on
-    construction. ``AtA`` (``A^T A``, read by a dense x-metric) and ``AAt``
-    (``A A^T``, read by a capacitance matrix) are formed on first read, so a
-    problem solved through capacitance matrices never holds the ``n1 x n1``
-    array. ``min_eig_AtA`` and ``max_eig_AtA``, the spectral range of
-    ``A^T A`` that only the theory constants of :mod:`prsqp.diagnostics` use,
-    are computed together, from the smaller of the two, on the first read.
+    Everything else is derived from ``A``, which must have a row and a column
+    (else ``ValueError``): ``(n2, n1)`` is its shape, set on construction.
+    ``AtA`` (``A^T A``, read by a dense x-metric) and ``AAt`` (``A A^T``, read
+    by a capacitance matrix) are formed on first read, so a problem solved
+    through capacitance matrices never holds the ``n1 x n1`` array.
+    ``min_eig_AtA`` and ``max_eig_AtA``, the spectral range of ``A^T A`` that
+    only the theory constants of :mod:`prsqp.diagnostics` use, are computed
+    together, from the smaller of the two, on the first read.
 
     Problems compare by identity. ``dataclasses.replace(P, ...)`` builds a new
     problem, which derives all of these afresh from its own ``A``.
@@ -81,7 +82,9 @@ class CompositeProblem:
     n2: int = field(init=False)
 
     def __post_init__(self):
-        self.n2, self.n1 = as_matrix(self.A, name="A").shape
+        self.n2, self.n1 = shape = as_matrix(self.A, name="A").shape
+        if not all(shape):
+            raise ValueError(f"A must have at least one row and one column, got shape {shape}")
 
     @cached_property
     def AtA(self):
@@ -500,7 +503,7 @@ def problem_from_json(obj):
     if not isinstance(obj, dict):
         raise ValueError("problem object must be a JSON object")
     version = obj.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if type(version) is not int or version != SCHEMA_VERSION:  # true and 1.0 equal 1 but are no version
         raise ValueError(f"unsupported schema_version {version!r} (expected {SCHEMA_VERSION})")
     kind = obj.get("kind")
     if kind not in _CONTAINERS:

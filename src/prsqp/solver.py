@@ -84,7 +84,7 @@ import numpy as np
 
 from .alf import Iterate, PointEval, YPointEval, _alf_value, eval_alf, eval_merit_hat, grad_alf
 from .core import NotPositiveDefinite, cholesky_solve, cholesky_spd, spectral_norm
-from .diagnostics import KktResidual, _max_or_nan, _outside_range, kkt_residual
+from .diagnostics import _NU, _RHO, KktResidual, _max_or_nan, _outside_range, kkt_residual
 from .problems import _past_float_range, composite_objective, hessian_pair
 
 
@@ -111,18 +111,17 @@ class SolveStatus(str, Enum):
 class SolverParams:
     """Algorithm parameters, fixed for a run; ranges are enforced at construction.
 
-    ``alpha`` must exceed -1 and satisfy ``1/(1 + alpha) - rho > 0`` (that is,
-    ``alpha < 1/rho - 1``, tested in the first form) unless ``relaxed_alpha``
-    is set, in which case only ``alpha > -1`` is required and the step floor
-    of the theory does not hold. ``r`` and ``s`` are the two dual step
-    scales (positive = ascent, negative = descent) with ``r + s != 0``.
-    ``tol_step`` (relative) and ``tol_kkt`` (absolute) are the two tolerances
-    that must both hold for :func:`run` to report Converged. A set is frozen:
-    build a changed one with ``dataclasses.replace``, which validates it anew.
+    ``alpha`` must exceed -1 and satisfy ``1/(1 + alpha) - rho > 0`` at the
+    line search's ``rho = 0.4`` (``alpha < 1.5``, tested in the first form)
+    unless ``relaxed_alpha`` is set, in which case only ``alpha > -1`` is
+    required and the step floor of the theory does not hold. ``r`` and ``s``
+    are the two dual step scales (positive = ascent, negative = descent) with
+    ``r + s != 0``. ``tol_step`` (relative) and ``tol_kkt`` (absolute) are the
+    two tolerances that must both hold for :func:`run` to report Converged. A
+    set is frozen: build a changed one with ``dataclasses.replace``, which
+    validates it anew.
     """
 
-    rho: float = 0.4
-    nu: float = 0.6
     alpha: float = 0.0
     beta: float = 1.0
     ell: float = 5.0
@@ -145,13 +144,13 @@ def validate_params(params):
     attributes; a :class:`SolverParams` always gives ``[]``, as its
     constructor raises on the violations listed here. Unless the set's
     ``relaxed_alpha`` is true, the upper acceleration bound
-    ``1/(1 + alpha) - rho > 0`` (``alpha < 1/rho - 1``) is enforced.
+    ``1/(1 + alpha) - rho > 0`` (``alpha < 1.5`` at ``rho = 0.4``) is enforced.
     """
     p = params
     out = _field_violations(p, SolverParams)
     # the rules below do float arithmetic on their fields, so a field that is
     # no _real, or one past float range (both flagged above), enters none of them
-    names = ("rho", "alpha", "beta", "ell", "sigma", "r", "s")
+    names = ("alpha", "beta", "ell", "sigma", "r", "s")
     ok = {name for name in names if _real(v := getattr(p, name)) and not _past_float_range(v)}
     if "alpha" in ok and not -1.0 < p.alpha < math.inf:
         out.append(f"alpha must be finite and exceed -1, got {p.alpha}")
@@ -161,9 +160,8 @@ def validate_params(params):
         out.append(f"relaxed_alpha must be a boolean, got {relaxed!r}")
         relaxed = False
     # alpha <= -1 is flagged above (1 + alpha would divide by zero); a NaN alpha is flagged here too
-    if not relaxed and {"rho", "alpha"} <= ok and 0.0 < p.rho < 1.0 and not p.alpha <= -1.0:
-        if outside := _outside_range(p.rho, p.alpha):
-            out.append(f"{outside} (set relaxed_alpha to override)")
+    if not relaxed and "alpha" in ok and not p.alpha <= -1.0 and (outside := _outside_range(p.alpha)):
+        out.append(f"{outside} (set relaxed_alpha to override)")
     for name in ("beta", "ell", "sigma"):
         if name in ok and not 0.0 < getattr(p, name) < math.inf:
             out.append(f"{name} must be positive and finite, got {getattr(p, name)}")
@@ -183,10 +181,10 @@ def _real(value):
 def _field_violations(p, cls):
     # the checks SolverParams and GdParams share, over the fields of cls read
     # from p: a float field is a real, not a bool (a JSON true is no weight of
-    # 1), that a float can hold; rho and nu lie in (0, 1); tol* is >= 0, which
-    # NaN is not; an int field is an integer >= 1, where numpy integers count
-    # and bools do not. A float field that is no number, such as a string or
-    # None, enters no range rule here or in validate_params
+    # 1), that a float can hold; tol* is >= 0, which NaN is not; an int field
+    # is an integer >= 1, where numpy integers count and bools do not. A float
+    # field that is no number, such as a string or None, enters no range rule
+    # here or in validate_params
     out = []
     for f in fields(cls):
         name, value = f.name, getattr(p, f.name)
@@ -198,8 +196,6 @@ def _field_violations(p, cls):
             elif _past_float_range(value):
                 out.append(f"{name} must be a real number a float can hold, got one past float range")
                 continue
-            if name in ("rho", "nu") and not 0.0 < value < 1.0:
-                out.append(f"{name} must lie in (0, 1), got {value}")
             if name.startswith("tol") and not value >= 0.0:
                 out.append(f"{name} must be >= 0, got {value}")
         elif type(f.default) is int:
@@ -499,10 +495,10 @@ def line_search(P, lam, d, metric, params, block, x_eval, y_eval, L0):
 
     The search starts at ``(x_eval.x, y_eval.y, lam)``, where ``x_eval`` /
     ``y_eval`` are a :class:`~prsqp.alf.PointEval` and a
-    :class:`~prsqp.alf.YPointEval`, and accepts the largest ``t = nu^i``
+    :class:`~prsqp.alf.YPointEval`, and accepts the largest ``t = 0.6^i``
     (``i = 0, 1, ...``) with
 
-        ``L_beta(moved) <= L0 - rho * t * d^T Hcal d``
+        ``L_beta(moved) <= L0 - 0.4 * t * d^T Hcal d``
 
     where ``metric``, a block's metric in a :class:`SolverState`, gives
     ``d^T Hcal d`` as ``quad`` and ``moved`` shifts the ``block`` ("x" or "y")
@@ -530,9 +526,9 @@ def line_search(P, lam, d, metric, params, block, x_eval, y_eval, L0):
         trial_x = PointEval(P, x_eval.x + t * d) if block == "x" else x_eval
         trial_y = y_eval if block == "x" else YPointEval(P, y_eval.y + t * d)
         L_t = _alf_value(trial_x.f, trial_y.g, lam, trial_x.Ax - trial_y.y, beta)
-        if L_t <= L0 - params.rho * t * quad + slack:
+        if L_t <= L0 - _RHO * t * quad + slack:
             return SearchStep(t, i, trial_x, trial_y, quad)
-        t *= params.nu
+        t *= _NU
         slack = 0.0  # rounding noise is forgiven at the full step only
     raise LineSearchFailed(f"{block} line search found no acceptable step within {_MAX_BACKTRACKS} backtracks")
 

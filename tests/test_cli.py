@@ -74,7 +74,6 @@ def test_parse_experiment_minimal():
         }
     )
     assert cfg.seed == 3
-    assert cfg.params.rho == 0.4
     assert not cfg.baseline
 
 
@@ -103,8 +102,9 @@ def test_parse_experiment_rejects_misspelled_parameter():
 
 
 def test_parse_experiment_rejects_bad_schema_and_seed():
-    with pytest.raises(ConfigError, match="^config: schema_version must be 1, got 2$"):
-        parse_experiment(_cfg(schema_version=2))
+    for bad in (2, True, 1.0):  # true and 1.0 equal 1 in Python
+        with pytest.raises(ConfigError, match=f"^config: schema_version must be 1, got {bad!r}$"):
+            parse_experiment(_cfg(schema_version=bad))
     with pytest.raises(ConfigError, match="^config must be a JSON object$"):
         parse_experiment([_cfg()])
     for key in ("problem", "seed", "output_dir"):
@@ -128,8 +128,8 @@ def test_parse_experiment_requires_problem_fields():
 
 
 def test_parse_experiment_rejects_invalid_solver_ranges():
-    with pytest.raises(ConfigError, match="rho"):
-        parse_experiment(_cfg(params={"rho": 1.5}))
+    with pytest.raises(ConfigError, match="^invalid params: beta must be positive and finite, got -1.0$"):
+        parse_experiment(_cfg(params={"beta": -1.0}))
     with pytest.raises(ConfigError, match="^params must be an object$"):
         parse_experiment(_cfg(params=[1.5]))
 
@@ -437,7 +437,7 @@ def test_cli_solve_exit_two_on_breakdown(tmp_path, capsys):
         tmp_path,
         problem_file,
         relaxed_alpha=True,
-        params={"alpha": 10.0, "nu": 0.9, "max_iter": 20},  # nu = 0.9 keeps the 60th shrink above the float slack
+        params={"alpha": 10.0, "max_iter": 20},
     )
     code = main(["solve", "--config", str(cfg_path)])
     summary = json.loads(capsys.readouterr().out)
@@ -500,13 +500,15 @@ def test_cli_rejects_non_integer_loop_limits(tmp_path, capsys):
 
 
 def test_cli_rejects_the_fixed_backtrack_budget_as_an_unknown_key(tmp_path, capsys):
-    # the line search's 60 shrinks are a constant: a config that sets them names an unknown key
+    # the line search's 60 shrinks and its Armijo constants rho = 0.4 and
+    # nu = 0.6 are fixed: a config that sets one names an unknown key
     problem_file, _ = _quadratic_file(tmp_path)
-    cfg_path = _solve_config(tmp_path, problem_file, params={"max_backtracks": 60})
-    code = main(["solve", "--config", str(cfg_path)])
-    assert code == 1
-    assert capsys.readouterr().err == "config error: unknown keys in params: ['max_backtracks']\n"
-    assert not (tmp_path / "out").exists()
+    for key, value in (("max_backtracks", 60), ("rho", 0.4), ("nu", 0.6)):
+        cfg_path = _solve_config(tmp_path, problem_file, params={key: value})
+        code = main(["solve", "--config", str(cfg_path)])
+        assert code == 1
+        assert capsys.readouterr().err == f"config error: unknown keys in params: [{key!r}]\n"
+        assert not (tmp_path / "out").exists()
 
 
 def test_cli_rejects_booleans_where_numbers_or_flags_belong(tmp_path, capsys):
@@ -571,9 +573,12 @@ def test_cli_rejects_non_integer_sizes_and_non_number_weights_in_the_problem(tmp
 def test_cli_rejects_non_number_weights_and_non_integer_sizes_in_the_problem_file(tmp_path, capsys):
     # a quadratic config's file may hold any family; its weights and matrix sizes are checked too,
     # and it must pass its sampler's checks: a LASSO density of 5, a tall LASSO A and a
-    # classification with no samples, whose f read 0/0, were loaded and solved
+    # classification with no samples, whose f read 0/0, were loaded and solved; an A
+    # with no rows or no columns was loaded, and its solve exited 2 with numpy's message
     obj = problem_to_json(make_classification(5, 4, rng=make_rng(3)))
     lasso = problem_to_json(make_huber_lasso(3, 6, rng=make_rng(3)))
+    quad = problem_to_json(random_quadratic(2, 1, make_rng(3)))
+    empty = "A must have at least one row and one column, got shape {}"
     tall = {"A": {"rows": 6, "cols": 3, "data": [float(v) for v in range(1, 19)]}, "u": [1.0, 0.0, -1.0]}
     problem_file = tmp_path / "problem.json"
     for contents, message in (
@@ -585,6 +590,9 @@ def test_cli_rejects_non_number_weights_and_non_integer_sizes_in_the_problem_fil
         ({**obj, "D": {"rows": 5, "cols": 0, "data": []}, "labels": []}, "need n >= 2 and T >= 1, got n=5, T=0"),
         ({**lasso, "density": 5.0}, "density must lie in (0, 1], got 5.0"),
         ({**lasso, **tall}, "need m < n (underdetermined recovery), got m=6, n=3"),
+        ({**quad, "c_g": [], "A": {"rows": 0, "cols": 2, "data": []}}, empty.format((0, 2))),
+        ({**quad, "c_f": [], "A": {"rows": 1, "cols": 0, "data": []}}, empty.format((1, 0))),
+        ({**lasso, "A": {"rows": 0, "cols": 6, "data": []}}, empty.format((0, 6))),
     ):
         problem_file.write_text(json.dumps(contents))
         code = main(["solve", "--config", str(_solve_config(tmp_path, problem_file))])
@@ -649,6 +657,8 @@ def test_parse_sweep_rejects_non_numbers_in_grids_and_worker_count():
         ("base", {**base, "seed": -5}, "^sweep base: seed must be an integer >= 0, got -5$"),
         ("rs_grid", [], r"^rs_grid must be a nonempty list of \[r, s\] pairs$"),
         ("schema_version", 2, "^sweep config: schema_version must be 1, got 2$"),
+        ("schema_version", True, "^sweep config: schema_version must be 1, got True$"),
+        ("schema_version", 1.0, r"^sweep config: schema_version must be 1, got 1\.0$"),
     ):
         with pytest.raises(ConfigError, match=message):
             parse_sweep({**good, key: bad})

@@ -127,19 +127,19 @@ def test_spectral_bounds_rejects_nonpositive_floor():
 
 def test_gamma_frozen_value():
     P = make_quadratic([0.0], [0.0], [[1.0]])  # L_f = L_g = 1, unit coupling
-    params = SolverParams(rho=0.25, nu=0.5, alpha=0.0)
+    params = SolverParams(alpha=0.0)
     gamma = compute_gamma(P, params, _unit_bounds())
-    assert abs(gamma - 0.1875) <= 1e-15
+    # c = 1 - 0.4 = 0.6; gamma = 0.6 min(1, 0.6 / 2, 0.6 / 2) = 0.18
+    assert abs(gamma - 0.18) <= 1e-15
 
 
 def test_gamma_shrinks_toward_acceleration_limit():
     P = make_quadratic([0.0], [0.0], [[1.0]])
     bounds = _unit_bounds()
-    rho = 0.25
-    alphas = [0.0, 1.0, 2.0, 2.9, 2.99]
+    alphas = [0.0, 0.5, 1.0, 1.4, 1.49]  # the range ends at 1/rho - 1 = 1.5
     gammas = []
     for alpha in alphas:
-        params = SolverParams(rho=rho, nu=0.5, alpha=alpha)
+        params = SolverParams(alpha=alpha)
         gammas.append(compute_gamma(P, params, bounds))
     assert all(a > b for a, b in zip(gammas, gammas[1:]))
     assert gammas[-1] <= 1e-2
@@ -157,13 +157,13 @@ def test_gamma_saturates_at_backtracking_ratio():
         eta2_x=1e6,
         eta2_y=1e6,
     )
-    params = SolverParams(rho=0.25, nu=0.5, alpha=0.0)
-    assert compute_gamma(P, params, big) == 0.5
+    params = SolverParams(alpha=0.0)
+    assert compute_gamma(P, params, big) == 0.6
 
 
 def test_gamma_degenerates_with_warning_beyond_range():
     P = make_quadratic([0.0], [0.0], [[1.0]])
-    params = SolverParams(rho=0.4, alpha=2.0, relaxed_alpha=True)
+    params = SolverParams(alpha=2.0, relaxed_alpha=True)
     with pytest.warns(UserWarning):
         assert compute_gamma(P, params, _unit_bounds()) == 0.0
 
@@ -180,18 +180,18 @@ def test_gamma_requires_lipschitz_constants():
 
 def test_delta_x_frozen_value_with_unit_second_dual_step():
     P = make_quadratic([0.0], [0.0], [[1.0]])
-    params = SolverParams(rho=0.25, nu=0.5, alpha=0.0, r=0.1, s=1.0)
-    delta_x, _ = compute_deltas(P, params, _unit_bounds(), gamma=0.1875)
-    # s = 1 annihilates the coupling term, leaving rho * gamma * eta1_x
-    assert abs(delta_x - 0.046875) <= 1e-15
+    params = SolverParams(alpha=0.0, r=0.1, s=1.0)
+    delta_x, _ = compute_deltas(P, params, _unit_bounds(), gamma=0.18)
+    # s = 1 annihilates the coupling term, leaving rho * gamma * eta1_x = 0.4 * 0.18
+    assert abs(delta_x - 0.072) <= 1e-15
 
 
 def test_delta_y_frozen_value():
     P = make_quadratic([0.0], [0.0], [[1.0]])
-    params = SolverParams(rho=0.25, nu=0.5, alpha=0.0, beta=1.0, r=0.1, s=1.0)
-    _, delta_y = compute_deltas(P, params, _unit_bounds(), gamma=0.1875)
-    # 0.046875 - (6/1.1)(1 + 2 + 18) - 0.1/1.1
-    assert abs(delta_y - -114.58948863636362) <= 1e-9
+    params = SolverParams(alpha=0.0, beta=1.0, r=0.1, s=1.0)
+    _, delta_y = compute_deltas(P, params, _unit_bounds(), gamma=0.18)
+    # 0.072 - (6/1.1)(1 + 2 + 18) - 0.1/1.1 = 0.072 - 126.1/1.1
+    assert abs(delta_y - -114.56436363636364) <= 1e-9
     assert delta_y < 0  # reference settings sit far outside the certified region
 
 

@@ -506,6 +506,8 @@ def test_problem_from_json_rejects_malformed_objects():
     for obj, message in (
         ([cls], "problem object must be a JSON object"),
         ({**cls, "schema_version": 2}, "unsupported schema_version 2 (expected 1)"),
+        ({**cls, "schema_version": True}, "unsupported schema_version True (expected 1)"),
+        ({**cls, "schema_version": 1.0}, "unsupported schema_version 1.0 (expected 1)"),
         ({**cls, "kind": "sudoku"}, "unknown problem kind 'sudoku'"),
         ({**cls, "A": lasso["A"]}, "unknown keys in problem object: ['A']"),
         (without_mu, "missing keys in problem object: ['mu']"),
@@ -519,12 +521,18 @@ def test_problem_from_json_rejects_malformed_objects():
 
 def test_containers_reject_what_their_samplers_reject():
     # a loaded problem passes the checks a sampled one does: the LASSO's density
-    # and m < n, and the classification's T >= 1, whose f would read 0/0
+    # and m < n, the classification's T >= 1, whose f would read 0/0, and an A
+    # with rows and columns, on which a solve raised numpy's errors
     rng = make_rng(20)
     cls = problem_to_json(make_classification(5, 4, rng=rng))
     lasso = problem_to_json(make_huber_lasso(3, 6, rng=rng))
+    quad = problem_to_json(random_quadratic(2, 1, rng))
     tall = {"rows": 6, "cols": 3, "data": [float(v) for v in range(1, 19)]}
+    empty = "A must have at least one row and one column, got shape {}"
     for obj, message in (
+        ({**quad, "c_g": [], "A": {"rows": 0, "cols": 2, "data": []}}, empty.format((0, 2))),
+        ({**quad, "c_f": [], "A": {"rows": 1, "cols": 0, "data": []}}, empty.format((1, 0))),
+        ({**lasso, "A": {"rows": 0, "cols": 6, "data": []}}, empty.format((0, 6))),
         ({**lasso, "density": 5.0}, "density must lie in (0, 1], got 5.0"),
         ({**lasso, "density": 0.0}, "density must lie in (0, 1], got 0.0"),
         ({**lasso, "A": tall, "u": [1.0, 0.0, -1.0]}, "need m < n (underdetermined recovery), got m=6, n=3"),
@@ -537,6 +545,7 @@ def test_containers_reject_what_their_samplers_reject():
         (lambda: make_huber_lasso(3, 6, density=5.0, rng=rng), "density must lie in (0, 1], got 5.0"),
         (lambda: make_huber_lasso(6, 3, rng=rng), "need m < n (underdetermined recovery), got m=6, n=3"),
         (lambda: make_classification(5, 0, rng=rng), "need n >= 2 and T >= 1, got n=5, T=0"),
+        (lambda: make_quadratic([1.0, 2.0], [], np.zeros((0, 2))), empty.format((0, 2))),
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()

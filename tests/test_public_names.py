@@ -18,14 +18,17 @@ and :func:`test_every_public_definition_has_a_user_outside_the_unit_tests` read
 the code with ``ast`` to find one. Likewise an exception class that no
 ``except`` clause outside the tests names tells its callers nothing a
 ``ValueError`` would not, which
-:func:`test_every_exception_class_is_caught_by_name_outside_the_tests` finds.
+:func:`test_every_exception_class_is_caught_by_name_outside_the_tests` finds,
+and a setting that no caller outside the unit tests sets has one value in use
+and is a constant, which
+:func:`test_every_setting_is_set_by_a_caller_outside_the_unit_tests` finds.
 """
 
 import ast
 import importlib
 import importlib.util
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -217,3 +220,19 @@ def test_every_exception_class_is_caught_by_name_outside_the_tests():
     ]
     assert defined
     assert [name for name in defined if name.split(".")[1] not in caught] == []
+
+
+def test_every_setting_is_set_by_a_caller_outside_the_unit_tests():
+    # a field of SolverParams or GdParams is set by a keyword argument or by a
+    # string key of a dict literal (a config's params) in src/, demos/,
+    # perfbench/ or the acceptance tests
+    paths = [*PACKAGE.glob("*.py"), *(ROOT / "demos").glob("*.py"), *PERFBENCH.glob("*.py")]
+    named = set()
+    for path in [*paths, ROOT / "tests" / "test_acceptance.py"]:
+        for node in ast.walk(_parse(path)):
+            if isinstance(node, ast.keyword):
+                named.add(node.arg)
+            elif isinstance(node, ast.Dict):
+                named |= {key.value for key in node.keys if isinstance(key, ast.Constant) and isinstance(key.value, str)}
+    settings = [f.name for cls in (prsqp.SolverParams, prsqp.GdParams) for f in fields(cls)]
+    assert [name for name in settings if name not in named] == []

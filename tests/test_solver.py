@@ -55,9 +55,9 @@ def _violations(**bad):
 
 
 def test_validate_params_flags_fast_acceleration():
-    out = _violations(rho=0.4, alpha=2.0)
+    out = _violations(alpha=2.0)
     assert len(out) == 1 and "alpha" in out[0]
-    assert validate_params(SolverParams(rho=0.4, alpha=2.0, relaxed_alpha=True)) == []
+    assert validate_params(SolverParams(alpha=2.0, relaxed_alpha=True)) == []
 
 
 def test_validate_params_flags_cancelling_dual_steps():
@@ -69,14 +69,12 @@ def test_validate_params_flags_cancelling_dual_steps():
 
 
 def test_validate_params_accepts_reference_defaults():
-    ok = dict(rho=0.4, nu=0.6, beta=1.0, ell=5.0, sigma=10.0, r=0.1, s=1.0, alpha=0.0)
+    ok = dict(beta=1.0, ell=5.0, sigma=10.0, r=0.1, s=1.0, alpha=0.0)
     assert validate_params(SolverParams(**ok)) == []
     assert SolverParams(**ok) == SolverParams()
 
 
 def test_solver_params_constructor_enforces_ranges():
-    with pytest.raises(ValueError):
-        SolverParams(rho=1.5)
     with pytest.raises(ValueError):
         SolverParams(alpha=2.0)  # 2 >= 1/0.4 - 1
     with pytest.raises(ValueError):
@@ -85,8 +83,8 @@ def test_solver_params_constructor_enforces_ranges():
         SolverParams(beta=0.0)
     relaxed = SolverParams(alpha=2.0, relaxed_alpha=True)
     assert relaxed.alpha == 2.0
-    with pytest.raises(ValueError, match="rho must lie in"):
-        replace(relaxed, rho=1.5)  # a changed copy is validated anew
+    with pytest.raises(ValueError, match="outside the supported range"):
+        replace(relaxed, relaxed_alpha=False)  # a changed copy is validated anew
 
 
 def test_validate_params_rejects_negative_or_nan_kkt_tolerance():
@@ -126,7 +124,7 @@ def test_validate_params_rejects_bools_for_real_parameters():
         "beta must be a real number, got True",
         "tol_step must be a real number, got True",
     ]
-    for name in ("rho", "nu", "alpha", "beta", "ell", "sigma", "r", "s", "tol_step", "tol_kkt"):
+    for name in ("alpha", "beta", "ell", "sigma", "r", "s", "tol_step", "tol_kkt"):
         for bad in (True, False, np.True_):
             assert f"{name} must be a real number, got {bad!r}" in _violations(**{name: bad})
     assert validate_params(SolverParams(beta=1, ell=np.float64(2.0), sigma=np.int64(3))) == []
@@ -134,7 +132,7 @@ def test_validate_params_rejects_bools_for_real_parameters():
 
 def test_validate_params_rejects_values_that_are_no_number():
     # a string or None in a real field escaped as a bare TypeError that named no field
-    for name in ("rho", "nu", "alpha", "beta", "ell", "sigma", "r", "s", "tol_step", "tol_kkt"):
+    for name in ("alpha", "beta", "ell", "sigma", "r", "s", "tol_step", "tol_kkt"):
         for bad in ("10", None, [1.0]):
             assert _violations(**{name: bad}) == [f"{name} must be a real number, got {bad!r}"]
     assert _violations(beta="10", ell=-1.0) == [
@@ -145,7 +143,7 @@ def test_validate_params_rejects_values_that_are_no_number():
 
 def test_validate_params_rejects_reals_no_float_can_hold():
     # a JSON integer of 400 digits: beta was accepted and overflowed the solve, r raised OverflowError
-    for name in ("rho", "nu", "alpha", "beta", "ell", "sigma", "r", "s", "tol_step", "tol_kkt"):
+    for name in ("alpha", "beta", "ell", "sigma", "r", "s", "tol_step", "tol_kkt"):
         for big in (10**400, -(10**400)):
             message = f"{name} must be a real number a float can hold, got one past float range"
             assert message in _violations(**{name: big})
@@ -189,27 +187,21 @@ def test_validate_params_requires_a_boolean_relaxed_alpha():
 
 
 def test_acceleration_range_is_one_rule_at_its_boundary():
-    # alpha < 1/rho - 1 and c = 1/(1 + alpha) - rho > 0 round apart on these
-    # pairs; validation, the step floor and the recipes all test c > 0, and
-    # their messages print c
+    # alpha < 1/rho - 1 and c = 1/(1 + alpha) - rho > 0 round apart at the
+    # fixed rho = 0.4 just below alpha = 1.5; validation, the step floor and
+    # the recipes all test c > 0, and their messages print c. No alpha within
+    # 200 ulps of 1.5 rounds the other way (alpha < 1/rho - 1 false, c > 0),
+    # so that half of the rule is not reachable at this rho
     P = make_quadratic([1.0], [0.0], [[1.0]])
-    rho, alpha = 0.6342224535750253, 0.5767338326846309  # alpha < 1/rho - 1 holds, c = 0
+    rho, alpha = 0.4, 1.4999999999999998  # alpha < 1/rho - 1 holds, c = 0
     assert alpha < 1.0 / rho - 1.0 and not 1.0 / (1.0 + alpha) - rho > 0.0
     outside = f"alpha = {alpha} is outside the supported range: 1/(1 + alpha) - rho = 0.0 must be positive"
-    assert _violations(rho=rho, alpha=alpha) == [f"{outside} (set relaxed_alpha to override)"]
-    relaxed = SolverParams(rho=rho, alpha=alpha, relaxed_alpha=True)
+    assert _violations(alpha=alpha) == [f"{outside} (set relaxed_alpha to override)"]
+    relaxed = SolverParams(alpha=alpha, relaxed_alpha=True)
     with pytest.warns(UserWarning, match=re.escape(f"step floor degenerates: {outside}; reporting gamma = 0")):
         assert diagnostics_report(P, relaxed).gamma == 0.0
     with pytest.raises(ValueError, match=re.escape(f"recipes need a positive step-floor factor: {outside}")):
         suggest_params("alda", P, base=relaxed)
-    rho, alpha = 0.02619708281795851, 37.17218913071055  # alpha < 1/rho - 1 fails, c = 3.5e-18
-    assert not alpha < 1.0 / rho - 1.0 and 1.0 / (1.0 + alpha) - rho > 0.0
-    params = SolverParams(rho=rho, alpha=alpha)
-    assert validate_params(params) == []
-    assert diagnostics_report(P, params).gamma > 0.0
-    # past the range test, the recipe cannot certify margins on so small a floor
-    with pytest.raises(ValueError, match="recipe failed to certify positive margins"):
-        suggest_params("alda", P, base=params)
 
 
 def test_params_cannot_change_under_a_state():
@@ -340,7 +332,7 @@ def _search(P, w, d, params, block="x"):
 
 def test_line_search_zero_direction_short_circuits():
     P = decoupled_problem(lambda x: 0.5 * x * x, lambda x: x, lambda x: 1.0)
-    params = SolverParams(rho=0.4, nu=0.6)
+    params = SolverParams()
     step = _search(P, _w(2.0, 0.0, 0.0), np.zeros(1), params)
     assert (step.t, step.backtracks) == (1.0, 0)
     assert np.array_equal(step.x_eval.x, [2.0])
@@ -348,7 +340,7 @@ def test_line_search_zero_direction_short_circuits():
 
 def test_line_search_accepts_unit_step_on_quadratic():
     P = decoupled_problem(lambda x: 0.5 * x * x, lambda x: x, lambda x: 1.0)
-    params = SolverParams(rho=0.4, nu=0.6, beta=1.0, ell=1.0)
+    params = SolverParams(beta=1.0, ell=1.0)
     w = _w(2.0, 0.0, 0.0)
     # Hcal = H + ell = 2, no coupling
     assert initial_state(P, w, params).metric_x.quad(np.ones(1)) == 2.0
@@ -367,7 +359,7 @@ def _quartic_with_unit_model():
 
 def test_line_search_backtracks_on_quartic():
     P = _quartic_with_unit_model()
-    params = SolverParams(rho=0.4, nu=0.6, beta=1.0, ell=1.0)
+    params = SolverParams(beta=1.0, ell=1.0)
     d = np.array([-2.0])  # model step from H = 1 (Hcal = 2): 1 - 4/2 = -1, direction -2
     step = _search(P, _w(1.0, 0.0, 0.0), d, params)
     assert step.backtracks == 3
@@ -376,14 +368,12 @@ def test_line_search_backtracks_on_quartic():
 
 def test_line_search_exhausts_budget():
     # every trial along the uphill d = +2 raises L_beta. Only the full step
-    # gets the float slack, so the search fails both where the 60th shrink
-    # leaves t = 0.9^60 = 1.8e-3 and where it leaves t = 0.6^60 = 4.9e-14,
-    # below the slack's 1e-12 (1 + |L0|)
+    # gets the float slack, so the search fails though the 60th shrink leaves
+    # t = 0.6^60 = 4.9e-14, below the slack's 1e-12 (1 + |L0|)
     P, w, uphill = _quartic_with_unit_model(), _w(1.0, 0.0, 0.0), np.array([2.0])
-    for nu in (0.9, 0.6):
-        params = SolverParams(rho=0.4, nu=nu, beta=1.0, ell=1.0)
-        with pytest.raises(LineSearchFailed, match="^x line search found no acceptable step within 60 backtracks$"):
-            _search(P, w, uphill, params)
+    params = SolverParams(beta=1.0, ell=1.0)
+    with pytest.raises(LineSearchFailed, match="^x line search found no acceptable step within 60 backtracks$"):
+        _search(P, w, uphill, params)
 
 
 # ----- multiplier updates --------------------------------------------------------------
@@ -499,9 +489,7 @@ def test_run_from_first_order_point_stops_immediately():
 
 def test_run_converges_to_scalar_oracle_point():
     P = make_quadratic([1.0], [0.0], [[1.0]])
-    params = SolverParams(
-        rho=0.25, nu=0.5, alpha=0.0, beta=1.0, ell=1.0, sigma=1.0, r=0.1, s=1.0, tol_step=1e-6
-    )
+    params = SolverParams(alpha=0.0, beta=1.0, ell=1.0, sigma=1.0, r=0.1, s=1.0, tol_step=1e-6)
     result = run(P, Iterate(np.zeros(1), np.zeros(1), np.zeros(1)), params)
     assert result.status is SolveStatus.CONVERGED
     target = np.array([0.5, 0.5, -0.5])
@@ -613,9 +601,9 @@ def test_run_validates_start_and_parameters():
         run(P, Iterate(np.zeros(2), np.zeros(1), np.zeros(1)), SolverParams())
     w0 = Iterate(np.zeros(1), np.zeros(1), np.zeros(1))
     with pytest.raises(FrozenInstanceError):
-        SolverParams().rho = 2.0
+        SolverParams().alpha = 2.0
     # parameters are validated once, by SolverParams; any other object is refused unread
-    bad = SimpleNamespace(**{**asdict(SolverParams()), "rho": 2.0})
+    bad = SimpleNamespace(**{**asdict(SolverParams()), "alpha": 2.0})
     for start in (run, initial_state):
         with pytest.raises(TypeError, match="params must be a SolverParams"):
             start(P, w0, bad)
@@ -633,13 +621,10 @@ def test_run_reports_line_search_breakdown_in_status():
     w0 = Iterate(np.zeros(1), np.zeros(1), np.zeros(1))
     # far beyond the supported acceleration range the Armijo slope test is
     # unsatisfiable; only the full step gets the float slack, so the failure
-    # surfaces whether the last of the 60 shrinks leaves t = 1.8e-3 (nu = 0.9)
-    # or t = 4.9e-14 (nu = 0.6)
-    params = SolverParams(alpha=10.0, relaxed_alpha=True, rho=0.4, nu=0.9, max_iter=50)
-    for nu in (0.9, 0.6):
-        result = run(P, w0, replace(params, nu=nu))
-        assert result.status is SolveStatus.LINE_SEARCH_FAILED
-        assert result.stop_reason == "x line search found no acceptable step within 60 backtracks"
+    # surfaces though the last of the 60 shrinks leaves t = 0.6^60 = 4.9e-14
+    result = run(P, w0, SolverParams(alpha=10.0, relaxed_alpha=True, max_iter=50))
+    assert result.status is SolveStatus.LINE_SEARCH_FAILED
+    assert result.stop_reason == "x line search found no acceptable step within 60 backtracks"
 
 
 def test_run_names_the_stop_rule_that_fired_or_the_breakdown():

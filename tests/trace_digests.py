@@ -112,8 +112,8 @@ from toys import scalar_problem  # noqa: E402
 
 LASSO_DESK = {"type": "huber_lasso", "m": 128, "n": 512, "density": 0.5, "tau": 1e-3, "mu": 0.1}
 # the params fields a recipe line digests, named, so that a checkout whose
-# SolverParams still has max_backtracks prints the same line
-RECIPE_FIELDS = "rho nu alpha beta ell sigma r s max_iter tol_step tol_kkt relaxed_alpha".split()
+# SolverParams still has max_backtracks, rho or nu prints the same line
+RECIPE_FIELDS = "alpha beta ell sigma r s max_iter tol_step tol_kkt relaxed_alpha".split()
 CLASSIFICATION = {"type": "classification", "n": 100, "T": 100}
 
 
@@ -273,15 +273,18 @@ def _malformed(tmp):
     yield "solve-file-lasso-tall-A", "solve", from_file(_container(tmp, lasso, A=tall, u=[1.0, 0.0, -1.0]))
     no_samples = {"rows": 5, "cols": 0, "data": []}
     yield "solve-file-classification-T0", "solve", from_file(_container(tmp, cls, D=no_samples, labels=[]))
+    no_rows = {"rows": 0, "cols": 3, "data": []}
+    yield "solve-file-quadratic-A-0-rows", "solve", from_file(_container(tmp, quadratic, c_g=[], A=no_rows))
     yield "solve-not-an-object", "solve", [1]
     yield "solve-not-utf-8", "solve", b'{"seed": "\xff"}'
     yield "solve-integer-of-5000-digits", "solve", b"[" + b"1" * 5000 + b"]"
     yield "solve-schema-version-2", "solve", _config(tmp, schema_version=2)
+    yield "solve-schema-version-true", "solve", _config(tmp, schema_version=True)
     yield "solve-missing-output_dir", "solve", {k: v for k, v in _config(tmp).items() if k != "output_dir"}
     yield "solve-unknown-key", "solve", _config(tmp, colour=1)
     yield "solve-params-not-an-object", "solve", _config(tmp, params=[1])
     yield "solve-problem-without-type", "solve", _config(tmp, problem={"n": 20})
-    yield "solve-params-rho-1.5", "solve", _config(tmp, params={"rho": 1.5})
+    yield "solve-params-rho-1.5", "solve", _config(tmp, params={"rho": 1.5})  # rho is a constant, no key
     yield "solve-classification-n-1", "solve", _config(tmp, problem={**SMALL_CLASSIFICATION, "n": 1})
     yield "solve-missing-file", "solve", from_file(tmp / "missing.json")
     yield "sweep-not-an-object", "sweep", "sweep"
