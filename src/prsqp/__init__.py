@@ -16,23 +16,23 @@ from .baseline import GdParams, GdRecord, GdResult, gradient_descent
 from .core import NotPositiveDefinite, make_rng, normal_sample, sparse_normal_sample, spectral_norm
 from .diagnostics import (
     DiagnosticsReport,
-    KktResidual,
     SpectralBounds,
     classify_regime,
     compute_deltas,
     compute_gamma,
     diagnostics_report,
-    kkt_residual,
     spectral_bounds,
     suggest_params,
 )
 from .problems import (
     SCHEMA_VERSION,
     CompositeProblem,
+    KktResidual,
     composite_gradient,
     composite_objective,
     forward_difference,
     hessian_pair,
+    kkt_residual,
     make_classification,
     make_huber_lasso,
     make_quadratic,

@@ -43,11 +43,12 @@ import numpy as np
 from .alf import Iterate, PointEval
 from .baseline import GdParams, gradient_descent
 from .core import make_rng, one_numpy_blas_thread
-from .diagnostics import classify_regime, diagnostics_report, kkt_residual
+from .diagnostics import classify_regime, diagnostics_report
 from .problems import (
     _json_size,
     _json_weight,
     composite_objective,
+    kkt_residual,
     make_classification,
     make_huber_lasso,
     problem_from_json,

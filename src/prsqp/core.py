@@ -1,13 +1,12 @@
-"""Shared numerical kernels: validated linear algebra, seeded sampling, spectra.
+"""Shared numerical kernels: linear algebra, seeded sampling, spectra.
 
-Everything downstream (problem builders, the splitting solver, the diagnostics)
-funnels its linear algebra and randomness through this module so that error
-handling and reproducibility live in one place. It is the only module that
-imports scipy, and from scipy it binds two LAPACK routines, ``dpotrf`` and
-``dpotrs``, which run on one thread of scipy's BLAS pool (see
-:func:`_bind_lapack`). numpy's BLAS pool runs on one thread only inside
-:func:`one_numpy_blas_thread`, and there only unless ``OPENBLAS_NUM_THREADS``
-is set.
+Everything downstream funnels its factorizations and randomness through this
+module, which judges no problem input (:func:`~prsqp.problems.hessian_pair`
+checks the models). It is the only module that imports scipy, and from scipy
+it binds two LAPACK routines, ``dpotrf`` and ``dpotrs``, which run on one
+thread of scipy's BLAS pool (see :func:`_bind_lapack`). numpy's BLAS pool
+runs on one thread only inside :func:`one_numpy_blas_thread`, and there only
+unless ``OPENBLAS_NUM_THREADS`` is set.
 """
 
 from __future__ import annotations
@@ -144,21 +143,12 @@ def one_numpy_blas_thread():
 def cholesky_spd(M):
     """Lower Cholesky factor of a symmetric matrix, or raise :class:`NotPositiveDefinite`.
 
-    ``M`` must be symmetric to ``max|M - M^T| <= 1e-10 * max(1, max|M|)``,
-    else :class:`ValueError`. The returned object is the ``(factor, lower)``
-    pair accepted by :func:`cholesky_solve` (and :func:`scipy.linalg.cho_solve`);
-    the factor is the output of LAPACK ``dpotrf``, bound in this module, as it
-    stands (the upper triangle is not cleared).
+    ``M`` is not checked: it must be symmetric, as the solver's metrics are.
+    The returned object is the ``(factor, lower)`` pair accepted by
+    :func:`cholesky_solve` (and :func:`scipy.linalg.cho_solve`); the factor is
+    the output of LAPACK ``dpotrf``, bound in this module, as it stands (the
+    upper triangle is not cleared).
     """
-    M = as_matrix(M, name="M")
-    n = M.shape[0]
-    if M.shape[1] != n:
-        raise ValueError(f"M must be square, got shape {M.shape}")
-    # an exactly symmetric M (the common case) skips the tolerance scan's temporaries
-    if M.size and not np.array_equal(M, M.T):
-        scale = max(1.0, float(np.abs(M).max()))
-        if float(np.abs(M - M.T).max()) > 1e-10 * scale:
-            raise ValueError("M must be symmetric (relative tolerance 1e-10)")
     with _scipy_scope:
         c, info = _dpotrf(M, lower=1, clean=0)
     if info > 0:

@@ -1,14 +1,13 @@
-"""Certificates and theory constants for the splitting solver.
+"""Theory constants, read off the rules that :mod:`prsqp.solver` and :mod:`prsqp.problems` apply.
 
-* :func:`kkt_residual` -- first-order residuals at an iterate, including the
-  convention-independent composite certificate ``||grad f(x) + A^T grad g(A x)||``.
 * :func:`spectral_bounds` -- curvature bounds of the two subproblem metrics
   (from the eigenvalues of the current Hessian models).
 * :func:`compute_gamma` -- the uniform Armijo step floor.
 * :func:`compute_deltas` -- per-block merit decrease margins; both positive
-  certifies monotone merit descent for the chosen dual steps.
-* :func:`suggest_params` -- two feasible parameter recipes: all-ascent
-  (``s = 1``) and all-descent (``s = -0.5``).
+  certifies a merit decrease per iteration for the chosen dual steps, not
+  convergence.
+* :func:`suggest_params` -- two parameter recipes with positive margins:
+  all-ascent (``s = 1``) and all-descent (``s = -0.5``).
 """
 
 from __future__ import annotations
@@ -19,57 +18,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .alf import PointEval, YPointEval
 from .core import _eigenvalues
-from .problems import composite_gradient, hessian_pair
-
-
-@dataclass
-class KktResidual:
-    """Sup-norm first-order residuals at ``(x, y, lam)``.
-
-    ``stat_x = ||grad f(x) - A^T lam||``, ``stat_y = ||grad g(y) + lam||``,
-    ``feas = ||A x - y||``, ``total = max`` of those three (NaN if any of
-    them is NaN); ``composite`` is ``||grad f(x) + A^T grad g(A x)||``, which
-    certifies stationarity of ``f + g o A`` regardless of multiplier
-    conventions.
-    """
-
-    stat_x: float
-    stat_y: float
-    feas: float
-    composite: float
-    total: float
-
-
-def _max_or_nan(*values):
-    # Python's max keeps its running maximum when a comparison with NaN is
-    # false, so it drops a NaN that is not its first argument; a residual
-    # with a NaN part must not pass a tolerance test
-    return math.nan if any(map(math.isnan, values)) else max(values)
-
-
-def kkt_residual(P, w, x_eval=None, y_eval=None):
-    """First-order residuals of the split problem at the iterate ``w``.
-
-    ``x_eval`` is the :class:`~prsqp.alf.PointEval` of ``w.x`` on ``P`` when
-    the caller keeps one; ``A x`` and ``grad f(x)`` are read from it.
-    ``y_eval`` is the :class:`~prsqp.alf.YPointEval` of ``w.y`` likewise, for
-    ``grad g(y)``.
-    """
-    at = PointEval(P, w.x) if x_eval is None else x_eval
-    at_y = YPointEval(P, w.y) if y_eval is None else y_eval
-    stat_x = float(np.abs(at.grad_f - P.apply_At(w.lam)).max())
-    stat_y = float(np.abs(at_y.grad_g + w.lam).max())
-    feas = float(np.abs(at.Ax - w.y).max())
-    composite = float(np.abs(composite_gradient(P, at)).max())
-    return KktResidual(
-        stat_x=stat_x,
-        stat_y=stat_y,
-        feas=feas,
-        composite=composite,
-        total=_max_or_nan(stat_x, stat_y, feas),
-    )
+from .problems import _model, hessian_pair
+from .problems import kkt_residual  # unused here: perfbench/tracer.py and harness.py look it up in this module
+from .solver import _NU, _RHO, SolverParams, _floor_factor, _outside_range
 
 
 @dataclass
@@ -99,9 +51,10 @@ def spectral_bounds(P, params, H_x, H_y):
     ``ValueError``); ``eta2_*`` add the norms instead, with
     ``||A^T A|| = lambda_max(A^T A)`` as ``A^T A`` is PSD. ``eta_*`` and
     ``lambda_lo_*`` are the largest ``|eigenvalue|`` and the smallest
-    eigenvalue of each model.
+    eigenvalue of each model, which is checked as
+    :func:`~prsqp.problems.hessian_pair` checks it (else ``ValueError``).
     """
-    return _bounds(P, params, _spectrum(H_x), _spectrum(H_y))
+    return _bounds(P, params, _spectrum(_model(H_x, P.n1, "H_x")), _spectrum(_model(H_y, P.n2, "H_y")))
 
 
 def _spectrum(H):
@@ -120,35 +73,9 @@ def _bounds(P, params, spectrum_x, spectrum_y):
             f"metric lower bounds must be positive, got eta1_x = {eta1_x}, eta1_y = {eta1_y}; "
             "increase ell / sigma"
         )
-    return SpectralBounds(
-        eta_x=eta_x,
-        eta_y=eta_y,
-        lambda_lo_x=lo_x,
-        lambda_lo_y=lo_y,
-        eta1_x=eta1_x,
-        eta1_y=eta1_y,
-        eta2_x=eta_x + params.beta * P.max_eig_AtA + params.ell,
-        eta2_y=eta_y + params.beta + params.sigma,
-    )
-
-
-_RHO, _NU = 0.4, 0.6  # the line search's Armijo rule: the largest t = _NU^i lowering L_beta by _RHO t d^T Hcal d
-
-
-def _floor_factor(alpha):
-    # c = 1/(1 + alpha) - rho, the factor of the step floor gamma
-    return 1.0 / (1.0 + alpha) - _RHO
-
-
-def _outside_range(alpha):
-    # "" inside the acceleration range of the theory, c > 0, on which gamma
-    # and the recipes are built; else the message that says so. In exact
-    # arithmetic c > 0 is alpha < 1/rho - 1 = 1.5, but the two forms round
-    # apart at the boundary, so every site tests and words this one.
-    c = _floor_factor(alpha)
-    if c > 0.0:
-        return ""
-    return f"alpha = {alpha} is outside the supported range: 1/(1 + alpha) - rho = {c} must be positive"
+    eta2_x = eta_x + params.beta * P.max_eig_AtA + params.ell
+    eta2_y = eta_y + params.beta + params.sigma
+    return SpectralBounds(eta_x, eta_y, lo_x, lo_y, eta1_x, eta1_y, eta2_x, eta2_y)
 
 
 def compute_gamma(P, params, bounds):
@@ -182,9 +109,12 @@ def compute_deltas(P, params, bounds, gamma):
                 - (6 / (|r + s| beta)) (L_g^2 + (1 + s^2) beta^2 + 2 (eta2_y / (1 + alpha))^2)
                 - |r s| beta / |r + s|``
 
-    Both positive certifies a monotone merit decrease of at least
-    ``delta_x ||d_x||^2 + delta_y ||d_y||^2`` per iteration. A square past
-    float range raises ``OverflowError`` naming the margins.
+    Both positive certifies a merit decrease of at least
+    ``delta_x ||d_x||^2 + delta_y ||d_y||^2`` per iteration, and only that: no
+    certified setting tried has converged (README, Known limitations). As
+    ``gamma <= nu``, ``delta_y > 0`` forces
+    ``|r + s| > 50 eta1_y / ((1 + alpha)^2 beta)``. A square past float range
+    raises ``OverflowError`` naming the margins.
     """
     if P.lipschitz_g is None:
         raise ValueError("compute_deltas needs lipschitz_g on the problem")
@@ -224,18 +154,11 @@ class DiagnosticsReport:
 
 def diagnostics_report(P, params):
     """Assemble the full report for ``params`` at the Hessian models at ``x = 0``, ``y = 0``."""
-    H_x, H_y = hessian_pair(P, np.zeros(P.n1), np.zeros(P.n2))
-    bounds = spectral_bounds(P, params, H_x, H_y)
+    bounds = spectral_bounds(P, params, *hessian_pair(P, np.zeros(P.n1), np.zeros(P.n2)))
     gamma = compute_gamma(P, params, bounds)
     delta_x, delta_y = compute_deltas(P, params, bounds, gamma)
-    return DiagnosticsReport(
-        gamma=gamma,
-        delta_x=delta_x,
-        delta_y=delta_y,
-        regime=classify_regime(params.r, params.s),
-        margins_ok=bool(delta_x > 0 and delta_y > 0),
-        bounds=bounds,
-    )
+    margins_ok = bool(delta_x > 0 and delta_y > 0)
+    return DiagnosticsReport(gamma, delta_x, delta_y, classify_regime(params.r, params.s), margins_ok, bounds)
 
 
 _RECIPE_MARGIN = 0.1  # each strict bound is met with a factor 1 + margin; floors at margin * beta
@@ -248,9 +171,10 @@ def suggest_params(direction, P, base=None):
     Two recipes, each with a fixed second dual step ``s``, of which ``r``
     takes the sign: ``direction`` ``"alda"`` (both dual updates ascent) has
     ``s = 1``, and ``"aldd"`` (both descent) has ``s = -0.5``, so
-    ``r + s < 0``. By the sign rule (module docstring of :mod:`prsqp.solver`)
-    the fixed points of an ``"aldd"`` run repel, so its certificate is one of
-    merit decrease per iteration, not of convergence. ``base`` supplies
+    ``r + s < 0``. Either certificate is one of merit decrease per iteration
+    only: no certified setting tried has converged, and by the sign rule
+    (module docstring of :mod:`prsqp.solver`) the fixed points of an
+    ``"aldd"`` run repel. ``base`` supplies
     ``alpha, beta`` and the loop controls (defaults otherwise); the
     returned :class:`SolverParams` keeps those and replaces
     ``ell, sigma, r, s``. The curvature is that of the Hessian models at
@@ -271,8 +195,6 @@ def suggest_params(direction, P, base=None):
         raise ValueError(f"direction must be 'alda' or 'aldd', got {direction!r}")
     if P.lipschitz_f is None or P.lipschitz_g is None:
         raise ValueError("suggest_params needs both Lipschitz constants on the problem")
-    from .solver import SolverParams  # solver imports this module
-
     base = base if base is not None else SolverParams()
     alpha, beta = base.alpha, base.beta
     if outside := _outside_range(alpha):

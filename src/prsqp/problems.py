@@ -28,7 +28,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .alf import PointEval
+from .alf import PointEval, YPointEval
 from .core import as_matrix, as_vector, normal_sample, sparse_normal_sample
 
 SCHEMA_VERSION = 1
@@ -222,6 +222,8 @@ def quadratic_kkt_point(P):
 
 def random_quadratic(n1, n2, rng):
     """Random quadratic instance: normal centers and a normal coupling matrix."""
+    if n1 < 1 or n2 < 1:
+        raise ValueError(f"need n1 >= 1 and n2 >= 1, got n1={n1}, n2={n2}")
     c_f = normal_sample(rng, n1)
     c_g = normal_sample(rng, n2)
     A = normal_sample(rng, n2 * n1).reshape(n2, n1)
@@ -295,11 +297,15 @@ def make_classification(n, T, mu=0.001, *, rng):
     return _classification_problem(D, labels, mu)
 
 
+def _lasso_sizes(m, n):
+    if not m < n:
+        raise ValueError(f"need m < n (underdetermined recovery), got m={m}, n={n}")
+
+
 def _lasso_problem(A, u, tau, mu, density):
     A = as_matrix(A, name="A")
     m, n = A.shape
-    if not m < n:
-        raise ValueError(f"need m < n (underdetermined recovery), got m={m}, n={n}")
+    _lasso_sizes(m, n)
     u = as_vector(u, n=n, name="u")
     if not (0 < tau < math.inf and 0 < mu < math.inf):
         raise ValueError(f"tau and mu must be positive and finite, got tau={tau}, mu={mu}")
@@ -340,6 +346,9 @@ def make_huber_lasso(m, n, density=0.5, tau=1e-3, mu=0.1, *, rng):
     ``A`` is m x n normal with ``m < n``; ``u`` has ``round(density * n)``
     normal entries, both sampled from the required ``rng``.
     """
+    if m < 1 or n < 1:
+        raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    _lasso_sizes(m, n)
     A = normal_sample(rng, m * n).reshape(m, n)
     u = sparse_normal_sample(rng, n, density)
     return _lasso_problem(A, u, tau, mu, density)
@@ -372,11 +381,60 @@ def composite_gradient(P, x):
     return at.grad_f + P.apply_At(P.grad_g(at.Ax))
 
 
-def hessian_pair(P, x, y):
-    """Current second-order model ``(hess f(x), hess g(y))`` with shape checks.
+@dataclass
+class KktResidual:
+    """Sup-norm first-order residuals at ``(x, y, lam)``.
 
-    Each part is what the problem's callable returns: an ``(n, n)`` matrix, or
-    the ``(n,)`` diagonal of a diagonal Hessian.
+    ``stat_x = ||grad f(x) - A^T lam||``, ``stat_y = ||grad g(y) + lam||``,
+    ``feas = ||A x - y||``, ``total = max`` of those three (NaN if any of
+    them is NaN); ``composite`` is ``||grad f(x) + A^T grad g(A x)||``, which
+    certifies stationarity of ``f + g o A`` regardless of multiplier
+    conventions.
+    """
+
+    stat_x: float
+    stat_y: float
+    feas: float
+    composite: float
+    total: float
+
+
+def _max_or_nan(*values):
+    # Python's max keeps its running maximum when a comparison with NaN is
+    # false, so it drops a NaN that is not its first argument; a residual
+    # with a NaN part must not pass a tolerance test
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
+def kkt_residual(P, w, x_eval=None, y_eval=None):
+    """First-order residuals of the split problem at the iterate ``w``.
+
+    ``x_eval`` is the :class:`~prsqp.alf.PointEval` of ``w.x`` on ``P`` when
+    the caller keeps one; ``A x`` and ``grad f(x)`` are read from it.
+    ``y_eval`` is the :class:`~prsqp.alf.YPointEval` of ``w.y`` likewise, for
+    ``grad g(y)``.
+    """
+    at = PointEval(P, w.x) if x_eval is None else x_eval
+    at_y = YPointEval(P, w.y) if y_eval is None else y_eval
+    stat_x = float(np.abs(at.grad_f - P.apply_At(w.lam)).max())
+    stat_y = float(np.abs(at_y.grad_g + w.lam).max())
+    feas = float(np.abs(at.Ax - w.y).max())
+    composite = float(np.abs(composite_gradient(P, at)).max())
+    return KktResidual(
+        stat_x=stat_x,
+        stat_y=stat_y,
+        feas=feas,
+        composite=composite,
+        total=_max_or_nan(stat_x, stat_y, feas),
+    )
+
+
+def hessian_pair(P, x, y):
+    """Current second-order model ``(hess f(x), hess g(y))``, checked.
+
+    Each part is what the problem's callable returns: an ``(n, n)`` matrix,
+    symmetric to ``max|H - H^T| <= 1e-10 * max(1, max|H|)``, or the ``(n,)``
+    diagonal of a diagonal Hessian; else ``ValueError`` names the callable.
     """
     x = as_vector(x, n=P.n1, name="x")
     y = as_vector(y, n=P.n2, name="y")
@@ -384,8 +442,16 @@ def hessian_pair(P, x, y):
 
 
 def _model(H, n, name):
+    # H as a float (n,) diagonal or symmetric (n, n) matrix; an exactly
+    # symmetric one (the common case) skips the tolerance scan's temporaries
     H = np.asarray(H, dtype=float)
-    return as_vector(H, n=n, name=name) if H.ndim == 1 else as_matrix(H, shape=(n, n), name=name)
+    if H.ndim == 1:
+        return as_vector(H, n=n, name=name)
+    H = as_matrix(H, shape=(n, n), name=name)
+    if not np.array_equal(H, H.T) and np.isfinite(H).all():  # a non-finite model is the solver's to name
+        if float(np.abs(H - H.T).max()) > 1e-10 * max(1.0, float(np.abs(H).max())):
+            raise ValueError(f"{name} must be symmetric (relative tolerance 1e-10)")
+    return H
 
 
 # ----- JSON (de)serialization --------------------------------------------------

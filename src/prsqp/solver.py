@@ -84,8 +84,7 @@ import numpy as np
 
 from .alf import Iterate, PointEval, YPointEval, _alf_value, eval_alf, eval_merit_hat, grad_alf
 from .core import NotPositiveDefinite, cholesky_solve, cholesky_spd, spectral_norm
-from .diagnostics import _NU, _RHO, KktResidual, _max_or_nan, _outside_range, kkt_residual
-from .problems import _past_float_range, composite_objective, hessian_pair
+from .problems import KktResidual, _max_or_nan, _past_float_range, composite_objective, hessian_pair, kkt_residual
 
 
 class LineSearchFailed(RuntimeError):
@@ -105,6 +104,26 @@ class SolveStatus(str, Enum):
     ITER_LIMIT = "IterLimit"
     LINE_SEARCH_FAILED = "LineSearchFailed"
     NUMERICAL_ERROR = "NumericalError"
+
+
+_RHO, _NU = 0.4, 0.6  # the line search's Armijo rule: the largest t = _NU^i lowering L_beta by _RHO t d^T Hcal d
+_MAX_BACKTRACKS = 60  # shrinks of an Armijo step before the search fails
+
+
+def _floor_factor(alpha):
+    # c = 1/(1 + alpha) - rho, the factor of the step floor gamma
+    return 1.0 / (1.0 + alpha) - _RHO
+
+
+def _outside_range(alpha):
+    # "" inside the acceleration range of the theory, c > 0, on which gamma
+    # and the recipes are built; else the message that says so. In exact
+    # arithmetic c > 0 is alpha < 1/rho - 1 = 1.5, but the two forms round
+    # apart at the boundary, so every site tests and words this one.
+    c = _floor_factor(alpha)
+    if c > 0.0:
+        return ""
+    return f"alpha = {alpha} is outside the supported range: 1/(1 + alpha) - rho = {c} must be positive"
 
 
 @dataclass(frozen=True)
@@ -152,15 +171,15 @@ def validate_params(params):
     # no _real, or one past float range (both flagged above), enters none of them
     names = ("alpha", "beta", "ell", "sigma", "r", "s")
     ok = {name for name in names if _real(v := getattr(p, name)) and not _past_float_range(v)}
-    if "alpha" in ok and not -1.0 < p.alpha < math.inf:
+    alpha_ok = "alpha" in ok and -1.0 < p.alpha < math.inf
+    if "alpha" in ok and not alpha_ok:
         out.append(f"alpha must be finite and exceed -1, got {p.alpha}")
     relaxed = p.relaxed_alpha
     if not isinstance(relaxed, (bool, np.bool_)):
         # a string such as "false" is truthy; it must not relax the range
         out.append(f"relaxed_alpha must be a boolean, got {relaxed!r}")
         relaxed = False
-    # alpha <= -1 is flagged above (1 + alpha would divide by zero); a NaN alpha is flagged here too
-    if not relaxed and "alpha" in ok and not p.alpha <= -1.0 and (outside := _outside_range(p.alpha)):
+    if not relaxed and alpha_ok and (outside := _outside_range(p.alpha)):
         out.append(f"{outside} (set relaxed_alpha to override)")
     for name in ("beta", "ell", "sigma"):
         if name in ok and not 0.0 < getattr(p, name) < math.inf:
@@ -362,7 +381,6 @@ class IterationOutcome(NamedTuple):
 
 
 _MAX_METRIC_REPAIR = 60  # doublings of ell / sigma before giving up
-_MAX_BACKTRACKS = 60  # shrinks of an Armijo step before the search fails
 
 
 def _read_only(*arrays):
@@ -695,7 +713,7 @@ def run(P, w0, params, callback: Optional[Callable[[IterationOutcome], None]] = 
     Stops with status Converged when the relative sup-norm step
     ``||w_{k+1} - w_k||_inf / max(1, ||w_k||_inf)`` falls to ``params.tol_step``
     and, at the same iterate, the first-order residual
-    ``max(kkt.total, kkt.composite)`` (see :func:`~prsqp.diagnostics.kkt_residual`)
+    ``max(kkt.total, kkt.composite)`` (see :func:`~prsqp.problems.kkt_residual`)
     is at most the absolute ``params.tol_kkt``, so a small step away from a
     stationary point does not end the run; a residual with a NaN part never
     passes. It stops with IterLimit after ``max_iter`` iterations, and with

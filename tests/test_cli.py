@@ -743,7 +743,10 @@ def test_cli_gen_data_rejects_invalid_size(tmp_path, capsys):
     out = tmp_path / "data.json"
     for problem, flags, message in (
         ("classification", ["--n", "1"], "cannot build the classification problem: need n >= 2 and T >= 1, got n=1"),
-        ("quadratic", ["--n1", "0"], "cannot build the quadratic problem: n must be >= 1, got 0"),
+        ("quadratic", ["--n1", "0"], "cannot build the quadratic problem: need n1 >= 1 and n2 >= 1, got n1=0, n2=3"),
+        ("quadratic", ["--n2", "0"], "cannot build the quadratic problem: need n1 >= 1 and n2 >= 1, got n1=5, n2=0"),
+        ("huber_lasso", ["--m", "-1", "--n", "-2"], "cannot build the huber_lasso problem: need m >= 1 and n >= 1"),
+        ("huber_lasso", ["--m", "0", "--n", "4"], "cannot build the huber_lasso problem: need m >= 1 and n >= 1"),
     ):
         code = main(["gen-data", "--problem", problem, *flags, "--seed", "1", "--out", str(out)])
         assert code == 1

@@ -14,6 +14,7 @@ from prsqp import (
     compute_deltas,
     compute_gamma,
     diagnostics_report,
+    hessian_pair,
     initial_state,
     iterate_once,
     kkt_residual,
@@ -113,6 +114,22 @@ def test_spectral_bounds_accept_the_models_iterate_once_returns():
     assert h_y.shape == (P.n2,)
     dense = spectral_bounds(P, params, h_x, np.diag(h_y))
     assert spectral_bounds(P, params, h_x, h_y) == dense
+
+
+def test_spectral_bounds_checks_its_models_as_hessian_pair_does():
+    # a model of the wrong size, or a matrix that is not square or not
+    # symmetric, is refused by name, as hessian_pair refuses the problem's
+    P = random_quadratic(2, 1, make_rng(3))
+    params = SolverParams()
+    for H_x, H_y, message in (
+        (np.eye(3), np.ones(5), r"^H_x must have shape \(2, 2\), got \(3, 3\)$"),
+        (np.ones((2, 3)), np.ones(1), r"^H_x must have shape \(2, 2\), got \(2, 3\)$"),
+        (np.eye(2), np.ones(5), r"^H_y must have length 1, got 5$"),
+        (np.array([[1.0, 3.0], [0.0, 1.0]]), np.ones(1), r"^H_x must be symmetric \(relative tolerance 1e-10\)$"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            spectral_bounds(P, params, H_x, H_y)
+    assert spectral_bounds(P, params, np.eye(2), np.eye(1)) == spectral_bounds(P, params, np.ones(2), np.ones(1))
 
 
 def test_spectral_bounds_rejects_nonpositive_floor():
@@ -218,6 +235,39 @@ def test_deltas_name_the_margins_when_a_square_overflows():
     ):
         with pytest.raises(OverflowError, match="^decrease margins delta_x, delta_y overflow float range"):
             compute_deltas(P, params, bounds, gamma=0.1)
+
+
+def test_a_positive_delta_y_forces_a_large_dual_step_sum():
+    # gamma <= nu = 0.6 and eta2_y >= eta1_y > 0, so delta_y > 0 needs
+    # |r + s| > 6 * 2 / (0.4 * 0.6) * eta1_y / ((1 + alpha)^2 beta): the
+    # certified steps lie far above the |r + s| <= 4 of every converging run
+    # measured (README, Known limitations). Checked on the instances of
+    # criteria 4, 5 and 9, at their settings and recipes and at a seeded sample
+    problems = [
+        *(random_quadratic(5, 4, make_rng(400 + i)) for i in range(5)),
+        make_quadratic([1.0], [0.0], [[1.0]]),
+        random_quadratic(4, 4, make_rng(90)),
+    ]
+    cases = [(P, SolverParams(r=r, s=s, alpha=alpha)) for P in problems[:5] for r, s, alpha in (
+        (0.1, 1.0, 0.0), (-0.1, 1.0, 0.25), (0.5, 0.5, -0.25))]
+    cases += [(P, suggest_params(direction, P)) for P in problems[5:] for direction in ("alda", "aldd")]
+    rng = make_rng(150)
+    log_uniform = lambda lo, hi: 10.0 ** rng.uniform(lo, hi)
+    sign = lambda: 1.0 if rng.random() < 0.5 else -1.0
+    for _ in range(3000):
+        P = problems[int(rng.integers(len(problems)))]
+        r, s = sign() * log_uniform(-2, 6), sign() * log_uniform(-2, 2)
+        if r + s != 0.0:
+            weights = dict(beta=log_uniform(-2, 2), ell=log_uniform(-2, 2), sigma=log_uniform(-2, 2))
+            cases.append((P, SolverParams(r=r, s=s, alpha=rng.uniform(-0.9, 1.4), **weights)))
+    ratios = []
+    for P, params in cases:
+        bounds = spectral_bounds(P, params, *hessian_pair(P, np.zeros(P.n1), np.zeros(P.n2)))
+        _, delta_y = compute_deltas(P, params, bounds, compute_gamma(P, params, bounds))
+        if delta_y > 0:
+            bound = 50.0 * bounds.eta1_y / ((1.0 + params.alpha) ** 2 * params.beta)
+            ratios.append(abs(params.r + params.s) / bound)
+    assert len(ratios) >= 100 and min(ratios) > 1.0
 
 
 # ----- regime classification -------------------------------------------------------------

@@ -23,6 +23,7 @@ from prsqp import (
     quadratic_kkt_point,
     random_quadratic,
     run,
+    suggest_params,
 )
 from prsqp.cli import _summarize
 from prsqp.core import max_eigenvalue, min_eigenvalue
@@ -268,6 +269,49 @@ def test_hessian_pair_rejects_models_of_neither_shape():
                 hessian_pair(Q, x, y)
     Q = replace(P, hess_f_at=lambda _: np.eye(3), hess_g_at=lambda _: np.eye(2))
     assert [H.shape for H in hessian_pair(Q, x, y)] == [(3, 3), (2, 2)]
+
+
+def test_hessian_pair_requires_a_symmetric_matrix_model():
+    # the check sits where the model enters, so it names the callable, not a
+    # metric built from it, and a diagonal model needs none
+    P = make_quadratic(np.zeros(2), np.zeros(2), np.eye(2))
+    x = y = np.zeros(2)
+    skew = np.array([[2.0, 1.0], [0.0, 2.0]])
+    for name, label in (("hess_f_at", "hess_f(x)"), ("hess_g_at", "hess_g(y)")):
+        Q = replace(P, **{name: lambda _: skew})
+        with pytest.raises(ValueError, match=f"^{re.escape(label)} must be symmetric "):
+            hessian_pair(Q, x, y)
+
+
+def test_hessian_pair_symmetry_tolerance_is_relative_to_the_largest_entry():
+    # the tolerance is 1e-10 * max(1, max|H|): 2e-10 here, and 2e-4 at 1e6 times the scale
+    P = make_quadratic(np.zeros(2), np.zeros(2), np.eye(2))
+    x = y = np.zeros(2)
+    for scale in (1.0, 1e6):
+        H = scale * np.array([[2.0, 1.0], [1.0, 2.0]])
+        within, beyond = H.copy(), H.copy()
+        within[1, 0] += 1.5e-10 * scale
+        beyond[1, 0] += 2.5e-10 * scale
+        for block, name in enumerate(("hess_f_at", "hess_g_at")):
+            assert np.array_equal(hessian_pair(replace(P, **{name: lambda _: within}), x, y)[block], within)
+            with pytest.raises(ValueError, match="must be symmetric"):
+                hessian_pair(replace(P, **{name: lambda _: beyond}), x, y)
+
+
+def test_every_reader_of_a_non_symmetric_model_rejects_it_by_the_callables_name():
+    # the quadratic form of [[1, 3], [0, 1]] has curvature down to -0.5; its
+    # one triangle read as a symmetric matrix reported curvature 1 and was certified
+    P = random_quadratic(2, 1, make_rng(3))
+    Q = replace(P, hess_f_at=lambda _: np.array([[1.0, 3.0], [0.0, 1.0]]))
+    message = r"^hess_f\(x\) must be symmetric \(relative tolerance 1e-10\)$"
+    for read in (
+        lambda: hessian_pair(Q, np.zeros(2), np.zeros(1)),
+        lambda: diagnostics_report(Q, SolverParams()),
+        lambda: suggest_params("alda", Q),
+        lambda: run(Q, Iterate(np.zeros(2), np.zeros(1), np.zeros(1)), SolverParams()),
+    ):
+        with pytest.raises(ValueError, match=message):
+            read()
 
 
 def test_hessian_models_symmetric():
@@ -549,6 +593,18 @@ def test_containers_reject_what_their_samplers_reject():
     ):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
+    # a sampler checks its sizes, and names them, before it draws
+    state = rng.bit_generator.state
+    for build, message in (
+        (lambda: make_huber_lasso(0, 6, rng=rng), "need m >= 1 and n >= 1, got m=0, n=6"),
+        (lambda: make_huber_lasso(2, -3, rng=rng), "need m >= 1 and n >= 1, got m=2, n=-3"),
+        (lambda: make_huber_lasso(-1, -2, rng=rng), "need m >= 1 and n >= 1, got m=-1, n=-2"),
+        (lambda: make_huber_lasso(6, 3, rng=rng), "need m < n (underdetermined recovery), got m=6, n=3"),
+        (lambda: random_quadratic(2, 0, rng), "need n1 >= 1 and n2 >= 1, got n1=2, n2=0"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+        assert rng.bit_generator.state == state
 
 
 def test_problem_to_json_refuses_problems_its_container_would_not_rebuild():

@@ -25,6 +25,7 @@ and is a constant, which
 """
 
 import ast
+import graphlib
 import importlib
 import importlib.util
 import sys
@@ -34,6 +35,8 @@ from pathlib import Path
 import numpy as np
 
 import prsqp
+import prsqp.diagnostics
+import prsqp.problems
 from prsqp.cli import _parse_problem, build_problem, run_sweep
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -162,6 +165,38 @@ def _uses(tree):
 
     visit(tree, frozenset())
     return out
+
+
+def _package_imports():
+    # (importing module, imported module, inside a function) for each
+    # ``from .x import`` in src/prsqp, at any depth
+    out = []
+
+    def visit(stem, node, inside):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out.append((stem, node.module, inside))
+        inside = inside or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for child in ast.iter_child_nodes(node):
+            visit(stem, child, inside)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(path.stem, _parse(path), False)
+    return out
+
+
+def test_package_imports_sit_at_module_level_and_form_no_cycle():
+    # each rule lives in the module that applies it, so no module imports a
+    # module that imports it back, nor hides such an import in a function
+    imports = _package_imports()
+    assert ("solver", "problems", False) in imports
+    assert [(stem, module) for stem, module, inside in imports if inside] == []
+    graph = {}
+    for stem, module, _ in imports:
+        graph.setdefault(stem, set()).add(module)
+    order = list(graphlib.TopologicalSorter(graph).static_order())  # raises CycleError naming a cycle
+    assert order.index("problems") < order.index("solver") < order.index("diagnostics")
+    # the tracer times the residual under its old home's name
+    assert prsqp.diagnostics.kkt_residual is prsqp.problems.kkt_residual
 
 
 def test_init_imports_exactly_the_public_names():

@@ -104,6 +104,9 @@ def test_validate_params_rejects_non_finite_weights():
             with pytest.raises(FrozenInstanceError):
                 setattr(params, name, bad)
     assert params == SolverParams()
+    # outside the relaxed range too, a non-finite alpha is one fault with one message
+    for bad in (float("inf"), float("nan")):
+        assert _violations(alpha=bad) == [f"alpha must be finite and exceed -1, got {bad}"]
 
 
 def test_validate_params_requires_integer_loop_limits():
@@ -712,6 +715,28 @@ def test_descent_sum_repels_at_every_quadratic_fixed_point():
                     assert np.count_nonzero((eig.imag == 0.0) & (eig.real > 1.0)) == n2, case
                 else:
                     assert np.max(np.abs(eig)) < 1.0, case
+
+
+def test_alda_fails_below_a_beta_threshold_that_descent_does_not_lower():
+    # the paper's ALDA failure case: f = 3x^2/2 and a concave g = -y^2 with
+    # A = 1, so the composite x^2/2 is strongly convex. At (ell, sigma) =
+    # (0.1, 0.1), ascent (1, 1) and mixed (0.1, 1) steps overflow at beta = 2
+    # and converge at beta = 3, just above |hess g| = 2; the descent steps
+    # (-0.1, -0.1) that the paper says rescue the case overflow at beta = 3 and
+    # at beta = 10 (README, Known limitations)
+    P = scalar_problem(
+        lambda x: 1.5 * x * x, lambda x: 3.0 * x, lambda x: 3.0, lambda y: -y * y, lambda y: -2.0 * y, lambda y: -2.0
+    )
+    for (r, s), beta, status in (
+        ((1.0, 1.0), 2.0, SolveStatus.NUMERICAL_ERROR),
+        ((1.0, 1.0), 3.0, SolveStatus.CONVERGED),
+        ((0.1, 1.0), 2.0, SolveStatus.NUMERICAL_ERROR),
+        ((0.1, 1.0), 3.0, SolveStatus.CONVERGED),
+        ((-0.1, -0.1), 3.0, SolveStatus.NUMERICAL_ERROR),
+        ((-0.1, -0.1), 10.0, SolveStatus.NUMERICAL_ERROR),
+    ):
+        params = SolverParams(r=r, s=s, beta=beta, ell=0.1, sigma=0.1, max_iter=5000)
+        assert run(P, _w(1.0, 1.0, 0.0), params).status is status, (r, s, beta)
 
 
 # ----- factorizations carried across iterations ------------------------------------------
