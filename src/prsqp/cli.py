@@ -20,9 +20,9 @@ gen-data --problem quadratic|classification|huber_lasso --seed N --out f.json
     a problem file of any kind: the file's own ``kind`` picks the family built.
 
 Exit codes: 0 success; 1 config error (:class:`ConfigError`, raised while the
-configuration is read, its problem built or its diagnostics computed, or when
-an output path cannot be written); 2 solver failure (a breakdown status, or any other exception during
-the run). All numeric output uses '.' as the decimal separator regardless of
+command line or the configuration is read, its problem built or its
+diagnostics computed, or when an output path cannot be written); 2 solver
+failure (a breakdown status, or any other exception during the run). All numeric output uses '.' as the decimal separator regardless of
 locale (plain ``repr``/JSON).
 """
 
@@ -118,20 +118,21 @@ def _envelope(obj, allowed, context):
 
 
 @contextlib.contextmanager
-def _config_errors(prefix):
+def _config_errors(prefix, *more):
     # the one boundary from bad input to a config error: a check that rejects a read value raises ValueError
     # (ConfigError and a wrong array shape among them), TypeError or ArithmeticError (a number no float holds),
-    # and a path that cannot be read or written raises OSError
+    # and a path that cannot be read or written raises OSError; ``more`` names the caller's further kinds
     try:
         yield
-    except (ValueError, TypeError, ArithmeticError, OSError) as exc:
+    except (ValueError, TypeError, ArithmeticError, OSError, *more) as exc:
         raise ConfigError(f"{prefix}: {exc}") from None
 
 
 def _load_json(path):
     with _config_errors(f"cannot read {path}"):
         fh = open(path, "r", encoding="utf-8")
-    with fh, _config_errors(f"malformed JSON in {path}"):  # bytes that are no UTF-8, an integer past 4300 digits
+    # bytes that are no UTF-8, an integer past 4300 digits, arrays nested past the recursion limit
+    with fh, _config_errors(f"malformed JSON in {path}", RecursionError):
         return json.load(fh)
 
 
@@ -437,10 +438,10 @@ def _cmd_gen_data(args):
         with _config_errors("cannot build the quadratic problem"):
             P = random_quadratic(args.n1, args.n2, make_rng(args.seed))
     else:  # argparse restricts the choices
-        # the flags of the type's keys (huber_lasso's mu is --mu-huber), read as a
-        # config's problem is; the builders hold the defaults of the flags not given
+        # the flags of the type's keys, read as a config's problem is; the
+        # builders hold the defaults of the flags not given
         required, optional = _PROBLEM_KEYS[args.problem]
-        flags = vars(args) | ({"mu": args.mu_huber} if args.problem == "huber_lasso" else {})
+        flags = vars(args)
         problem = {"type": args.problem} | {k: flags[k] for k in sorted(required | optional) if flags[k] is not None}
         P = build_problem(_parse_problem(problem), args.seed)
     with _open_output(args.out) as fh:
@@ -450,8 +451,14 @@ def _cmd_gen_data(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    # a malformed command line is a config error (exit 1), not argparse's exit 2, which is the solver-failure code
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="prsqp",
         description="Composite-optimization experiments: splitting solver, sweeps, diagnostics.",
     )
@@ -477,21 +484,19 @@ def build_parser():
     p_gen.add_argument("--n2", type=int, default=3, help="quadratic: y dimension")
     p_gen.add_argument("--n", type=int, default=100, help="classification/huber_lasso dimension")
     p_gen.add_argument("--T", type=int, default=100, help="classification: sample count")
-    p_gen.add_argument("--mu", type=float, help="classification: regularizer weight (default: the builder's)")
-    p_gen.add_argument("--m", type=int, default=128, help="huber_lasso: row count")
+    p_gen.add_argument(
+        "--mu", type=float, help="classification: regularizer weight; huber_lasso: knee width (default: the builder's)"
+    )
+    p_gen.add_argument("--m", type=int, default=64, help="huber_lasso: row count, below --n")
     p_gen.add_argument("--density", type=float, help="huber_lasso: signal density (default: the builder's)")
     p_gen.add_argument("--tau", type=float, help="huber_lasso: weight (default: the builder's)")
-    p_gen.add_argument(
-        "--mu-huber", dest="mu_huber", type=float, help="huber_lasso: knee width (default: the builder's)"
-    )
     p_gen.set_defaults(handler=_cmd_gen_data)
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

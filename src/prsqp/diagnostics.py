@@ -154,7 +154,7 @@ class DiagnosticsReport:
 
 def diagnostics_report(P, params):
     """Assemble the full report for ``params`` at the Hessian models at ``x = 0``, ``y = 0``."""
-    bounds = spectral_bounds(P, params, *hessian_pair(P, np.zeros(P.n1), np.zeros(P.n2)))
+    bounds = _bounds(P, params, *map(_spectrum, hessian_pair(P, np.zeros(P.n1), np.zeros(P.n2))))
     gamma = compute_gamma(P, params, bounds)
     delta_x, delta_y = compute_deltas(P, params, bounds, gamma)
     margins_ok = bool(delta_x > 0 and delta_y > 0)

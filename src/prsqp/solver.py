@@ -39,12 +39,13 @@ models ``H_x, H_y``:
    through LAPACK ``potrf``, solved through ``potrs``; :mod:`prsqp.core`
    binds both, in :func:`~prsqp.core.cholesky_spd` and
    :func:`~prsqp.core.cholesky_solve`); a non-finite model, or a metric
-   indefinite after 60 doublings, raises an error naming its block. The
-   factors and the weights go into the new :class:`SolverState`, whose block
-   steps solve in them; a block's factor is kept, not rebuilt, while its
-   refreshed model is exactly equal to the previous one and its weight has
-   not doubled. :func:`initial_state` factors the metrics at ``w_0`` in the
-   same way, so no step repairs one.
+   indefinite after 60 doublings (or at a weight whose double passes float
+   range), raises an error naming its block. The factored metrics, each
+   holding its weight, go into the new :class:`SolverState`, whose block
+   steps solve in them; a block's metric is kept, not rebuilt, while its
+   refreshed model is exactly equal to the previous one.
+   :func:`initial_state` factors the metrics at ``w_0`` in the same way, so
+   no step repairs one.
 
 The dual steps ``r, s`` may each take either sign (ascent or descent
 flavors), with ``r + s != 0``; but at ``r + s < 0`` the iteration map's
@@ -76,13 +77,13 @@ import functools
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
-from .alf import Iterate, PointEval, YPointEval, _alf_value, eval_alf, eval_merit_hat, grad_alf
+from .alf import AugmentedIterate, Iterate, PointEval, YPointEval, _alf_value, eval_alf, eval_merit_hat, grad_alf
 from .core import NotPositiveDefinite, cholesky_solve, cholesky_spd, spectral_norm
 from .problems import KktResidual, _max_or_nan, _past_float_range, composite_objective, hessian_pair, kkt_residual
 
@@ -255,7 +256,7 @@ class SolveResult:
 
     ``stop_reason`` says why the run ended: the stop rule that fired, or the
     message of the error an iteration broke down with. ``ell`` and ``sigma``
-    are the proximal weights of the run's last :class:`SolverState`, which
+    are the weights of the run's last :class:`SolverState`'s metrics, which
     exceed the caller's where a metric was repaired (the caller's, when the
     metrics at ``w0`` could not be repaired). ``final`` is that state's
     iterate, whose arrays are read-only (``w0`` itself when the run built no
@@ -343,26 +344,24 @@ class DiagonalMetric(NamedTuple):
 class SolverState(NamedTuple):
     """Everything :func:`iterate_once` reads; build the first with :func:`initial_state`.
 
-    ``params`` holds the weights in use, which exceed the caller's where a
-    metric was repaired, and ``k`` is the index of the next iteration. ``w`` is
-    the iterate and ``d_y_prev`` the previous accepted y-direction (zero at the
-    start), the two parts the merit function reads. ``x_eval`` / ``y_eval``
-    are the :class:`~prsqp.alf.PointEval` of ``w.x`` and the
-    :class:`~prsqp.alf.YPointEval` of ``w.y``, and ``L_beta`` is
+    ``params`` is the caller's set, unchanged, and ``k`` is the index of the
+    next iteration. ``w`` is the iterate, whose arrays are read-only.
+    ``x_eval`` / ``y_eval`` are the :class:`~prsqp.alf.PointEval` of ``w.x``
+    and the :class:`~prsqp.alf.YPointEval` of ``w.y``, and ``L_beta`` is
     ``L_beta(w)``, summed from those records. ``metric_x`` / ``metric_y`` are
     the factored metrics at the Hessian models at ``w``. Each holds its model
     as ``.model``, a read-only array in the shape the problem's Hessian
-    callable returns (a matrix, or the diagonal of a diagonal model), and its
-    ``ell`` / ``sigma`` as ``.weight``. ``eta_y`` is the running maximum of
+    callable returns (a matrix, or the diagonal of a diagonal model), and the
+    ``ell`` / ``sigma`` in use as ``.weight``, which exceeds the caller's
+    where a metric was repaired. ``eta_y`` is the running maximum of
     ``||H_y||`` over the models so far, the uniform curvature bound of the
-    merit column. The arrays of ``w`` and ``d_y_prev`` are read-only.
+    merit column.
     """
 
     P: object
     params: SolverParams
     k: int
     w: Iterate
-    d_y_prev: np.ndarray
     x_eval: PointEval
     y_eval: YPointEval
     L_beta: float
@@ -381,11 +380,6 @@ class IterationOutcome(NamedTuple):
 
 
 _MAX_METRIC_REPAIR = 60  # doublings of ell / sigma before giving up
-
-
-def _read_only(*arrays):
-    for a in arrays:
-        a.flags.writeable = False
 
 
 def _capacitance(P, D, ell, beta):
@@ -446,10 +440,10 @@ def _metric_y(P, model, sigma, beta):
 
 def _metric(P, block, H, weight, beta, kept):
     # the block's metric of the Hessian model H: ``kept``, the previous
-    # state's, when H equals its model exactly and ``weight`` is its weight,
-    # else one built on a read-only private copy of H (no later write to the
-    # caller's array reaches a factor), the weight doubled until it factors
-    if kept is not None and kept.weight == weight and np.array_equal(kept.model, H):
+    # state's, when H equals its model exactly, else one built on a read-only
+    # private copy of H (no later write to the caller's array reaches a
+    # factor), ``weight`` doubled until it factors
+    if kept is not None and np.array_equal(kept.model, H):
         return kept
     model = np.array(H, dtype=float)
     if not np.isfinite(model).all():
@@ -460,29 +454,36 @@ def _metric(P, block, H, weight, beta, kept):
         try:
             return build(P, model, weight, beta)
         except NotPositiveDefinite as exc:
-            if attempt == _MAX_METRIC_REPAIR:
+            if attempt == _MAX_METRIC_REPAIR or math.isinf(2.0 * weight):
                 raise NumericalError(
-                    f"{block}-metric stayed indefinite after {_MAX_METRIC_REPAIR} doublings of {name}, "
+                    f"{block}-metric stayed indefinite after {attempt} doublings of {name}, "
                     f"the last at {name} = {weight}: {exc}"
                 ) from None
             weight *= 2.0
 
 
-def _state(P, params, k, w, d_y_prev, x_eval, y_eval, L_beta, prev=None):
-    # the SolverState at w with the metrics of the problem's Hessian models at
-    # w, each kept from ``prev``, the previous state, where it fits (see
-    # _metric); its params hold the weights used and its eta_y grows with a
-    # new y-model only
+def _state(P, params, k, x_eval, y_eval, lam, prev=None):
+    # the SolverState at the read-only iterate of the records' points and
+    # lam, with the metrics of the problem's Hessian models there: each kept
+    # from ``prev``, the previous state, where its model is unchanged (see
+    # _metric), else built at prev's weight, or at params' at the start.
+    # eta_y grows with a new y-model only
+    w = Iterate(x_eval.x, y_eval.y, lam)
+    for a in (w.x, w.y, w.lam):
+        a.flags.writeable = False
+    L_beta = eval_alf(P, w, params.beta, x_eval, y_eval)
     H_x, H_y = hessian_pair(P, w.x, w.y)
-    kept_x, kept_y = (None, None) if prev is None else (prev.metric_x, prev.metric_y)
-    metric_x = _metric(P, "x", H_x, params.ell, params.beta, kept_x)
-    metric_y = _metric(P, "y", H_y, params.sigma, params.beta, kept_y)
-    if (metric_x.weight, metric_y.weight) != (params.ell, params.sigma):
-        params = replace(params, ell=metric_x.weight, sigma=metric_y.weight)
-    eta_y = 0.0 if prev is None else prev.eta_y
+    if prev is None:
+        kept_x = kept_y = None
+        ell, sigma, eta_y = params.ell, params.sigma, 0.0
+    else:
+        kept_x, kept_y = prev.metric_x, prev.metric_y
+        ell, sigma, eta_y = kept_x.weight, kept_y.weight, prev.eta_y
+    metric_x = _metric(P, "x", H_x, ell, params.beta, kept_x)
+    metric_y = _metric(P, "y", H_y, sigma, params.beta, kept_y)
     if metric_y is not kept_y:  # a 1-D model's entries are its eigenvalues
         eta_y = max(eta_y, spectral_norm(metric_y.model))
-    return SolverState(P, params, k, w, d_y_prev, x_eval, y_eval, L_beta, metric_x, metric_y, eta_y)
+    return SolverState(P, params, k, w, x_eval, y_eval, L_beta, metric_x, metric_y, eta_y)
 
 
 def hybrid_accelerate(tilde, current, alpha):
@@ -592,10 +593,10 @@ def initial_state(P, w0, params):
     given as a matrix takes the dense path. The solver works on read-only
     copies of the models and of ``w0``'s arrays, so the caller's stay writable
     and no later write to them reaches the state. Both metrics are factored,
-    ``ell`` / ``sigma`` doubled until each factors; the state's ``params`` is
-    then a copy holding the weights used. ``params`` itself is never changed.
-    The state's ``L_beta`` is summed from ``A x0``, ``f(x0)`` and ``g(y0)``,
-    which its records keep.
+    ``ell`` / ``sigma`` doubled until each factors; each metric holds the
+    weight it was factored at, and the state's ``params`` is ``params``
+    itself, never changed. The state's ``L_beta`` is summed from ``A x0``,
+    ``f(x0)`` and ``g(y0)``, which its records keep.
 
     Raises ``TypeError`` when ``params`` is no :class:`SolverParams` or ``w0``
     no :class:`~prsqp.alf.Iterate`, ``ValueError`` when its sizes are not the
@@ -610,12 +611,7 @@ def initial_state(P, w0, params):
         raise ValueError(
             f"w0 has shapes x:{w0.x.shape}, y:{w0.y.shape}; problem expects {P.n1}/{P.n2}"
         )
-    w = Iterate(w0.x.copy(), w0.y.copy(), w0.lam.copy())
-    d_y_prev = np.zeros(P.n2)
-    _read_only(w.x, w.y, w.lam, d_y_prev)
-    x_eval, y_eval = PointEval(P, w.x), YPointEval(P, w.y)
-    L_beta = _alf_value(x_eval.f, y_eval.g, w.lam, x_eval.Ax - w.y, params.beta)
-    return _state(P, params, 0, w, d_y_prev, x_eval, y_eval, L_beta)
+    return _state(P, params, 0, PointEval(P, w0.x.copy()), YPointEval(P, w0.y.copy()), w0.lam.copy())
 
 
 @_quiet_numerics
@@ -629,8 +625,9 @@ def iterate_once(state):
     refreshed model is exactly equal to its model is kept, and any other is
     factored afresh, its weight doubled until it factors (module docstring,
     step 6). ``eta_y`` grows only with a new y-model. The record's ``L_hat``
-    is the merit value with the state's curvature bound
-    ``eta_y + beta + sigma``, NaN when the problem has no ``lipschitz_g``.
+    is the merit value at ``w_{k+1}`` and this step's ``d_y``, with the
+    state's curvature bound ``eta_y + beta + sigma`` (``sigma`` its y-metric's
+    weight), NaN when the problem has no ``lipschitz_g``.
     The outcome's ``internals`` hold the per-block gradients, directions and
     the metric quadratic forms of the line searches, for invariant checks.
 
@@ -660,15 +657,14 @@ def iterate_once(state):
     lam_next = dual_update(lam_half, params.s, beta, x_eval.Ax - y_next)
     if not (np.isfinite(x_next).all() and np.isfinite(y_next).all() and np.isfinite(lam_next).all()):
         raise NumericalError("iteration produced non-finite iterate")
-    _read_only(x_next, y_next, lam_next, d_y)
-    w_next = Iterate(x_next, y_next, lam_next)
 
     # ----- refresh the second-order model, keeping both metrics factorable
-    L_beta = eval_alf(P, w_next, beta, x_eval, y_eval)
-    state_next = _state(P, params, state.k + 1, w_next, d_y, x_eval, y_eval, L_beta, prev=state)
+    state_next = _state(P, params, state.k + 1, x_eval, y_eval, lam_next, prev=state)
+    w_next, L_beta = state_next.w, state_next.L_beta
     if P.lipschitz_g is not None:
+        bound = state.eta_y + beta + state.metric_y.weight
         try:
-            L_hat = eval_merit_hat(P, state_next, params, state.eta_y + beta + params.sigma, L_beta=L_beta)
+            L_hat = eval_merit_hat(P, AugmentedIterate(w_next, d_y), params, bound, L_beta=L_beta)
         except OverflowError as exc:  # the merit weight squares the curvature bound
             raise NumericalError(str(exc)) from None
     else:
@@ -720,8 +716,8 @@ def run(P, w0, params, callback: Optional[Callable[[IterationOutcome], None]] = 
     LineSearchFailed / NumericalError when building the state or an iteration
     raises (captured, not propagated; so is such an error raised by
     ``callback``). The caller's ``params`` and ``w0`` are never changed: a
-    repaired weight lives in the states, and the result reports the last
-    state's weights. ``callback``, when given, receives each
+    repaired weight lives in the states' metrics, and the result reports the
+    last state's. ``callback``, when given, receives each
     :class:`IterationOutcome`. Errors in the inputs propagate.
     """
     trace: List[StepRecord] = []
@@ -750,12 +746,6 @@ def run(P, w0, params, callback: Optional[Callable[[IterationOutcome], None]] = 
         status, reason = SolveStatus.LINE_SEARCH_FAILED, str(exc)
     except NumericalError as exc:
         status, reason = SolveStatus.NUMERICAL_ERROR, str(exc)
-    last = params if state is None else state.params
-    return SolveResult(
-        final=w0 if state is None else state.w,
-        status=status,
-        trace=trace,
-        stop_reason=reason,
-        ell=last.ell,
-        sigma=last.sigma,
-    )
+    if state is None:
+        return SolveResult(w0, status, trace, reason, params.ell, params.sigma)
+    return SolveResult(state.w, status, trace, reason, state.metric_x.weight, state.metric_y.weight)

@@ -768,7 +768,7 @@ def test_cli_gen_data_rejects_non_finite_weights(tmp_path, capsys):
     out = tmp_path / "data.json"
     for problem, flag, bad in (
         ("huber_lasso", "--tau", "inf"),
-        ("huber_lasso", "--mu-huber", "nan"),
+        ("huber_lasso", "--mu", "nan"),
         ("classification", "--mu", "nan"),
     ):
         code = main(["gen-data", "--problem", problem, flag, bad, "--seed", "1", "--out", str(out)])
@@ -901,6 +901,51 @@ def test_cli_gen_data_without_weight_flags_writes_what_the_builders_give(tmp_pat
         assert main(["gen-data", "--problem", problem, "--seed", "3", *flags, "--out", str(out)]) == 0
         assert out.read_text() == json.dumps(problem_to_json(build(make_rng(3)))) + "\n"
     capsys.readouterr()
+
+
+def test_cli_gen_data_without_size_flags_writes_the_default_sizes(tmp_path, capsys):
+    # huber_lasso's default rows stay below the shared --n default, which
+    # classification reads as 100 x 100
+    for problem, build in (
+        ("huber_lasso", lambda rng: make_huber_lasso(64, 100, rng=rng)),
+        ("classification", lambda rng: make_classification(100, 100, rng=rng)),
+    ):
+        out = tmp_path / "generated.json"
+        assert main(["gen-data", "--problem", problem, "--seed", "1", "--out", str(out)]) == 0
+        assert out.read_text() == json.dumps(problem_to_json(build(make_rng(1)))) + "\n"
+    capsys.readouterr()
+
+
+def test_cli_usage_errors_are_config_errors(tmp_path, capsys):
+    # argparse would exit 2, the code of a solver failure
+    out = tmp_path / "data.json"
+    for argv, message in (
+        (["gen-data", "--problem", "foo", "--seed", "1", "--out", str(out)], "prsqp gen-data: argument --problem: "),
+        (["solve"], "prsqp solve: the following arguments are required: --config"),
+        (["gen-data", "--problem", "quadratic", "--seed", "abc", "--out", str(out)], "prsqp gen-data: argument --seed: "),
+    ):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {message}") and captured.out == ""
+        assert not out.exists()
+    with pytest.raises(SystemExit) as done:
+        main(["gen-data", "--help"])
+    assert done.value.code == 0
+    capsys.readouterr()
+
+
+def test_cli_json_nested_past_the_recursion_limit_is_malformed(tmp_path, capsys):
+    # a config or problem file of 100,000 nested arrays
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000 + "]" * 100_000)
+    solve_cfg = _solve_config(tmp_path, nested)
+    sweep_cfg = tmp_path / "sweep.json"
+    sweep_cfg.write_text(json.dumps(_sweep_config(tmp_path, nested, [[0.1, 1.0]], [0.0])))
+    for command, config in (("solve", nested), ("sweep", nested), ("solve", solve_cfg), ("sweep", sweep_cfg)):
+        assert main([command, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"malformed JSON in {nested}: maximum recursion depth" in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "sweep_out" / "sweep.csv").exists()
 
 
 def test_cli_gen_data_round_trips_through_solve(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 
 import prsqp.solver
 from prsqp import (
+    AugmentedIterate,
     CompositeProblem,
     Iterate,
     LineSearchFailed,
@@ -425,7 +426,7 @@ def test_iterate_once_decreases_merit_under_certified_margins():
     eta2_y = spectral_bounds(P, params, np.eye(1), np.eye(1)).eta2_y
     state = initial_state(_matrix_models(P), _w(2.0, -1.0, 0.5), params)
     assert state.eta_y + params.beta + params.sigma == eta2_y  # the bound of the record's L_hat
-    before = eval_merit_hat(P, state, params, eta2_y)
+    before = eval_merit_hat(P, AugmentedIterate(state.w, np.zeros(1)), params, eta2_y)
     out = iterate_once(state)
     assert out.record.L_hat <= before
 
@@ -458,10 +459,10 @@ def test_iterate_once_repairs_indefinite_metric():
     P = _concave_scalar()
     params = SolverParams(beta=1.0, ell=1.0, sigma=1.0)
     state = initial_state(P, _w(0.3, 0.0, 0.0), params)  # H_x = -5
-    # -5 + 1 + ell must exceed 0: 1 -> 2 -> 4 -> 8, in the state's params only
-    assert state.params.ell == 8.0 and params.ell == 1.0
+    # -5 + 1 + ell must exceed 0: 1 -> 2 -> 4 -> 8, in the state's metric only
+    assert state.metric_x.weight == 8.0 and params.ell == 1.0 and state.params is params
     out = iterate_once(state)
-    assert out.state.params.ell == 8.0
+    assert out.state.metric_x.weight == 8.0 and out.state.params is params
     assert np.all(np.isfinite(out.state.w.concat()))
 
 
@@ -746,15 +747,16 @@ def _run_refactoring_every_step(P, w0, params):
     # reference for run(): the same loop over iterate_once, but each iteration
     # starts from a fresh initial_state at the iterate, so every model is
     # evaluated, every metric built and factored and every value at the
-    # iterate evaluated afresh; k, d_y_prev and eta_y are kept
+    # iterate evaluated afresh, at the weights in use; k and eta_y are kept
     state = initial_state(P, w0, params)
     trace = []
     status = SolveStatus.ITER_LIMIT
     for k in range(params.max_iter):
         prev = state.w.concat()
         try:
-            fresh = initial_state(P, state.w, state.params)
-            out = iterate_once(fresh._replace(k=state.k, d_y_prev=state.d_y_prev, eta_y=state.eta_y))
+            in_use = replace(state.params, ell=state.metric_x.weight, sigma=state.metric_y.weight)
+            fresh = initial_state(P, state.w, in_use)
+            out = iterate_once(fresh._replace(k=state.k, eta_y=state.eta_y))
         except LineSearchFailed:
             status = SolveStatus.LINE_SEARCH_FAILED
             break
@@ -798,9 +800,9 @@ def _repair_steps(P, w0, params):
     ell_k, sigma_k = [], []
     for k in range(params.max_iter):
         state = iterate_once(state).state
-        ell_k += [k] if state.params.ell != ell else []
-        sigma_k += [k] if state.params.sigma != sigma else []
-        ell, sigma = state.params.ell, state.params.sigma
+        ell_k += [k] if state.metric_x.weight != ell else []
+        sigma_k += [k] if state.metric_y.weight != sigma else []
+        ell, sigma = state.metric_x.weight, state.metric_y.weight
     return ell_k, sigma_k
 
 
@@ -845,8 +847,8 @@ def test_run_with_carried_factors_matches_reference_through_metric_repairs():
 
 def test_run_reports_the_weights_it_ended_with():
     # ell (first case) or sigma (second case) doubles mid-run on the wells; the
-    # result holds the weights of the run's last state, which differ from the
-    # caller's
+    # result holds the weights of the run's last state's metrics, which differ
+    # from the caller's
     for P, w0, params in (
         (_wells(3.0, -1.0), _w(3.0, 0.0, 0.0), SolverParams(ell=0.01)),
         (_wells(-1.0, 3.0), _w(0.5, 3.0, 0.0), SolverParams(sigma=0.5)),
@@ -856,7 +858,24 @@ def test_run_reports_the_weights_it_ended_with():
         for _ in range(params.max_iter):
             state = iterate_once(state).state
         result = run(P, w0, params)
-        assert (result.ell, result.sigma) == (state.params.ell, state.params.sigma)
+        assert (result.ell, result.sigma) == (state.metric_x.weight, state.metric_y.weight)
+        assert (result.ell, result.sigma) != (params.ell, params.sigma)
+
+
+def test_states_keep_the_callers_params_through_metric_repairs():
+    # ell (first case) or sigma (second case) doubles mid-run on the wells:
+    # every state holds the caller's params object, not a rebuilt set, and the
+    # result reports the weights of the last state's metrics
+    for P, w0, params in (
+        (_wells(3.0, -1.0), _w(3.0, 0.0, 0.0), SolverParams(ell=0.01)),
+        (_wells(-1.0, 3.0), _w(0.5, 3.0, 0.0), SolverParams(sigma=0.5)),
+    ):
+        params = replace(params, tol_step=0.0, tol_kkt=0.0, max_iter=60)
+        states = []
+        result = run(P, w0, params, callback=lambda out: states.append(out.state))
+        assert len(states) == 60 and all(s.params is params for s in states)
+        last = states[-1]
+        assert (result.ell, result.sigma) == (last.metric_x.weight, last.metric_y.weight)
         assert (result.ell, result.sigma) != (params.ell, params.sigma)
 
 
@@ -880,14 +899,14 @@ def test_states_are_read_only_and_leave_the_callers_inputs_alone():
     state = initial_state(P, w0, params)
     out = iterate_once(state)
     result = run(P, w0, params)
-    # the repaired ell lives in the states and the result only
-    assert state.params.ell == out.state.params.ell == result.ell == 8.0
+    # the repaired ell lives in the states' metrics and the result only
+    assert state.metric_x.weight == out.state.metric_x.weight == result.ell == 8.0
     assert (params.ell, params.sigma) == (1.0, 1.0)
     assert w0.concat().tobytes() == start.tobytes()
     for a in (w0.x, w0.y, w0.lam):
         a[0] = a[0]  # the caller's arrays stay writable
     for s in (state, out.state):
-        for a in (s.w.x, s.w.y, s.w.lam, s.d_y_prev):
+        for a in (s.w.x, s.w.y, s.w.lam):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 1.0
     for a in (result.final.x, result.final.y, result.final.lam):
@@ -1224,9 +1243,24 @@ def test_diagonal_y_metric_doubles_sigma_until_its_diagonal_is_positive():
         P = _separable_g([1.0, c_min, 0.25])
         params = SolverParams(beta=1.0, sigma=0.5)
         out = iterate_once(initial_state(P, _w(np.ones(3), np.ones(3), np.zeros(3)), params))
-        assert out.state.params.sigma == sigma and params.sigma == 0.5
+        assert out.state.metric_y.weight == sigma and params.sigma == 0.5
         assert isinstance(out.state.metric_y, prsqp.solver.DiagonalMetric)
         assert np.array_equal(out.state.metric_y.model, [1.0, c_min, 0.25])
+
+
+def test_a_weight_doubling_past_float_range_ends_the_run_with_numerical_error():
+    # h = -1.5e308 needs beta + sigma > 1.5e308, but sigma = 1e308 doubles
+    # past float range: the run ends with a status naming the y block and the
+    # last finite sigma, for the diagonal and the dense metric alike
+    P = _separable_g([-1.5e308])
+    dense = replace(P, hess_g_at=lambda y: np.diag(P.hess_g_at(y)))
+    params = SolverParams(sigma=1e308)
+    for Q in (P, dense):
+        result = run(Q, _zero_start(Q), params)
+        assert result.status is SolveStatus.NUMERICAL_ERROR and result.iterations == 0
+        reason = "y-metric stayed indefinite after 0 doublings of sigma, the last at sigma = 1e+308: "
+        assert result.stop_reason.startswith(reason)
+        assert (result.ell, result.sigma) == (params.ell, params.sigma)
 
 
 def test_diagonal_y_model_given_as_a_matrix_takes_the_dense_metric():

@@ -32,8 +32,8 @@ files and output of ``solve`` (``trace.csv`` without ``elapsed_ms``,
 (``baseline_trace.csv`` without ``elapsed_ms``, the summary's ``baseline``
 without ``tcpu_s``), of a two-row ``sweep`` (``sweep.csv``
 without ``tcpu_s``), of ``check-params`` and of ``gen-data``; and, for each
-of a fixed list of malformed configurations and of paths that cannot be read
-or written, the exit code, the number of files written and a digest of
+of a fixed list of malformed configurations and command lines and of paths
+that cannot be read or written, the exit code (also where ``main`` exits), the number of files written and a digest of
 stderr, in which the directory reads ``<tmp>``.
 
 The BLAS thread variables are set to 1 before numpy loads, so products round
@@ -220,7 +220,10 @@ def _main(tmp, *argv):
     # cli.main's exit code, stdout and stderr, with the directory written as <tmp>
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main([str(arg) for arg in argv])
+        try:
+            code = cli.main([str(arg) for arg in argv])
+        except SystemExit as exc:  # an argparse usage error, where main lets it exit
+            code = exc.code
     return code, out.getvalue().replace(str(tmp), "<tmp>"), err.getvalue().replace(str(tmp), "<tmp>")
 
 
@@ -278,6 +281,7 @@ def _malformed(tmp):
     yield "solve-not-an-object", "solve", [1]
     yield "solve-not-utf-8", "solve", b'{"seed": "\xff"}'
     yield "solve-integer-of-5000-digits", "solve", b"[" + b"1" * 5000 + b"]"
+    yield "solve-arrays-nested-100000-deep", "solve", b"[" * 100_000 + b"]" * 100_000
     yield "solve-schema-version-2", "solve", _config(tmp, schema_version=2)
     yield "solve-schema-version-true", "solve", _config(tmp, schema_version=True)
     yield "solve-missing-output_dir", "solve", {k: v for k, v in _config(tmp).items() if k != "output_dir"}
@@ -294,7 +298,7 @@ def _malformed(tmp):
 
 
 def _path_cases(tmp):
-    # (name, argv) of commands given a path that cannot be read or written
+    # (name, argv) of a malformed command line and of commands given a path that cannot be read or written
     blocked = str(_write_json(tmp / "regular", {}) / "out")  # under a regular file
     solve = _config(tmp, params={"max_iter": 10}, output_dir=blocked)
     yield "solve-output_dir-under-a-file", ("solve", "--config", _write_json(tmp / "bad.json", solve))
@@ -303,6 +307,7 @@ def _path_cases(tmp):
     yield "solve-config-a-directory", ("solve", "--config", tmp)
     missing = tmp / "missing" / "q.json"
     yield "gen-data-out-in-a-missing-directory", ("gen-data", "--problem", "quadratic", "--seed", 1, "--out", missing)
+    yield "gen-data-unknown-problem", ("gen-data", "--problem", "foo", "--seed", 1, "--out", tmp / "u.json")
 
 
 def cli_digests():
